@@ -26,29 +26,42 @@ The seed is either the team's end-of-prior-season averages (``prior_season``)
 or the national average on the morning of the team's first game
 (``from_scratch``).
 
-Floating-point note: all accumulators fold values in one canonical order
-(games by (date, team_a, team_b), side a before side b), so a run is exactly
-reproducible operation by operation, not merely to rounding error.
+The engine works on arrays.  A season's per-game stats come from one
+vectorised pass (:func:`courtcast.stats.game_arrays`).  Team state is one
+``(teams, 18)`` float64 row per team — the 18 averaged values, or under
+``explicit`` their weighted numerators with a ``den`` vector beside them —
+plus integer games-played and box-sum arrays.  Each day gathers the morning rows of both teams of every game into
+a ``(games, 2, 18)`` pre-match array, adjusts all of the day's game values
+at once, and scatters the folds back.  ``TeamSnapshot`` objects are built
+only when a caller reads one.
+
+Floating-point note: every accumulator folds values in one canonical order
+(games by (date, team_a, team_b), side a before side b).  Elementwise numpy
+operations round exactly as the scalar expressions do, a team that plays
+twice on one date folds its games one after the other, and the league sums
+are one sequential ``np.add.accumulate``, never a pairwise sum.  A run is
+therefore exactly reproducible operation by operation, not merely to
+rounding error.
 """
 
 from __future__ import annotations
 
 import bisect
 import datetime as dt
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 from courtcast.ingest import GameRecord, SeasonStore
-from courtcast.stats import (
-    DEFAULT_FT_WEIGHT,
-    FourFactors,
-    GameStats,
-    game_stats,
-)
+from courtcast.stats import DEFAULT_FT_WEIGHT, FourFactors, game_arrays
 
 
 class AdjustmentError(ValueError):
-    """Raised when an adjustment divisor or multiplier is not positive."""
+    """Raised when an adjustment divisor or multiplier is not positive, or a
+    game's per-game statistics divide by zero."""
 
 
 class AveragingScheme(str, Enum):
@@ -177,111 +190,49 @@ def explicit_weighted_average(prior_season_value: float, game_values: list[float
     return num / den
 
 
-# Keys for every seasonally-averaged quantity a team carries.
+# The 18 seasonally-averaged values a team carries, in state-row order.  The
+# first ten are opponent-adjusted; ``_COUNTER`` names, for each of them, the
+# opponent's value it is divided by: adj_oe by the opponent's adj_de and vice
+# versa, each offensive factor by the opponent's defensive one and vice versa.
 _FACTORS = FourFactors.field_names()
-_ADJ_KEYS = (("adj_oe", "adj_de")
-             + tuple(f"adj_off_{f}" for f in _FACTORS)
-             + tuple(f"adj_def_{f}" for f in _FACTORS))
-_UNADJ_KEYS = (tuple(f"avg_off_{f}" for f in _FACTORS)
-               + tuple(f"avg_def_{f}" for f in _FACTORS))
-_ALL_KEYS = _ADJ_KEYS + _UNADJ_KEYS
-_COUNT_FIELDS = ("fgm", "fga", "fgm3", "ft", "fta", "or_", "dr", "to", "stl", "blk")
+_KEYS = (("adj_oe", "adj_de")
+         + tuple(f"adj_off_{f}" for f in _FACTORS)
+         + tuple(f"adj_def_{f}" for f in _FACTORS)
+         + tuple(f"avg_off_{f}" for f in _FACTORS)
+         + tuple(f"avg_def_{f}" for f in _FACTORS))
+_N_ADJ = 10
+_COUNTER = np.array([1, 0, 6, 7, 8, 9, 2, 3, 4, 5])
+_NO_GAMES = RawMeans()
 
 
-def _seed_from_means(means: LeagueMeans) -> dict[str, float]:
-    seed = {"adj_oe": means.oe, "adj_de": means.de}
-    for f in _FACTORS:
-        v = getattr(means.factors, f)
-        seed[f"adj_off_{f}"] = v
-        seed[f"adj_def_{f}"] = v
-        seed[f"avg_off_{f}"] = v
-        seed[f"avg_def_{f}"] = v
-    return seed
+def _means_row(means: LeagueMeans) -> np.ndarray:
+    """League means laid out as a state row: a from_scratch seed."""
+    factors = [getattr(means.factors, f) for f in _FACTORS]
+    return np.array([means.oe, means.de] + factors * 4)
 
 
-class _TeamState:
-    """Mutable per-team accumulator for one season."""
-
-    __slots__ = ("seed", "n", "cur", "num", "den", "raw_sums", "pts_for", "pts_against")
-
-    def __init__(self, seed: dict[str, float]):
-        self.seed = dict(seed)
-        self.n = 0
-        self.cur = dict(seed)            # alpha scheme state
-        self.num = dict(seed)            # explicit scheme numerators (seed carries weight 1)
-        self.den = 1.0
-        self.raw_sums = {f: 0.0 for f in _COUNT_FIELDS}
-        self.pts_for = 0.0
-        self.pts_against = 0.0
-
-    def value(self, key: str, scheme: AveragingScheme) -> float:
-        if scheme is AveragingScheme.ALPHA:
-            return self.cur[key]
-        return self.num[key] / self.den
-
-    def fold(self, game_values: dict[str, float], stats: GameStats,
-             scheme: AveragingScheme, alpha: float) -> None:
-        self.n += 1
-        if scheme is AveragingScheme.ALPHA:
-            for key in _ALL_KEYS:
-                self.cur[key] = alpha_update(self.cur[key], game_values[key], alpha)
-        else:
-            w = float(self.n + 1)        # game i (1-based) carries weight i+1
-            for key in _ALL_KEYS:
-                self.num[key] += w * game_values[key]
-            self.den += w
-        for f in _COUNT_FIELDS:
-            self.raw_sums[f] += getattr(stats.box, f)
-        self.pts_for += stats.box.points
-        self.pts_against += stats.opp_box.points
-
-    def raw_means(self) -> RawMeans:
-        if self.n == 0:
-            return RawMeans()
-        n = float(self.n)
-        means = {f: self.raw_sums[f] / n for f in _COUNT_FIELDS}
-        return RawMeans(ppg=self.pts_for / n, pag=self.pts_against / n, **means)
-
-    def snapshot(self, team: str, season: int, date: dt.date,
-                 scheme: AveragingScheme) -> TeamSnapshot:
-        v = {key: self.value(key, scheme) for key in _ALL_KEYS}
-        return TeamSnapshot(
-            team=team, season=season, date=date, games_played=self.n,
-            adj_oe=v["adj_oe"], adj_de=v["adj_de"],
-            adj_off_factors=FourFactors(*(v[f"adj_off_{f}"] for f in _FACTORS)),
-            adj_def_factors=FourFactors(*(v[f"adj_def_{f}"] for f in _FACTORS)),
-            avg_off_factors=FourFactors(*(v[f"avg_off_{f}"] for f in _FACTORS)),
-            avg_def_factors=FourFactors(*(v[f"avg_def_{f}"] for f in _FACTORS)),
-            raw_means=self.raw_means(),
-        )
+def _league_means(oe_de: np.ndarray, factors: np.ndarray) -> LeagueMeans:
+    oe, de = oe_de.tolist()
+    return LeagueMeans(oe=oe, de=de, factors=FourFactors(*factors.tolist()))
 
 
-class _NationalSums:
-    """Running league-wide sums of raw per-game observations."""
+def _running_sums(rows: np.ndarray) -> np.ndarray:
+    """Running column sums of ``rows``: entry k adds the first k rows one after
+    another, starting at 0.0 (a sequential fold, never a pairwise sum)."""
+    return np.add.accumulate(np.concatenate([np.zeros((1,) + rows.shape[1:]), rows]))
 
-    __slots__ = ("count", "oe", "de", "factors")
 
-    def __init__(self):
-        self.count = 0
-        self.oe = 0.0
-        self.de = 0.0
-        self.factors = {f: 0.0 for f in _FACTORS}
+def _adjusted_means(values: np.ndarray) -> LeagueMeans | None:
+    """Mean averaged adjusted values over the rows of the teams that have played.
 
-    def fold(self, stats: GameStats) -> None:
-        self.count += 1
-        self.oe += stats.oe
-        self.de += stats.de
-        for f in _FACTORS:
-            self.factors[f] += getattr(stats.off_factors, f)
-
-    def means(self) -> LeagueMeans | None:
-        if self.count == 0:
-            return None
-        n = float(self.count)
-        return LeagueMeans(
-            oe=self.oe / n, de=self.de / n,
-            factors=FourFactors(*(self.factors[f] / n for f in _FACTORS)),
-        )
+    The rows are in sorted team order; each team adds its offensive factor
+    and then its defensive one to the same factor sum.
+    """
+    if len(values) == 0:
+        return None
+    n = float(len(values))
+    return _league_means(_running_sums(values[:, :2])[-1] / n,
+                         _running_sums(values[:, 2:_N_ADJ].reshape(-1, 4))[-1] / (2.0 * n))
 
 
 @dataclass
@@ -306,195 +257,282 @@ class NationalAverages:
         return NEUTRAL_BASELINE
 
 
-@dataclass
-class SeasonRun:
-    """Everything produced by one season's day-by-day pass.
+class _PreMatch(Mapping):
+    """Game key ``(date, team_a, team_b)`` -> both teams' morning snapshots.
 
-    ``series`` holds each team's pre-match snapshots in chronological order;
-    ``pre_match`` joins them to games; ``final`` is each team's state after
-    its last game (the next season's seed under prior_season seeding).
+    A read-only view of a run's pre-match array: the snapshots are built
+    each time a key is read, and not kept.
+    """
+
+    def __init__(self, run: SeasonRun):
+        self._run = run
+        self._index = {(g.date, g.team_a, g.team_b): i for i, g in enumerate(run._games)}
+
+    def __getitem__(self, key) -> tuple[TeamSnapshot, TeamSnapshot]:
+        return self._run._pre_snapshots(self._index[key])
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
+class _Series(Sequence):
+    """One team's pre-match snapshots in chronological order, built when read."""
+
+    def __init__(self, run: SeasonRun, rows: list[tuple[int, int]]):
+        self._run = run
+        self._rows = rows
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        game, side = self._rows[i]
+        return self._run._pre_snapshots(game)[side]
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+@dataclass(eq=False)
+class SeasonRun:
+    """Everything produced by one season's day-by-day pass, held as arrays.
+
+    Teams are indexed in sorted order (``_teams``) and games in the store's
+    canonical order.  ``_pre[i, side]`` is the morning state row of game
+    ``i``'s team_a (side 0) or team_b (side 1), its 18 averaged values in
+    ``_KEYS`` order; ``_pre_played`` and ``_pre_sums`` hold the games played
+    and the integer box sums (ten counting stats, points for, points
+    against) beside it.  ``_final*`` hold the same for each team after its
+    last game, and ``_prior`` the prior-season final rows used as seeds.
+
+    ``pre_match`` maps each game's key to both teams' snapshots and builds
+    them on every read; ``final`` is a dict of each team's snapshot after
+    its last game (the next season's seed under prior_season seeding);
+    ``series`` gives each team's pre-match snapshots in date order.
     """
 
     season: int
     scheme: AveragingScheme
     seeding: Seeding
     config: AdjustConfig
-    series: dict[str, list[TeamSnapshot]]
-    pre_match: dict[tuple[dt.date, str, str], tuple[TeamSnapshot, TeamSnapshot]]
-    final: dict[str, TeamSnapshot]
     national: NationalAverages
-    _post: dict[str, list[TeamSnapshot]]
-    _seeds: dict[str, dict[str, float]]
-    _prior_finals: dict[str, dict[str, float]]
+    _games: tuple[GameRecord, ...] = field(repr=False)
+    _teams: list[str] = field(repr=False)
+    _pre: np.ndarray = field(repr=False)
+    _pre_played: np.ndarray = field(repr=False)
+    _pre_sums: np.ndarray = field(repr=False)
+    _final: np.ndarray = field(repr=False)
+    _final_played: np.ndarray = field(repr=False)
+    _final_sums: np.ndarray = field(repr=False)
+    _prior: dict[str, np.ndarray] = field(repr=False)
+
+    def __post_init__(self):
+        self.pre_match: Mapping[tuple[dt.date, str, str],
+                                tuple[TeamSnapshot, TeamSnapshot]] = _PreMatch(self)
+        last = {}
+        for g in self._games:
+            last[g.team_a] = last[g.team_b] = g.date
+        self.final: dict[str, TeamSnapshot] = {
+            team: self._final_snapshot(i, last[team]) for i, team in enumerate(self._teams)}
+
+    def _snapshot(self, team: str, date: dt.date, n: int, v: list[float],
+                  sums: list[int] | None) -> TeamSnapshot:
+        return TeamSnapshot(
+            team, self.season, date, n, v[0], v[1],
+            FourFactors(*v[2:6]), FourFactors(*v[6:10]),
+            FourFactors(*v[10:14]), FourFactors(*v[14:18]),
+            RawMeans(*[s / float(n) for s in sums]) if n else _NO_GAMES)
+
+    def _pre_snapshots(self, i: int, date: dt.date | None = None
+                       ) -> tuple[TeamSnapshot, TeamSnapshot]:
+        """Both teams' morning snapshots for game ``i``, dated ``date`` or the game's."""
+        g = self._games[i]
+        date = date or g.date
+        v, n, sums = self._pre[i].tolist(), self._pre_played[i].tolist(), self._pre_sums[i].tolist()
+        return (self._snapshot(g.team_a, date, n[0], v[0], sums[0]),
+                self._snapshot(g.team_b, date, n[1], v[1], sums[1]))
+
+    def _final_snapshot(self, t: int, date: dt.date) -> TeamSnapshot:
+        return self._snapshot(self._teams[t], date, int(self._final_played[t]),
+                              self._final[t].tolist(), self._final_sums[t].tolist())
+
+    @cached_property
+    def _by_team(self) -> dict[str, tuple[list[dt.date], list[tuple[int, int]]]]:
+        """Each team's game dates and (game, side) rows, in date order."""
+        out: dict[str, tuple[list[dt.date], list[tuple[int, int]]]] = {
+            team: ([], []) for team in self._teams}
+        for i, g in enumerate(self._games):
+            for side, team in enumerate((g.team_a, g.team_b)):
+                out[team][0].append(g.date)
+                out[team][1].append((i, side))
+        return out
+
+    @property
+    def series(self) -> dict[str, Sequence[TeamSnapshot]]:
+        return {team: _Series(self, rows) for team, (_, rows) in self._by_team.items()}
 
     def snapshot_at(self, team: str, date: dt.date) -> TeamSnapshot:
         """Team state on the morning of ``date`` (games strictly before it).
 
-        Teams with no games by then report their seed; under from_scratch
-        seeding that is the national average as of the queried morning.
+        That is the pre-match state of the team's first game on or after
+        ``date``, or its final state if it has none.  Teams with no games
+        this season report their seed; under from_scratch seeding (or with
+        no prior season) that is the national average as of the morning.
         """
-        played = [s for s in self._post.get(team, []) if s.date < date]
-        if played:
-            return _redate(played[-1], date)
-        seed = self._seeds.get(team)
+        played = self._by_team.get(team)
+        if played is not None:
+            dates, rows = played
+            k = bisect.bisect_left(dates, date)
+            if k < len(rows):
+                game, side = rows[k]
+                return self._pre_snapshots(game, date)[side]
+            return self._final_snapshot(self._teams.index(team), date)
+        seed = self._prior.get(team)
         if seed is None:
-            if self.seeding is Seeding.PRIOR_SEASON and team in self._prior_finals:
-                seed = self._prior_finals[team]
-            else:
-                seed = _seed_from_means(self.national.as_of(date))
-        state = _TeamState(seed)
-        return state.snapshot(team, self.season, date, self.scheme)
-
-    def teams(self) -> list[str]:
-        pool = set(self.series) | set(self._seeds) | set(self._prior_finals)
-        return sorted(pool)
+            seed = _means_row(self.national.as_of(date))
+        return self._snapshot(team, date, 0, seed.tolist(), None)
 
 
-def _redate(snap: TeamSnapshot, date: dt.date) -> TeamSnapshot:
-    return TeamSnapshot(**{**snap.__dict__, "date": date})
+def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
+                seeding: Seeding, config: AdjustConfig,
+                prior: SeasonRun | None) -> SeasonRun:
+    """One season's day-by-day pass; ``prior`` is the run that seeds it."""
+    games = store.games(season)
+    teams = sorted({t for g in games for t in (g.team_a, g.team_b)})
+    index = {t: i for i, t in enumerate(teams)}
+    n, n_teams = len(games), len(teams)
+    sides = np.array([(index[g.team_a], index[g.team_b]) for g in games],
+                     dtype=np.intp).reshape(n, 2)
 
+    stats = game_arrays(games, config.ft_weight)
+    raw = np.concatenate([stats.oe[..., None], stats.de[..., None],
+                          stats.off_factors, stats.def_factors,
+                          stats.off_factors, stats.def_factors], axis=-1)
+    broken = ~np.isfinite(raw).all(axis=(1, 2))
+    if broken.any():
+        g = games[int(np.argmax(broken))]
+        raise AdjustmentError(
+            f"{g.team_a} vs {g.team_b} on {g.date}: a per-game statistic divides by "
+            "zero (no possessions, no field-goal attempts or no rebounds)")
+    box = stats.box
+    box_sums = np.concatenate([box[..., :10], box[..., 10:], box[:, ::-1, 10:]], axis=-1)
 
-def _final_values(snap: TeamSnapshot) -> dict[str, float]:
-    vals = {"adj_oe": snap.adj_oe, "adj_de": snap.adj_de}
-    for f in _FACTORS:
-        vals[f"adj_off_{f}"] = getattr(snap.adj_off_factors, f)
-        vals[f"adj_def_{f}"] = getattr(snap.adj_def_factors, f)
-        vals[f"avg_off_{f}"] = getattr(snap.avg_off_factors, f)
-        vals[f"avg_def_{f}"] = getattr(snap.avg_def_factors, f)
-    return vals
+    # Team state: the averaged values (alpha) or their weighted numerators
+    # over ``den`` (explicit), games played, and integer box sums.  Teams
+    # with a prior-season final start from it; the rest are seeded on the
+    # morning of their first game.
+    prior_rows = ({t: prior._final[i] for i, t in enumerate(prior._teams)}
+                  if prior is not None else {})
+    seeded = np.array([t in prior_rows for t in teams], dtype=bool)
+    acc = np.array([prior_rows.get(t, np.zeros(len(_KEYS))) for t in teams]
+                   ).reshape(n_teams, len(_KEYS))
+    den = np.ones(n_teams) if scheme is AveragingScheme.EXPLICIT else None
+    played = np.zeros(n_teams, dtype=np.int64)
+    sums = np.zeros((n_teams, box_sums.shape[-1]), dtype=np.int64)
 
+    def values(rows: np.ndarray) -> np.ndarray:
+        return acc[rows] if den is None else acc[rows] / den[rows][..., None]
 
-def _adjusted_source_means(states: dict[str, _TeamState],
-                           scheme: AveragingScheme) -> LeagueMeans | None:
-    played = sorted(t for t, s in states.items() if s.n > 0)
-    if not played:
-        return None
-    n = float(len(played))
-    oe = de = 0.0
-    fac = {f: 0.0 for f in _FACTORS}
-    for t in played:
-        st = states[t]
-        oe += st.value("adj_oe", scheme)
-        de += st.value("adj_de", scheme)
-        for f in _FACTORS:
-            fac[f] += st.value(f"adj_off_{f}", scheme)
-            fac[f] += st.value(f"adj_def_{f}", scheme)
-    return LeagueMeans(oe=oe / n, de=de / n,
-                       factors=FourFactors(*(fac[f] / (2.0 * n) for f in _FACTORS)))
+    def fold(rows: np.ndarray, game_values: np.ndarray, box_rows: np.ndarray) -> None:
+        played[rows] += 1
+        if den is None:
+            acc[rows] = (1.0 - config.alpha) * acc[rows] + config.alpha * game_values
+        else:
+            w = (played[rows] + 1).astype(np.float64)    # game i (1-based) weighs i+1
+            acc[rows] += w[:, None] * game_values
+            den[rows] += w
+        sums[rows] += box_rows
+
+    if config.navg_source == "raw":
+        # Running league sums of every side's raw oe, de and offensive
+        # factors, in canonical order: the morning of a day whose first game
+        # is s sees the first 2*s sides.
+        side_rows = np.concatenate([stats.oe[..., None], stats.de[..., None],
+                                    stats.off_factors], axis=-1).reshape(2 * n, 6)
+        league = _running_sums(side_rows)
+
+    def morning(s: int) -> LeagueMeans:
+        if config.navg_source == "adjusted":
+            means = _adjusted_means(values(np.flatnonzero(played)))
+        else:
+            means = (_league_means(league[2 * s, :2] / float(2 * s),
+                                   league[2 * s, 2:] / float(2 * s)) if s else None)
+        return means if means is not None else NEUTRAL_BASELINE
+
+    pre = np.empty((n, 2, len(_KEYS)))
+    pre_played = np.empty((n, 2), dtype=np.int64)
+    pre_sums = np.empty((n, 2, box_sums.shape[-1]), dtype=np.int64)
+    national = NationalAverages(season=season)
+    ordinals = np.array([g.date.toordinal() for g in games], dtype=np.int64)
+    starts = np.flatnonzero(np.diff(ordinals, prepend=-1)).tolist()
+    for s, e in zip(starts, starts[1:] + [n]):
+        navg = morning(s)
+        national.dates.append(games[s].date)
+        national.morning.append(navg)
+        navg_row = _means_row(navg)
+        scale = navg_row[:_N_ADJ]
+        if (scale <= 0.0).any():
+            raise AdjustmentError(
+                f"national average must be positive, got {scale[scale <= 0.0][0]}")
+
+        # Morning: seed teams playing their first game, record both teams'
+        # rows, and adjust the day's games against them.
+        day = sides[s:e]
+        fresh = day[~seeded[day]]
+        acc[fresh] = navg_row
+        seeded[fresh] = True
+        rows = values(day)
+        pre[s:e], pre_played[s:e], pre_sums[s:e] = rows, played[day], sums[day]
+        counter = rows[:, ::-1][..., _COUNTER]
+        bad = np.argwhere(counter <= 0.0)
+        if len(bad):
+            i, side, k = bad[0]
+            g = games[s + i]
+            team, opp = ((g.team_a, g.team_b), (g.team_b, g.team_a))[side]
+            raise AdjustmentError(
+                f"opponent counter-statistic must be positive, got {counter[i, side, k]} "
+                f"({opp}'s {_KEYS[_COUNTER[k]]} against {team} on {g.date})")
+        game_values = raw[s:e].copy()
+        game_values[..., :_N_ADJ] = raw[s:e, :, :_N_ADJ] * scale / counter
+
+        # Evening: fold the games into team state, side a before side b.  A
+        # team with two games on this date folds them one after the other.
+        flat = day.ravel()
+        game_values = game_values.reshape(len(flat), -1)
+        box_rows = box_sums[s:e].reshape(len(flat), -1)
+        if np.unique(flat).size == flat.size:
+            fold(flat, game_values, box_rows)
+        else:
+            for j in range(flat.size):
+                fold(flat[j:j + 1], game_values[j:j + 1], box_rows[j:j + 1])
+
+    national.end_of_season = morning(n)
+    return SeasonRun(
+        season=season, scheme=scheme, seeding=seeding, config=config,
+        national=national, _games=games, _teams=teams, _pre=pre,
+        _pre_played=pre_played, _pre_sums=pre_sums,
+        _final=values(np.arange(n_teams)), _final_played=played, _final_sums=sums,
+        _prior=prior_rows)
 
 
 def run_season(store: SeasonStore, season: int,
                scheme: AveragingScheme = AveragingScheme.EXPLICIT,
                seeding: Seeding = Seeding.PRIOR_SEASON,
-               config: AdjustConfig = AdjustConfig(),
-               _prior_finals: dict[str, dict[str, float]] | None = None) -> SeasonRun:
+               config: AdjustConfig = AdjustConfig()) -> SeasonRun:
     """Process one season chronologically into pre-match snapshots.
 
     Under prior_season seeding, earlier stored seasons are processed first
     (earliest season first, each seeding the next); teams with no prior
     history fall back to from_scratch seeding individually.
     """
-    if _prior_finals is None:
-        if seeding is Seeding.PRIOR_SEASON:
-            _prior_finals = {}
-            for prev in [s for s in store.seasons if s < season]:
-                prev_run = run_season(store, prev, scheme, seeding, config,
-                                      _prior_finals=_prior_finals)
-                _prior_finals = {t: _final_values(s) for t, s in prev_run.final.items()}
-        else:
-            _prior_finals = {}
-
-    games = store.games(season)
-    states: dict[str, _TeamState] = {}
-    series: dict[str, list[TeamSnapshot]] = {}
-    post: dict[str, list[TeamSnapshot]] = {}
-    pre_match: dict[tuple[dt.date, str, str], tuple[TeamSnapshot, TeamSnapshot]] = {}
-    seeds_used: dict[str, dict[str, float]] = {}
-    nat_sums = _NationalSums()
-    national = NationalAverages(season=season)
-
-    def morning_means() -> LeagueMeans:
-        if config.navg_source == "adjusted":
-            means = _adjusted_source_means(states, scheme)
-        else:
-            means = nat_sums.means()
-        return means if means is not None else NEUTRAL_BASELINE
-
-    def ensure_seeded(team: str, navg: LeagueMeans) -> _TeamState:
-        state = states.get(team)
-        if state is None:
-            if seeding is Seeding.PRIOR_SEASON and team in _prior_finals:
-                seed = dict(_prior_finals[team])
-            else:
-                seed = _seed_from_means(navg)
-            state = _TeamState(seed)
-            states[team] = state
-            seeds_used[team] = dict(seed)
-            series[team] = []
-            post[team] = []
-        return state
-
-    i = 0
-    while i < len(games):
-        date = games[i].date
-        day = []
-        while i < len(games) and games[i].date == date:
-            day.append(games[i])
-            i += 1
-
-        navg = morning_means()
-        national.dates.append(date)
-        national.morning.append(navg)
-
-        # Morning pass: snapshots and adjusted game values, all against
-        # morning state (same-day games never see each other).
-        folds: list[tuple[str, dict[str, float], GameStats]] = []
-        for g in day:
-            state_a = ensure_seeded(g.team_a, navg)
-            state_b = ensure_seeded(g.team_b, navg)
-            snap_a = state_a.snapshot(g.team_a, season, date, scheme)
-            snap_b = state_b.snapshot(g.team_b, season, date, scheme)
-            pre_match[(date, g.team_a, g.team_b)] = (snap_a, snap_b)
-            series[g.team_a].append(snap_a)
-            series[g.team_b].append(snap_b)
-            stats_a, stats_b = game_stats(g, config.ft_weight)
-            for stats, opp_snap in ((stats_a, snap_b), (stats_b, snap_a)):
-                gv = {
-                    "adj_oe": adjust_value(stats.oe, navg.oe, opp_snap.adj_de),
-                    "adj_de": adjust_value(stats.de, navg.de, opp_snap.adj_oe),
-                }
-                for f in _FACTORS:
-                    n_f = getattr(navg.factors, f)
-                    gv[f"adj_off_{f}"] = adjust_value(
-                        getattr(stats.off_factors, f), n_f,
-                        getattr(opp_snap.adj_def_factors, f))
-                    gv[f"adj_def_{f}"] = adjust_value(
-                        getattr(stats.def_factors, f), n_f,
-                        getattr(opp_snap.adj_off_factors, f))
-                    gv[f"avg_off_{f}"] = getattr(stats.off_factors, f)
-                    gv[f"avg_def_{f}"] = getattr(stats.def_factors, f)
-                folds.append((stats.team, gv, stats))
-
-        # Evening pass: fold the day's games into team states and league sums.
-        for team, gv, stats in folds:
-            states[team].fold(gv, stats, scheme, config.alpha)
-            post[team].append(states[team].snapshot(team, season, date, scheme))
-        for _, _, stats in folds:
-            nat_sums.fold(stats)
-
-    national.end_of_season = (nat_sums.means() if config.navg_source != "adjusted"
-                              else _adjusted_source_means(states, scheme)) or NEUTRAL_BASELINE
-
-    final = {team: (post[team][-1] if post[team]
-                    else states[team].snapshot(team, season,
-                                               national.dates[-1] if national.dates
-                                               else dt.date(season, 6, 30), scheme))
-             for team in states}
-    return SeasonRun(
-        season=season, scheme=scheme, seeding=seeding, config=config,
-        series=series, pre_match=pre_match, final=final, national=national,
-        _post=post, _seeds=seeds_used, _prior_finals=_prior_finals,
-    )
+    prior = None
+    if seeding is Seeding.PRIOR_SEASON:
+        for prev in store.seasons:
+            if prev < season:
+                prior = _run_season(store, prev, scheme, seeding, config, prior)
+    return _run_season(store, season, scheme, seeding, config, prior)
 
 
 def run_seasons(store: SeasonStore,
@@ -504,12 +542,11 @@ def run_seasons(store: SeasonStore,
                 through: int | None = None) -> dict[int, SeasonRun]:
     """Run every stored season in order, chaining seeds when applicable."""
     runs: dict[int, SeasonRun] = {}
-    prior_finals: dict[str, dict[str, float]] = {}
+    prior = None
     for season in store.seasons:
         if through is not None and season > through:
             break
-        run = run_season(store, season, scheme, seeding, config,
-                         _prior_finals=prior_finals if seeding is Seeding.PRIOR_SEASON else {})
-        runs[season] = run
-        prior_finals = {t: _final_values(s) for t, s in run.final.items()}
+        runs[season] = _run_season(store, season, scheme, seeding, config,
+                                   prior if seeding is Seeding.PRIOR_SEASON else None)
+        prior = runs[season]
     return runs

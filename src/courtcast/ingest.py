@@ -162,10 +162,13 @@ class SeasonStore:
 
     Games within a season are sorted by date, with ties ordered by the
     (team_a, team_b) pair so day-by-day processing is deterministic.
+    ``off_roster_dropped`` counts the games a roster filter left out.
     """
 
     def __init__(self, games: Iterable[GameRecord],
-                 rosters: dict[int, set[str]] | None = None):
+                 rosters: dict[int, set[str]] | None = None,
+                 off_roster_dropped: int = 0):
+        self.off_roster_dropped = off_roster_dropped
         by_season: dict[int, list[GameRecord]] = {}
         for g in games:
             by_season.setdefault(g.season, []).append(g)
@@ -293,8 +296,9 @@ def parse_game_log(path: str | Path,
     if got != HEADER:
         raise GameLogError(
             f"bad header: expected {','.join(HEADER)}", path=str(path), line=data[0][0])
-    for j, row in enumerate(reader, start=1):
-        line = data[j][0]
+    for row in reader:
+        # the physical line the row ends on; blank lines count, as csv skips them
+        line = data[reader.line_num - 1][0]
         if any(v is None for v in row.values()) or None in row:
             raise GameLogError(f"expected {len(HEADER)} columns",
                                path=str(path), line=line)
@@ -311,9 +315,7 @@ def parse_game_log(path: str | Path,
                 dropped += 1
                 continue
         games.append(record)
-    store = SeasonStore(games, rosters=rosters)
-    store.off_roster_dropped = dropped  # type: ignore[attr-defined]
-    return store
+    return SeasonStore(games, rosters=rosters, off_roster_dropped=dropped)
 
 
 def write_game_log(store: SeasonStore, path: str | Path,

@@ -21,11 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
+from types import SimpleNamespace
+from typing import NamedTuple, Sequence
 import datetime as dt
 
 import numpy as np
 
-from courtcast.ingest import BoxScore, GameRecord, Location
+from courtcast.ingest import BOX_FIELDS, BoxScore, GameRecord, Location
 
 PACE_FACTOR = 0.96
 DEFAULT_FT_WEIGHT = 0.475
@@ -143,3 +146,44 @@ def game_stats(record: GameRecord,
             opp_box=opp,
         ))
     return out[0], out[1]
+
+
+class GameArrays(NamedTuple):
+    """Both sides' derived statistics for many games, as arrays.
+
+    Axis 0 is the game, axis 1 the side (0 is ``team_a``, 1 is ``team_b``);
+    factor arrays carry the four factors on a last axis in
+    ``FourFactors.field_names()`` order, and ``box`` the integer box-score
+    counts in ``BOX_FIELDS`` order.  A division by zero (no possessions, no
+    field-goal attempts, no rebounds) leaves a non-finite value instead of
+    raising, so callers check ``np.isfinite`` where it matters.
+    """
+
+    poss: np.ndarray          # (games, 2)
+    oe: np.ndarray            # (games, 2)
+    de: np.ndarray            # (games, 2)
+    off_factors: np.ndarray   # (games, 2, 4)
+    def_factors: np.ndarray   # (games, 2, 4)
+    box: np.ndarray           # (games, 2, len(BOX_FIELDS)), int64
+
+
+def game_arrays(games: Sequence[GameRecord],
+                ft_weight: float = DEFAULT_FT_WEIGHT) -> GameArrays:
+    """:func:`game_stats` for many games at once, equal to it bit for bit.
+
+    The box-score columns stand in for the scalar counts of one box, so the
+    same functions evaluate the same expressions elementwise, and numpy
+    rounds each operation exactly as Python does.
+    """
+    counts = attrgetter(*BOX_FIELDS)
+    box = np.array([(counts(g.box_a), counts(g.box_b)) for g in games],
+                   dtype=np.int64).reshape(len(games), 2, len(BOX_FIELDS))
+    own = SimpleNamespace(**{f: box[:, :, k] for k, f in enumerate(BOX_FIELDS)})
+    opp = SimpleNamespace(**{f: box[:, ::-1, k] for k, f in enumerate(BOX_FIELDS)})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        poss = possessions(own, ft_weight)
+        oe, de = raw_efficiencies(own, opp, ft_weight)
+        ff = four_factors(own, opp, ft_weight)
+    off = np.stack([getattr(ff, f) for f in FourFactors.field_names()], axis=-1)
+    return GameArrays(poss=poss, oe=oe, de=de, off_factors=off,
+                      def_factors=off[:, ::-1], box=box)

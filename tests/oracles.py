@@ -76,10 +76,19 @@ def _refold(seed: float, values: list[float], scheme: AveragingScheme, alpha: fl
 def naive_season(store: SeasonStore, season: int, scheme: AveragingScheme,
                  seeding: Seeding, config: AdjustConfig | None = None,
                  prior_finals: dict[str, dict[str, float]] | None = None) -> dict:
-    """Reference day-by-day pass; returns pre-match states and finals as dicts.
+    """Reference day-by-day pass; returns team states as dicts.
 
     Each team state dict maps every averaged key to its value plus
     'games_played' and a 'raw_means' tuple (10 counting means, ppg, pag).
+    The result holds 'pre_match' (game key -> both states), 'final' (team ->
+    state), 'post' (team -> [(date, state after that date's games)]),
+    'seeds' (team -> the seed it started the season from) and
+    'prior_finals' (the finals that seeded this season, if any).
+
+    Under ``navg_source="adjusted"`` the national average on a morning is
+    the mean of the averaged adjusted values of the teams that have played,
+    each summed in sorted team order, every team adding its offensive and
+    then its defensive factor to one factor sum.
     """
     config = config or AdjustConfig()
     if prior_finals is None:
@@ -114,11 +123,32 @@ def naive_season(store: SeasonStore, season: int, scheme: AveragingScheme,
             state["raw_means"] = (0.0,) * 12
         return state
 
+    def adjusted_means(date: dt.date) -> LeagueMeans:
+        played = sorted(t for t in seeds if values[t])
+        if not played:
+            return NEUTRAL_BASELINE
+        n = float(len(played))
+        oe = de = 0.0
+        fac = {f: 0.0 for f in _FACTORS}
+        for team in played:
+            state = team_state(team, date)
+            oe += state["adj_oe"]
+            de += state["adj_de"]
+            for f in _FACTORS:
+                fac[f] += state[f"adj_off_{f}"]
+                fac[f] += state[f"adj_def_{f}"]
+        return LeagueMeans(oe=oe / n, de=de / n,
+                           factors=FourFactors(*(fac[f] / (2.0 * n) for f in _FACTORS)))
+
     pre_match: dict[tuple, tuple[dict, dict]] = {}
+    post: dict[str, list[tuple[dt.date, dict]]] = {}
     dates = sorted({g.date for g in games})
     for d in dates:
         day = [g for g in games if g.date == d]
-        navg = naive_league_means(games, d, config.ft_weight)
+        if config.navg_source == "adjusted":
+            navg = adjusted_means(d)
+        else:
+            navg = naive_league_means(games, d, config.ft_weight)
         pending: list[tuple[str, dict, object]] = []
         for g in day:
             for team in (g.team_a, g.team_b):
@@ -150,9 +180,29 @@ def naive_season(store: SeasonStore, season: int, scheme: AveragingScheme,
         for team, gv, stats in pending:
             values[team].append(gv)
             history[team].append(stats)
+        for team in dict.fromkeys(team for team, _, _ in pending):
+            post.setdefault(team, []).append((d, team_state(team, d)))
 
     final = {team: team_state(team, dt.date(season + 1, 1, 1)) for team in seeds}
-    return {"pre_match": pre_match, "final": final}
+    return {"pre_match": pre_match, "final": final, "post": post,
+            "seeds": seeds, "prior_finals": prior_finals}
+
+
+def linear_scan_at(ref: dict, games, team: str, date: dt.date, ft_weight: float) -> dict:
+    """A team's state on the morning of ``date`` from a :func:`naive_season` result.
+
+    Scans the team's post-game states for the last one dated before
+    ``date``; with none, the team is at its seed: the one it started the
+    season from, else its prior-season final, else the national average
+    (``navg_source="raw"``) as of that morning.
+    """
+    played = [state for d, state in ref["post"].get(team, []) if d < date]
+    if played:
+        return played[-1]
+    seed = (ref["seeds"].get(team) or ref["prior_finals"].get(team)
+            or _seed_dict(naive_league_means(games, date, ft_weight)))
+    return {**{key: seed[key] for key in _KEYS},
+            "games_played": 0, "raw_means": (0.0,) * 12}
 
 
 def snapshot_as_dict(snap: TeamSnapshot) -> dict:

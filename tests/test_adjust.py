@@ -19,10 +19,54 @@ from courtcast.adjust import (
     run_season,
     run_seasons,
 )
-from tests.oracles import naive_league_means, naive_season, snapshot_as_dict
+from courtcast.ingest import GameRecord, Location, SeasonStore
+from courtcast.stats import DEFAULT_FT_WEIGHT
+from tests.conftest import make_box, tiny_store
+from tests.oracles import linear_scan_at, naive_league_means, naive_season, snapshot_as_dict
 
 TOL = 1e-9
 ALL_COMBOS = [(sch, sd) for sch in AveragingScheme for sd in Seeding]
+
+_BOXES = [
+    make_box(fgm=24, fga=52, fgm3=4, ft=8, fta=12, or_=9, dr=21, to=8),
+    make_box(fgm=21, fga=50, fgm3=6, ft=7, fta=10, or_=7, dr=19, to=10),
+    make_box(fgm=27, fga=58, fgm3=7, ft=11, fta=16, or_=11, dr=23, to=6),
+    make_box(fgm=22, fga=54, fgm3=3, ft=9, fta=14, or_=8, dr=20, to=9),
+    make_box(fgm=25, fga=55, fgm3=5, ft=10, fta=15, or_=10, dr=22, to=7),
+]
+
+
+def store_from(days: dict[dt.date, list[tuple[str, str]]]) -> SeasonStore:
+    """A store with the given pairings on each date, boxes taken in turn."""
+    games, k = [], 0
+    for date, pairs in days.items():
+        for first, second in pairs:
+            box_a, box_b = _BOXES[k % len(_BOXES)], _BOXES[(k + 2) % len(_BOXES)]
+            if box_a.points == box_b.points:
+                box_b = _BOXES[(k + 1) % len(_BOXES)]
+            games.append(GameRecord.oriented(date, date.year, first, second,
+                                             Location.HOME_A, box_a, box_b))
+            k += 1
+    return SeasonStore(games)
+
+
+def same_day_store() -> SeasonStore:
+    """Two seasons in which teams play two different opponents on one date.
+
+    ``ants`` opens the first season with two games on one day; ``eels``
+    play only the first season and ``fish`` only the second, so both
+    seedings meet teams with and without a prior season.
+    """
+    d = dt.date
+    return store_from({
+        d(2010, 11, 1): [("ants", "bees"), ("ants", "cats"), ("dogs", "eels")],
+        d(2010, 11, 4): [("bees", "cats"), ("cats", "dogs"), ("bees", "eels")],
+        d(2010, 11, 8): [("ants", "dogs"), ("ants", "eels"), ("bees", "cats")],
+        d(2010, 11, 9): [("cats", "eels"), ("dogs", "bees")],
+        d(2011, 11, 2): [("ants", "bees"), ("cats", "fish"), ("ants", "dogs")],
+        d(2011, 11, 5): [("bees", "fish"), ("cats", "dogs"), ("bees", "ants")],
+        d(2011, 11, 7): [("fish", "ants"), ("dogs", "bees"), ("cats", "ants")],
+    })
 
 
 class TestAdjustValue:
@@ -217,3 +261,111 @@ class TestAdjustedSourceSwitch:
         # Different national-average definitions must actually change values
         # somewhere (they only coincide before any game is played).
         assert any(raw.final[t].adj_oe != adj.final[t].adj_oe for t in raw.final)
+
+
+def assert_matches_oracle(store, scheme, seeding, config=AdjustConfig()):
+    for season in store.seasons:
+        run = run_season(store, season, scheme, seeding, config)
+        ref = naive_season(store, season, scheme, seeding, config)
+        assert run.pre_match.keys() == ref["pre_match"].keys()
+        for key, (snap_a, snap_b) in run.pre_match.items():
+            ref_a, ref_b = ref["pre_match"][key]
+            assert snapshot_as_dict(snap_a) == ref_a, key
+            assert snapshot_as_dict(snap_b) == ref_b, key
+        assert set(run.final) == set(ref["final"])
+        for team, snap in run.final.items():
+            assert snapshot_as_dict(snap) == ref["final"][team], team
+
+
+class TestAdjustedSourceOracle:
+    @pytest.mark.parametrize("scheme,seeding", ALL_COMBOS)
+    def test_adjusted_source_exact(self, two_season_store, scheme, seeding):
+        assert_matches_oracle(two_season_store, scheme, seeding,
+                              AdjustConfig(navg_source="adjusted"))
+
+
+class TestSameDayRepeats:
+    """A team with two games on one date folds them one after the other."""
+
+    def test_store_has_repeats(self):
+        for season in same_day_store().seasons:
+            games = same_day_store().games(season)
+            sides = [(g.date, t) for g in games for t in (g.team_a, g.team_b)]
+            assert len(set(sides)) < len(sides)
+
+    @pytest.mark.parametrize("navg_source", ["raw", "adjusted"])
+    @pytest.mark.parametrize("scheme,seeding", ALL_COMBOS)
+    def test_matches_oracle_exactly(self, scheme, seeding, navg_source):
+        assert_matches_oracle(same_day_store(), scheme, seeding,
+                              AdjustConfig(navg_source=navg_source))
+
+    def test_both_same_day_games_see_the_morning_state(self):
+        run = run_season(same_day_store(), 2010, AveragingScheme.ALPHA,
+                         Seeding.FROM_SCRATCH)
+        day = dt.date(2010, 11, 8)
+        first = run.pre_match[(day, "ants", "dogs")][0]
+        second = run.pre_match[(day, "ants", "eels")][0]
+        assert first == second
+        assert run.final["ants"].games_played == 4
+
+
+class TestSnapshotAt:
+    """``snapshot_at`` against a linear scan of the oracle's post-game states."""
+
+    @pytest.mark.parametrize("make_store", [tiny_store, same_day_store])
+    @pytest.mark.parametrize("scheme,seeding", ALL_COMBOS)
+    def test_matches_linear_scan(self, make_store, scheme, seeding):
+        store = make_store()
+        for season in store.seasons:
+            run = run_season(store, season, scheme, seeding)
+            ref = naive_season(store, season, scheme, seeding)
+            games = store.games(season)
+            dates = sorted({g.date for g in games})
+            probes = (set(dates) | {d + dt.timedelta(days=1) for d in dates}
+                      | {dates[0] - dt.timedelta(days=10), dates[-1] + dt.timedelta(days=30)})
+            teams = sorted({t for s in store.seasons for t in store.teams(s)}) + ["ghosts"]
+            for team in teams:
+                for date in sorted(probes):
+                    snap = run.snapshot_at(team, date)
+                    assert (snap.team, snap.season, snap.date) == (team, season, date)
+                    assert snapshot_as_dict(snap) == linear_scan_at(
+                        ref, games, team, date, DEFAULT_FT_WEIGHT), (team, date)
+
+
+def _bad_possessions_store() -> SeasonStore:
+    """``aa`` records negative possessions (more offensive rebounds and
+    turnovers than shots) on day one, which drives its averaged adjusted
+    offense below zero; on day two that value is ``cc``'s divisor."""
+    d1, d2 = dt.date(2021, 11, 1), dt.date(2021, 11, 2)
+    bad = make_box(fgm=5, fga=10, fgm3=0, ft=0, fta=0, or_=20, dr=10, to=5)
+    weak = make_box(fgm=6, fga=40, fgm3=0, ft=0, fta=0, or_=10, dr=20, to=8)
+    games = [GameRecord(d1, 2021, "aa", "bb", Location.HOME_A, bad, weak),
+             GameRecord(d2, 2021, "aa", "cc", Location.HOME_A, _BOXES[0], _BOXES[1])]
+    for k, (a, b) in enumerate([("cc", "dd"), ("ee", "ff"), ("gg", "hh")]):
+        games.append(GameRecord(d1, 2021, a, b, Location.HOME_A,
+                                _BOXES[k], _BOXES[k + 1]))
+    return SeasonStore(games)
+
+
+class TestAdjustmentErrors:
+    def test_non_positive_opponent_counter_value_raises(self):
+        with pytest.raises(AdjustmentError, match="opponent counter-statistic"):
+            run_season(_bad_possessions_store(), 2021, AveragingScheme.EXPLICIT,
+                       Seeding.FROM_SCRATCH)
+
+    def test_zero_field_goal_attempts_raise(self):
+        empty = make_box(fgm=0, fga=0, fgm3=0, ft=5, fta=10)
+        store = SeasonStore([GameRecord(dt.date(2021, 11, 1), 2021, "aa", "bb",
+                                        Location.HOME_A, empty, _BOXES[0])])
+        with pytest.raises(AdjustmentError, match="aa vs bb on 2021-11-01"):
+            run_season(store, 2021)
+
+    def test_cli_reports_the_error_as_a_data_error(self, tmp_path):
+        from courtcast.ingest import write_game_log
+        from tests.test_cli import run_cli
+        write_game_log(_bad_possessions_store(), tmp_path / "bad.csv")
+        proc = run_cli(["adjust", "--data", "bad.csv", "--out", "x",
+                        "--averaging", "explicit", "--seeding", "from_scratch"],
+                       cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "opponent counter-statistic" in proc.stderr

@@ -150,6 +150,8 @@ class TestStoreAndPartition:
         assert store.n_games == 1
         assert store.off_roster_dropped == 1
         assert store.teams(2011) == {"aardvarks", "bobcats"}
+        assert parse_game_log(write_log(tmp_path, rows)).off_roster_dropped == 0
+        assert SeasonStore([]).off_roster_dropped == 0
 
     def test_roster_round_trip(self, tmp_path):
         rosters = {2010: {"b", "a"}, 2011: {"c"}}
@@ -195,6 +197,16 @@ class TestRoundTrip:
         with pytest.raises(GameLogError) as err:
             parse_game_log(path)
         assert ":5:" in str(err.value)
+
+    def test_errors_report_physical_line_numbers_past_blank_lines(self, tmp_path):
+        rows = [game_row(date="2011-01-10"), game_row(date="2011-01-11"),
+                game_row(date="2011-01-12", season="20x1")]
+        path = tmp_path / "blank.csv"
+        # line 1 header, line 2 blank, the broken row on physical line 5
+        path.write_text("\n".join([",".join(HEADER), ""] + rows) + "\n")
+        with pytest.raises(GameLogError) as err:
+            parse_game_log(path)
+        assert str(err.value) == f"{path}:5: field 'season': expected integer, got '20x1'"
 
 
 @st.composite

@@ -11,17 +11,22 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from courtcast.ingest import Location
+import numpy as np
+
+from courtcast.ingest import BOX_FIELDS, Location
 from courtcast.stats import (
+    DEFAULT_FT_WEIGHT,
     FOUR_FACTOR_WEIGHTS,
     OLIVER_FT_WEIGHT,
     Site,
     four_factors,
+    game_arrays,
     game_stats,
     possessions,
     raw_efficiencies,
     site_for,
 )
+from courtcast.synthetic import SyntheticLeagueSpec, generate_league
 from tests.test_ingest import box_scores
 
 TOL = 1e-9
@@ -116,3 +121,31 @@ def test_four_factor_ranges(box, opp):
     assert 0.0 <= ff.efg <= 1.5      # eFG can top 1 only via threes
     assert 0.0 <= ff.or_pct <= 1.0
     assert ff.ftr >= 0.0
+
+
+class TestGameArrays:
+    """The vectorised per-game stats against ``game_stats``, bit for bit."""
+
+    @pytest.mark.parametrize("ft_weight", [DEFAULT_FT_WEIGHT, OLIVER_FT_WEIGHT])
+    def test_every_game_of_a_league_matches_bitwise(self, ft_weight):
+        spec = SyntheticLeagueSpec(n_teams=24, games_per_team=20, n_seasons=2, seed=5)
+        games = generate_league(spec, bayes_sims=1)[0].all_games()
+        got = game_arrays(games, ft_weight)
+        sides = [game_stats(g, ft_weight) for g in games]
+        want = {
+            "poss": [[s.poss for s in pair] for pair in sides],
+            "oe": [[s.oe for s in pair] for pair in sides],
+            "de": [[s.de for s in pair] for pair in sides],
+            "off_factors": [[s.off_factors.as_array() for s in pair] for pair in sides],
+            "def_factors": [[s.def_factors.as_array() for s in pair] for pair in sides],
+        }
+        for name, values in want.items():
+            a, b = np.asarray(getattr(got, name)), np.asarray(values)
+            assert a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        boxes = [[[getattr(s.box, f) for f in BOX_FIELDS] for s in pair] for pair in sides]
+        assert got.box.tolist() == boxes
+
+    def test_no_games(self):
+        got = game_arrays([])
+        assert got.oe.shape == (0, 2) and got.off_factors.shape == (0, 2, 4)

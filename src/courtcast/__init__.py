@@ -24,7 +24,6 @@ from courtcast.baselines import (
     PythagParams,
     Ranking,
     model_predictor,
-    predict_match_pythag,
     pythag_pair_prob,
     pythag_predictor,
     pythag_rating,
@@ -36,7 +35,6 @@ from courtcast.evaluate import (
     CeilingReport,
     EvalError,
     EvalReport,
-    accuracy_curve,
     binomial_halfwidth,
     glass_ceiling_experiment,
     walk_forward_evaluate,
@@ -52,6 +50,7 @@ from courtcast.features import (
 )
 from courtcast.ingest import (
     BoxScore,
+    CourtcastError,
     GameLogError,
     GameRecord,
     Location,

@@ -55,11 +55,11 @@ from functools import cached_property
 
 import numpy as np
 
-from courtcast.ingest import GameRecord, SeasonStore
-from courtcast.stats import DEFAULT_FT_WEIGHT, FourFactors, game_arrays
+from courtcast.ingest import CourtcastError, GameRecord, SeasonStore
+from courtcast.stats import DEFAULT_FT_WEIGHT, FourFactors, GameArrays, game_arrays
 
 
-class AdjustmentError(ValueError):
+class AdjustmentError(CourtcastError):
     """Raised when an adjustment divisor or multiplier is not positive, or a
     game's per-game statistics divide by zero."""
 
@@ -395,6 +395,21 @@ class SeasonRun:
         return self._snapshot(team, date, 0, seed.tolist(), None)
 
 
+def checked_game_arrays(games: Sequence[GameRecord],
+                        ft_weight: float = DEFAULT_FT_WEIGHT) -> GameArrays:
+    """:func:`game_arrays`, rejecting the first game whose statistics divide by zero."""
+    stats = game_arrays(games, ft_weight)
+    finite = np.isfinite(np.concatenate([stats.oe[..., None], stats.de[..., None],
+                                         stats.off_factors], axis=-1))
+    broken = ~finite.all(axis=(1, 2))
+    if broken.any():
+        g = games[int(np.argmax(broken))]
+        raise AdjustmentError(
+            f"{g.team_a} vs {g.team_b} on {g.date}: a per-game statistic divides by "
+            "zero (no possessions, no field-goal attempts or no rebounds)")
+    return stats
+
+
 def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
                 seeding: Seeding, config: AdjustConfig,
                 prior: SeasonRun | None) -> SeasonRun:
@@ -406,16 +421,10 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
     sides = np.array([(index[g.team_a], index[g.team_b]) for g in games],
                      dtype=np.intp).reshape(n, 2)
 
-    stats = game_arrays(games, config.ft_weight)
+    stats = checked_game_arrays(games, config.ft_weight)
     raw = np.concatenate([stats.oe[..., None], stats.de[..., None],
                           stats.off_factors, stats.def_factors,
                           stats.off_factors, stats.def_factors], axis=-1)
-    broken = ~np.isfinite(raw).all(axis=(1, 2))
-    if broken.any():
-        g = games[int(np.argmax(broken))]
-        raise AdjustmentError(
-            f"{g.team_a} vs {g.team_b} on {g.date}: a per-game statistic divides by "
-            "zero (no possessions, no field-goal attempts or no rebounds)")
     box = stats.box
     box_sums = np.concatenate([box[..., :10], box[..., 10:], box[:, ::-1, 10:]], axis=-1)
 

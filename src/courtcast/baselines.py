@@ -10,16 +10,17 @@ hypothetical pairing once, at a neutral site, and counting predicted wins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from courtcast.adjust import TeamSnapshot
 from courtcast.features import FeatureScheme, Label, MatchInstance, encode_pairing
-from courtcast.ingest import GameRecord
-from courtcast.stats import FourFactors, Site
+from courtcast.ingest import CourtcastError, GameRecord
+from courtcast.stats import Site
 
 
-class BaselineError(ValueError):
+class BaselineError(CourtcastError):
     """Raised for invalid ratings inputs (non-positive efficiencies, no games)."""
 
 
@@ -30,8 +31,8 @@ class PythagParams:
     y: float = 11.5
 
     def __post_init__(self):
-        if self.y <= 0:
-            raise BaselineError(f"exponent must be positive, got {self.y}")
+        if not 0 < self.y < math.inf:
+            raise BaselineError(f"exponent must be positive and finite, got {self.y}")
 
 
 def pythag_rating(snap: TeamSnapshot, params: PythagParams = PythagParams()) -> float:
@@ -45,8 +46,11 @@ def pythag_rating(snap: TeamSnapshot, params: PythagParams = PythagParams()) -> 
         raise BaselineError(
             f"{snap.team}: efficiencies must be positive "
             f"(adj_oe={snap.adj_oe}, adj_de={snap.adj_de})")
-    x = snap.adj_oe ** params.y
-    z = snap.adj_de ** params.y
+    try:
+        x = snap.adj_oe ** params.y
+        z = snap.adj_de ** params.y
+    except OverflowError:
+        raise BaselineError(f"{snap.team}: rating overflows at exponent {params.y}") from None
     if x <= z:
         return x / (x + z)
     return 1.0 - z / (z + x)
@@ -67,49 +71,8 @@ def pythag_pair_prob(snap_a: TeamSnapshot, snap_b: TeamSnapshot,
     return num / den
 
 
-def predict_match_pythag(snap_a: TeamSnapshot, snap_b: TeamSnapshot,
-                         params: PythagParams = PythagParams(),
-                         location: Site = Site.NEUTRAL) -> tuple[str, float]:
-    """(predicted winner, rating margin) for a hypothetical pairing.
-
-    The higher-rated team wins; an exact rating tie goes to the home team,
-    or to the first (lexicographically smaller) team at a neutral site.
-    ``location`` is the site from snap_a's perspective.
-    """
-    ra, rb = pythag_rating(snap_a, params), pythag_rating(snap_b, params)
-    if ra > rb:
-        winner = snap_a.team
-    elif rb > ra:
-        winner = snap_b.team
-    elif location is Site.AWAY:
-        winner = snap_b.team
-    else:
-        winner = snap_a.team
-    return winner, ra - rb
-
-
-def home_boost(snap: TeamSnapshot, multiplier: float = 1.014) -> TeamSnapshot:
-    """Scale a snapshot's offensive quantities by a home-court multiplier.
-
-    Off by default everywhere; provided for users who want to replicate the
-    practice of crediting the home side a ~1.4% offensive bump.
-    """
-    if multiplier <= 0:
-        raise BaselineError("multiplier must be positive")
-
-    def scale(ff: FourFactors) -> FourFactors:
-        return FourFactors(*(getattr(ff, f) * multiplier for f in FourFactors.field_names()))
-
-    return TeamSnapshot(
-        team=snap.team, season=snap.season, date=snap.date,
-        games_played=snap.games_played,
-        adj_oe=snap.adj_oe * multiplier, adj_de=snap.adj_de,
-        adj_off_factors=scale(snap.adj_off_factors),
-        adj_def_factors=snap.adj_def_factors,
-        avg_off_factors=scale(snap.avg_off_factors),
-        avg_def_factors=snap.avg_def_factors,
-        raw_means=snap.raw_means,
-    )
+#: The home-wins baseline: p(first team wins) by the first team's site.
+HOME_WINS_P = {Site.HOME: 1.0, Site.AWAY: 0.0, Site.NEUTRAL: 0.5}
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ artifacts; feeding that file back through ``--config`` reproduces the run.
 Nothing written depends on wall-clock time or unordered iteration, so two
 runs with the same configuration produce byte-identical artifacts.
 
-Exit codes: 0 success, 1 usage error, 2 data error (naming the offending
-file, with a line number where one applies), 3 internal fault.
+Exit codes: 0 success, 1 usage error, 2 data error (a ``CourtcastError``
+naming the file and line, or an OS error), 3 internal fault (anything else).
 
 The single environment input is ``COURTCAST_DATA_DIR``: the directory the
 default ``--data`` path is resolved against.
@@ -31,13 +31,16 @@ from typing import Callable, Sequence
 
 from courtcast.adjust import (
     AdjustConfig,
+    AdjustmentError,
     AveragingScheme,
     SeasonRun,
     Seeding,
     TeamSnapshot,
+    checked_game_arrays,
     run_seasons,
 )
 from courtcast.baselines import (
+    HOME_WINS_P,
     PythagParams,
     model_predictor,
     pythag_pair_prob,
@@ -45,7 +48,13 @@ from courtcast.baselines import (
     round_robin_rank,
     rpi,
 )
-from courtcast.evaluate import BASELINE_KINDS, walk_forward_evaluate
+from courtcast.evaluate import (
+    BASELINE_KINDS,
+    EvalError,
+    check_hyper,
+    resolve_kind,
+    walk_forward_evaluate,
+)
 from courtcast.features import (
     FeatureScheme,
     Label,
@@ -56,6 +65,7 @@ from courtcast.features import (
     feature_names,
 )
 from courtcast.ingest import (
+    CourtcastError,
     GameLogError,
     SeasonStore,
     parse_game_log,
@@ -72,6 +82,7 @@ from courtcast.models import (
 )
 from courtcast.stats import FourFactors, Site, game_stats
 from courtcast.synthetic import (
+    SyntheticError,
     SyntheticLeagueSpec,
     calibrate_noise,
     generate_league,
@@ -83,7 +94,7 @@ COMMANDS = ("ingest", "stats", "adjust", "features", "train", "predict",
             "rank", "evaluate", "simulate", "glass-ceiling")
 
 
-class UsageError(ValueError):
+class UsageError(CourtcastError):
     """Bad invocation: unknown names, malformed values, missing arguments."""
 
 
@@ -146,8 +157,12 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise UsageError(f"{path}: not UTF-8 text ({err})") from None
     out: dict[str, object] = {}
-    for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for n, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -175,10 +190,11 @@ def resolve_config(file_values: dict[str, object],
                 f"{field} must be one of {[e.value for e in enum]}, "
                 f"got {getattr(cfg, field)!r}") from None
     try:
-        AdjustConfig(ft_weight=cfg.ft_weight, alpha=cfg.alpha,
-                     navg_source=cfg.navg_source)
-    except ValueError as err:
+        _adjust_config(cfg)
+    except AdjustmentError as err:
         raise UsageError(str(err)) from None
+    if cfg.seed < 0:
+        raise UsageError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.date:
         try:
             dt.date.fromisoformat(cfg.date)
@@ -253,6 +269,8 @@ def _adjust_config(cfg: RunConfig) -> AdjustConfig:
 
 
 def _resolve_test_season(cfg: RunConfig, store: SeasonStore) -> int:
+    if not store.seasons:
+        raise GameLogError(f"no games in {cfg.data}")
     if not cfg.test_season:
         return store.seasons[-1]
     if cfg.test_season not in store.seasons:
@@ -277,21 +295,23 @@ def _league_spec(cfg: RunConfig) -> SyntheticLeagueSpec:
         if cfg.bayes_target:
             spec = dataclasses.replace(spec,
                                        noise=calibrate_noise(spec, cfg.bayes_target))
-    except ValueError as err:
+    except SyntheticError as err:
         raise UsageError(str(err)) from None
     return spec
 
 
-def _model_kind(cfg: RunConfig) -> ModelKind:
+def _predictor(name: str, hyper: dict[str, object] | None = None,
+               baselines: Sequence[str] = BASELINE_KINDS) -> ModelKind | str:
+    """The predictor ``name`` picks; a bad name or ``hyper`` is a usage error."""
     try:
-        return ModelKind(cfg.kind)
-    except ValueError:
-        raise UsageError(f"kind must be one of {[k.value for k in ModelKind]}, "
-                         f"got {cfg.kind!r}") from None
+        kind = resolve_kind(name, baselines)
+        check_hyper(kind, hyper)
+    except EvalError as err:
+        raise UsageError(str(err)) from None
+    return kind
 
 
-def _load_model_file(cfg: RunConfig):
-    requested = _model_kind(cfg)
+def _load_model_file(cfg: RunConfig, requested: ModelKind):
     path = Path(cfg.model) if cfg.model else Path(cfg.out) / "model.json"
     if not path.exists():
         raise GameLogError(f"model file not found: {path} (run `train` first)")
@@ -321,6 +341,7 @@ def cmd_stats(cfg: RunConfig) -> None:
     header = (["date", "season", "team", "opponent", "site", "won",
                "points", "poss", "oe", "de"]
               + [f"off_{c}" for c in factor_cols] + [f"def_{c}" for c in factor_cols])
+    checked_game_arrays(store.all_games(), cfg.ft_weight)
     rows = []
     for g in store.all_games():
         for side in game_stats(g, cfg.ft_weight):
@@ -385,13 +406,13 @@ def cmd_features(cfg: RunConfig) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    kind = _model_kind(cfg)
+    hyper = parse_hyper(cfg.hyper)
+    kind = _predictor(cfg.kind, hyper, baselines=())
     store = _load_store(cfg)
     test_season = _resolve_test_season(cfg, store)
     runs = _runs(cfg, store, through=test_season)
     train_set, _ = build_dataset(store, runs, FeatureScheme(cfg.scheme), test_season)
-    model = train(train_set, kind, hyper=parse_hyper(cfg.hyper) or None,
-                  seed=cfg.seed)
+    model = train(train_set, kind, hyper=hyper or None, seed=cfg.seed)
     out = _out_dir(cfg)
     path = out / "model.json"
     save_model(model, path)
@@ -407,6 +428,7 @@ def cmd_predict(cfg: RunConfig) -> None:
         raise UsageError("predict needs --team-first and --team-second")
     if cfg.team_first == cfg.team_second:
         raise UsageError("a team cannot play itself")
+    kind = _predictor(cfg.kind)
     store = _load_store(cfg)
     test_season = _resolve_test_season(cfg, store)
     for team in (cfg.team_first, cfg.team_second):
@@ -421,21 +443,18 @@ def cmd_predict(cfg: RunConfig) -> None:
     snap_b = run.snapshot_at(cfg.team_second, date)
     location = Site(cfg.location)
 
-    if cfg.kind == "pythag":
+    if kind == "pythag":
         p = pythag_pair_prob(snap_a, snap_b, PythagParams(y=cfg.pythag_y))
-        kind_name = "pythag"
-    elif cfg.kind == "home_wins":
-        p = {Site.HOME: 1.0, Site.AWAY: 0.0, Site.NEUTRAL: 0.5}[location]
-        kind_name = "home_wins"
+    elif kind == "home_wins":
+        p = HOME_WINS_P[location]
     else:
-        model = _load_model_file(cfg)
+        model = _load_model_file(cfg, kind)
         inst = MatchInstance(
             scheme=model.scheme, location=location,
             features=encode_pairing(snap_a, snap_b, model.scheme),
             label=None, date=date, season=test_season,
             team_first=cfg.team_first, team_second=cfg.team_second)
         _, p = predict(model, inst)
-        kind_name = model.kind.value
     label = resolve_label(p, location)
     winner = cfg.team_first if label is Label.WIN else cfg.team_second
 
@@ -445,11 +464,14 @@ def cmd_predict(cfg: RunConfig) -> None:
                ["date", "team_first", "team_second", "location", "predictor",
                 "predicted_winner", "p_first_wins"],
                [[date.isoformat(), cfg.team_first, cfg.team_second,
-                 location.value, kind_name, winner, p]])
+                 location.value, cfg.kind, winner, p]])
     _say(path, f"{winner} (p_first={p:.3f})")
 
 
 def cmd_rank(cfg: RunConfig) -> None:
+    if cfg.kind == "home_wins":
+        raise UsageError("home_wins cannot rank neutral-site pairings")
+    kind = _predictor(cfg.kind, baselines=("pythag", "rpi"))
     store = _load_store(cfg)
     test_season = _resolve_test_season(cfg, store)
     runs = _runs(cfg, store, through=test_season)
@@ -458,19 +480,16 @@ def cmd_rank(cfg: RunConfig) -> None:
     out = _out_dir(cfg)
     path = out / "rankings.csv"
 
-    if cfg.kind == "rpi":
+    if kind == "rpi":
         games = list(store.games(test_season))
         scores = sorted(((team, rpi(team, games)) for team in sorted(run.final)),
                         key=lambda kv: (-kv[1], kv[0]))
         rows = [[n, team, score] for n, (team, score) in enumerate(scores, start=1)]
     else:
-        if cfg.kind == "pythag":
+        if kind == "pythag":
             predictor = pythag_predictor(PythagParams(y=cfg.pythag_y))
-        elif cfg.kind == "home_wins":
-            raise UsageError("home_wins cannot rank neutral-site pairings")
         else:
-            _model_kind(cfg)  # validates the name
-            predictor = model_predictor(_load_model_file(cfg))
+            predictor = model_predictor(_load_model_file(cfg, kind))
         ranking = round_robin_rank(predictor, snapshots)
         rows = [[e.rank, e.team, e.score] for e in ranking.entries]
 
@@ -480,26 +499,12 @@ def cmd_rank(cfg: RunConfig) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
+    hyper = parse_hyper(cfg.hyper)
+    if cfg.kind == "pythag":
+        hyper = hyper or {"y": cfg.pythag_y}
+    kind = _predictor(cfg.kind, hyper)
     store = _load_store(cfg)
     test_season = _resolve_test_season(cfg, store)
-    hyper = parse_hyper(cfg.hyper)
-    if cfg.kind == "home_wins" and hyper:
-        raise UsageError("home_wins takes no hyperparameters")
-    if cfg.kind == "pythag":
-        if not set(hyper) <= {"y"}:
-            raise UsageError(f"pythag accepts only the hyperparameter 'y', "
-                             f"got {sorted(hyper)}")
-        hyper = hyper or {"y": cfg.pythag_y}
-    kind: ModelKind | str
-    if cfg.kind in BASELINE_KINDS:
-        kind = cfg.kind
-    else:
-        try:
-            kind = ModelKind(cfg.kind)
-        except ValueError:
-            valid = [k.value for k in ModelKind] + list(BASELINE_KINDS)
-            raise UsageError(f"kind must be one of {valid}, "
-                             f"got {cfg.kind!r}") from None
     report = walk_forward_evaluate(
         store, test_season, kind, FeatureScheme(cfg.scheme),
         AveragingScheme(cfg.averaging), Seeding(cfg.seeding),
@@ -546,16 +551,8 @@ def cmd_simulate(cfg: RunConfig) -> None:
 def _ceiling_kinds(cfg: RunConfig) -> list[ModelKind | str]:
     if not cfg.kinds:
         return list(ModelKind)
-    out: list[ModelKind | str] = []
-    valid = [k.value for k in ModelKind] + list(BASELINE_KINDS)
-    for name in filter(None, (p.strip() for p in cfg.kinds.split(","))):
-        if name in BASELINE_KINDS:
-            out.append(name)
-        elif name in [k.value for k in ModelKind]:
-            out.append(ModelKind(name))
-        else:
-            raise UsageError(f"unknown kind {name!r} in kinds (valid: {valid})")
-    return out
+    return [_predictor(name)
+            for name in filter(None, (p.strip() for p in cfg.kinds.split(",")))]
 
 
 def _ceiling_schemes(cfg: RunConfig) -> list[FeatureScheme]:
@@ -571,7 +568,7 @@ def _ceiling_schemes(cfg: RunConfig) -> list[FeatureScheme]:
 
 
 def _hyper_overrides(cfg: RunConfig) -> dict[str, dict[str, object]]:
-    """Glass-ceiling hyper entries are kind-qualified: ``kind.key=value``."""
+    """Glass-ceiling hyper entries are kind-qualified (``kind.key=value``), checked per kind."""
     out: dict[str, dict[str, object]] = {}
     for key, value in parse_hyper(cfg.hyper).items():
         kind, sep, param = key.partition(".")
@@ -580,6 +577,8 @@ def _hyper_overrides(cfg: RunConfig) -> dict[str, dict[str, object]]:
                 f"glass-ceiling hyper keys are kind-qualified "
                 f"(e.g. decision_tree.min_node_fraction=0.05), got {key!r}")
         out.setdefault(kind, {})[param] = value
+    for kind, params in out.items():
+        _predictor(kind, params)
     return out
 
 
@@ -674,8 +673,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as err:
-        # domain errors all derive from ValueError and carry file/line context
+    except (CourtcastError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except Exception as err:  # pragma: no cover - reached only via a bug

@@ -27,20 +27,23 @@ from courtcast.adjust import (
     Seeding,
     run_seasons,
 )
-from courtcast.baselines import PythagParams, pythag_pair_prob
+from courtcast.baselines import HOME_WINS_P, PythagParams, pythag_pair_prob
 from courtcast.features import FeatureScheme, Label, MatchInstance, build_dataset
-from courtcast.ingest import SeasonStore
-from courtcast.models import ModelKind, predict, resolve_label, train
+from courtcast.ingest import CourtcastError, SeasonStore
+from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, predict, resolve_label, train
+from courtcast.models.base import POSITIVE, resolve_hyper
 from courtcast.stats import Site
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
 
 
-class EvalError(ValueError):
+class EvalError(CourtcastError):
     """Raised for invalid evaluation inputs."""
 
 
 #: Predictor kinds that need no training beyond the snapshot pipeline.
 BASELINE_KINDS = ("home_wins", "pythag")
+#: Every predictor's hyperparameters, baselines' included.
+_HYPER = {**HYPERPARAMETERS, "pythag": {"y": (PythagParams.y, POSITIVE)}}
 
 PredictFn = Callable[[MatchInstance], tuple[Label, float]]
 
@@ -149,52 +152,48 @@ def evaluate_predictor(instances: Sequence[MatchInstance], predict_fn: PredictFn
         predictions=tuple(preds), series=tuple(series), config=dict(config))
 
 
-def accuracy_curve(report: EvalReport) -> list[tuple[dt.date, float]]:
-    """Cumulative accuracy by date; the last point equals the report total."""
-    if not report.predictions:
-        raise EvalError("report holds no predictions")
-    return list(report.series)
-
-
-def _baseline_predict_fn(kind: str, hyper: Mapping[str, object] | None,
-                         run: SeasonRun) -> tuple[PredictFn, dict]:
-    if kind == "home_wins":
-        if hyper:
-            raise EvalError(f"home_wins takes no hyperparameters, got {sorted(hyper)}")
-
-        def home_fn(inst: MatchInstance) -> tuple[Label, float]:
-            p = {Site.HOME: 1.0, Site.AWAY: 0.0, Site.NEUTRAL: 0.5}[inst.location]
-            return resolve_label(p, inst.location), p
-
-        return home_fn, {}
-
-    if kind == "pythag":
-        unknown = set(hyper or {}) - {"y"}
-        if unknown:
-            raise EvalError(f"unknown hyperparameter {sorted(unknown)} for pythag "
-                            f"(valid: ['y'])")
-        resolved = {"y": float((hyper or {}).get("y", 11.5))}
-        params = PythagParams(y=resolved["y"])
-
-        def pythag_fn(inst: MatchInstance) -> tuple[Label, float]:
-            snap_a, snap_b = run.pre_match[(inst.date, inst.team_first, inst.team_second)]
-            p = pythag_pair_prob(snap_a, snap_b, params)
-            return resolve_label(p, inst.location), p
-
-        return pythag_fn, resolved
-
-    raise EvalError(f"unknown predictor kind {kind!r}; "
-                    f"expected a model kind or one of {BASELINE_KINDS}")
-
-
-def _resolve_kind(kind: ModelKind | str) -> ModelKind | str:
-    if isinstance(kind, ModelKind) or kind in BASELINE_KINDS:
+def resolve_kind(kind: ModelKind | str,
+                 baselines: Sequence[str] = BASELINE_KINDS) -> ModelKind | str:
+    """The predictor ``kind`` names: a :class:`ModelKind` or one of ``baselines``."""
+    if kind in baselines:
         return kind
     try:
         return ModelKind(kind)
     except ValueError:
-        raise EvalError(f"unknown predictor kind {kind!r}; expected one of "
-                        f"{[k.value for k in ModelKind] + list(BASELINE_KINDS)}") from None
+        valid = [k.value for k in ModelKind] + list(baselines)
+        raise EvalError(f"kind must be one of {valid}, got {kind!r}") from None
+
+
+def check_hyper(kind: ModelKind | str,
+                hyper: Mapping[str, object] | None) -> dict[str, object]:
+    """The hyperparameters a resolved ``kind`` runs with: its defaults
+    overridden by ``hyper``, each checked for name, type and range."""
+    try:
+        resolved = resolve_hyper(_HYPER.get(kind, {}), hyper, kind)
+    except ModelError as err:
+        raise EvalError(str(err)) from None
+    # a baseline's echo reads as floats, however the value was typed
+    return resolved if isinstance(kind, ModelKind) else {
+        key: float(value) for key, value in resolved.items()}
+
+
+def _baseline_predict_fn(kind: str, hyper: Mapping[str, float],
+                         run: SeasonRun) -> PredictFn:
+    if kind == "home_wins":
+        def home_fn(inst: MatchInstance) -> tuple[Label, float]:
+            p = HOME_WINS_P[inst.location]
+            return resolve_label(p, inst.location), p
+
+        return home_fn
+
+    params = PythagParams(y=hyper["y"])
+
+    def pythag_fn(inst: MatchInstance) -> tuple[Label, float]:
+        snap_a, snap_b = run.pre_match[(inst.date, inst.team_first, inst.team_second)]
+        p = pythag_pair_prob(snap_a, snap_b, params)
+        return resolve_label(p, inst.location), p
+
+    return pythag_fn
 
 
 def _evaluate_cell(runs: dict[int, SeasonRun],
@@ -203,19 +202,19 @@ def _evaluate_cell(runs: dict[int, SeasonRun],
                    averaging: AveragingScheme, seeding: Seeding,
                    config: AdjustConfig, seed: int,
                    hyper: Mapping[str, object] | None) -> EvalReport:
-    kind = _resolve_kind(kind)
+    kind = resolve_kind(kind)
+    resolved = check_hyper(kind, hyper)
     if isinstance(kind, ModelKind):
         model = train(train_set, kind, hyper=dict(hyper) if hyper else None, seed=seed)
         predict_fn: PredictFn = lambda inst: predict(model, inst)
-        kind_name, resolved = model.kind.value, dict(model.hyper)
     else:
-        predict_fn, resolved = _baseline_predict_fn(kind, hyper, runs[test_season])
-        kind_name = kind
+        predict_fn = _baseline_predict_fn(kind, resolved, runs[test_season])
 
     echo = {"alpha": config.alpha, "ft_weight": config.ft_weight,
             "navg_source": config.navg_source, "hyper": resolved}
     return evaluate_predictor(
-        test_set, predict_fn, test_season=test_season, kind=kind_name,
+        test_set, predict_fn, test_season=test_season,
+        kind=getattr(kind, "value", kind),
         scheme=scheme.value, averaging=averaging.value, seeding=seeding.value,
         seed=seed, n_train=len(train_set), config=echo)
 

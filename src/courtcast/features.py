@@ -22,20 +22,18 @@ Feature schemes:
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
 from courtcast.adjust import RawMeans, SeasonRun, TeamSnapshot
-from courtcast.ingest import GameRecord, SeasonStore, season_partition
+from courtcast.ingest import CourtcastError, GameRecord, SeasonStore, season_partition
 from courtcast.stats import FourFactors, Site, site_for
 
 
-class FeatureError(ValueError):
+class FeatureError(CourtcastError):
     """Raised for snapshot/game mismatches or unknown schemes."""
 
 
@@ -220,24 +218,3 @@ def to_arrays(instances: list[MatchInstance]) -> tuple[np.ndarray, np.ndarray, n
     y = np.array([-1 if inst.label is None else int(inst.label is Label.WIN)
                   for inst in instances], dtype=int)
     return X, site, y
-
-
-def write_instances(instances: list[MatchInstance], path: str | Path) -> None:
-    """Emit instances as CSV: date,season,teams,location,features...,label."""
-    if not instances:
-        raise FeatureError("nothing to write")
-    scheme = instances[0].scheme
-    names = feature_names(scheme)
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "season", "team_first", "team_second", "location"]
-                        + list(names) + ["label"])
-        for inst in instances:
-            if inst.scheme is not scheme:
-                raise FeatureError("mixed schemes in one file")
-            writer.writerow(
-                [inst.date.isoformat(), inst.season, inst.team_first,
-                 inst.team_second, inst.location.value]
-                + [repr(v) for v in inst.features.tolist()]
-                + [inst.label.value if inst.label is not None else ""])

@@ -22,13 +22,19 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-from dataclasses import dataclass, replace
+from contextlib import contextmanager
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
-class GameLogError(ValueError):
+class CourtcastError(ValueError):
+    """Base of every courtcast error: input the program cannot use, which
+    the CLI reports as a data error (exit 2)."""
+
+
+class GameLogError(CourtcastError):
     """Raised for malformed or inconsistent game-log input.
 
     Carries the offending file, line number, and field so callers can point
@@ -66,6 +72,7 @@ class Location(str, Enum):
 # Column order for one side's box score in the CSV schema.
 BOX_FIELDS = ("fgm", "fga", "fgm3", "ft", "fta", "or_", "dr", "to", "stl", "blk", "points")
 _BOX_SUFFIX = {"or_": "or", "points": "pts"}
+MAX_COUNT = 10**6  # no box count comes near; larger ones would overflow int64 sums
 
 
 def _box_columns(side: str) -> list[str]:
@@ -94,8 +101,9 @@ class BoxScore:
     def validate(self) -> None:
         """Check internal consistency; raise :class:`GameLogError` if violated."""
         for name in BOX_FIELDS:
-            if getattr(self, name) < 0:
-                raise GameLogError(f"negative count {getattr(self, name)}", field=name)
+            if not 0 <= getattr(self, name) <= MAX_COUNT:
+                raise GameLogError(f"count {getattr(self, name)} outside [0, {MAX_COUNT}]",
+                                   field=name)
         if self.fgm > self.fga:
             raise GameLogError(f"fgm={self.fgm} exceeds fga={self.fga}", field="fgm")
         if self.fgm3 > self.fgm:
@@ -144,13 +152,6 @@ class GameRecord:
 
     def winner(self) -> str:
         return self.team_a if self.box_a.points > self.box_b.points else self.team_b
-
-    def home_team(self) -> str | None:
-        if self.location is Location.HOME_A:
-            return self.team_a
-        if self.location is Location.HOME_B:
-            return self.team_b
-        return None
 
 
 def _sort_key(g: GameRecord):
@@ -207,6 +208,18 @@ class SeasonStore:
         return SeasonStore(kept, rosters=dict(self._rosters))
 
 
+@contextmanager
+def _csv_errors(path: Path, line: Callable[[], int] | None = None) -> Iterator[None]:
+    """Undecodable bytes and malformed CSV in ``path`` as a :class:`GameLogError`."""
+    try:
+        yield
+    except UnicodeDecodeError as err:
+        raise GameLogError(f"not UTF-8 text ({err})", path=str(path)) from None
+    except csv.Error as err:
+        raise GameLogError(f"malformed CSV ({err})", path=str(path),
+                           line=line() if line else None) from None
+
+
 def _parse_int(raw: str, *, path: str, line: int, field: str) -> int:
     try:
         return int(raw)
@@ -255,12 +268,16 @@ def parse_roster(path: str | Path) -> dict[int, set[str]]:
     """Read a roster CSV (``season,team``) into season -> team-id sets."""
     path = Path(path)
     rosters: dict[int, set[str]] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8") as fh, \
+            _csv_errors(path, lambda: reader.reader.line_num):
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["season", "team"]:
             raise GameLogError(f"roster header must be 'season,team', got {reader.fieldnames}",
                                path=str(path), line=1)
-        for line, row in enumerate(reader, start=2):
+        for row in reader:
+            line = reader.line_num  # the physical line; csv skips blank ones
+            if None in row.values() or None in row:
+                raise GameLogError("expected 2 columns", path=str(path), line=line)
             season = _parse_int(row["season"], path=str(path), line=line, field="season")
             team = row["team"].strip()
             if not team:
@@ -286,35 +303,36 @@ def parse_game_log(path: str | Path,
     games: list[GameRecord] = []
     seen: set[tuple[dt.date, str, str]] = set()
     dropped = 0
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8") as fh, _csv_errors(path):
         data = [(n, ln) for n, ln in enumerate(fh, start=1)
                 if not ln.startswith("#")]
     reader = csv.DictReader(ln for _, ln in data)
-    if reader.fieldnames is None:
-        raise GameLogError("empty file, header required", path=str(path), line=1)
-    got = [c.strip() for c in reader.fieldnames]
-    if got != HEADER:
-        raise GameLogError(
-            f"bad header: expected {','.join(HEADER)}", path=str(path), line=data[0][0])
-    for row in reader:
-        # the physical line the row ends on; blank lines count, as csv skips them
-        line = data[reader.line_num - 1][0]
-        if any(v is None for v in row.values()) or None in row:
-            raise GameLogError(f"expected {len(HEADER)} columns",
-                               path=str(path), line=line)
-        record = _parse_row(row, str(path), line)
-        key = (record.date, record.team_a, record.team_b)
-        if key in seen:
+    # the physical line csv last read; blank lines count, as csv skips them
+    with _csv_errors(path, lambda: data[reader.reader.line_num - 1][0]):
+        if reader.fieldnames is None:
+            raise GameLogError("empty file, header required", path=str(path), line=1)
+        got = [c.strip() for c in reader.fieldnames]
+        if got != HEADER:
             raise GameLogError(
-                f"duplicate game {record.team_a} vs {record.team_b} on {record.date}",
-                path=str(path), line=line, field="team_a")
-        seen.add(key)
-        if rosters is not None:
-            pool = rosters.get(record.season, set())
-            if record.team_a not in pool or record.team_b not in pool:
-                dropped += 1
-                continue
-        games.append(record)
+                f"bad header: expected {','.join(HEADER)}", path=str(path), line=data[0][0])
+        for row in reader:
+            line = data[reader.line_num - 1][0]
+            if any(v is None for v in row.values()) or None in row:
+                raise GameLogError(f"expected {len(HEADER)} columns",
+                                   path=str(path), line=line)
+            record = _parse_row(row, str(path), line)
+            key = (record.date, record.team_a, record.team_b)
+            if key in seen:
+                raise GameLogError(
+                    f"duplicate game {record.team_a} vs {record.team_b} on {record.date}",
+                    path=str(path), line=line, field="team_a")
+            seen.add(key)
+            if rosters is not None:
+                pool = rosters.get(record.season, set())
+                if record.team_a not in pool or record.team_b not in pool:
+                    dropped += 1
+                    continue
+            games.append(record)
     return SeasonStore(games, rosters=rosters, off_roster_dropped=dropped)
 
 

@@ -3,9 +3,10 @@
     model = train(instances, ModelKind.MLP, hyper={"epochs": 100}, seed=7)
     label, p_win = predict(model, instance)
 
-Every kind is implemented here from first principles on numpy; see the
-submodules for the algorithms.  ``save_model``/``load_model`` round-trip a
-model through a versioned JSON text file byte-identically.
+Every kind is a numpy submodule with a ``HYPER`` table, ``fit``,
+``predict_p_win`` and an ``encode_params``/``decode_params`` pair; see them
+for the algorithms.  ``save_model``/``load_model`` round-trip a model
+through a versioned JSON text file byte-identically.
 """
 
 from __future__ import annotations
@@ -13,13 +14,17 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from courtcast.features import FeatureScheme, Label, MatchInstance
+import numpy as np
+
+from courtcast.features import FeatureScheme, Label, MatchInstance, feature_names
 from courtcast.models import forest, mlp, naive_bayes, tree
 from courtcast.models.base import (
     ModelError,
     ModelKind,
     TrainedModel,
+    check_training_data,
     load_model_doc,
+    resolve_hyper,
     resolve_label,
 )
 from courtcast.models.base import save_model as _save
@@ -35,15 +40,25 @@ _IMPL = {
 }
 
 
+#: Each model kind's hyperparameters: name -> (default, allowed values).
+HYPERPARAMETERS = {kind: impl.HYPER for kind, impl in _IMPL.items()}
+
+
 def default_hyper(kind: ModelKind) -> dict[str, Any]:
-    return dict(_IMPL[kind].DEFAULT_HYPER)
+    return resolve_hyper(HYPERPARAMETERS[kind], None, kind)
 
 
 def train(instances: list[MatchInstance], kind: ModelKind,
           hyper: dict[str, Any] | None = None, seed: int = 0) -> TrainedModel:
     """Fit one model kind; deterministic given the seed."""
     kind = ModelKind(kind)
-    return _IMPL[kind].train(instances, hyper=hyper, seed=seed)
+    hp = resolve_hyper(HYPERPARAMETERS[kind], hyper, kind)
+    X, site, y, scheme = check_training_data(instances)
+    return TrainedModel(
+        kind=kind, scheme=scheme, feature_names=feature_names(scheme),
+        class_counts={Label.LOSS.value: int(np.sum(y == 0)),
+                      Label.WIN.value: int(np.sum(y == 1))},
+        hyper=hp, params=_IMPL[kind].fit(X, site, y, hp, seed))
 
 
 def predict(model: TrainedModel, instance: MatchInstance) -> tuple[Label, float]:
@@ -59,21 +74,28 @@ def save_model(model: TrainedModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> TrainedModel:
+    """Read a model file; a malformed one raises :class:`ModelError` naming it."""
     doc = load_model_doc(path)
-    kind = ModelKind(doc["kind"])
-    return TrainedModel(
-        kind=kind,
-        scheme=FeatureScheme(doc["scheme"]),
-        feature_names=tuple(doc["feature_names"]),
-        class_counts=doc["class_counts"],
-        hyper=doc["hyper"],
-        params=_IMPL[kind].decode_params(doc["params"]),
-    )
+    try:
+        kind = ModelKind(doc["kind"])
+        names = tuple(doc["feature_names"])
+        return TrainedModel(
+            kind=kind,
+            scheme=FeatureScheme(doc["scheme"]),
+            feature_names=names,
+            class_counts=doc["class_counts"],
+            hyper=doc["hyper"],
+            params=_IMPL[kind].decode_params(doc["params"], len(names)),
+        )
+    except KeyError as err:
+        raise ModelError(f"{path}: malformed model file: missing key {err}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as err:
+        raise ModelError(f"{path}: malformed model file: {err}") from None
 
 
 __all__ = [
     "ModelError", "ModelKind", "TrainedModel",
-    "train", "predict", "default_hyper",
+    "train", "predict", "default_hyper", "HYPERPARAMETERS",
     "save_model", "load_model",
     "gradient_check", "tree_votes", "internal_node_sizes",
     "resolve_label",

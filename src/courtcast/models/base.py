@@ -10,10 +10,12 @@ the first (lexicographically smaller) team.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -25,10 +27,11 @@ from courtcast.features import (
     feature_names,
     to_arrays,
 )
+from courtcast.ingest import CourtcastError
 from courtcast.stats import Site
 
 
-class ModelError(ValueError):
+class ModelError(CourtcastError):
     """Raised for invalid training data, hyperparameters, or predict inputs."""
 
 
@@ -97,13 +100,47 @@ def check_predict_input(model: TrainedModel, instance: MatchInstance) -> tuple[n
     return x, SITE_ORDER.index(instance.location)
 
 
-def resolve_hyper(defaults: dict[str, Any], hyper: dict[str, Any] | None,
-                  kind: ModelKind) -> dict[str, Any]:
-    merged = dict(defaults)
+class Range(NamedTuple):
+    """The values one hyperparameter takes: ``number`` (int or float) values
+    from ``low`` (excluded when ``open_low``) up to ``high``."""
+
+    number: type
+    low: float
+    high: float = sys.float_info.max
+    open_low: bool = False
+
+    def admits(self, value: Any) -> bool:
+        # comparisons reject nan, infinities and ints too large for a float
+        return (isinstance(value, numbers.Integral if self.number is int else numbers.Real)
+                and not isinstance(value, bool) and value <= self.high
+                and (self.low < value if self.open_low else self.low <= value))
+
+    def __str__(self) -> str:
+        text = ("an integer" if self.number is int else "a number") + \
+            (f" > {self.low}" if self.open_low else f" >= {self.low}")
+        return text + (f" and <= {self.high}" if self.high < sys.float_info.max else "")
+
+
+POSITIVE = Range(float, 0.0, open_low=True)
+
+
+def resolve_hyper(spec: dict[str, tuple[Any, Range]], hyper: dict[str, Any] | None,
+                  kind: ModelKind | str) -> dict[str, Any]:
+    """The defaults of ``spec`` (name -> (default, allowed values)) overridden
+    by ``hyper``; an unknown name, a wrong type or a value out of range raises
+    :class:`ModelError` naming it.  A default of None also admits None."""
+    name = getattr(kind, "value", kind)
+    merged = {key: default for key, (default, _) in spec.items()}
     for key, value in (hyper or {}).items():
-        if key not in defaults:
-            raise ModelError(f"unknown hyperparameter {key!r} for {kind.value} "
-                             f"(valid: {sorted(defaults)})")
+        if not spec:
+            raise ModelError(f"{name} takes no hyperparameters, got {sorted(hyper)}")
+        if key not in spec:
+            raise ModelError(f"unknown hyperparameter {key!r} for {name} "
+                             f"(valid: {sorted(spec)})")
+        default, allowed = spec[key]
+        if not (value is None and default is None or allowed.admits(value)):
+            raise ModelError(f"hyperparameter {key!r} for {name} must be {allowed}, "
+                             f"got {value!r}")
         merged[key] = value
     return merged
 
@@ -133,8 +170,11 @@ def save_model(model: TrainedModel, path: str | Path,
 
 
 def load_model_doc(path: str | Path) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != FORMAT_NAME:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ModelError(f"{path}: not a {FORMAT_NAME} file ({err})") from None
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise ModelError(f"{path}: not a {FORMAT_NAME} file")
     if doc.get("version") != FORMAT_VERSION:
         raise ModelError(f"{path}: unsupported format version {doc.get('version')}")

@@ -21,29 +21,21 @@ from courtcast.features import Label, MatchInstance
 from courtcast.models.base import (
     ModelError,
     ModelKind,
+    Range,
     TrainedModel,
     check_predict_input,
-    check_training_data,
-    resolve_hyper,
     resolve_label,
 )
 from courtcast.models.tree import Node, decode_node, encode_node, grow_tree, tree_p_win
 
-DEFAULT_HYPER = {
-    "n_trees": 20,
+HYPER = {  # name -> (default, allowed values)
+    "n_trees": (20, Range(int, 1, 10_000)),
     # None -> ceil(sqrt(numeric features + 1 site attribute))
-    "candidate_features": None,
+    "candidate_features": (None, Range(int, 1)),
 }
 
 
-def train(instances: list[MatchInstance], hyper: dict | None = None,
-          seed: int = 0) -> TrainedModel:
-    hp = resolve_hyper(DEFAULT_HYPER, hyper, ModelKind.RANDOM_FOREST)
-    if hp["n_trees"] < 1:
-        raise ModelError("n_trees must be >= 1")
-    X, site, y, scheme = check_training_data(instances)
-    from courtcast.features import feature_names
-
+def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> list[Node]:
     d = X.shape[1] + 1
     k = hp["candidate_features"] or math.ceil(math.sqrt(d))
     n = len(y)
@@ -55,12 +47,7 @@ def train(instances: list[MatchInstance], hyper: dict | None = None,
                                min_rows=0, rng=rng, n_candidates=k,
                                min_branch=1))
 
-    return TrainedModel(
-        kind=ModelKind.RANDOM_FOREST, scheme=scheme,
-        feature_names=feature_names(scheme),
-        class_counts={Label.LOSS.value: int(np.sum(y == 0)),
-                      Label.WIN.value: int(np.sum(y == 1))},
-        hyper=hp, params=trees)
+    return trees
 
 
 def tree_votes(model: TrainedModel, instance: MatchInstance) -> list[Label]:
@@ -81,5 +68,7 @@ def encode_params(trees: list[Node]) -> list[dict]:
     return [encode_node(t) for t in trees]
 
 
-def decode_params(doc: list[dict]) -> list[Node]:
-    return [decode_node(t) for t in doc]
+def decode_params(doc: list[dict], n_features: int) -> list[Node]:
+    if not doc:
+        raise ModelError("a forest needs at least one tree")
+    return [decode_node(t, n_features) for t in doc]

@@ -24,17 +24,18 @@ from courtcast.features import Label, MatchInstance
 from courtcast.models.base import (
     ModelError,
     ModelKind,
+    POSITIVE,
+    Range,
     TrainedModel,
     check_predict_input,
-    check_training_data,
-    resolve_hyper,
 )
 
-DEFAULT_HYPER = {
-    "hidden": None,          # None -> ceil((inputs + 2) / 2), site counted once
-    "learning_rate": 0.3,
-    "momentum": 0.2,
-    "epochs": 500,
+HYPER = {  # name -> (default, allowed values)
+    # None -> ceil((inputs + 2) / 2), site counted once
+    "hidden": (None, Range(int, 1, 10_000)),
+    "learning_rate": (0.3, POSITIVE),
+    "momentum": (0.2, Range(float, 0.0, 1.0)),
+    "epochs": (500, Range(int, 0, 1_000_000)),
 }
 
 
@@ -86,14 +87,7 @@ def _gradients(p: MlpParams, x: np.ndarray, target: float):
     return grad_W1, grad_b1, grad_w2, grad_b2
 
 
-def train(instances: list[MatchInstance], hyper: dict | None = None,
-          seed: int = 0) -> TrainedModel:
-    hp = resolve_hyper(DEFAULT_HYPER, hyper, ModelKind.MLP)
-    if hp["epochs"] < 0 or hp["learning_rate"] <= 0:
-        raise ModelError("epochs must be >= 0 and learning_rate positive")
-    X, site, y, scheme = check_training_data(instances)
-    from courtcast.features import feature_names
-
+def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> MlpParams:
     mins = np.min(X, axis=0)
     ranges = np.max(X, axis=0) - mins
     Xin = _inputs(X, site, mins, ranges)
@@ -101,8 +95,6 @@ def train(instances: list[MatchInstance], hyper: dict | None = None,
     # attribute count = numeric features + 1 site categorical; classes = 2
     n_attr = X.shape[1] + 1
     hidden = hp["hidden"] if hp["hidden"] is not None else math.ceil((n_attr + 2) / 2)
-    if hidden < 1:
-        raise ModelError("hidden layer must have at least one unit")
 
     rng = np.random.default_rng(seed)
     p = MlpParams(
@@ -131,11 +123,7 @@ def train(instances: list[MatchInstance], hyper: dict | None = None,
             p.w2 += vel_w2
             p.b2 += vel_b2
 
-    return TrainedModel(
-        kind=ModelKind.MLP, scheme=scheme, feature_names=feature_names(scheme),
-        class_counts={Label.LOSS.value: int(np.sum(y == 0)),
-                      Label.WIN.value: int(np.sum(y == 1))},
-        hyper=hp, params=p)
+    return p
 
 
 def _instance_input(model: TrainedModel, instance: MatchInstance) -> np.ndarray:
@@ -208,8 +196,8 @@ def encode_params(p: MlpParams) -> dict:
     }
 
 
-def decode_params(doc: dict) -> MlpParams:
-    return MlpParams(
+def decode_params(doc: dict, n_features: int) -> MlpParams:
+    p = MlpParams(
         mins=np.asarray(doc["mins"], dtype=float),
         ranges=np.asarray(doc["ranges"], dtype=float),
         W1=np.asarray(doc["W1"], dtype=float),
@@ -217,3 +205,8 @@ def decode_params(doc: dict) -> MlpParams:
         w2=np.asarray(doc["w2"], dtype=float),
         b2=float(doc["b2"]),
     )
+    hidden = len(p.b1)
+    shapes = (p.mins.shape, p.ranges.shape, p.W1.shape, p.b1.shape, p.w2.shape)
+    if shapes != ((n_features,), (n_features,), (hidden, n_features + 3), (hidden,), (hidden,)):
+        raise ModelError("MLP weight shapes do not match the feature count")
+    return p

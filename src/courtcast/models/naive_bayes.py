@@ -19,21 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from courtcast.features import Label, MatchInstance
+from courtcast.features import MatchInstance
 from courtcast.models.base import (
     ModelError,
-    ModelKind,
+    POSITIVE,
     TrainedModel,
     check_predict_input,
-    check_training_data,
-    resolve_hyper,
 )
 
-DEFAULT_HYPER = {
+HYPER = {  # name -> (default, allowed values)
     # None -> per-feature-per-class data-driven bandwidth; a float forces
     # that bandwidth everywhere (useful for closed-form verification).
-    "bandwidth": None,
-    "bandwidth_floor": 1e-6,
+    "bandwidth": (None, POSITIVE),
+    "bandwidth_floor": (1e-6, POSITIVE),
 }
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -59,14 +57,7 @@ def _bandwidths(Xc: np.ndarray, forced: float | None, floor: float) -> np.ndarra
     return np.maximum(h, floor)
 
 
-def train(instances: list[MatchInstance], hyper: dict | None = None,
-          seed: int = 0) -> TrainedModel:
-    hp = resolve_hyper(DEFAULT_HYPER, hyper, ModelKind.NAIVE_BAYES_KDE)
-    if hp["bandwidth"] is not None and hp["bandwidth"] <= 0:
-        raise ModelError("bandwidth must be positive")
-    X, site, y, scheme = check_training_data(instances)
-    from courtcast.features import feature_names
-
+def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> KdeParams:
     points, bands, site_counts, log_priors = [], [], [], []
     n = len(y)
     for cls in (0, 1):
@@ -81,12 +72,7 @@ def train(instances: list[MatchInstance], hyper: dict | None = None,
                        bandwidths=(bands[0], bands[1]),
                        site_counts=(site_counts[0], site_counts[1]),
                        log_priors=(log_priors[0], log_priors[1]))
-    return TrainedModel(
-        kind=ModelKind.NAIVE_BAYES_KDE, scheme=scheme,
-        feature_names=feature_names(scheme),
-        class_counts={Label.LOSS.value: int(np.sum(y == 0)),
-                      Label.WIN.value: int(np.sum(y == 1))},
-        hyper=hp, params=params)
+    return params
 
 
 def _log_kde(x: np.ndarray, pts: np.ndarray, h: np.ndarray) -> float:
@@ -124,11 +110,16 @@ def encode_params(p: KdeParams) -> dict:
     }
 
 
-def decode_params(doc: dict) -> KdeParams:
-    return KdeParams(
-        points=tuple(np.asarray(v, dtype=float).reshape(len(v), -1) if v else
-                     np.empty((0, 0)) for v in doc["points"]),
+def decode_params(doc: dict, n_features: int) -> KdeParams:
+    p = KdeParams(
+        points=tuple(np.asarray(v, dtype=float) for v in doc["points"]),
         bandwidths=tuple(np.asarray(v, dtype=float) for v in doc["bandwidths"]),
         site_counts=tuple(np.asarray(v, dtype=float) for v in doc["site_counts"]),
-        log_priors=tuple(doc["log_priors"]),
+        log_priors=tuple(float(v) for v in doc["log_priors"]),
     )
+    if (any(len(part) != 2 for part in (p.points, p.bandwidths, p.site_counts, p.log_priors))
+            or any(pts.shape[1:] != (n_features,) or not len(pts) for pts in p.points)
+            or any(h.shape != (n_features,) for h in p.bandwidths)
+            or any(c.shape != (3,) or not np.all(c >= 0) for c in p.site_counts)):
+        raise ModelError(f"naive Bayes parameters do not fit {n_features} features")
+    return p

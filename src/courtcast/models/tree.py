@@ -21,22 +21,22 @@ features.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from courtcast.features import Label, MatchInstance
+from courtcast.features import MatchInstance
 from courtcast.models.base import (
-    ModelKind,
+    ModelError,
+    Range,
     TrainedModel,
     check_predict_input,
-    check_training_data,
-    resolve_hyper,
 )
 
-DEFAULT_HYPER = {
-    "min_node_fraction": 0.01,
+HYPER = {  # name -> (default, allowed values)
+    "min_node_fraction": (0.01, Range(float, 0.0, 1.0)),
 }
 
 SITE_FEATURE = -1  # pseudo-index for the categorical site attribute
@@ -232,20 +232,10 @@ def internal_node_sizes(node: Node) -> list[int]:
     return out
 
 
-def train(instances: list[MatchInstance], hyper: dict | None = None,
-          seed: int = 0) -> TrainedModel:
-    hp = resolve_hyper(DEFAULT_HYPER, hyper, ModelKind.DECISION_TREE)
-    X, site, y, scheme = check_training_data(instances)
-    from courtcast.features import feature_names
-
+def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> Node:
     min_rows = math.ceil(hp["min_node_fraction"] * len(y))
     root = grow_tree(X, site, y, min_rows=min_rows)
-    return TrainedModel(
-        kind=ModelKind.DECISION_TREE, scheme=scheme,
-        feature_names=feature_names(scheme),
-        class_counts={Label.LOSS.value: int(np.sum(y == 0)),
-                      Label.WIN.value: int(np.sum(y == 1))},
-        hyper=hp, params=root)
+    return root
 
 
 def predict_p_win(model: TrainedModel, instance: MatchInstance) -> float:
@@ -264,15 +254,23 @@ def encode_node(node: Node) -> dict:
             "left": encode_node(node.left), "right": encode_node(node.right)}
 
 
-def decode_node(doc: dict) -> Node:
+def decode_node(doc: dict, n_features: int) -> Node:
+    """The node ``encode_node`` wrote, its counts, features and branches checked."""
     if doc["leaf"]:
+        if not 0 <= doc["wins"] <= doc["n"] or doc["n"] < 1:
+            raise ModelError(f"leaf with {doc['wins']} wins of {doc['n']}")
         return Leaf(n=doc["n"], wins=doc["wins"])
     if doc.get("site"):
-        return SiteNode(children=tuple(decode_node(c) for c in doc["children"]),
-                        n=doc["n"])
-    return NumericNode(feature=doc["feature"], threshold=doc["threshold"],
-                       left=decode_node(doc["left"]), right=decode_node(doc["right"]),
-                       n=doc["n"])
+        children = tuple(decode_node(c, n_features) for c in doc["children"])
+        if len(children) != 3:
+            raise ModelError(f"site split with {len(children)} branches, not 3")
+        return SiteNode(children=children, n=doc["n"])
+    feature = operator.index(doc["feature"])
+    if not 0 <= feature < n_features:
+        raise ModelError(f"split on feature {feature} of {n_features}")
+    return NumericNode(feature=feature, threshold=float(doc["threshold"]),
+                       left=decode_node(doc["left"], n_features),
+                       right=decode_node(doc["right"], n_features), n=doc["n"])
 
 
 encode_params = encode_node

@@ -24,11 +24,11 @@ from statistics import NormalDist
 
 import numpy as np
 
-from courtcast.ingest import BoxScore, GameRecord, Location, SeasonStore
+from courtcast.ingest import BoxScore, CourtcastError, GameRecord, Location, SeasonStore
 from courtcast.stats import PACE_FACTOR
 
 
-class SyntheticError(ValueError):
+class SyntheticError(CourtcastError):
     """Raised for infeasible league specifications."""
 
 
@@ -93,8 +93,10 @@ class SyntheticLeagueSpec:
                 f"odd team count {self.n_teams}: every team plays each round")
         if self.games_per_team < 1:
             raise SyntheticError("games_per_team must be >= 1")
-        if self.noise < 0:
-            raise SyntheticError(f"noise must be >= 0, got {self.noise}")
+        if not 0 <= self.noise < math.inf:
+            raise SyntheticError(f"noise must be finite and >= 0, got {self.noise}")
+        if not math.isfinite(self.home_advantage):
+            raise SyntheticError(f"home_advantage must be finite, got {self.home_advantage}")
         if not 0.0 <= self.imbalance <= 1.0:
             raise SyntheticError(f"imbalance must be in [0, 1], got {self.imbalance}")
         if self.imbalance > 0 and self.n_teams % 4:
@@ -103,13 +105,12 @@ class SyntheticLeagueSpec:
                 f"{self.n_teams} teams cannot form them")
         if self.n_seasons < 1:
             raise SyntheticError("n_seasons must be >= 1")
-        if self.strengths is not None:
-            if len(self.strengths) != self.n_teams:
-                raise SyntheticError(
-                    f"{len(self.strengths)} strength pairs for {self.n_teams} teams")
-            for o, d in self.strengths:
-                if o <= 0 or d <= 0:
-                    raise SyntheticError(f"strengths must be positive, got ({o}, {d})")
+        if self.strengths is not None and len(self.strengths) != self.n_teams:
+            raise SyntheticError(
+                f"{len(self.strengths)} strength pairs for {self.n_teams} teams")
+        for o, d in self.resolved_strengths().values():
+            if not (0 < o < math.inf and 0 < d < math.inf):
+                raise SyntheticError(f"strengths must be positive and finite, got ({o}, {d})")
 
     def resolved_strengths(self) -> dict[str, tuple[float, float]]:
         pairs = self.strengths or spread_strengths(self.n_teams, self.strength_spread)

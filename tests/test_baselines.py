@@ -11,9 +11,7 @@ from courtcast.baselines import (
     BaselineError,
     PythagParams,
     Ranking,
-    home_boost,
     model_predictor,
-    predict_match_pythag,
     pythag_pair_prob,
     pythag_predictor,
     pythag_rating,
@@ -22,7 +20,6 @@ from courtcast.baselines import (
 )
 from courtcast.ingest import GameRecord, Location
 from courtcast.models import ModelKind, train
-from courtcast.stats import Site
 from tests.conftest import BOX_A, BOX_B
 from tests.test_features import make_snap
 
@@ -105,45 +102,6 @@ class TestPairProbability:
         p = pythag_pair_prob(snap("a", 108.0, 99.0), snap("b", 97.0, 104.0))
         q = pythag_pair_prob(snap("b", 97.0, 104.0), snap("a", 108.0, 99.0))
         assert p + q == pytest.approx(1.0, abs=1e-12)
-
-
-class TestPredictMatch:
-    def test_higher_rating_wins(self):
-        a, b = snap("a", 112.0, 96.0), snap("b", 101.0, 103.0)
-        winner, margin = predict_match_pythag(a, b)
-        assert winner == "a"
-        assert margin == pytest.approx(
-            pythag_rating(a) - pythag_rating(b), abs=1e-15)
-        winner_rev, margin_rev = predict_match_pythag(b, a)
-        assert winner_rev == "a"
-        assert margin_rev == -margin
-
-    def test_rating_tie_goes_to_home_else_first(self):
-        a, b = snap("a", 105.0, 95.0), snap("b", 105.0, 95.0)
-        assert predict_match_pythag(a, b, location=Site.NEUTRAL)[0] == "a"
-        assert predict_match_pythag(a, b, location=Site.HOME)[0] == "a"
-        assert predict_match_pythag(a, b, location=Site.AWAY)[0] == "b"
-
-
-class TestHomeBoost:
-    def test_scales_offense_only(self):
-        s = snap("t", 100.0, 100.0)
-        boosted = home_boost(s, 1.014)
-        assert boosted.adj_oe == pytest.approx(101.4, abs=1e-12)
-        assert boosted.adj_de == s.adj_de
-        assert boosted.adj_off_factors.efg == pytest.approx(
-            s.adj_off_factors.efg * 1.014, abs=1e-15)
-        assert boosted.adj_def_factors == s.adj_def_factors
-        assert boosted.raw_means == s.raw_means
-
-    def test_flips_a_near_even_matchup(self):
-        a, b = snap("a", 100.0, 100.0), snap("b", 100.5, 100.0)
-        assert predict_match_pythag(a, b)[0] == "b"
-        assert predict_match_pythag(home_boost(a), b)[0] == "a"
-
-    def test_invalid_multiplier(self):
-        with pytest.raises(BaselineError):
-            home_boost(snap("t", 100.0, 100.0), 0.0)
 
 
 class TestRpi:

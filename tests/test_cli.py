@@ -170,6 +170,16 @@ class TestArtifacts:
         assert (league_dir / "twice" / "eval_report.csv").read_bytes() == first
         assert (league_dir / "twice" / "eval_curve.csv").read_bytes() == curve1
 
+    def test_features_csv_repeats_byte_for_byte(self, league_dir):
+        args = ["features", *DATA, "--out", "feat", "--scheme", "adj_eff"]
+        assert run_cli(args, cwd=league_dir).returncode == 0
+        first = (league_dir / "feat" / "features.csv").read_bytes()
+        assert run_cli(args, cwd=league_dir).returncode == 0
+        assert (league_dir / "feat" / "features.csv").read_bytes() == first
+        header = next(ln for ln in first.decode().splitlines() if not ln.startswith("#"))
+        assert header == ("date,season,team_first,team_second,location,label,"
+                          "a_adj_oe,a_adj_de,b_adj_oe,b_adj_de")
+
     def test_train_then_predict_round_trip(self, league_dir):
         assert run_cli(["train", *DATA, "--out", "tp", "--kind", "decision_tree"],
                        cwd=league_dir).returncode == 0

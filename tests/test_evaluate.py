@@ -13,7 +13,6 @@ from courtcast.evaluate import (
     BASELINE_KINDS,
     EvalError,
     EvalReport,
-    accuracy_curve,
     binomial_halfwidth,
     evaluate_predictor,
     glass_ceiling_experiment,
@@ -149,25 +148,6 @@ class TestEvaluatePredictor:
                                    label=None)
         with pytest.raises(EvalError, match="labeled"):
             evaluate_predictor([bare], echo, **REPORT_KW)
-
-
-class TestAccuracyCurve:
-    def test_curve_is_the_series_and_ends_at_the_total(self):
-        instances = make_instances([
-            ("2021-01-02", [Label.WIN]),
-            ("2021-01-04", [Label.LOSS, Label.WIN]),
-        ])
-        report = evaluate_predictor(instances, lambda i: (Label.WIN, 0.8), **REPORT_KW)
-        curve = accuracy_curve(report)
-        assert curve == list(report.series)
-        assert curve[-1][1] == report.accuracy
-
-    def test_empty_report_rejected(self):
-        instances = make_instances([("2021-01-02", [Label.WIN])])
-        report = evaluate_predictor(instances, echo, **REPORT_KW)
-        hollow = dataclasses.replace(report, predictions=())
-        with pytest.raises(EvalError, match="no predictions"):
-            accuracy_curve(hollow)
 
 
 class TestBinomialHalfwidth:

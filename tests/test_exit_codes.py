@@ -1,0 +1,265 @@
+"""The CLI's exit-code contract: bad input exits 1 (usage) or 2 (data), never 3.
+
+Every test here calls ``cli.main`` in process on a six-team league, so the
+regression cases and the fuzzing stay fast.  ``tests/test_cli.py`` covers
+the same entry point through ``python -m courtcast``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from courtcast import cli
+from courtcast.ingest import HEADER
+from courtcast.models import HYPERPARAMETERS, ModelKind
+
+LEAGUE = ["--n-teams", "6", "--games-per-team", "6", "--n-seasons", "2", "--seed", "1"]
+MODEL_KINDS = [k.value for k in ModelKind]
+PAIRING = ["--team-first", "t00", "--team-second", "t01"]
+
+
+def main(*argv) -> tuple[int, str]:
+    """``cli.main`` on ``argv``; returns the exit code and what went to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def league(tmp_path_factory) -> Path:
+    """A simulated league's game log, and one trained model of each kind."""
+    root = tmp_path_factory.mktemp("exit_codes")
+    assert main("simulate", "--out", root / "sim", *LEAGUE)[0] == 0
+    for kind in MODEL_KINDS:
+        hyper = ["--hyper", "epochs=5"] if kind == "mlp" else []
+        code, err = main("train", "--data", root / "sim" / "games.csv",
+                         "--out", root / kind, "--kind", kind, *hyper)
+        assert code == 0, err
+    return root
+
+
+def log_lines(league: Path) -> list[str]:
+    return (league / "sim" / "games.csv").read_text().splitlines()
+
+
+class TestBadFiles:
+    def test_unclosed_quote_names_the_file_and_line(self, league, tmp_path):
+        lines = log_lines(league)
+        at = len(lines) - 3
+        lines[at] = lines[at].replace(",t", ',"t', 1) + "x" * 140_000
+        bad = tmp_path / "quote.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, err = main("ingest", "--data", bad, "--out", tmp_path / "o")
+        assert code == 2, err
+        assert f"quote.csv:{at + 1}:" in err and "field larger than field limit" in err
+
+    def test_undecodable_game_log(self, league, tmp_path):
+        bad = tmp_path / "latin.csv"
+        bad.write_bytes((league / "sim" / "games.csv").read_bytes() + b"\xff\n")
+        code, err = main("ingest", "--data", bad, "--out", tmp_path / "o")
+        assert code == 2 and "latin.csv" in err and "UTF-8" in err
+
+    def test_undecodable_roster(self, league, tmp_path):
+        roster = tmp_path / "roster.csv"
+        roster.write_bytes(b"season,team\n2021,t\xe900\n")
+        code, err = main("ingest", "--data", league / "sim" / "games.csv",
+                         "--roster", roster, "--out", tmp_path / "o")
+        assert code == 2 and "roster.csv" in err
+
+    @pytest.mark.parametrize("text, where", [
+        ("season,team\n2021\n", "roster.csv:2: expected 2 columns"),
+        ("season,team\n\n2021,t00\n20x1,t01\n", "roster.csv:4: field 'season'"),
+    ])
+    def test_bad_roster_row_names_its_line(self, league, tmp_path, text, where):
+        roster = tmp_path / "roster.csv"
+        roster.write_text(text)
+        code, err = main("ingest", "--data", league / "sim" / "games.csv",
+                         "--roster", roster, "--out", tmp_path / "o")
+        assert code == 2 and where in err
+
+    def test_undecodable_config_is_a_usage_error(self, league, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = \xff\n")
+        code, err = main("adjust", "--data", league / "sim" / "games.csv",
+                         "--config", cfg, "--out", tmp_path / "o")
+        assert code == 1 and "run.cfg" in err
+
+    def test_stats_on_a_box_that_divides_by_zero(self, tmp_path):
+        log = tmp_path / "zero.csv"
+        log.write_text(",".join(HEADER) + "\n2021-11-01,2021,aa,bb,neutral,"
+                       "0,0,0,5,10,3,4,2,1,1,5,10,20,2,3,4,5,6,7,1,1,25\n")
+        stats = main("stats", "--data", log, "--out", tmp_path / "o")
+        adjust = main("adjust", "--data", log, "--out", tmp_path / "o")
+        assert stats == adjust
+        assert stats[0] == 2 and "aa vs bb on 2021-11-01" in stats[1]
+
+
+def first_split(node: dict) -> dict | None:
+    """The first numeric split in a tree document, depth first."""
+    if not node["leaf"] and not node.get("site"):
+        return node
+    children = node.get("children", []) + [node.get("left"), node.get("right")]
+    return next(filter(None, (first_split(c) for c in children if c)), None)
+
+
+def edited(edit):
+    """A corruption that applies ``edit`` to the model document in place."""
+    def corrupt(doc: dict) -> dict:
+        edit(doc)
+        return doc
+    return corrupt
+
+
+@pytest.mark.parametrize("kind, name, corrupt, detail", [
+    ("decision_tree", "no_feature",
+     edited(lambda doc: first_split(doc["params"]).pop("feature")), "missing key 'feature'"),
+    ("decision_tree", "far_feature",
+     edited(lambda doc: first_split(doc["params"]).update(feature=99)), "feature 99"),
+    ("decision_tree", "no_hyper", edited(lambda doc: doc.pop("hyper")), "missing key 'hyper'"),
+    ("decision_tree", "a_list", lambda doc: [], "not a courtcast-model file"),
+    ("decision_tree", "bad_scheme", edited(lambda doc: doc.update(scheme="elo")), "elo"),
+    ("decision_tree", "bad_kind", edited(lambda doc: doc.update(kind=3)), "ModelKind"),
+    ("mlp", "short_bias", edited(lambda doc: doc["params"]["b1"].pop()), "shapes"),
+    ("naive_bayes_kde", "negative_count",
+     edited(lambda doc: doc["params"]["site_counts"][0].__setitem__(0, -5.0)), "do not fit"),
+    ("random_forest", "no_trees", edited(lambda doc: doc.update(params=[])), "one tree"),
+])
+def test_malformed_model_file_is_a_data_error(league, tmp_path, kind, name, corrupt, detail):
+    doc = json.loads((league / kind / "model.json").read_text())
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(corrupt(doc)))
+    code, err = main("predict", "--data", league / "sim" / "games.csv", "--model", path,
+                     "--kind", kind, "--out", tmp_path / "o", *PAIRING)
+    assert code == 2, err
+    assert f"{name}.json" in err and detail in err
+
+
+def test_model_file_that_is_not_json(league, tmp_path):
+    path = tmp_path / "cut.json"
+    path.write_text((league / "mlp" / "model.json").read_text()[:200])
+    code, err = main("rank", "--data", league / "sim" / "games.csv", "--model", path,
+                     "--kind", "mlp", "--out", tmp_path / "o")
+    assert code == 2 and "cut.json" in err
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["train", "--kind", "mlp", "--hyper", "epochs=abc"], "epochs"),
+    (["train", "--kind", "random_forest", "--hyper", "n_trees=abc"], "n_trees"),
+    (["train", "--kind", "naive_bayes_kde", "--hyper", "bandwidth=abc"], "bandwidth"),
+    (["glass-ceiling", "--hyper", "decision_tree.min_node_fraction=abc"],
+     "min_node_fraction"),
+    (["train", "--kind", "mlp", "--hyper", "hidden=0.5"], "hidden"),
+    (["train", "--kind", "mlp", "--hyper", "hidden=0"], "hidden"),
+    (["evaluate", "--kind", "pythag", "--hyper", "y=abc"], "'y'"),
+    (["evaluate", "--kind", "mlp", "--hyper", "learning_rate=-1"], "learning_rate"),
+    (["evaluate", "--kind", "home_wins", "--hyper", "y=2"], "home_wins"),
+    (["train", "--kind", "random_forest", "--hyper", "n_trees=100000"], "n_trees"),
+    (["evaluate", "--kind", "pythag", "--hyper", "y=inf"], "'y'"),
+    (["train", "--kind", "mlp", "--seed", "-1"], "seed"),
+    (["simulate", "--noise", "nan"], "noise"),
+    (["simulate", "--home-advantage", "inf"], "home_advantage"),
+    (["glass-ceiling", "--strength-spread", "nan"], "strengths"),
+])
+def test_bad_value_is_a_usage_error_before_any_data_is_read(tmp_path, argv, key):
+    # the game log does not exist: a check after reading it would exit 2
+    code, err = main(*argv, "--data", tmp_path / "missing.csv", "--out", tmp_path / "o")
+    assert code == 1, err
+    assert key in err
+
+
+def test_a_stray_value_error_is_an_internal_fault(league, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("not a courtcast error")
+
+    monkeypatch.setattr(cli, "game_stats", broken)
+    code, err = main("stats", "--data", league / "sim" / "games.csv", "--out", tmp_path / "o")
+    assert code == 3 and "internal error" in err
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: whatever the input, the exit code is 0, 1 or 2.
+
+ALL_KEYS = sorted({key for spec in HYPERPARAMETERS.values() for key in spec} | {"y"})
+WORDS = st.text(alphabet="abcxyz_.=- ", max_size=8)   # no digits: no large integers
+VALUES = st.one_of(
+    st.integers(min_value=-5, max_value=50).map(str),
+    st.floats(min_value=-2.0, max_value=60.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "1e-320", "None", ""]),
+    WORDS,
+)
+
+
+def hyper_text(prefixes: list[str]) -> st.SearchStrategy[str]:
+    entry = st.builds("{}{}={}".format, st.sampled_from(prefixes),
+                      st.sampled_from(ALL_KEYS) | WORDS, VALUES)
+    return st.lists(entry, max_size=3).map(",".join) | WORDS
+
+
+FUZZ = settings(max_examples=40, deadline=None)
+
+
+@FUZZ
+@given(kind=st.sampled_from(MODEL_KINDS), hyper=hyper_text([""]))
+def test_fuzzed_train_hyper(league, kind, hyper):
+    code, err = main("train", "--data", league / "sim" / "games.csv", "--kind", kind,
+                     "--hyper", hyper, "--out", league / "fuzz")
+    assert code in (0, 1, 2), err
+
+
+@FUZZ
+@given(kind=st.sampled_from(MODEL_KINDS + ["pythag", "home_wins"]),
+       hyper=hyper_text([""]))
+def test_fuzzed_evaluate_hyper(league, kind, hyper):
+    code, err = main("evaluate", "--data", league / "sim" / "games.csv", "--kind", kind,
+                     "--hyper", hyper, "--out", league / "fuzz")
+    assert code in (0, 1, 2), err
+
+
+@FUZZ
+@given(hyper=hyper_text([f"{k}." for k in MODEL_KINDS + ["pythag", "home_wins"]]
+                        + ["", "elo."]))
+def test_fuzzed_glass_ceiling_hyper(league, hyper):
+    code, err = main("glass-ceiling", *LEAGUE, "--kinds",
+                     "naive_bayes_kde,decision_tree,random_forest,pythag,home_wins",
+                     "--schemes", "adj_eff", "--hyper", hyper, "--out", league / "fuzz")
+    assert code in (0, 1, 2), err
+
+
+EDITS = st.lists(st.tuples(st.integers(min_value=0), st.binary(max_size=3)),
+                 min_size=1, max_size=4)
+
+
+def corrupted(data: bytes, edits: list[tuple[int, bytes]]) -> bytes:
+    """``data`` with each edit's byte replaced by its bytes (none deletes it)."""
+    for at, new in edits:
+        at %= len(data)
+        data = data[:at] + new + data[at + 1:]
+    return data
+
+
+@FUZZ
+@given(kind=st.sampled_from(MODEL_KINDS), edits=EDITS)
+def test_fuzzed_model_file(league, kind, edits):
+    path = league / "fuzz_model.json"
+    path.write_bytes(corrupted((league / kind / "model.json").read_bytes(), edits))
+    code, err = main("predict", "--data", league / "sim" / "games.csv", "--model", path,
+                     "--kind", kind, "--out", league / "fuzz", *PAIRING)
+    assert code in (0, 1, 2), err
+
+
+@FUZZ
+@given(command=st.sampled_from(["ingest", "predict"]), edits=EDITS)
+def test_fuzzed_game_log(league, command, edits):
+    path = league / "fuzz_games.csv"
+    path.write_bytes(corrupted((league / "sim" / "games.csv").read_bytes(), edits))
+    extra = (["--kind", "decision_tree", "--model", league / "decision_tree" / "model.json",
+              *PAIRING] if command == "predict" else [])
+    code, err = main(command, "--data", path, "--out", league / "fuzz", *extra)
+    assert code in (0, 1, 2), err

@@ -23,7 +23,6 @@ from courtcast.features import (
     encode_pairing,
     feature_names,
     to_arrays,
-    write_instances,
 )
 from courtcast.ingest import GameRecord, Location
 from courtcast.stats import FourFactors, Site
@@ -195,14 +194,3 @@ class TestArraysAndSerialization:
     def test_to_arrays_empty_rejected(self):
         with pytest.raises(FeatureError):
             to_arrays([])
-
-    def test_write_instances_round_numbers(self, tmp_path, two_season_store):
-        runs = run_seasons(two_season_store)
-        train, _ = build_dataset(two_season_store, runs, FeatureScheme.ADJ_EFF, 2011)
-        p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
-        write_instances(train, p1)
-        write_instances(train, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        header = p1.read_text().splitlines()[0]
-        assert header.startswith("date,season,team_first,team_second,location,a_adj_oe")
-        assert header.endswith("label")

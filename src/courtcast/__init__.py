@@ -44,8 +44,8 @@ from courtcast.features import (
     Label,
     MatchInstance,
     build_dataset,
-    encode_match,
     encode_pairing,
+    encode_season,
     feature_names,
 )
 from courtcast.ingest import (

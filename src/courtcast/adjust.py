@@ -30,10 +30,11 @@ The engine works on arrays.  A season's per-game stats come from one
 vectorised pass (:func:`courtcast.stats.game_arrays`).  Team state is one
 ``(teams, 18)`` float64 row per team — the 18 averaged values, or under
 ``explicit`` their weighted numerators with a ``den`` vector beside them —
-plus integer games-played and box-sum arrays.  Each day gathers the morning rows of both teams of every game into
-a ``(games, 2, 18)`` pre-match array, adjusts all of the day's game values
-at once, and scatters the folds back.  ``TeamSnapshot`` objects are built
-only when a caller reads one.
+plus integer games-played and box-sum arrays.  Each day records both teams'
+morning team rows (``TEAM_ROW``: the 18 values, then the 12 raw means) of
+every game into a ``(games, 2, 30)`` pre-match array, adjusts all of the
+day's game values at once, and scatters the folds back.  ``TeamSnapshot``
+objects are built from those rows only when a caller reads one.
 
 Floating-point note: every accumulator folds values in one canonical order
 (games by (date, team_a, team_b), side a before side b).  Elementwise numpy
@@ -52,6 +53,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -195,14 +197,33 @@ def explicit_weighted_average(prior_season_value: float, game_values: list[float
 # opponent's value it is divided by: adj_oe by the opponent's adj_de and vice
 # versa, each offensive factor by the opponent's defensive one and vice versa.
 _FACTORS = FourFactors.field_names()
-_KEYS = (("adj_oe", "adj_de")
-         + tuple(f"adj_off_{f}" for f in _FACTORS)
-         + tuple(f"adj_def_{f}" for f in _FACTORS)
-         + tuple(f"avg_off_{f}" for f in _FACTORS)
-         + tuple(f"avg_def_{f}" for f in _FACTORS))
+_BLOCKS = ("adj_off", "adj_def", "avg_off", "avg_def")
+STATE_KEYS = ("adj_oe", "adj_de") + tuple(f"{b}_{f}" for b in _BLOCKS for f in _FACTORS)
 _N_ADJ = 10
 _COUNTER = np.array([1, 0, 6, 7, 8, 9, 2, 3, 4, 5])
-_NO_GAMES = RawMeans()
+
+# A team row: the 18 state values, then the 12 raw means.  Every array of
+# team profiles (a run's pre-match rows, a feature encoder's input) uses it.
+TEAM_ROW = STATE_KEYS + RawMeans.field_names()
+_N_RAW = len(TEAM_ROW) - len(STATE_KEYS)
+
+# The TeamSnapshot attribute that holds each TEAM_ROW value, in order.
+_ROW_VALUES = attrgetter("adj_oe", "adj_de",
+                         *(f"{b}_factors.{f}" for b in _BLOCKS for f in _FACTORS),
+                         *(f"raw_means.{f}" for f in RawMeans.field_names()))
+
+
+def team_row(snap: TeamSnapshot) -> np.ndarray:
+    """A snapshot's values in ``TEAM_ROW`` order."""
+    return np.array(_ROW_VALUES(snap))
+
+
+def _team_rows(values: np.ndarray, played: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """State ``values`` beside the raw means of the box ``sums`` over ``played``
+    games; the means are zeros for a team yet to play."""
+    n = played[..., None].astype(np.float64)
+    means = np.divide(sums, n, out=np.zeros(sums.shape), where=n > 0)
+    return np.concatenate([values, means], axis=-1)
 
 
 def _means_row(means: LeagueMeans) -> np.ndarray:
@@ -260,22 +281,22 @@ class NationalAverages:
 class _PreMatch(Mapping):
     """Game key ``(date, team_a, team_b)`` -> both teams' morning snapshots.
 
-    A read-only view of a run's pre-match array: the snapshots are built
-    each time a key is read, and not kept.
+    A read-only view of a run's pre-match array that builds the snapshots
+    on every read.  It is made anew for each ``SeasonRun.pre_match``: a run
+    holding its view would be a cycle, left for the cyclic collector.
     """
 
     def __init__(self, run: SeasonRun):
         self._run = run
-        self._index = {(g.date, g.team_a, g.team_b): i for i, g in enumerate(run._games)}
 
     def __getitem__(self, key) -> tuple[TeamSnapshot, TeamSnapshot]:
-        return self._run._pre_snapshots(self._index[key])
+        return self._run._pre_snapshots(self._run._index[key])
 
     def __iter__(self):
-        return iter(self._index)
+        return iter(self._run._index)
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._run._index)
 
 
 class _Series(Sequence):
@@ -299,13 +320,13 @@ class _Series(Sequence):
 class SeasonRun:
     """Everything produced by one season's day-by-day pass, held as arrays.
 
-    Teams are indexed in sorted order (``_teams``) and games in the store's
-    canonical order.  ``_pre[i, side]`` is the morning state row of game
-    ``i``'s team_a (side 0) or team_b (side 1), its 18 averaged values in
-    ``_KEYS`` order; ``_pre_played`` and ``_pre_sums`` hold the games played
-    and the integer box sums (ten counting stats, points for, points
-    against) beside it.  ``_final*`` hold the same for each team after its
-    last game, and ``_prior`` the prior-season final rows used as seeds.
+    Teams are indexed in sorted order (``_teams``) and ``games`` are the
+    store's games of the season in canonical order.  ``pre_rows[i, side]``
+    is the morning team row (``TEAM_ROW`` order) of game ``i``'s team_a
+    (side 0) or team_b (side 1); ``_pre_played`` holds the games played
+    beside it.  ``_final`` and ``_final_played`` hold the same for each
+    team after its last game, and ``_prior`` the prior-season final state
+    values used as seeds.
 
     ``pre_match`` maps each game's key to both teams' snapshots and builds
     them on every read; ``final`` is a dict of each team's snapshot after
@@ -318,52 +339,56 @@ class SeasonRun:
     seeding: Seeding
     config: AdjustConfig
     national: NationalAverages
-    _games: tuple[GameRecord, ...] = field(repr=False)
+    games: tuple[GameRecord, ...] = field(repr=False)
+    pre_rows: np.ndarray = field(repr=False)
     _teams: list[str] = field(repr=False)
-    _pre: np.ndarray = field(repr=False)
     _pre_played: np.ndarray = field(repr=False)
-    _pre_sums: np.ndarray = field(repr=False)
     _final: np.ndarray = field(repr=False)
     _final_played: np.ndarray = field(repr=False)
-    _final_sums: np.ndarray = field(repr=False)
     _prior: dict[str, np.ndarray] = field(repr=False)
 
     def __post_init__(self):
-        self.pre_match: Mapping[tuple[dt.date, str, str],
-                                tuple[TeamSnapshot, TeamSnapshot]] = _PreMatch(self)
         last = {}
-        for g in self._games:
+        for g in self.games:
             last[g.team_a] = last[g.team_b] = g.date
         self.final: dict[str, TeamSnapshot] = {
             team: self._final_snapshot(i, last[team]) for i, team in enumerate(self._teams)}
 
-    def _snapshot(self, team: str, date: dt.date, n: int, v: list[float],
-                  sums: list[int] | None) -> TeamSnapshot:
+    def _snapshot(self, team: str, date: dt.date, n: int, v: list[float]) -> TeamSnapshot:
+        """The snapshot of team row ``v`` after ``n`` games."""
         return TeamSnapshot(
             team, self.season, date, n, v[0], v[1],
             FourFactors(*v[2:6]), FourFactors(*v[6:10]),
-            FourFactors(*v[10:14]), FourFactors(*v[14:18]),
-            RawMeans(*[s / float(n) for s in sums]) if n else _NO_GAMES)
+            FourFactors(*v[10:14]), FourFactors(*v[14:18]), RawMeans(*v[18:]))
 
     def _pre_snapshots(self, i: int, date: dt.date | None = None
                        ) -> tuple[TeamSnapshot, TeamSnapshot]:
         """Both teams' morning snapshots for game ``i``, dated ``date`` or the game's."""
-        g = self._games[i]
+        g = self.games[i]
         date = date or g.date
-        v, n, sums = self._pre[i].tolist(), self._pre_played[i].tolist(), self._pre_sums[i].tolist()
-        return (self._snapshot(g.team_a, date, n[0], v[0], sums[0]),
-                self._snapshot(g.team_b, date, n[1], v[1], sums[1]))
+        v, n = self.pre_rows[i].tolist(), self._pre_played[i].tolist()
+        return (self._snapshot(g.team_a, date, n[0], v[0]),
+                self._snapshot(g.team_b, date, n[1], v[1]))
 
     def _final_snapshot(self, t: int, date: dt.date) -> TeamSnapshot:
         return self._snapshot(self._teams[t], date, int(self._final_played[t]),
-                              self._final[t].tolist(), self._final_sums[t].tolist())
+                              self._final[t].tolist())
+
+    @property
+    def pre_match(self) -> Mapping[tuple[dt.date, str, str], tuple[TeamSnapshot, TeamSnapshot]]:
+        return _PreMatch(self)
+
+    @cached_property
+    def _index(self) -> dict[tuple[dt.date, str, str], int]:
+        """Each game's key -> its position in ``games``."""
+        return {(g.date, g.team_a, g.team_b): i for i, g in enumerate(self.games)}
 
     @cached_property
     def _by_team(self) -> dict[str, tuple[list[dt.date], list[tuple[int, int]]]]:
         """Each team's game dates and (game, side) rows, in date order."""
         out: dict[str, tuple[list[dt.date], list[tuple[int, int]]]] = {
             team: ([], []) for team in self._teams}
-        for i, g in enumerate(self._games):
+        for i, g in enumerate(self.games):
             for side, team in enumerate((g.team_a, g.team_b)):
                 out[team][0].append(g.date)
                 out[team][1].append((i, side))
@@ -392,7 +417,7 @@ class SeasonRun:
         seed = self._prior.get(team)
         if seed is None:
             seed = _means_row(self.national.as_of(date))
-        return self._snapshot(team, date, 0, seed.tolist(), None)
+        return self._snapshot(team, date, 0, seed.tolist() + [0.0] * _N_RAW)
 
 
 def checked_game_arrays(games: Sequence[GameRecord],
@@ -432,11 +457,11 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
     # over ``den`` (explicit), games played, and integer box sums.  Teams
     # with a prior-season final start from it; the rest are seeded on the
     # morning of their first game.
-    prior_rows = ({t: prior._final[i] for i, t in enumerate(prior._teams)}
+    prior_rows = ({t: prior._final[i, :len(STATE_KEYS)] for i, t in enumerate(prior._teams)}
                   if prior is not None else {})
     seeded = np.array([t in prior_rows for t in teams], dtype=bool)
-    acc = np.array([prior_rows.get(t, np.zeros(len(_KEYS))) for t in teams]
-                   ).reshape(n_teams, len(_KEYS))
+    acc = np.array([prior_rows.get(t, np.zeros(len(STATE_KEYS))) for t in teams]
+                   ).reshape(n_teams, len(STATE_KEYS))
     den = np.ones(n_teams) if scheme is AveragingScheme.EXPLICIT else None
     played = np.zeros(n_teams, dtype=np.int64)
     sums = np.zeros((n_teams, box_sums.shape[-1]), dtype=np.int64)
@@ -470,9 +495,8 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
                                    league[2 * s, 2:] / float(2 * s)) if s else None)
         return means if means is not None else NEUTRAL_BASELINE
 
-    pre = np.empty((n, 2, len(_KEYS)))
+    pre = np.empty((n, 2, len(TEAM_ROW)))
     pre_played = np.empty((n, 2), dtype=np.int64)
-    pre_sums = np.empty((n, 2, box_sums.shape[-1]), dtype=np.int64)
     national = NationalAverages(season=season)
     ordinals = np.array([g.date.toordinal() for g in games], dtype=np.int64)
     starts = np.flatnonzero(np.diff(ordinals, prepend=-1)).tolist()
@@ -493,7 +517,8 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
         acc[fresh] = navg_row
         seeded[fresh] = True
         rows = values(day)
-        pre[s:e], pre_played[s:e], pre_sums[s:e] = rows, played[day], sums[day]
+        pre[s:e] = _team_rows(rows, played[day], sums[day])
+        pre_played[s:e] = played[day]
         counter = rows[:, ::-1][..., _COUNTER]
         bad = np.argwhere(counter <= 0.0)
         if len(bad):
@@ -502,7 +527,7 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
             team, opp = ((g.team_a, g.team_b), (g.team_b, g.team_a))[side]
             raise AdjustmentError(
                 f"opponent counter-statistic must be positive, got {counter[i, side, k]} "
-                f"({opp}'s {_KEYS[_COUNTER[k]]} against {team} on {g.date})")
+                f"({opp}'s {STATE_KEYS[_COUNTER[k]]} against {team} on {g.date})")
         game_values = raw[s:e].copy()
         game_values[..., :_N_ADJ] = raw[s:e, :, :_N_ADJ] * scale / counter
 
@@ -520,9 +545,9 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
     national.end_of_season = morning(n)
     return SeasonRun(
         season=season, scheme=scheme, seeding=seeding, config=config,
-        national=national, _games=games, _teams=teams, _pre=pre,
-        _pre_played=pre_played, _pre_sums=pre_sums,
-        _final=values(np.arange(n_teams)), _final_played=played, _final_sums=sums,
+        national=national, games=games, pre_rows=pre, _teams=teams,
+        _pre_played=pre_played,
+        _final=_team_rows(values(np.arange(n_teams)), played, sums), _final_played=played,
         _prior=prior_rows)
 
 

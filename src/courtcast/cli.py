@@ -33,11 +33,12 @@ from courtcast.adjust import (
     AdjustConfig,
     AdjustmentError,
     AveragingScheme,
+    STATE_KEYS,
     SeasonRun,
     Seeding,
-    TeamSnapshot,
     checked_game_arrays,
     run_seasons,
+    team_row,
 )
 from courtcast.baselines import (
     HOME_WINS_P,
@@ -60,8 +61,8 @@ from courtcast.features import (
     Label,
     MatchInstance,
     build_dataset,
-    encode_match,
     encode_pairing,
+    encode_season,
     feature_names,
 )
 from courtcast.ingest import (
@@ -355,32 +356,18 @@ def cmd_stats(cfg: RunConfig) -> None:
     _say(path, f"{len(rows)} team-game rows")
 
 
-_SNAPSHOT_COLS = (["adj_oe", "adj_de"]
-                  + [f"adj_off_{c}" for c in FourFactors.field_names()]
-                  + [f"adj_def_{c}" for c in FourFactors.field_names()]
-                  + [f"avg_off_{c}" for c in FourFactors.field_names()]
-                  + [f"avg_def_{c}" for c in FourFactors.field_names()])
-
-
-def _snapshot_row(snap: TeamSnapshot) -> list[object]:
-    vals: list[object] = [snap.adj_oe, snap.adj_de]
-    for prefix in ("adj_off", "adj_def", "avg_off", "avg_def"):
-        block = getattr(snap, f"{prefix}_factors")
-        vals.extend(getattr(block, c) for c in FourFactors.field_names())
-    return vals
-
-
 def cmd_adjust(cfg: RunConfig) -> None:
     store = _load_store(cfg)
     runs = _runs(cfg, store)
     out = _out_dir(cfg)
-    header = ["season", "team", "games_played"] + _SNAPSHOT_COLS
+    header = ["season", "team", "games_played"] + list(STATE_KEYS)
     rows = []
     for season in sorted(runs):
         final = runs[season].final
         for team in sorted(final):
             snap = final[team]
-            rows.append([season, team, snap.games_played] + _snapshot_row(snap))
+            rows.append([season, team, snap.games_played]
+                        + team_row(snap)[:len(STATE_KEYS)].tolist())
     path = out / "snapshots.csv"
     _write_csv(path, cfg, header, rows)
     _say(path, f"{len(rows)} team-season snapshots")
@@ -394,12 +381,11 @@ def cmd_features(cfg: RunConfig) -> None:
     header = (["date", "season", "team_first", "team_second", "location", "label"]
               + list(feature_names(scheme)))
     rows = []
-    for g in store.all_games():
-        snap_a, snap_b = runs[g.season].pre_match[(g.date, g.team_a, g.team_b)]
-        inst = encode_match(g, snap_a, snap_b, scheme)
-        rows.append([inst.date.isoformat(), inst.season, inst.team_first,
-                     inst.team_second, inst.location.value, inst.label.value]
-                    + list(inst.features))
+    for season in store.seasons:
+        for inst in encode_season(runs[season], scheme):
+            rows.append([inst.date.isoformat(), inst.season, inst.team_first,
+                         inst.team_second, inst.location.value, inst.label.value]
+                        + list(inst.features))
     path = out / "features.csv"
     _write_csv(path, cfg, header, rows)
     _say(path, f"{len(rows)} instances, scheme {scheme.value}")
@@ -437,8 +423,11 @@ def cmd_predict(cfg: RunConfig) -> None:
                 f"team {team!r} not in season {test_season} of {cfg.data}")
     runs = _runs(cfg, store, through=test_season)
     run = runs[test_season]
-    date = (dt.date.fromisoformat(cfg.date) if cfg.date
-            else max(g.date for g in store.games(test_season)) + dt.timedelta(days=1))
+    last = max(g.date for g in store.games(test_season))
+    if not cfg.date and last == dt.date.max:
+        raise GameLogError(f"season {test_season} of {cfg.data} ends on {last}, "
+                           "the last date there is; give --date")
+    date = dt.date.fromisoformat(cfg.date) if cfg.date else last + dt.timedelta(days=1)
     snap_a = run.snapshot_at(cfg.team_first, date)
     snap_b = run.snapshot_at(cfg.team_second, date)
     location = Site(cfg.location)

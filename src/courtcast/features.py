@@ -2,9 +2,11 @@
 
 Each completed (or hypothetical) match becomes one instance: a game-site
 categorical, a fixed-order numeric vector drawn from both teams' pre-match
-snapshots, and — for completed games — a win/loss label.  Everything is
-stated from the first team's perspective, and the first team is the
-lexicographically smaller id, so every matchup encodes one way only.
+team rows (``adjust.TEAM_ROW``), and — for completed games — a win/loss
+label.  Everything is stated from the first team's perspective, and the
+first team is the lexicographically smaller id, so every matchup encodes
+one way only.  One table gives each scheme's feature names and the team-row
+column, or difference of two columns, that each name reads.
 
 Feature schemes:
 
@@ -28,13 +30,13 @@ from enum import Enum
 
 import numpy as np
 
-from courtcast.adjust import RawMeans, SeasonRun, TeamSnapshot
-from courtcast.ingest import CourtcastError, GameRecord, SeasonStore, season_partition
+from courtcast.adjust import TEAM_ROW, RawMeans, SeasonRun, TeamSnapshot, team_row
+from courtcast.ingest import CourtcastError, SeasonStore, season_partition
 from courtcast.stats import FourFactors, Site, site_for
 
 
 class FeatureError(CourtcastError):
-    """Raised for snapshot/game mismatches or unknown schemes."""
+    """Raised for season runs that do not match the store, or unknown schemes."""
 
 
 class FeatureScheme(str, Enum):
@@ -56,31 +58,65 @@ class Label(str, Enum):
 SITE_ORDER: tuple[Site, Site, Site] = (Site.HOME, Site.AWAY, Site.NEUTRAL)
 
 _FACTORS = FourFactors.field_names()
+_HALVES = tuple(f"{half}_{f}" for half in ("off", "def") for f in _FACTORS)
+
+# Every scheme as its features in order: (name, column read) or (name,
+# column read, column subtracted from it).  A column "a.<key>" or "b.<key>"
+# is the first or second team's TEAM_ROW value.
+_TABLE: dict[FeatureScheme, list[tuple[str, ...]]] = {
+    FeatureScheme.ADJ_EFF:
+        [(f"{t}_{k}", f"{t}.{k}") for t in "ab" for k in ("adj_oe", "adj_de")],
+    FeatureScheme.FOUR_FACTORS:
+        [(f"{t}_{h}", f"{t}.avg_{h}") for t in "ab" for h in _HALVES],
+    FeatureScheme.ADJ_FOUR_FACTORS:
+        [(f"{t}_adj_{h}", f"{t}.adj_{h}") for t in "ab" for h in _HALVES],
+    FeatureScheme.RAW:
+        [(f"{t}_{k}", f"{t}.{k}") for t in "ab" for k in RawMeans.field_names()],
+    FeatureScheme.DIFF_OFF_VS_DEF:
+        [(f"{o}_off_minus_{d}_def_{f}", f"{o}.adj_off_{f}", f"{d}.adj_def_{f}")
+         for o, d in ("ab", "ba") for f in _FACTORS],
+    FeatureScheme.DIFF_LIKE_VS_LIKE:
+        [(f"{half}_diff_{f}", f"a.adj_{half}_{f}", f"b.adj_{half}_{f}")
+         for half in ("off", "def") for f in _FACTORS],
+}
+
+
+def _column(ref: str) -> int:
+    """Index of column ``ref`` in a pairing's two team rows laid end to end."""
+    team, key = ref.split(".")
+    return "ab".index(team) * len(TEAM_ROW) + TEAM_ROW.index(key)
+
+
+# A scheme's feature names, the column each feature reads, and the column
+# each subtracts (None for a scheme of no differences).
+_Layout = tuple[tuple[str, ...], np.ndarray, "np.ndarray | None"]
+
+
+def _compile(feats: list[tuple[str, ...]]) -> _Layout:
+    cols = np.array([[_column(ref) for ref in feat[1:]] for feat in feats]).T
+    return tuple(feat[0] for feat in feats), cols[0], cols[1] if len(cols) == 2 else None
+
+
+_SCHEMES = {scheme: _compile(feats) for scheme, feats in _TABLE.items()}
+
+
+def _scheme(scheme: FeatureScheme) -> _Layout:
+    if not isinstance(scheme, FeatureScheme):
+        raise FeatureError(f"unknown scheme {scheme!r}")
+    return _SCHEMES[scheme]
 
 
 def feature_names(scheme: FeatureScheme) -> tuple[str, ...]:
     """The exact ordered feature-name list for a scheme."""
-    if scheme is FeatureScheme.ADJ_EFF:
-        return ("a_adj_oe", "a_adj_de", "b_adj_oe", "b_adj_de")
-    if scheme is FeatureScheme.FOUR_FACTORS:
-        return tuple(f"{side}_{kind}_{f}" for side in "ab"
-                     for kind in ("off", "def") for f in _FACTORS)
-    if scheme is FeatureScheme.ADJ_FOUR_FACTORS:
-        return tuple(f"{side}_adj_{kind}_{f}" for side in "ab"
-                     for kind in ("off", "def") for f in _FACTORS)
-    if scheme is FeatureScheme.RAW:
-        return tuple(f"{side}_{f}" for side in "ab" for f in RawMeans.field_names())
-    if scheme is FeatureScheme.DIFF_OFF_VS_DEF:
-        return (tuple(f"a_off_minus_b_def_{f}" for f in _FACTORS)
-                + tuple(f"b_off_minus_a_def_{f}" for f in _FACTORS))
-    if scheme is FeatureScheme.DIFF_LIKE_VS_LIKE:
-        return (tuple(f"off_diff_{f}" for f in _FACTORS)
-                + tuple(f"def_diff_{f}" for f in _FACTORS))
-    raise FeatureError(f"unknown scheme {scheme!r}")
+    return _scheme(scheme)[0]
 
 
-def _factor_block(ff: FourFactors) -> list[float]:
-    return [getattr(ff, f) for f in _FACTORS]
+def _encode(pairs: np.ndarray, scheme: FeatureScheme) -> np.ndarray:
+    """``(m, d)`` features of ``m`` pairings.  Row ``i`` of ``pairs`` is the
+    first team's ``TEAM_ROW`` values followed by the second team's."""
+    _, reads, minus = _scheme(scheme)
+    X = pairs.take(reads, axis=1)
+    return X if minus is None else X - pairs.take(minus, axis=1)
 
 
 def encode_pairing(first: TeamSnapshot, second: TeamSnapshot,
@@ -89,31 +125,7 @@ def encode_pairing(first: TeamSnapshot, second: TeamSnapshot,
 
     Site is not part of the vector; it travels as a separate categorical.
     """
-    a, b = first, second
-    if scheme is FeatureScheme.ADJ_EFF:
-        vals = [a.adj_oe, a.adj_de, b.adj_oe, b.adj_de]
-    elif scheme is FeatureScheme.FOUR_FACTORS:
-        vals = (_factor_block(a.avg_off_factors) + _factor_block(a.avg_def_factors)
-                + _factor_block(b.avg_off_factors) + _factor_block(b.avg_def_factors))
-    elif scheme is FeatureScheme.ADJ_FOUR_FACTORS:
-        vals = (_factor_block(a.adj_off_factors) + _factor_block(a.adj_def_factors)
-                + _factor_block(b.adj_off_factors) + _factor_block(b.adj_def_factors))
-    elif scheme is FeatureScheme.RAW:
-        vals = ([getattr(a.raw_means, f) for f in RawMeans.field_names()]
-                + [getattr(b.raw_means, f) for f in RawMeans.field_names()])
-    elif scheme is FeatureScheme.DIFF_OFF_VS_DEF:
-        vals = ([ao - bd for ao, bd in zip(_factor_block(a.adj_off_factors),
-                                           _factor_block(b.adj_def_factors))]
-                + [bo - ad for bo, ad in zip(_factor_block(b.adj_off_factors),
-                                             _factor_block(a.adj_def_factors))])
-    elif scheme is FeatureScheme.DIFF_LIKE_VS_LIKE:
-        vals = ([ao - bo for ao, bo in zip(_factor_block(a.adj_off_factors),
-                                           _factor_block(b.adj_off_factors))]
-                + [ad - bd for ad, bd in zip(_factor_block(a.adj_def_factors),
-                                             _factor_block(b.adj_def_factors))])
-    else:
-        raise FeatureError(f"unknown scheme {scheme!r}")
-    return np.asarray(vals, dtype=float)
+    return _encode(np.concatenate([team_row(first), team_row(second)])[None], scheme)[0]
 
 
 @dataclass(frozen=True)
@@ -144,42 +156,15 @@ class MatchInstance:
                      self.team_first, self.team_second))
 
 
-def encode_match(game: GameRecord, snap_a: TeamSnapshot, snap_b: TeamSnapshot,
-                 scheme: FeatureScheme, *, first_team: str | None = None) -> MatchInstance:
-    """Encode a completed game, defaulting to canonical (team_a-first) order.
-
-    The snapshots must be both teams' pre-match snapshots for the game's
-    date; a mismatch is rejected rather than silently encoding stale or
-    future information.
-    """
-    for snap, team in ((snap_a, game.team_a), (snap_b, game.team_b)):
-        if snap.team != team:
-            raise FeatureError(
-                f"snapshot for {snap.team!r} paired with game team {team!r}")
-        if snap.date != game.date:
-            raise FeatureError(
-                f"snapshot for {snap.team} dated {snap.date}, game is {game.date}")
-        if snap.season != game.season:
-            raise FeatureError(
-                f"snapshot season {snap.season} != game season {game.season}")
-
-    if first_team is None or first_team == game.team_a:
-        first, second = (game.team_a, snap_a), (game.team_b, snap_b)
-        first_is_a = True
-    elif first_team == game.team_b:
-        first, second = (game.team_b, snap_b), (game.team_a, snap_a)
-        first_is_a = False
-    else:
-        raise FeatureError(f"{first_team!r} is not in this game")
-
-    return MatchInstance(
-        scheme=scheme,
-        location=site_for(game.location, is_team_a=first_is_a),
-        features=encode_pairing(first[1], second[1], scheme),
-        label=Label.WIN if game.winner() == first[0] else Label.LOSS,
-        date=game.date, season=game.season,
-        team_first=first[0], team_second=second[0],
-    )
+def encode_season(run: SeasonRun, scheme: FeatureScheme) -> list[MatchInstance]:
+    """Every game of a season run as a labeled instance, team_a first, in the
+    run's game order, encoded from the run's pre-match rows."""
+    X = _encode(run.pre_rows.reshape(len(run.games), 2 * len(TEAM_ROW)), scheme)
+    return [MatchInstance(
+        scheme=scheme, location=site_for(g.location, is_team_a=True), features=x,
+        label=Label.WIN if g.winner() == g.team_a else Label.LOSS,
+        date=g.date, season=g.season, team_first=g.team_a, team_second=g.team_b)
+        for g, x in zip(run.games, X)]
 
 
 def build_dataset(store: SeasonStore, runs: dict[int, SeasonRun],
@@ -190,19 +175,18 @@ def build_dataset(store: SeasonStore, runs: dict[int, SeasonRun],
     Training instances come from all seasons before the test season; counts
     match the game counts of each partition exactly.
     """
-    train_games, test_games = season_partition(store, test_season)
-    out: list[list[MatchInstance]] = [[], []]
-    for part, games in enumerate((train_games, test_games)):
-        for g in games:
-            run = runs.get(g.season)
-            if run is None:
-                raise FeatureError(f"no season run for {g.season}")
-            snaps = run.pre_match.get((g.date, g.team_a, g.team_b))
-            if snaps is None:
-                raise FeatureError(
-                    f"missing pre-match snapshot for {g.team_a} vs {g.team_b} on {g.date}")
-            out[part].append(encode_match(g, snaps[0], snaps[1], scheme))
-    return out[0], out[1]
+    season_partition(store, test_season)     # rejects a split with no train or test games
+    out: tuple[list[MatchInstance], list[MatchInstance]] = ([], [])
+    for season in store.seasons:
+        if season > test_season:
+            break
+        run = runs.get(season)
+        if run is None:
+            raise FeatureError(f"no season run for {season}")
+        if run.games != store.games(season):
+            raise FeatureError(f"the season run for {season} is not of this store's games")
+        out[season == test_season].extend(encode_season(run, scheme))
+    return out
 
 
 def to_arrays(instances: list[MatchInstance]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ class GameLogError(CourtcastError):
     """Raised for malformed or inconsistent game-log input.
 
     Carries the offending file, line number, and field so callers can point
-    at the exact cell that failed validation.
+    at the exact cell that failed validation; ``detail`` is the bare message.
     """
 
     def __init__(self, message: str, *, path: str | None = None,
@@ -46,6 +46,7 @@ class GameLogError(CourtcastError):
         self.path = path
         self.line = line
         self.field = field
+        self.detail = message
         prefix = ""
         if path is not None:
             prefix = f"{path}:{line}: " if line is not None else f"{path}: "
@@ -254,7 +255,7 @@ def _parse_row(row: dict[str, str], path: str, line: int) -> GameRecord:
         try:
             box.validate()
         except GameLogError as e:
-            raise GameLogError(str(e), path=path, line=line, field=e.field) from None
+            raise GameLogError(e.detail, path=path, line=line, field=e.field) from None
         boxes.append(box)
 
     if boxes[0].points == boxes[1].points:

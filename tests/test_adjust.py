@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import datetime as dt
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -178,6 +180,25 @@ class TestRunSeasonBasics:
         for (date, a, b), (snap_a, snap_b) in run.pre_match.items():
             assert run.snapshot_at(a, date) == snap_a
             assert run.snapshot_at(b, date) == snap_b
+
+    def test_run_freed_without_cyclic_collector(self, two_season_store):
+        # A run in a reference cycle lingers until the cyclic collector runs,
+        # so the memory a caller's process peaks at would hang on its history.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            runs = run_seasons(two_season_store, AveragingScheme.ALPHA,
+                               Seeding.PRIOR_SEASON)
+            for run in runs.values():
+                for key in run.pre_match:
+                    run.pre_match[key]
+                run.series, run.snapshot_at("ghosts", dt.date(2012, 3, 1))
+            refs = [weakref.ref(run) for run in runs.values()]
+            del runs, run
+            assert [r() for r in refs] == [None] * len(refs)
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_national_average_day_one_is_baseline(self, two_season_store):
         run = run_season(two_season_store, 2010, AveragingScheme.EXPLICIT,

@@ -100,6 +100,18 @@ class TestBadFiles:
         assert stats == adjust
         assert stats[0] == 2 and "aa vs bb on 2021-11-01" in stats[1]
 
+    def test_predict_after_a_season_that_ends_on_the_last_date(self, tmp_path):
+        log = tmp_path / "late.csv"
+        boxes = "20,50,5,10,15,10,20,8,5,3,55,18,48,4,8,12,9,21,10,4,2,48"
+        log.write_text(",".join(HEADER) + f"\n2021-11-01,2021,aa,bb,neutral,{boxes}\n"
+                       f"9999-12-31,2021,aa,bb,neutral,{boxes}\n")
+        matchup = ["--kind", "pythag", "--team-first", "aa", "--team-second", "bb",
+                   "--data", log, "--out", tmp_path / "o"]
+        code, err = main("predict", *matchup)
+        assert code == 2, err
+        assert "9999-12-31" in err and "--date" in err
+        assert main("predict", *matchup, "--date", "9999-12-31")[0] == 0
+
 
 def first_split(node: dict) -> dict | None:
     """The first numeric split in a tree document, depth first."""

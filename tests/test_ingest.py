@@ -75,8 +75,11 @@ class TestValidation:
 
     def test_points_inconsistency_rejected(self, tmp_path):
         path = write_log(tmp_path, [game_row(ptsa="99")])
-        with pytest.raises(GameLogError, match="points"):
+        with pytest.raises(GameLogError) as exc:
             parse_game_log(path)
+        assert str(exc.value) == (
+            f"{path}:2: field 'points': stated points 99 do not match the box "
+            "(2*(fgm-fgm3) + 3*fgm3 + ft = 67)")
 
     def test_made_exceeding_attempted_rejected(self):
         with pytest.raises(GameLogError, match="fgm3"):

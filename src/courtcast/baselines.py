@@ -14,9 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from courtcast.adjust import TeamSnapshot
-from courtcast.features import FeatureScheme, Label, MatchInstance, encode_pairing
+from courtcast.features import SITE_ORDER, encode_pairings
 from courtcast.ingest import CourtcastError, GameRecord
+from courtcast.models import p_win
 from courtcast.stats import Site
 
 
@@ -119,9 +122,10 @@ def rpi(team: str, games: Sequence[GameRecord]) -> float:
 # ---------------------------------------------------------------------------
 # Ranking by hypothetical round robin
 
-# A pair predictor maps (first, second) snapshots to p(first wins) at a
+# A pair predictor maps the teams' snapshots and two index arrays, first and
+# second, to p(first wins) of each pairing (first[k], second[k]) at a
 # neutral site, with first the lexicographically smaller team.
-PairPredictor = Callable[[TeamSnapshot, TeamSnapshot], float]
+PairPredictor = Callable[[Sequence[TeamSnapshot], np.ndarray, np.ndarray], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -141,20 +145,17 @@ class Ranking:
 
 
 def pythag_predictor(params: PythagParams = PythagParams()) -> PairPredictor:
-    return lambda a, b: pythag_pair_prob(a, b, params)
+    return lambda snaps, first, second: [
+        pythag_pair_prob(snaps[i], snaps[j], params) for i, j in zip(first, second)]
 
 
 def model_predictor(model) -> PairPredictor:
-    """Adapt a trained classifier to hypothetical neutral-site pairings."""
-    from courtcast.models import predict
-
-    def prob(first: TeamSnapshot, second: TeamSnapshot) -> float:
-        inst = MatchInstance(
-            scheme=FeatureScheme(model.scheme), location=Site.NEUTRAL,
-            features=encode_pairing(first, second, model.scheme),
-            label=None, date=first.date, season=first.season,
-            team_first=first.team, team_second=second.team)
-        return predict(model, inst)[1]
+    """Adapt a trained classifier to hypothetical neutral-site pairings,
+    encoded and scored in one batch."""
+    def prob(snaps: Sequence[TeamSnapshot], first: np.ndarray,
+             second: np.ndarray) -> np.ndarray:
+        X = encode_pairings(snaps, first, second, model.scheme)
+        return p_win(model, X, np.full(len(X), SITE_ORDER.index(Site.NEUTRAL)))
 
     return prob
 
@@ -164,8 +165,9 @@ def round_robin_rank(predictor: PairPredictor,
     """Rank teams by predicted wins over every hypothetical pairing.
 
     Each unordered pair is predicted exactly once, at a neutral site, in
-    canonical orientation (smaller team id first).  Ties in predicted wins
-    break by mean win probability, then by team id.
+    canonical orientation (smaller team id first), all in one predictor
+    call.  Ties in predicted wins break by mean win probability, then by
+    team id.
     """
     snaps = sorted(snapshots, key=lambda s: s.team)
     if len(snaps) < 2:
@@ -174,27 +176,26 @@ def round_robin_rank(predictor: PairPredictor,
     if len(set(names)) != len(names):
         raise BaselineError("duplicate team in snapshot set")
 
-    wins = {t: 0 for t in names}
-    prob_sum = {t: 0.0 for t in names}
-    for i in range(len(snaps)):
-        for j in range(i + 1, len(snaps)):
-            first, second = snaps[i], snaps[j]
-            p = predictor(first, second)
-            if not 0.0 <= p <= 1.0:
-                raise BaselineError(f"predictor returned invalid probability {p}")
-            prob_sum[first.team] += p
-            prob_sum[second.team] += 1.0 - p
-            if p > 0.5:
-                wins[first.team] += 1
-            elif p < 0.5:
-                wins[second.team] += 1
-            else:  # exactly 0.5 at a neutral site: first team takes it
-                wins[first.team] += 1
+    first, second = np.triu_indices(len(snaps), k=1)    # every i < j, i-major
+    probs = np.asarray(predictor(snaps, first, second), dtype=float)
+    if probs.shape != first.shape:
+        raise BaselineError(f"predictor returned an array of shape {probs.shape} "
+                            f"for {len(first)} pairings")
+    wins = [0] * len(snaps)
+    prob_sum = [0.0] * len(snaps)
+    for i, j, p in zip(first.tolist(), second.tolist(), probs.tolist()):
+        if not 0.0 <= p <= 1.0:
+            raise BaselineError(f"predictor returned invalid probability {p}")
+        prob_sum[i] += p
+        prob_sum[j] += 1.0 - p
+        # exactly 0.5 at a neutral site: first team takes it
+        wins[i if p >= 0.5 else j] += 1
 
     n_pairings = len(snaps) - 1
-    order = sorted(names, key=lambda t: (-wins[t], -prob_sum[t] / n_pairings, t))
+    order = sorted(range(len(snaps)),
+                   key=lambda t: (-wins[t], -prob_sum[t] / n_pairings, names[t]))
     entries = tuple(
-        RankEntry(rank=i + 1, team=t, score=float(wins[t]),
+        RankEntry(rank=rank, team=names[t], score=float(wins[t]),
                   mean_p=prob_sum[t] / n_pairings)
-        for i, t in enumerate(order))
+        for rank, t in enumerate(order, start=1))
     return Ranking(entries=entries)

@@ -28,9 +28,9 @@ from courtcast.adjust import (
     run_seasons,
 )
 from courtcast.baselines import HOME_WINS_P, PythagParams, pythag_pair_prob
-from courtcast.features import FeatureScheme, Label, MatchInstance, build_dataset
+from courtcast.features import FeatureScheme, Label, MatchInstance, build_dataset, to_arrays
 from courtcast.ingest import CourtcastError, SeasonStore
-from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, predict, resolve_label, train
+from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, p_win, resolve_label, train
 from courtcast.models.base import POSITIVE, resolve_hyper
 from courtcast.stats import Site
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
@@ -206,7 +206,10 @@ def _evaluate_cell(runs: dict[int, SeasonRun],
     resolved = check_hyper(kind, hyper)
     if isinstance(kind, ModelKind):
         model = train(train_set, kind, hyper=dict(hyper) if hyper else None, seed=seed)
-        predict_fn: PredictFn = lambda inst: predict(model, inst)
+        X, site, _ = to_arrays(test_set)
+        probs = dict(zip(map(id, test_set), p_win(model, X, site).tolist()))
+        predict_fn: PredictFn = lambda inst: (
+            resolve_label(probs[id(inst)], inst.location), probs[id(inst)])
     else:
         predict_fn = _baseline_predict_fn(kind, resolved, runs[test_season])
 
@@ -263,12 +266,6 @@ class CeilingReport:
     test_season: int
     cells: tuple[CeilingCell, ...]
     config: dict[str, object]
-
-    def cell(self, kind: str, scheme: str) -> CeilingCell:
-        for c in self.cells:
-            if c.kind == str(kind) and c.scheme == str(scheme):
-                return c
-        raise KeyError((kind, scheme))
 
     def as_dict(self) -> dict:
         return {

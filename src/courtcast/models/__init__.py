@@ -1,12 +1,22 @@
 """Uniform train/predict contract over the four classifier kinds.
 
     model = train(instances, ModelKind.MLP, hyper={"epochs": 100}, seed=7)
-    label, p_win = predict(model, instance)
+    probs = p_win(model, X, site)          # one p(win) per row of X
+    label, p = predict(model, instance)    # the same, for one instance
 
-Every kind is a numpy submodule with a ``HYPER`` table, ``fit``,
-``predict_p_win`` and an ``encode_params``/``decode_params`` pair; see them
-for the algorithms.  ``save_model``/``load_model`` round-trip a model
-through a versioned JSON text file byte-identically.
+Every kind is a numpy submodule with a ``HYPER`` table (name -> default and
+allowed values) and four functions; see them for the algorithms:
+
+* ``fit(X, site, y, hp, seed) -> params`` trains on checked, stacked data;
+* ``p_win(params, X, site) -> (m,) array`` scores ``m`` rows of features
+  and site codes (``SITE_ORDER`` indices) for the first team;
+* ``encode_params(params)`` gives the JSON value ``save_model`` writes, and
+  ``decode_params(doc, n_features)`` reads it back, raising
+  :class:`ModelError` for anything ``p_win`` could not walk safely.
+
+Only this module checks inputs and outputs: feature names, finiteness, and
+that every probability lies in [0, 1].  ``save_model``/``load_model``
+round-trip a model through a versioned JSON text file byte-identically.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from courtcast.features import FeatureScheme, Label, MatchInstance, feature_names
+from courtcast.features import SITE_ORDER, FeatureScheme, Label, MatchInstance, feature_names
 from courtcast.models import forest, mlp, naive_bayes, tree
 from courtcast.models.base import (
     ModelError,
@@ -29,8 +39,6 @@ from courtcast.models.base import (
 )
 from courtcast.models.base import save_model as _save
 from courtcast.models.mlp import gradient_check
-from courtcast.models.forest import tree_votes
-from courtcast.models.tree import internal_node_sizes
 
 _IMPL = {
     ModelKind.NAIVE_BAYES_KDE: naive_bayes,
@@ -42,10 +50,6 @@ _IMPL = {
 
 #: Each model kind's hyperparameters: name -> (default, allowed values).
 HYPERPARAMETERS = {kind: impl.HYPER for kind, impl in _IMPL.items()}
-
-
-def default_hyper(kind: ModelKind) -> dict[str, Any]:
-    return resolve_hyper(HYPERPARAMETERS[kind], None, kind)
 
 
 def train(instances: list[MatchInstance], kind: ModelKind,
@@ -61,12 +65,34 @@ def train(instances: list[MatchInstance], kind: ModelKind,
         hyper=hp, params=_IMPL[kind].fit(X, site, y, hp, seed))
 
 
+def p_win(model: TrainedModel, X: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """p(first team wins) for each row of ``X``, whose columns are the
+    model's features, at the sites ``site`` (``SITE_ORDER`` codes)."""
+    X, site = np.asarray(X, dtype=float), np.asarray(site)
+    if X.ndim != 2 or X.shape[1] != len(model.feature_names) or site.shape != X.shape[:1]:
+        raise ModelError(f"predict input of shape {X.shape} with {site.shape} sites "
+                         f"does not fit {len(model.feature_names)} features")
+    if not np.all(np.isin(site, (0, 1, 2))):
+        raise ModelError("site codes must be 0, 1 or 2")
+    if not np.all(np.isfinite(X)):
+        raise ModelError("non-finite feature value in predict input")
+    p = _IMPL[model.kind].p_win(model.params, X, site.astype(np.intp))
+    bad = np.flatnonzero(~((0.0 <= p) & (p <= 1.0)))
+    if bad.size:
+        raise ModelError(f"model produced invalid probability {p[bad[0]]}")
+    return p
+
+
 def predict(model: TrainedModel, instance: MatchInstance) -> tuple[Label, float]:
-    """(label, p_win) for the instance's first team."""
-    p_win = _IMPL[model.kind].predict_p_win(model, instance)
-    if not 0.0 <= p_win <= 1.0:
-        raise ModelError(f"model produced invalid probability {p_win}")
-    return resolve_label(p_win, instance.location), p_win
+    """(label, p_win) for the instance's first team: a one-row :func:`p_win`."""
+    names = feature_names(instance.scheme)
+    if names != model.feature_names:
+        raise ModelError(
+            f"feature names do not match: model was trained on "
+            f"{model.feature_names}, instance carries {names}")
+    p = float(p_win(model, [instance.features],
+                    [SITE_ORDER.index(instance.location)])[0])
+    return resolve_label(p, instance.location), p
 
 
 def save_model(model: TrainedModel, path: str | Path) -> None:
@@ -95,8 +121,8 @@ def load_model(path: str | Path) -> TrainedModel:
 
 __all__ = [
     "ModelError", "ModelKind", "TrainedModel",
-    "train", "predict", "default_hyper", "HYPERPARAMETERS",
+    "train", "p_win", "predict", "HYPERPARAMETERS",
     "save_model", "load_model",
-    "gradient_check", "tree_votes", "internal_node_sizes",
+    "gradient_check",
     "resolve_label",
 ]

@@ -19,14 +19,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from courtcast.features import (
-    SITE_ORDER,
-    FeatureScheme,
-    Label,
-    MatchInstance,
-    feature_names,
-    to_arrays,
-)
+from courtcast.features import FeatureScheme, Label, MatchInstance, to_arrays
 from courtcast.ingest import CourtcastError
 from courtcast.stats import Site
 
@@ -48,7 +41,7 @@ class TrainedModel:
 
     ``class_counts`` records the training class balance (the prior
     information several kinds use); ``params`` is kind-specific and opaque
-    to everything except the kind's own predict/serialize routines.
+    to everything except the kind's own ``p_win`` and codec.
     """
 
     kind: ModelKind
@@ -86,18 +79,6 @@ def check_training_data(instances: list[MatchInstance]) -> tuple[np.ndarray, np.
             f"training data must contain both classes, got only "
             f"{'wins' if classes == {1} else 'losses'}")
     return X, site, y, scheme
-
-
-def check_predict_input(model: TrainedModel, instance: MatchInstance) -> tuple[np.ndarray, int]:
-    names = feature_names(instance.scheme)
-    if names != model.feature_names:
-        raise ModelError(
-            f"feature names do not match: model was trained on "
-            f"{model.feature_names}, instance carries {names}")
-    x = np.asarray(instance.features, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ModelError("non-finite feature value in predict input")
-    return x, SITE_ORDER.index(instance.location)
 
 
 class Range(NamedTuple):
@@ -150,7 +131,7 @@ def resolve_hyper(spec: dict[str, tuple[Any, Range]], hyper: dict[str, Any] | No
 # repr (shortest round-trip), so save -> load -> save is byte-identical.
 
 FORMAT_NAME = "courtcast-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_model(model: TrainedModel, path: str | Path,

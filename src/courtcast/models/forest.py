@@ -8,7 +8,7 @@ spawned streams, so a seed pins the whole ensemble.
 
 The forest's win probability is simply the fraction of trees voting win,
 which makes the majority-vote label and the probability consistent by
-construction; per-tree votes are exposed for auditing.
+construction.
 """
 
 from __future__ import annotations
@@ -17,16 +17,11 @@ import math
 
 import numpy as np
 
-from courtcast.features import Label, MatchInstance
-from courtcast.models.base import (
-    ModelError,
-    ModelKind,
-    Range,
-    TrainedModel,
-    check_predict_input,
-    resolve_label,
-)
-from courtcast.models.tree import Node, decode_node, encode_node, grow_tree, tree_p_win
+from courtcast.features import SITE_ORDER
+from courtcast.models import tree
+from courtcast.models.base import ModelError, Range
+from courtcast.models.tree import Tree, grow_tree
+from courtcast.stats import Site
 
 HYPER = {  # name -> (default, allowed values)
     "n_trees": (20, Range(int, 1, 10_000)),
@@ -34,12 +29,14 @@ HYPER = {  # name -> (default, allowed values)
     "candidate_features": (None, Range(int, 1)),
 }
 
+_AWAY = SITE_ORDER.index(Site.AWAY)
 
-def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> list[Node]:
+
+def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> list[Tree]:
     d = X.shape[1] + 1
     k = hp["candidate_features"] or math.ceil(math.sqrt(d))
     n = len(y)
-    trees: list[Node] = []
+    trees: list[Tree] = []
     for ss in np.random.SeedSequence(seed).spawn(hp["n_trees"]):
         rng = np.random.default_rng(ss)
         rows = rng.integers(0, n, size=n)
@@ -50,25 +47,22 @@ def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> 
     return trees
 
 
-def tree_votes(model: TrainedModel, instance: MatchInstance) -> list[Label]:
-    """Each tree's own vote, applying the tie rule inside each tree."""
-    if model.kind is not ModelKind.RANDOM_FOREST:
-        raise ModelError("tree_votes applies to random forests only")
-    x, site_code = check_predict_input(model, instance)
-    return [resolve_label(tree_p_win(t, x, site_code), instance.location)
-            for t in model.params]
+def p_win(trees: list[Tree], X: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """Fraction of trees voting win; each tree's vote applies the tie rule
+    (exactly 0.5 goes to the home or, at a neutral site, the first team).
+    Trees are walked one at a time, so temporaries stay one tree by rows."""
+    votes = np.zeros(len(X), dtype=int)
+    for t in trees:
+        p = tree.p_win(t, X, site)
+        votes += (p > 0.5) | (p == 0.5) & (site != _AWAY)
+    return votes / len(trees)
 
 
-def predict_p_win(model: TrainedModel, instance: MatchInstance) -> float:
-    votes = tree_votes(model, instance)
-    return sum(v is Label.WIN for v in votes) / len(votes)
+def encode_params(trees: list[Tree]) -> list[dict]:
+    return [tree.encode_params(t) for t in trees]
 
 
-def encode_params(trees: list[Node]) -> list[dict]:
-    return [encode_node(t) for t in trees]
-
-
-def decode_params(doc: list[dict], n_features: int) -> list[Node]:
+def decode_params(doc: list[dict], n_features: int) -> list[Tree]:
     if not doc:
         raise ModelError("a forest needs at least one tree")
-    return [decode_node(t, n_features) for t in doc]
+    return [tree.decode_params(t, n_features) for t in doc]

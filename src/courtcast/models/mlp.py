@@ -20,14 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from courtcast.features import Label, MatchInstance
+from courtcast.features import SITE_ORDER, Label, MatchInstance
 from courtcast.models.base import (
     ModelError,
     ModelKind,
     POSITIVE,
     Range,
     TrainedModel,
-    check_predict_input,
 )
 
 HYPER = {  # name -> (default, allowed values)
@@ -126,15 +125,9 @@ def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> 
     return p
 
 
-def _instance_input(model: TrainedModel, instance: MatchInstance) -> np.ndarray:
-    x, site_code = check_predict_input(model, instance)
-    p: MlpParams = model.params
-    return _inputs(x[None, :], np.array([site_code]), p.mins, p.ranges)[0]
-
-
-def predict_p_win(model: TrainedModel, instance: MatchInstance) -> float:
-    _, out = _forward(model.params, _instance_input(model, instance))
-    return out
+def p_win(p: MlpParams, X: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """The network's output for each row, one forward pass per row."""
+    return np.array([_forward(p, x)[1] for x in _inputs(X, site, p.mins, p.ranges)])
 
 
 def gradient_check(model: TrainedModel, instance: MatchInstance,
@@ -149,7 +142,10 @@ def gradient_check(model: TrainedModel, instance: MatchInstance,
     if model.kind is not ModelKind.MLP:
         raise ModelError("gradient_check applies to MLP models only")
     p: MlpParams = model.params
-    x = _instance_input(model, instance)
+    x = np.asarray(instance.features, dtype=float)
+    if x.shape != p.mins.shape or not np.all(np.isfinite(x)):
+        raise ModelError(f"gradient_check needs {len(p.mins)} finite feature values")
+    x = _inputs(x[None], np.array([SITE_ORDER.index(instance.location)]), p.mins, p.ranges)[0]
     target = 1.0 if instance.label is None else float(instance.label is Label.WIN)
 
     g_W1, g_b1, g_w2, g_b2 = _gradients(p, x, target)

@@ -19,13 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from courtcast.features import MatchInstance
-from courtcast.models.base import (
-    ModelError,
-    POSITIVE,
-    TrainedModel,
-    check_predict_input,
-)
+from courtcast.models.base import POSITIVE, ModelError
 
 HYPER = {  # name -> (default, allowed values)
     # None -> per-feature-per-class data-driven bandwidth; a float forces
@@ -86,19 +80,22 @@ def _log_kde(x: np.ndarray, pts: np.ndarray, h: np.ndarray) -> float:
     return float(np.sum(log_density))
 
 
-def predict_p_win(model: TrainedModel, instance: MatchInstance) -> float:
-    x, site_code = check_predict_input(model, instance)
-    p: KdeParams = model.params
-    log_post = []
-    for cls in (0, 1):
-        ll = p.log_priors[cls] + _log_kde(x, p.points[cls], p.bandwidths[cls])
-        counts = p.site_counts[cls]
-        ll += math.log((counts[site_code] + 1.0) / (counts.sum() + 3.0))
-        log_post.append(ll)
-    # normalize in log space
-    m = max(log_post)
-    w = [math.exp(v - m) for v in log_post]
-    return w[1] / (w[0] + w[1])
+def p_win(p: KdeParams, X: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """Posterior p(win) of each row, one row at a time: every row evaluates
+    all training points, so a batch would save no work."""
+    out = np.empty(len(X))
+    for row, (x, site_code) in enumerate(zip(X, site)):
+        log_post = []
+        for cls in (0, 1):
+            ll = p.log_priors[cls] + _log_kde(x, p.points[cls], p.bandwidths[cls])
+            counts = p.site_counts[cls]
+            ll += math.log((counts[site_code] + 1.0) / (counts.sum() + 3.0))
+            log_post.append(ll)
+        # normalize in log space
+        m = max(log_post)
+        w = [math.exp(v - m) for v in log_post]
+        out[row] = w[1] / (w[0] + w[1])
+    return out
 
 
 def encode_params(p: KdeParams) -> dict:

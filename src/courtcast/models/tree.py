@@ -16,58 +16,45 @@ the threshold, and no split can shave off a handful of noisy rows.
 The same grower serves the random forest, which disables pruning
 (``min_branch=1``) and restricts each node to a random subset of candidate
 features.
+
+A grown tree is one table of node arrays (:class:`Tree`), root first, in
+preorder, so every child index is greater than its parent's.  Node ``i``
+splits on column ``feature[i]`` (a row goes to ``children[i, 0]`` if its
+value is ``<= threshold[i]``, else to ``children[i, 1]``), or on the site
+(``SITE_FEATURE``; ``children[i]`` is indexed by site code), or is a leaf
+(``LEAF``) whose p(win) is ``wins[i] / n[i]``.  ``n`` and ``wins`` count the
+training rows that reached each node.  ``p_win`` walks all rows down the
+table at once, and the same arrays are what ``model.json`` stores, as flat
+lists; ``children`` there lists only the slots each node uses.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from courtcast.features import MatchInstance
-from courtcast.models.base import (
-    ModelError,
-    Range,
-    TrainedModel,
-    check_predict_input,
-)
+from courtcast.models.base import ModelError, Range
 
 HYPER = {  # name -> (default, allowed values)
     "min_node_fraction": (0.01, Range(float, 0.0, 1.0)),
 }
 
 SITE_FEATURE = -1  # pseudo-index for the categorical site attribute
+LEAF = -2          # the feature code of a leaf
 
 
 @dataclass(frozen=True)
-class Leaf:
-    n: int
-    wins: int
+class Tree:
+    """A grown tree as one node table (see the module docstring).  Child
+    slots a node does not use hold 0; ``threshold`` is 0.0 off numeric splits."""
 
-    @property
-    def p_win(self) -> float:
-        return self.wins / self.n
-
-
-@dataclass(frozen=True)
-class NumericNode:
-    feature: int
-    threshold: float
-    left: "Node"    # feature <= threshold
-    right: "Node"
-    n: int
-
-
-@dataclass(frozen=True)
-class SiteNode:
-    children: tuple["Node", "Node", "Node"]  # indexed by site code
-    n: int
-
-
-Node = Union[Leaf, NumericNode, SiteNode]
+    feature: np.ndarray     # (k,) int
+    threshold: np.ndarray   # (k,) float
+    children: np.ndarray    # (k, 3) int
+    n: np.ndarray           # (k,) int
+    wins: np.ndarray        # (k,) int
 
 
 @dataclass(frozen=True)
@@ -164,7 +151,7 @@ def _select_split(cands: list[_Candidate]) -> _Candidate | None:
 def grow_tree(X: np.ndarray, site: np.ndarray, y: np.ndarray,
               min_rows: int, rng: np.random.Generator | None = None,
               n_candidates: int | None = None,
-              min_branch: int | None = None) -> Node:
+              min_branch: int | None = None) -> Tree:
     """Recursive grower; rng/n_candidates enable forest-style feature sampling.
 
     ``min_branch`` is the per-branch admissibility minimum (defaults to
@@ -173,12 +160,17 @@ def grow_tree(X: np.ndarray, site: np.ndarray, y: np.ndarray,
     d = X.shape[1]
     if min_branch is None:
         min_branch = max(2, min_rows)
+    nodes: list[tuple[int, float, list[int], int, int]] = []
 
-    def build(idx: np.ndarray) -> Node:
+    def add(feature: int, threshold: float, n: int, wins: int) -> int:
+        nodes.append((feature, threshold, [0, 0, 0], n, wins))
+        return len(nodes) - 1
+
+    def build(idx: np.ndarray) -> int:
         n = len(idx)
         wins = int(np.sum(y[idx]))
         if wins == 0 or wins == n or n < max(2, min_rows):
-            return Leaf(n=n, wins=wins)
+            return add(LEAF, 0.0, n, wins)
 
         features = list(range(d)) + [SITE_FEATURE]
         if n_candidates is not None and n_candidates < len(features):
@@ -193,85 +185,88 @@ def grow_tree(X: np.ndarray, site: np.ndarray, y: np.ndarray,
                 cands.append(cand)
         best = _select_split(cands)
         if best is None:
-            return Leaf(n=n, wins=wins)
+            return add(LEAF, 0.0, n, wins)
 
         if best.feature == SITE_FEATURE:
-            children = []
+            node = add(SITE_FEATURE, 0.0, n, wins)
             for code in (0, 1, 2):
                 sub = idx[site[idx] == code]
-                if len(sub) == 0:
-                    children.append(Leaf(n=n, wins=wins))  # fall back to parent stats
-                else:
-                    children.append(build(sub))
-            return SiteNode(children=tuple(children), n=n)
+                # an empty branch falls back to the parent's stats
+                nodes[node][2][code] = add(LEAF, 0.0, n, wins) if len(sub) == 0 else build(sub)
+            return node
 
+        node = add(best.feature, best.threshold, n, wins)
         mask = X[idx, best.feature] <= best.threshold
-        return NumericNode(feature=best.feature, threshold=best.threshold,
-                           left=build(idx[mask]), right=build(idx[~mask]), n=n)
+        nodes[node][2][:2] = build(idx[mask]), build(idx[~mask])
+        return node
 
-    return build(np.arange(len(y)))
-
-
-def tree_p_win(node: Node, x: np.ndarray, site_code: int) -> float:
-    while not isinstance(node, Leaf):
-        if isinstance(node, SiteNode):
-            node = node.children[site_code]
-        else:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.p_win
+    build(np.arange(len(y)))
+    feature, threshold, children, n, wins = zip(*nodes)
+    return Tree(feature=np.array(feature), threshold=np.array(threshold, dtype=float),
+                children=np.array(children), n=np.array(n), wins=np.array(wins))
 
 
-def internal_node_sizes(node: Node) -> list[int]:
-    """Row counts of every internal (non-leaf) node, for prune auditing."""
-    if isinstance(node, Leaf):
-        return []
-    out = [node.n]
-    children = node.children if isinstance(node, SiteNode) else (node.left, node.right)
-    for child in children:
-        out.extend(internal_node_sizes(child))
-    return out
+def p_win(tree: Tree, X: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """The training win fraction of the leaf each row reaches, all rows at once."""
+    node = np.zeros(len(X), dtype=np.intp)
+    rows = np.arange(len(X))
+    while rows.size:
+        rows = rows[tree.feature[node[rows]] != LEAF]
+        at = node[rows]
+        f = tree.feature[at]
+        right = ~(X[rows, np.maximum(f, 0)] <= tree.threshold[at])
+        node[rows] = tree.children[at, np.where(f == SITE_FEATURE, site[rows], right)]
+    return tree.wins[node] / tree.n[node]
 
 
-def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> Node:
+def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> Tree:
     min_rows = math.ceil(hp["min_node_fraction"] * len(y))
-    root = grow_tree(X, site, y, min_rows=min_rows)
-    return root
+    return grow_tree(X, site, y, min_rows=min_rows)
 
 
-def predict_p_win(model: TrainedModel, instance: MatchInstance) -> float:
-    x, site_code = check_predict_input(model, instance)
-    return tree_p_win(model.params, x, site_code)
+def _used(feature: np.ndarray) -> np.ndarray:
+    """(k, 3) mask of the child slots each node uses: none, three or two."""
+    arity = np.where(feature == LEAF, 0, np.where(feature == SITE_FEATURE, 3, 2))
+    return np.arange(3) < arity[:, None]
 
 
-def encode_node(node: Node) -> dict:
-    if isinstance(node, Leaf):
-        return {"leaf": True, "n": node.n, "wins": node.wins}
-    if isinstance(node, SiteNode):
-        return {"leaf": False, "site": True, "n": node.n,
-                "children": [encode_node(c) for c in node.children]}
-    return {"leaf": False, "site": False, "n": node.n,
-            "feature": node.feature, "threshold": node.threshold,
-            "left": encode_node(node.left), "right": encode_node(node.right)}
+def encode_params(tree: Tree) -> dict:
+    return {"feature": tree.feature.tolist(), "threshold": tree.threshold.tolist(),
+            "children": tree.children[_used(tree.feature)].tolist(),
+            "n": tree.n.tolist(), "wins": tree.wins.tolist()}
 
 
-def decode_node(doc: dict, n_features: int) -> Node:
-    """The node ``encode_node`` wrote, its counts, features and branches checked."""
-    if doc["leaf"]:
-        if not 0 <= doc["wins"] <= doc["n"] or doc["n"] < 1:
-            raise ModelError(f"leaf with {doc['wins']} wins of {doc['n']}")
-        return Leaf(n=doc["n"], wins=doc["wins"])
-    if doc.get("site"):
-        children = tuple(decode_node(c, n_features) for c in doc["children"])
-        if len(children) != 3:
-            raise ModelError(f"site split with {len(children)} branches, not 3")
-        return SiteNode(children=children, n=doc["n"])
-    feature = operator.index(doc["feature"])
-    if not 0 <= feature < n_features:
-        raise ModelError(f"split on feature {feature} of {n_features}")
-    return NumericNode(feature=feature, threshold=float(doc["threshold"]),
-                       left=decode_node(doc["left"], n_features),
-                       right=decode_node(doc["right"], n_features), n=doc["n"])
+def _ints(values, name: str) -> np.ndarray:
+    out = np.asarray(values)
+    if out.ndim != 1 or (out.size and out.dtype.kind != "i"):
+        raise ModelError(f"tree {name} must be a list of integers")
+    return out.astype(np.intp)     # an empty list reads as floats
 
 
-encode_params = encode_node
-decode_params = decode_node
+def decode_params(doc: dict, n_features: int) -> Tree:
+    """The tree ``encode_params`` wrote; every index and count is checked, so
+    that a walk over it stays in the table and ends."""
+    feature, n, wins = (_ints(doc[key], key) for key in ("feature", "n", "wins"))
+    threshold = np.asarray(doc["threshold"], dtype=float)
+    k = len(feature)
+    if k == 0 or any(a.shape != (k,) for a in (threshold, n, wins)):
+        raise ModelError("tree node arrays must be non-empty and of one length")
+    bad = np.flatnonzero((feature < LEAF) | (feature >= n_features))
+    if bad.size:
+        raise ModelError(f"split on feature {feature[bad[0]]} of {n_features}")
+    used = _used(feature)
+    flat = _ints(doc["children"], "children")
+    if flat.shape != (used.sum(),):
+        raise ModelError(f"tree has {len(flat)} child indices, its splits need {used.sum()}")
+    parent = np.nonzero(used)[0]
+    bad = np.flatnonzero((flat <= parent) | (flat >= k))
+    if bad.size:
+        i = bad[0]
+        raise ModelError(f"node {parent[i]} has child {flat[i]}, "
+                         f"not in ({parent[i]}, {k})")
+    bad = np.flatnonzero((feature == LEAF) & ((n < 1) | (wins < 0) | (wins > n)))
+    if bad.size:
+        raise ModelError(f"leaf with {wins[bad[0]]} wins of {n[bad[0]]}")
+    children = np.zeros((k, 3), dtype=np.intp)
+    children[used] = flat
+    return Tree(feature=feature, threshold=threshold, children=children, n=n, wins=wins)

@@ -18,8 +18,10 @@ from courtcast.baselines import (
     round_robin_rank,
     rpi,
 )
+from courtcast.features import MatchInstance, encode_pairing
 from courtcast.ingest import GameRecord, Location
-from courtcast.models import ModelKind, train
+from courtcast.models import ModelKind, predict, train
+from courtcast.stats import Site
 from tests.conftest import BOX_A, BOX_B
 from tests.test_features import make_snap
 
@@ -174,8 +176,8 @@ class TestRoundRobinRank:
     def test_cycle_breaks_by_mean_probability(self):
         table = {("a", "b"): 0.9, ("b", "c"): 0.8, ("a", "c"): 0.1}
 
-        def predictor(first, second):
-            return table[(first.team, second.team)]
+        def predictor(snaps, first, second):
+            return [table[(snaps[i].team, snaps[j].team)] for i, j in zip(first, second)]
 
         snaps = [snap("a", 100.0, 100.0), snap("b", 100.0, 100.0), snap("c", 100.0, 100.0)]
         ranking = round_robin_rank(predictor, snaps)
@@ -190,7 +192,7 @@ class TestRoundRobinRank:
             round_robin_rank(pythag_predictor(),
                              [snap("a", 100.0, 100.0), snap("a", 101.0, 99.0)])
         with pytest.raises(BaselineError, match="invalid probability"):
-            round_robin_rank(lambda a, b: 1.5,
+            round_robin_rank(lambda snaps, first, second: np.full(len(first), 1.5),
                              [snap("a", 100.0, 100.0), snap("b", 100.0, 100.0)])
 
     def test_model_predictor_ranks_by_strength(self):
@@ -201,3 +203,43 @@ class TestRoundRobinRank:
                  snap("low", 90.0, 112.0)]
         ranking = round_robin_rank(model_predictor(model), snaps)
         assert ranking.order() == ["top", "mid", "low"]
+
+
+def reference_rank(model, snaps) -> list[tuple[str, float, float]]:
+    """(team, score, mean_p) in rank order, from one ``encode_pairing`` and one
+    ``predict`` per pairing, accumulated in the same i < j order."""
+    snaps = sorted(snaps, key=lambda s: s.team)
+    wins = {s.team: 0 for s in snaps}
+    prob_sum = {s.team: 0.0 for s in snaps}
+    for i, a in enumerate(snaps):
+        for b in snaps[i + 1:]:
+            inst = MatchInstance(
+                scheme=model.scheme, location=Site.NEUTRAL,
+                features=encode_pairing(a, b, model.scheme), label=None,
+                date=a.date, season=a.season, team_first=a.team, team_second=b.team)
+            p = predict(model, inst)[1]
+            prob_sum[a.team] += p
+            prob_sum[b.team] += 1.0 - p
+            wins[a.team if p >= 0.5 else b.team] += 1
+    n = len(snaps) - 1
+    order = sorted(wins, key=lambda t: (-wins[t], -prob_sum[t] / n, t))
+    return [(t, float(wins[t]), prob_sum[t] / n) for t in order]
+
+
+@pytest.fixture(scope="module")
+def league():
+    from tests.test_models import generated_league
+
+    run, train_set, _ = generated_league()
+    return [run.final[t] for t in sorted(run.final)], train_set
+
+
+@pytest.mark.parametrize("kind", list(ModelKind))
+def test_batched_model_ranking_equals_per_pair_predictions(league, kind):
+    snaps, train_set = league
+    hyper = {"epochs": 20} if kind is ModelKind.MLP else None
+    model = train(train_set, kind, hyper=hyper, seed=2)
+    ranking = round_robin_rank(model_predictor(model), snaps)
+    got = [(e.team, e.score, e.mean_p) for e in ranking.entries]
+    assert got == reference_rank(model, snaps)
+    assert len({e.mean_p for e in ranking.entries}) > 1

@@ -236,6 +236,10 @@ def smoke_report():
         seed=1, bayes_sims=20_000)
 
 
+def cells_by_key(report) -> dict:
+    return {(c.kind, c.scheme): c for c in report.cells}
+
+
 class TestGlassCeiling:
     def test_grid_shape_and_gap_arithmetic(self, smoke_report):
         assert len(smoke_report.cells) == 4
@@ -249,17 +253,19 @@ class TestGlassCeiling:
         assert all(c.accuracy <= cap for c in smoke_report.cells)
 
     def test_adjusted_features_hold_up_against_raw(self, smoke_report):
-        nb_adj = smoke_report.cell("naive_bayes_kde", "adj_eff").accuracy
-        nb_raw = smoke_report.cell("naive_bayes_kde", "raw").accuracy
+        cells = cells_by_key(smoke_report)
+        nb_adj = cells[("naive_bayes_kde", "adj_eff")].accuracy
+        nb_raw = cells[("naive_bayes_kde", "raw")].accuracy
         assert nb_adj >= nb_raw - 0.01
 
     def test_baseline_ignores_the_feature_scheme(self, smoke_report):
-        assert (smoke_report.cell("home_wins", "adj_eff").accuracy
-                == smoke_report.cell("home_wins", "raw").accuracy)
+        cells = cells_by_key(smoke_report)
+        assert (cells[("home_wins", "adj_eff")].accuracy
+                == cells[("home_wins", "raw")].accuracy)
 
     def test_cell_lookup_raises_on_missing(self, smoke_report):
         with pytest.raises(KeyError):
-            smoke_report.cell("mlp", "adj_eff")
+            cells_by_key(smoke_report)[("mlp", "adj_eff")]
 
     def test_config_echo_round_trips_the_spec(self, smoke_report):
         echoed = smoke_report.config["spec"]

@@ -113,12 +113,21 @@ class TestBadFiles:
         assert main("predict", *matchup, "--date", "9999-12-31")[0] == 0
 
 
-def first_split(node: dict) -> dict | None:
-    """The first numeric split in a tree document, depth first."""
-    if not node["leaf"] and not node.get("site"):
-        return node
-    children = node.get("children", []) + [node.get("left"), node.get("right")]
-    return next(filter(None, (first_split(c) for c in children if c)), None)
+def first_split(tree: dict) -> int:
+    """The index of the first numeric split in a tree's node table."""
+    return next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+
+
+def set_entry(key: str, value, at=first_split):
+    """An edit that sets entry ``at(tree)`` of the tree's list ``key`` to ``value``."""
+    def edit(doc: dict) -> None:
+        tree = doc["params"]
+        tree[key][at(tree)] = value
+    return edit
+
+
+def first_leaf(tree: dict) -> int:
+    return tree["feature"].index(-2)
 
 
 def edited(edit):
@@ -131,9 +140,25 @@ def edited(edit):
 
 @pytest.mark.parametrize("kind, name, corrupt, detail", [
     ("decision_tree", "no_feature",
-     edited(lambda doc: first_split(doc["params"]).pop("feature")), "missing key 'feature'"),
-    ("decision_tree", "far_feature",
-     edited(lambda doc: first_split(doc["params"]).update(feature=99)), "feature 99"),
+     edited(lambda doc: doc["params"].pop("feature")), "missing key 'feature'"),
+    ("decision_tree", "far_feature", edited(set_entry("feature", 99)), "feature 99"),
+    ("decision_tree", "low_feature", edited(set_entry("feature", -3)), "feature -3"),
+    ("decision_tree", "child_before_parent",
+     edited(set_entry("children", 0, at=lambda tree: 0)), "node 0 has child 0"),
+    ("decision_tree", "child_past_the_end",
+     edited(lambda doc: doc["params"]["children"].__setitem__(-1, 10**6)), "child 1000000"),
+    ("decision_tree", "negative_child",
+     edited(set_entry("children", -1, at=lambda tree: 1)), "has child -1"),
+    ("decision_tree", "empty_leaf", edited(set_entry("n", 0, at=first_leaf)), "wins of 0"),
+    ("decision_tree", "too_many_wins",
+     edited(lambda doc: set_entry("wins", doc["params"]["n"][first_leaf(doc["params"])] + 1,
+                                 at=first_leaf)(doc)), "leaf with"),
+    ("decision_tree", "negative_wins", edited(set_entry("wins", -1, at=first_leaf)),
+     "leaf with -1 wins"),
+    ("decision_tree", "short_threshold", edited(lambda doc: doc["params"]["threshold"].pop()),
+     "of one length"),
+    ("decision_tree", "version_1", edited(lambda doc: doc.update(version=1)),
+     "unsupported format version 1"),
     ("decision_tree", "no_hyper", edited(lambda doc: doc.pop("hyper")), "missing key 'hyper'"),
     ("decision_tree", "a_list", lambda doc: [], "not a courtcast-model file"),
     ("decision_tree", "bad_scheme", edited(lambda doc: doc.update(scheme="elo")), "elo"),

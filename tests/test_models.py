@@ -2,28 +2,38 @@
 
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import math
 
 import numpy as np
 import pytest
 
-from courtcast.features import FeatureScheme, Label, MatchInstance, feature_names
+from courtcast.adjust import AveragingScheme, Seeding, run_seasons
+from courtcast.features import (
+    SITE_ORDER,
+    FeatureScheme,
+    Label,
+    MatchInstance,
+    build_dataset,
+    feature_names,
+    to_arrays,
+)
 from courtcast.models import (
     ModelError,
     ModelKind,
-    default_hyper,
     gradient_check,
-    internal_node_sizes,
     load_model,
+    p_win,
     predict,
     resolve_label,
     save_model,
     train,
-    tree_votes,
 )
 from courtcast.models import mlp as mlp_mod
+from courtcast.models import tree as tree_mod
 from courtcast.stats import Site
+from courtcast.synthetic import SyntheticLeagueSpec, generate_league
 
 DATE = dt.date(2011, 2, 1)
 ALL_KINDS = list(ModelKind)
@@ -54,6 +64,11 @@ def separable_instances(n: int, seed: int, gap: float = 8.0) -> list[MatchInstan
             label=Label.WIN if margin > 0 else Label.LOSS,
             location=sites[int(rng.integers(0, 3))]))
     return out
+
+
+def internal_node_sizes(tree: tree_mod.Tree) -> list[int]:
+    """Row counts of every internal (non-leaf) node, for prune auditing."""
+    return tree.n[tree.feature != tree_mod.LEAF].tolist()
 
 
 def accuracy(model, instances) -> float:
@@ -209,6 +224,13 @@ class TestMlp:
         monkeypatch.setattr(mlp_mod, "_gradients", corrupted)
         assert gradient_check(model, insts[0]) > 1e-4
 
+    def test_gradient_check_rejects_bad_input(self):
+        model = train(separable_instances(10, seed=5), ModelKind.MLP, hyper={"epochs": 0})
+        for features in ([1.0, 2.0, float("nan"), 4.0], [1.0, 2.0, 3.0]):
+            inst = dataclasses.replace(make_instance([1, 2, 3, 4]), features=np.array(features))
+            with pytest.raises(ModelError, match="4 finite feature values"):
+                gradient_check(model, inst)
+
     def test_epsilon_validation(self):
         model = train(separable_instances(10, seed=5), ModelKind.MLP,
                       hyper={"epochs": 0})
@@ -253,6 +275,16 @@ class TestTree:
         assert p == pytest.approx(0.6)
         assert label is Label.WIN
 
+    def test_single_leaf_round_trips(self, tmp_path):
+        insts = ([make_instance([1, 1, 1, 1], Label.WIN) for _ in range(6)]
+                 + [make_instance([1, 1, 1, 1], Label.LOSS) for _ in range(4)])
+        for kind in (ModelKind.DECISION_TREE, ModelKind.RANDOM_FOREST):
+            model = train(insts, kind)
+            save_model(model, tmp_path / "leaf.json")
+            back = load_model(tmp_path / "leaf.json")
+            probe = make_instance([1, 1, 1, 1], None)
+            assert predict(back, probe) == predict(model, probe)
+
 
 class TestForest:
     def test_default_twenty_trees(self):
@@ -262,7 +294,9 @@ class TestForest:
     def test_probability_is_vote_fraction_and_majority_consistent(self):
         model = train(separable_instances(150, seed=11), ModelKind.RANDOM_FOREST)
         for inst in separable_instances(30, seed=12):
-            votes = tree_votes(model, inst)
+            X, site = inst.features[None], np.array([SITE_ORDER.index(inst.location)])
+            votes = [resolve_label(float(tree_mod.p_win(t, X, site)[0]), inst.location)
+                     for t in model.params]
             label, p = predict(model, inst)
             wins = sum(v is Label.WIN for v in votes)
             assert p == wins / len(votes)
@@ -276,6 +310,69 @@ class TestForest:
         m1 = train(insts, ModelKind.RANDOM_FOREST, seed=21)
         m2 = train(insts, ModelKind.RANDOM_FOREST, seed=21)
         assert all(predict(m1, p) == predict(m2, p) for p in probes)
+
+
+def generated_league():
+    """A generated league's test-season run and its (train, test) instances."""
+    spec = SyntheticLeagueSpec(n_teams=10, games_per_team=12, n_seasons=2, seed=4)
+    store, _ = generate_league(spec, bayes_sims=1_000)
+    test_season = store.seasons[-1]
+    runs = run_seasons(store, AveragingScheme.ALPHA, Seeding.PRIOR_SEASON,
+                       through=test_season)
+    train_set, test_set = build_dataset(store, runs, FeatureScheme.ADJ_FOUR_FACTORS,
+                                        test_season)
+    return runs[test_season], train_set, test_set
+
+
+@pytest.fixture(scope="module")
+def league_instances():
+    """(train, test) instances of a generated league; every third test game
+    is moved to a neutral site, so the test rows hold all three sites."""
+    _, train_set, test_set = generated_league()
+    test_set = [dataclasses.replace(inst, location=Site.NEUTRAL) if k % 3 == 0 else inst
+                for k, inst in enumerate(test_set)]
+    return train_set, test_set
+
+
+def walk(tree: tree_mod.Tree, x: np.ndarray, site_code: int) -> float:
+    """Reference walk of one row down a node table, in Python scalars."""
+    node = 0
+    while tree.feature[node] != tree_mod.LEAF:
+        f = tree.feature[node]
+        branch = site_code if f == tree_mod.SITE_FEATURE else int(not x[f] <= tree.threshold[node])
+        node = tree.children[node, branch]
+    return int(tree.wins[node]) / int(tree.n[node])
+
+
+class TestBatchPrediction:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_batch_equals_one_instance_at_a_time(self, league_instances, kind):
+        train_set, test_set = league_instances
+        hyper = {"epochs": 20} if kind is ModelKind.MLP else None
+        model = train(train_set, kind, hyper=hyper, seed=3)
+        X, site, _ = to_arrays(test_set)
+        assert set(site.tolist()) == {0, 1, 2}
+        batch = p_win(model, X, site)
+        one = np.array([predict(model, inst)[1] for inst in test_set])
+        assert batch.tobytes() == one.tobytes()
+
+    def test_tree_walk_matches_a_scalar_reference(self, league_instances):
+        train_set, test_set = league_instances
+        model = train(train_set, ModelKind.DECISION_TREE, hyper={"min_node_fraction": 0.0})
+        X, site, _ = to_arrays(test_set)
+        want = [walk(model.params, x, code) for x, code in zip(X, site)]
+        assert tree_mod.p_win(model.params, X, site).tolist() == want
+
+    def test_checks_rows(self):
+        model = train(separable_instances(20, seed=1), ModelKind.DECISION_TREE)
+        with pytest.raises(ModelError, match="does not fit 4 features"):
+            p_win(model, np.zeros((2, 3)), [0, 1])
+        with pytest.raises(ModelError, match="does not fit 4 features"):
+            p_win(model, np.zeros((2, 4)), [0])
+        with pytest.raises(ModelError, match="site codes"):
+            p_win(model, np.zeros((2, 4)), [0, 3])
+        with pytest.raises(ModelError, match="non-finite"):
+            p_win(model, [[1.0, 2.0, np.inf, 4.0]], [2])
 
 
 class TestAllKindsContract:

@@ -59,19 +59,20 @@ def pythag_rating(snap: TeamSnapshot, params: PythagParams = PythagParams()) -> 
     return 1.0 - z / (z + x)
 
 
-def pythag_pair_prob(snap_a: TeamSnapshot, snap_b: TeamSnapshot,
-                     params: PythagParams = PythagParams()) -> float:
-    """Head-to-head win probability for a from two Pythagorean ratings.
-
-    Classic log-odds combination: p = ra(1-rb) / (ra(1-rb) + rb(1-ra)).
-    Equal ratings give 0.5; a rating of 1.0 wins with certainty.
-    """
-    ra, rb = pythag_rating(snap_a, params), pythag_rating(snap_b, params)
+def _head_to_head(ra: float, rb: float) -> float:
+    """Classic log-odds combination: p = ra(1-rb) / (ra(1-rb) + rb(1-ra)).
+    Equal ratings give 0.5; a rating of 1.0 wins with certainty."""
     num = ra * (1.0 - rb)
     den = num + rb * (1.0 - ra)
     if den == 0.0:  # both ratings are exactly 0 or exactly 1
         return 0.5
     return num / den
+
+
+def pythag_pair_prob(snap_a: TeamSnapshot, snap_b: TeamSnapshot,
+                     params: PythagParams = PythagParams()) -> float:
+    """Head-to-head win probability for a from two Pythagorean ratings."""
+    return _head_to_head(pythag_rating(snap_a, params), pythag_rating(snap_b, params))
 
 
 #: The home-wins baseline: p(first team wins) by the first team's site.
@@ -98,25 +99,21 @@ def _wp(rec: dict[str, list[tuple[str, bool]]], team: str,
     return sum(won for _, won in games) / len(games)
 
 
-def rpi(team: str, games: Sequence[GameRecord]) -> float:
-    """0.25*WP + 0.50*OWP + 0.25*OOWP over one season's results.
+def rpi(games: Sequence[GameRecord]) -> dict[str, float]:
+    """Each team's 0.25*WP + 0.50*OWP + 0.25*OOWP over one season's results.
 
-    Opponents' winning percentages exclude their games against ``team``;
-    each opponent counts once per game played (multiplicity matters).
+    Opponents' winning percentages exclude their games against the rated
+    team; each opponent counts once per game played (multiplicity matters).
+    Every team's OWP is computed once and serves its opponents' OOWP.
     """
     rec = _records(games)
-    own = rec.get(team)
-    if not own:
-        raise BaselineError(f"{team} played no games")
-
-    def owp(t: str) -> float:
-        opponents = [opp for opp, _ in rec[t]]
-        return sum(_wp(rec, opp, exclude=t) for opp in opponents) / len(opponents)
-
-    wp = _wp(rec, team)
-    o_wp = owp(team)
-    oo_wp = sum(owp(opp) for opp, _ in own) / len(own)
-    return 0.25 * wp + 0.50 * o_wp + 0.25 * oo_wp
+    if not rec:
+        raise BaselineError("no games to rate")
+    owp = {team: sum(_wp(rec, opp, exclude=team) for opp, _ in own) / len(own)
+           for team, own in rec.items()}
+    return {team: 0.25 * _wp(rec, team) + 0.50 * owp[team]
+            + 0.25 * (sum(owp[opp] for opp, _ in own) / len(own))
+            for team, own in rec.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +142,13 @@ class Ranking:
 
 
 def pythag_predictor(params: PythagParams = PythagParams()) -> PairPredictor:
-    return lambda snaps, first, second: [
-        pythag_pair_prob(snaps[i], snaps[j], params) for i, j in zip(first, second)]
+    """Rate every team once, in order, and combine the ratings per pairing."""
+    def prob(snaps: Sequence[TeamSnapshot], first: np.ndarray,
+             second: np.ndarray) -> list[float]:
+        ratings = [pythag_rating(s, params) for s in snaps]
+        return [_head_to_head(ratings[i], ratings[j]) for i, j in zip(first, second)]
+
+    return prob
 
 
 def model_predictor(model) -> PairPredictor:

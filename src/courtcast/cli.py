@@ -470,8 +470,8 @@ def cmd_rank(cfg: RunConfig) -> None:
     path = out / "rankings.csv"
 
     if kind == "rpi":
-        games = list(store.games(test_season))
-        scores = sorted(((team, rpi(team, games)) for team in sorted(run.final)),
+        ratings = rpi(list(store.games(test_season)))
+        scores = sorted(((team, ratings[team]) for team in run.final),
                         key=lambda kv: (-kv[1], kv[0]))
         rows = [[n, team, score] for n, (team, score) in enumerate(scores, start=1)]
     else:

@@ -10,6 +10,10 @@ with a floor of 1e-6 on the bandwidth so constant features degrade into
 near-point masses instead of dividing by zero.  The game-site categorical
 is handled as a nominal feature with add-one smoothing.  All likelihood
 work happens in log space.
+
+A feature's density depends on that feature's value alone, so a batch
+scores each column's distinct values once: a ranking, whose columns each
+hold one team's values, costs about one row per team, not one per pairing.
 """
 
 from __future__ import annotations
@@ -69,28 +73,42 @@ def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> 
     return params
 
 
-def _log_kde(x: np.ndarray, pts: np.ndarray, h: np.ndarray) -> float:
-    """Sum over features of log mean_i N(x_f; pts[i,f], h_f)."""
+def _log_densities(x: np.ndarray, pts: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per feature f, log mean_i N(x_f; pts[i,f], h_f): a (d,) array."""
     z = (x[None, :] - pts) / h[None, :]                      # (n, d)
     log_kernel = -0.5 * z * z - np.log(h)[None, :] - _LOG_SQRT_2PI
     # logsumexp over training points, per feature
     m = np.max(log_kernel, axis=0)
     log_density = m + np.log(np.sum(np.exp(log_kernel - m[None, :]), axis=0))
     log_density -= math.log(pts.shape[0])
-    return float(np.sum(log_density))
+    return log_density
 
 
 def p_win(p: KdeParams, X: np.ndarray, site: np.ndarray) -> np.ndarray:
-    """Posterior p(win) of each row, one row at a time: every row evaluates
-    all training points, so a batch would save no work."""
+    """Posterior p(win) of each row, scoring each column's distinct values once.
+
+    Row r of ``V`` holds the r-th distinct value of every column (shorter
+    columns repeat their own values to fill).  Each row of ``V`` is scored
+    on the full-width training array, as one row of ``X`` would be, and the
+    per-feature densities are gathered back to the rows of ``X`` and summed,
+    so a row's probability does not depend on what else shares its batch.
+    """
+    uniques, inverse = zip(*(np.unique(col, return_inverse=True) for col in X.T))
+    k = max(map(len, uniques))
+    V = np.stack([np.resize(u, k) for u in uniques], axis=1)       # (k, d)
+    at = np.stack(inverse, axis=1), np.arange(X.shape[1])  # X == V[at]
+    log_lik = []
+    for cls in (0, 1):
+        dens = np.empty(V.shape)
+        for r, v in enumerate(V):
+            dens[r] = _log_densities(v, p.points[cls], p.bandwidths[cls])
+        log_lik.append(np.sum(dens[at], axis=1).tolist())
+    site_terms = [[math.log((counts[s] + 1.0) / (counts.sum() + 3.0)) for s in range(3)]
+                  for counts in p.site_counts]
     out = np.empty(len(X))
-    for row, (x, site_code) in enumerate(zip(X, site)):
-        log_post = []
-        for cls in (0, 1):
-            ll = p.log_priors[cls] + _log_kde(x, p.points[cls], p.bandwidths[cls])
-            counts = p.site_counts[cls]
-            ll += math.log((counts[site_code] + 1.0) / (counts.sum() + 3.0))
-            log_post.append(ll)
+    for row, site_code in enumerate(site.tolist()):
+        log_post = [p.log_priors[cls] + log_lik[cls][row] + site_terms[cls][site_code]
+                    for cls in (0, 1)]
         # normalize in log space
         m = max(log_post)
         w = [math.exp(v - m) for v in log_post]
@@ -119,4 +137,10 @@ def decode_params(doc: dict, n_features: int) -> KdeParams:
             or any(h.shape != (n_features,) for h in p.bandwidths)
             or any(c.shape != (3,) or not np.all(c >= 0) for c in p.site_counts)):
         raise ModelError(f"naive Bayes parameters do not fit {n_features} features")
+    if not all(np.all(np.isfinite(a)) for a in p.points + p.site_counts):
+        raise ModelError("naive Bayes training points and site counts must be finite")
+    if not all(np.all(np.isfinite(h) & (h > 0)) for h in p.bandwidths):
+        raise ModelError("naive Bayes bandwidths must be finite and positive")
+    if not all(math.isfinite(v) and v <= 0 for v in p.log_priors):
+        raise ModelError("naive Bayes log priors must be finite and at most 0")
     return p

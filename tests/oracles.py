@@ -1,4 +1,4 @@
-"""Naive reference implementation of the adjustment pipeline.
+"""Naive reference implementations of the adjustment pipeline, naive Bayes and RPI.
 
 Deliberately structured unlike the production code: no incremental state.
 Every quantity is recomputed from scratch by rescanning history — league
@@ -7,11 +7,17 @@ per-game value list through the public averaging functions.  Matching the
 production run *exactly* (bitwise) is the strongest check that the
 incremental accumulators are right; both sides fold values in the same
 chronological order, so float results must coincide operation for operation.
+
+The same goes for the two references at the end: naive Bayes scored one row
+at a time, and RPI recomputed from scratch for each team.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import math
+
+import numpy as np
 
 from courtcast.adjust import (
     NEUTRAL_BASELINE,
@@ -24,7 +30,9 @@ from courtcast.adjust import (
     alpha_update,
     explicit_weighted_average,
 )
+from courtcast.baselines import BaselineError
 from courtcast.ingest import SeasonStore
+from courtcast.models.naive_bayes import KdeParams
 from courtcast.stats import FourFactors, game_stats
 
 _FACTORS = FourFactors.field_names()
@@ -217,3 +225,58 @@ def snapshot_as_dict(snap: TeamSnapshot) -> dict:
     state["raw_means"] = tuple(getattr(snap.raw_means, c) for c in _COUNTS) + (
         snap.raw_means.ppg, snap.raw_means.pag)
     return state
+
+
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def naive_log_kde(x: np.ndarray, pts: np.ndarray, h: np.ndarray) -> float:
+    """Sum over features of log mean_i N(x_f; pts[i,f], h_f), for one row."""
+    z = (x[None, :] - pts) / h[None, :]                      # (n, d)
+    log_kernel = -0.5 * z * z - np.log(h)[None, :] - _LOG_SQRT_2PI
+    # logsumexp over training points, per feature
+    m = np.max(log_kernel, axis=0)
+    log_density = m + np.log(np.sum(np.exp(log_kernel - m[None, :]), axis=0))
+    log_density -= math.log(pts.shape[0])
+    return float(np.sum(log_density))
+
+
+def naive_bayes_p_win(p: KdeParams, X: np.ndarray, site: np.ndarray) -> np.ndarray:
+    """Naive Bayes posterior p(win), one row at a time over all training points."""
+    out = np.empty(len(X))
+    for row, (x, site_code) in enumerate(zip(X, site)):
+        log_post = []
+        for cls in (0, 1):
+            ll = p.log_priors[cls] + naive_log_kde(x, p.points[cls], p.bandwidths[cls])
+            counts = p.site_counts[cls]
+            ll += math.log((counts[site_code] + 1.0) / (counts.sum() + 3.0))
+            log_post.append(ll)
+        m = max(log_post)
+        w = [math.exp(v - m) for v in log_post]
+        out[row] = w[1] / (w[0] + w[1])
+    return out
+
+
+def naive_rpi(team: str, games) -> float:
+    """One team's RPI, rebuilding every record and opponent percentage."""
+    rec: dict[str, list[tuple[str, bool]]] = {}
+    for g in games:
+        winner = g.winner()
+        rec.setdefault(g.team_a, []).append((g.team_b, winner == g.team_a))
+        rec.setdefault(g.team_b, []).append((g.team_a, winner == g.team_b))
+    own = rec.get(team)
+    if not own:
+        raise BaselineError(f"{team} played no games")
+
+    def wp(t: str, exclude: str | None = None) -> float:
+        kept = [(opp, won) for opp, won in rec.get(t, []) if opp != exclude]
+        if not kept:
+            return 0.5
+        return sum(won for _, won in kept) / len(kept)
+
+    def owp(t: str) -> float:
+        opponents = [opp for opp, _ in rec[t]]
+        return sum(wp(opp, exclude=t) for opp in opponents) / len(opponents)
+
+    oo_wp = sum(owp(opp) for opp, _ in own) / len(own)
+    return 0.25 * wp(team) + 0.50 * owp(team) + 0.25 * oo_wp

@@ -281,8 +281,9 @@ def test_criterion_8_rankings_cohere_with_their_ratings(capsys):
                 dt.date(2011, 1, 5 + i), 2011, winner, loser,
                 Location.NEUTRAL, BOX_A, BOX_B))
         assert {g.winner() for g in cycle} == set(teams)
+        ratings = rpi(cycle)
         for team in teams:
-            assert rpi(team, cycle) == pytest.approx(0.5, abs=1e-12)
+            assert ratings[team] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_criterion_9_cli_pipeline_is_byte_deterministic(capsys, tmp_path):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from courtcast.adjust import AveragingScheme, Seeding, run_seasons
 from courtcast.baselines import (
     BaselineError,
     PythagParams,
@@ -18,11 +19,13 @@ from courtcast.baselines import (
     round_robin_rank,
     rpi,
 )
-from courtcast.features import MatchInstance, encode_pairing
+from courtcast.features import FeatureScheme, MatchInstance, build_dataset, encode_pairing
 from courtcast.ingest import GameRecord, Location
-from courtcast.models import ModelKind, predict, train
+from courtcast.models import ModelKind, naive_bayes, predict, train
 from courtcast.stats import Site
+from courtcast.synthetic import SyntheticLeagueSpec, generate_league
 from tests.conftest import BOX_A, BOX_B
+from tests.oracles import naive_rpi
 from tests.test_features import make_snap
 
 
@@ -116,18 +119,20 @@ class TestRpi:
 
     def test_hand_computed_triangle(self, triangle):
         # x: WP 1.0, OWP (1.0 + 0.0)/2, OOWP 0.5 -> 0.625
-        assert rpi("x", triangle) == pytest.approx(0.625, abs=1e-12)
-        assert rpi("y", triangle) == pytest.approx(0.500, abs=1e-12)
-        assert rpi("z", triangle) == pytest.approx(0.375, abs=1e-12)
+        ratings = rpi(triangle)
+        assert ratings["x"] == pytest.approx(0.625, abs=1e-12)
+        assert ratings["y"] == pytest.approx(0.500, abs=1e-12)
+        assert ratings["z"] == pytest.approx(0.375, abs=1e-12)
 
     def test_repeat_games_count_per_game(self):
         games = [neutral_game("x", "y", True, 1),
                  neutral_game("x", "y", True, 2),
                  neutral_game("y", "z", True, 3)]
         # y's record vs everyone-but-x is 1-0, and it appears twice in x's OWP
-        assert rpi("x", games) == pytest.approx(0.875, abs=1e-12)
-        assert rpi("y", games) == pytest.approx(0.500, abs=1e-12)
-        assert rpi("z", games) == pytest.approx(0.125, abs=1e-12)
+        ratings = rpi(games)
+        assert ratings["x"] == pytest.approx(0.875, abs=1e-12)
+        assert ratings["y"] == pytest.approx(0.500, abs=1e-12)
+        assert ratings["z"] == pytest.approx(0.125, abs=1e-12)
 
     def test_uniform_league_is_half(self):
         # double round robin, every pair splits: all components are .500
@@ -138,14 +143,15 @@ class TestRpi:
                 games.append(neutral_game(teams[i], teams[j], True, day))
                 games.append(neutral_game(teams[i], teams[j], False, day + 1))
                 day += 2
+        ratings = rpi(games)
         for t in teams:
-            assert abs(rpi(t, games) - 0.5) <= 1e-12
+            assert abs(ratings[t] - 0.5) <= 1e-12
 
-    def test_unknown_team_errors(self, triangle):
-        with pytest.raises(BaselineError, match="played no games"):
-            rpi("w", triangle)
+    def test_unknown_team_is_not_rated(self, triangle):
+        assert "w" not in rpi(triangle)
+        assert sorted(rpi(triangle)) == ["x", "y", "z"]
         with pytest.raises(BaselineError):
-            rpi("x", [])
+            rpi([])
 
 
 class TestRoundRobinRank:
@@ -243,3 +249,76 @@ def test_batched_model_ranking_equals_per_pair_predictions(league, kind):
     got = [(e.team, e.score, e.mean_p) for e in ranking.entries]
     assert got == reference_rank(model, snaps)
     assert len({e.mean_p for e in ranking.entries}) > 1
+
+
+@pytest.fixture(scope="module")
+def season16():
+    """A generated 16-team league: its store, adjusted runs and test season."""
+    spec = SyntheticLeagueSpec(n_teams=16, games_per_team=12, n_seasons=2, seed=6)
+    store, _ = generate_league(spec, bayes_sims=1_000)
+    test_season = store.seasons[-1]
+    runs = run_seasons(store, AveragingScheme.ALPHA, Seeding.PRIOR_SEASON,
+                       through=test_season)
+    return store, runs, test_season
+
+
+def final_snaps(runs, season) -> list:
+    return [runs[season].final[t] for t in sorted(runs[season].final)]
+
+
+@pytest.mark.parametrize("scheme", list(FeatureScheme))
+def test_naive_bayes_ranking_equals_per_pair_predictions_on_every_scheme(season16, scheme):
+    store, runs, test_season = season16
+    train_set, _ = build_dataset(store, runs, scheme, test_season)
+    model = train(train_set, ModelKind.NAIVE_BAYES_KDE)
+    snaps = final_snaps(runs, test_season)
+    ranking = round_robin_rank(model_predictor(model), snaps)
+    got = [(e.team, e.score, e.mean_p) for e in ranking.entries]
+    assert got == reference_rank(model, snaps)
+
+
+def test_naive_bayes_ranking_scores_each_team_not_each_pairing(season16, monkeypatch):
+    # a work count, not a timing: a ranking's columns each hold one team's
+    # values, so the per-row density runs about once per team and class
+    store, runs, test_season = season16
+    train_set, _ = build_dataset(store, runs, FeatureScheme.ADJ_FOUR_FACTORS, test_season)
+    model = train(train_set, ModelKind.NAIVE_BAYES_KDE)
+    snaps = final_snaps(runs, test_season)
+    assert len(snaps) == 16
+    calls = []
+    densities = naive_bayes._log_densities
+
+    def counted(*args):
+        calls.append(1)
+        return densities(*args)
+
+    monkeypatch.setattr(naive_bayes, "_log_densities", counted)
+    round_robin_rank(model_predictor(model), snaps)
+    assert 0 < len(calls) <= 2 * 16
+
+
+def test_rpi_equals_the_per_team_reference(season16):
+    store, _, test_season = season16
+    games = list(store.games(test_season))
+    ratings = rpi(games)
+    assert sorted(ratings) == sorted(store.teams(test_season))
+    for team, value in ratings.items():
+        assert value == naive_rpi(team, games)  # bit for bit
+
+
+class TestPythagPredictor:
+    def test_equals_pair_probabilities(self, season16):
+        _, runs, test_season = season16
+        snaps = final_snaps(runs, test_season)
+        first, second = np.triu_indices(len(snaps), k=1)
+        params = PythagParams(y=9.0)
+        got = pythag_predictor(params)(snaps, first, second)
+        assert got == [pythag_pair_prob(snaps[i], snaps[j], params)
+                       for i, j in zip(first, second)]
+
+    def test_lowest_index_bad_team_fails_first(self):
+        snaps = [snap(f"t{i}", 100.0 + i, 100.0) for i in range(6)]
+        snaps[2] = snap("t2", -1.0, 100.0)
+        snaps[4] = snap("t4", 100.0, 0.0)
+        with pytest.raises(BaselineError, match="^t2:"):
+            round_robin_rank(pythag_predictor(), snaps)

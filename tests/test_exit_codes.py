@@ -166,8 +166,24 @@ def edited(edit):
     ("mlp", "short_bias", edited(lambda doc: doc["params"]["b1"].pop()), "shapes"),
     ("naive_bayes_kde", "negative_count",
      edited(lambda doc: doc["params"]["site_counts"][0].__setitem__(0, -5.0)), "do not fit"),
+    ("naive_bayes_kde", "zero_bandwidth",
+     edited(lambda doc: doc["params"]["bandwidths"][1].__setitem__(0, 0.0)),
+     "bandwidths must be finite and positive"),
+    ("naive_bayes_kde", "negative_bandwidth",
+     edited(lambda doc: doc["params"]["bandwidths"][0].__setitem__(-1, -0.5)),
+     "bandwidths must be finite and positive"),
+    ("naive_bayes_kde", "infinite_point",
+     edited(lambda doc: doc["params"]["points"][0][0].__setitem__(0, float("inf"))),
+     "must be finite"),
+    ("naive_bayes_kde", "infinite_site_count",
+     edited(lambda doc: doc["params"]["site_counts"][1].__setitem__(2, float("inf"))),
+     "must be finite"),
+    ("naive_bayes_kde", "positive_log_prior",
+     edited(lambda doc: doc["params"]["log_priors"].__setitem__(0, 50.0)),
+     "log priors must be finite and at most 0"),
     ("random_forest", "no_trees", edited(lambda doc: doc.update(params=[])), "one tree"),
 ])
+@pytest.mark.filterwarnings("error")   # a numpy warning on the way fails the case
 def test_malformed_model_file_is_a_data_error(league, tmp_path, kind, name, corrupt, detail):
     doc = json.loads((league / kind / "model.json").read_text())
     path = tmp_path / f"{name}.json"

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from courtcast.adjust import AveragingScheme, Seeding, run_seasons
 from courtcast.features import (
@@ -31,9 +32,11 @@ from courtcast.models import (
     train,
 )
 from courtcast.models import mlp as mlp_mod
+from courtcast.models import naive_bayes as nb_mod
 from courtcast.models import tree as tree_mod
 from courtcast.stats import Site
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
+from tests.oracles import naive_bayes_p_win
 
 DATE = dt.date(2011, 2, 1)
 ALL_KINDS = list(ModelKind)
@@ -373,6 +376,54 @@ class TestBatchPrediction:
             p_win(model, np.zeros((2, 4)), [0, 3])
         with pytest.raises(ModelError, match="non-finite"):
             p_win(model, [[1.0, 2.0, np.inf, 4.0]], [2])
+
+
+# A few repeated values, so batches share column values, beside arbitrary ones.
+NB_VALUES = st.sampled_from([-2.5, -1.0, 0.0, 0.5, 3.25]) | st.floats(-40.0, 40.0)
+
+
+@st.composite
+def nb_cases(draw):
+    """A fitted naive Bayes model and a batch to score: the batch may repeat
+    rows, copy training rows, hold one row, and hit all three site codes."""
+    d = draw(st.integers(1, 5))
+    row = st.lists(NB_VALUES, min_size=d, max_size=d)
+    X = np.array(draw(st.lists(row, min_size=2, max_size=10)))
+    if draw(st.booleans()):
+        X[:, 0] = 7.0   # a constant column: the bandwidth floor
+    y = np.array([0, 1] + draw(st.lists(st.integers(0, 1), min_size=len(X) - 2,
+                                        max_size=len(X) - 2)))
+    site = np.array(draw(st.lists(st.integers(0, 2), min_size=len(X), max_size=len(X))))
+    hp = {"bandwidth": draw(st.none() | st.floats(0.05, 5.0)), "bandwidth_floor": 1e-6}
+    params = nb_mod.fit(X, site, y, hp, seed=0)
+    rows = draw(st.lists(row | st.sampled_from(X.tolist()), min_size=1, max_size=12))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))   # duplicate rows
+    Q = np.array(rows, dtype=float)
+    Q_site = np.array(draw(st.lists(st.integers(0, 2), min_size=len(Q), max_size=len(Q))))
+    return params, Q, Q_site
+
+
+class TestNaiveBayesBatch:
+    @settings(max_examples=150, deadline=None)
+    @given(case=nb_cases())
+    def test_equals_the_row_loop_bit_for_bit(self, case):
+        params, X, site = case
+        got = nb_mod.p_win(params, X, site)
+        assert got.tobytes() == naive_bayes_p_win(params, X, site).tobytes()
+
+    def test_a_row_scores_the_same_in_any_batch(self, league_instances):
+        train_set, test_set = league_instances
+        model = train(train_set, ModelKind.NAIVE_BAYES_KDE)
+        X, site, _ = to_arrays(test_set)
+        full = nb_mod.p_win(model.params, X, site)
+        rng = np.random.default_rng(11)
+        perm = rng.permutation(len(X))
+        assert nb_mod.p_win(model.params, X[perm], site[perm]).tobytes() == full[perm].tobytes()
+        for size in (1, 2, 5, len(X) // 2):
+            idx = rng.choice(len(X), size=size, replace=size == 5)
+            assert nb_mod.p_win(model.params, X[idx], site[idx]).tobytes() == full[idx].tobytes()
+        for i in range(len(X)):
+            assert nb_mod.p_win(model.params, X[i:i + 1], site[i:i + 1])[0] == full[i]
 
 
 class TestAllKindsContract:

@@ -4,7 +4,12 @@ Each tree trains on a bootstrap resample of the instances and, at every
 split, considers only ceil(sqrt(d)) randomly drawn candidate features
 (d counts the site categorical as one feature).  Trees grow unpruned.
 Per-tree randomness derives from the master seed through independent
-spawned streams, so a seed pins the whole ensemble.
+spawned streams, so a seed pins the whole ensemble, and a tree does not
+depend on how many others grow.
+
+Trees grow ``_GROUP`` at a time, in lockstep (see :mod:`tree`): each group
+draws its bootstrap samples, one row-index array per tree, and grows them
+together, so a forest of any size holds at most one group's samples.
 
 The forest's win probability is simply the fraction of trees voting win,
 which makes the majority-vote label and the probability consistent by
@@ -20,7 +25,7 @@ import numpy as np
 from courtcast.features import SITE_ORDER
 from courtcast.models import tree
 from courtcast.models.base import ModelError, Range
-from courtcast.models.tree import Tree, grow_tree
+from courtcast.models.tree import Tree, grow_trees
 from courtcast.stats import Site
 
 HYPER = {  # name -> (default, allowed values)
@@ -30,20 +35,19 @@ HYPER = {  # name -> (default, allowed values)
 }
 
 _AWAY = SITE_ORDER.index(Site.AWAY)
+_GROUP = 20   # trees grown in lockstep at once
 
 
 def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> list[Tree]:
     d = X.shape[1] + 1
     k = hp["candidate_features"] or math.ceil(math.sqrt(d))
-    n = len(y)
+    streams = np.random.SeedSequence(seed).spawn(hp["n_trees"])
     trees: list[Tree] = []
-    for ss in np.random.SeedSequence(seed).spawn(hp["n_trees"]):
-        rng = np.random.default_rng(ss)
-        rows = rng.integers(0, n, size=n)
-        trees.append(grow_tree(X[rows], site[rows], y[rows],
-                               min_rows=0, rng=rng, n_candidates=k,
-                               min_branch=1))
-
+    for start in range(0, len(streams), _GROUP):
+        rngs = [np.random.default_rng(ss) for ss in streams[start:start + _GROUP]]
+        samples = [rng.integers(0, len(y), size=len(y)) for rng in rngs]
+        trees += grow_trees(X, site, y, samples, min_rows=0, min_branch=1,
+                            rngs=rngs, n_candidates=k)
     return trees
 
 

@@ -23,13 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from courtcast.models.base import POSITIVE, ModelError
+from courtcast.models.base import ModelError, Range
+
+# A training point is at most LIMIT in magnitude and a bandwidth at least
+# 1 / LIMIT, so every standardized distance, and its square, stays finite.
+LIMIT = 1e50
 
 HYPER = {  # name -> (default, allowed values)
     # None -> per-feature-per-class data-driven bandwidth; a float forces
     # that bandwidth everywhere (useful for closed-form verification).
-    "bandwidth": (None, POSITIVE),
-    "bandwidth_floor": (1e-6, POSITIVE),
+    "bandwidth": (None, Range(float, 1 / LIMIT)),
+    "bandwidth_floor": (1e-6, Range(float, 1 / LIMIT)),
 }
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -137,10 +141,14 @@ def decode_params(doc: dict, n_features: int) -> KdeParams:
             or any(h.shape != (n_features,) for h in p.bandwidths)
             or any(c.shape != (3,) or not np.all(c >= 0) for c in p.site_counts)):
         raise ModelError(f"naive Bayes parameters do not fit {n_features} features")
-    if not all(np.all(np.isfinite(a)) for a in p.points + p.site_counts):
-        raise ModelError("naive Bayes training points and site counts must be finite")
-    if not all(np.all(np.isfinite(h) & (h > 0)) for h in p.bandwidths):
-        raise ModelError("naive Bayes bandwidths must be finite and positive")
+    if not all(np.all(np.abs(pts) <= LIMIT) for pts in p.points):
+        raise ModelError(f"naive Bayes training points must be finite, at most {LIMIT:g} "
+                         "in magnitude")
+    if not all(np.all(np.isfinite(c)) for c in p.site_counts):
+        raise ModelError("naive Bayes site counts must be finite")
+    if not all(np.all(np.isfinite(h) & (h >= 1 / LIMIT)) for h in p.bandwidths):
+        raise ModelError(f"naive Bayes bandwidths must be finite and positive, "
+                         f"at least {1 / LIMIT:g}")
     if not all(math.isfinite(v) and v <= 0 for v in p.log_priors):
         raise ModelError("naive Bayes log priors must be finite and at most 0")
     return p

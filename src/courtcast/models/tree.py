@@ -1,7 +1,8 @@
 """Decision tree with gain-ratio splits, in the classic C4.5 mold.
 
 Numeric features split binarily at midpoints between consecutive distinct
-sorted values (per feature, the threshold maximizing information gain);
+sorted values (per feature, the threshold maximizing information gain; the
+lower value where the midpoint rounds onto the upper one);
 the game-site categorical splits three ways in one step.  Across features,
 the winner is the split with the best gain ratio among candidates whose
 gain is at least the average positive gain — the standard guard without
@@ -13,9 +14,20 @@ training rows (1% by default, never fewer than 2), and a node too small to
 split that way becomes a leaf.  No internal node can therefore sit below
 the threshold, and no split can shave off a handful of noisy rows.
 
-The same grower serves the random forest, which disables pruning
-(``min_branch=1``) and restricts each node to a random subset of candidate
-features.
+One grower serves both kinds: it grows a group of trees in lockstep, and a
+decision tree is a group of one.  The random forest grows its trees in
+groups, disables pruning (``min_branch=1``) and restricts each node to a
+random subset of candidate features, drawn from the tree's own stream.
+Every tree grows in preorder from its own stack.  A step takes from each
+tree the next node to split, resolving the leaves on the way, and searches
+all (node, feature) pairs of the step at once: their rows are gathered into
+one array, sorted by value within each pair, and one cumulative win count
+gives the class counts at every cut.  A batch holds at most ``_BATCH`` rows,
+so its temporaries stay small; a pair with more rows is searched alone.
+Each (node, feature) pair is scored with the arithmetic of a search of its
+column alone (the same elementwise entropies, the scalar parent entropy,
+``math.log2`` for the split info, the first maximum winning ties), so a
+tree does not depend on what it grows beside.
 
 A grown tree is one table of node arrays (:class:`Tree`), root first, in
 preorder, so every child index is greater than its parent's.  Node ``i``
@@ -31,7 +43,9 @@ lists; ``children`` there lists only the slots each node uses.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +57,7 @@ HYPER = {  # name -> (default, allowed values)
 
 SITE_FEATURE = -1  # pseudo-index for the categorical site attribute
 LEAF = -2          # the feature code of a leaf
+_BATCH = 8192      # rows per batched split search; a larger segment is searched alone
 
 
 @dataclass(frozen=True)
@@ -62,7 +77,7 @@ class _Candidate:
     gain: float
     ratio: float
     feature: int
-    threshold: float | None
+    threshold: float    # 0.0 for the site split
 
 
 def _entropy(wins: float, n: float) -> float:
@@ -72,71 +87,122 @@ def _entropy(wins: float, n: float) -> float:
     return -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
 
 
-def _best_numeric_split(x: np.ndarray, y: np.ndarray, feature: int,
-                        min_branch: int) -> _Candidate | None:
-    """Best-gain threshold for one numeric column, scored by gain ratio."""
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    n = len(ys)
-    # candidate cut positions: between consecutive distinct values, leaving
-    # at least min_branch rows on each side
-    diff = np.nonzero(xs[1:] != xs[:-1])[0]
-    diff = diff[(diff + 1 >= min_branch) & (n - diff - 1 >= min_branch)]
-    if diff.size == 0:
-        return None
-    total_wins = float(np.sum(ys))
-    parent = _entropy(total_wins, n)
-    cum_wins = np.cumsum(ys)
+def _ent(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Binary entropy of ``w`` wins in ``m`` rows, elementwise; 0 where pure."""
+    out = np.zeros_like(m)
+    ok = (m > 0) & (w > 0) & (w < m)
+    p = np.divide(w, m, out=np.zeros_like(m), where=m > 0)
+    pc = 1.0 - p
+    out[ok] = -(p[ok] * np.log2(p[ok]) + pc[ok] * np.log2(pc[ok]))
+    return out
 
-    left_n = (diff + 1).astype(float)
-    left_wins = cum_wins[diff].astype(float)
+
+def _order_within(x: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """The stable sort of ``x`` within each segment (``seg`` ascending).
+
+    A quicksort of a unique integer key (segment, then the value's dense rank
+    in the batch, then position) gives that order faster than a stable sort
+    of two keys.  The key is below n**2 for one segment of n rows and below
+    n**3 for a batch of several, which holds at most ``_BATCH`` rows, so it
+    fits in 64 bits.
+    """
+    n = len(x)
+    by_value = np.argsort(x)
+    xs = x[by_value]
+    rank = np.empty(n, dtype=np.intp)
+    rank[by_value] = np.cumsum(np.concatenate(([0], xs[1:] != xs[:-1])))
+    return np.argsort((seg * n + rank) * n + np.arange(n))
+
+
+def _sort_segments(X: np.ndarray, y: np.ndarray, segments: list[tuple[np.ndarray, int]],
+                   sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The segments' values, concatenated and sorted within each segment, and
+    the cumulative win count along them.  What only the sort needs is freed
+    on return, before the search allocates its per-cut arrays."""
+    seg = np.repeat(np.arange(len(segments)), sizes)
+    rows = np.concatenate([rows for rows, _ in segments])
+    x = X[rows, np.repeat([f for _, f in segments], sizes)]
+    order = _order_within(x, seg)
+    return x[order], np.cumsum(y[rows[order]])
+
+
+def _numeric_splits(X: np.ndarray, y: np.ndarray, segments: list[tuple[np.ndarray, int]],
+                    min_branch: int) -> list[_Candidate | None]:
+    """Best-gain threshold of each (rows, feature) segment, scored by gain ratio.
+
+    All segments are searched in one pass over their concatenation: each is
+    sorted by value within itself, and one cumulative win count serves them
+    all.
+    """
+    sizes = np.array([len(rows) for rows, _ in segments])
+    ends = np.cumsum(sizes)
+    xs, cum_wins = _sort_segments(X, y, segments, sizes)
+    # candidate cuts after position i: between consecutive distinct values of
+    # one segment, leaving at least min_branch rows on each side
+    i = np.flatnonzero(xs[1:] != xs[:-1])
+    s = np.searchsorted(ends, i, side="right")      # the segment of each cut
+    left = i + 1 - (ends - sizes)[s]
+    n = sizes[s]
+    keep = (left >= min_branch) & (n - left >= min_branch)
+    i, s, left, n = i[keep], s[keep], left[keep], n[keep]
+    found: list[_Candidate | None] = [None] * len(segments)
+    if i.size == 0:
+        return found
+    before = np.concatenate(([0], cum_wins[ends[:-1] - 1]))   # wins in earlier segments
+    total_wins = (cum_wins[ends - 1] - before).astype(float)
+    parent = np.array([_entropy(w, m) for w, m in zip(total_wins.tolist(), sizes.tolist())])
+
+    left_n = left.astype(float)
+    left_wins = (cum_wins[i] - before[s]).astype(float)
     right_n = n - left_n
-    right_wins = total_wins - left_wins
+    right_wins = total_wins[s] - left_wins
+    child = (left_n * _ent(left_wins, left_n) + right_n * _ent(right_wins, right_n)) / n
+    gain = parent[s] - child
 
-    def ent(w, m):
-        out = np.zeros_like(m)
-        ok = (m > 0) & (w > 0) & (w < m)
-        p = np.divide(w, m, out=np.zeros_like(m), where=m > 0)
-        pc = 1.0 - p
-        out[ok] = -(p[ok] * np.log2(p[ok]) + pc[ok] * np.log2(pc[ok]))
-        return out
+    # the first maximum of each segment -> its lowest threshold on ties
+    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    top = np.repeat(np.maximum.reduceat(gain, first), np.diff(np.append(first, len(s))))
+    hit = np.flatnonzero(gain == top)
+    best = hit[np.concatenate(([True], s[hit[1:]] != s[hit[:-1]]))]
+    below, above = xs[i[best]], xs[i[best] + 1]
+    mid = (below + above) / 2.0
+    # a midpoint that rounds onto the value above the cut would send that
+    # value left too; the value below the cut then cuts in the same place
+    thresh = np.where(mid < above, mid, below)
+    for k, g, m, size, t in zip(s[best].tolist(), gain[best].tolist(), left[best].tolist(),
+                                n[best].tolist(), thresh.tolist()):
+        if g <= 1e-12:
+            continue
+        frac = m / size
+        split_info = -(frac * math.log2(frac) + (1 - frac) * math.log2(1 - frac))
+        if split_info > 0:
+            found[k] = _Candidate(gain=g, ratio=g / split_info,
+                                  feature=segments[k][1], threshold=t)
+    return found
 
-    child = (left_n * ent(left_wins, left_n) + right_n * ent(right_wins, right_n)) / n
-    gain = parent - child
-    best = int(np.argmax(gain))     # first max -> lowest threshold on ties
-    if gain[best] <= 1e-12:
-        return None
-    frac = left_n[best] / n
-    split_info = -(frac * math.log2(frac) + (1 - frac) * math.log2(1 - frac))
-    if split_info <= 0:
-        return None
-    thresh = (xs[diff[best]] + xs[diff[best] + 1]) / 2.0
-    return _Candidate(gain=float(gain[best]), ratio=float(gain[best]) / split_info,
-                      feature=feature, threshold=float(thresh))
 
-
-def _site_split(site: np.ndarray, y: np.ndarray,
+def _site_split(counts: list[int], wins: list[float],
                 min_branch: int) -> _Candidate | None:
-    n = len(y)
-    parent = _entropy(float(np.sum(y)), n)
+    """The three-way site split of a node with ``counts[code]`` rows and
+    ``wins[code]`` wins at each site code."""
+    n = sum(counts)
+    parent = _entropy(float(sum(wins)), n)
     child = 0.0
     split_info = 0.0
     n_sized = 0  # branches large enough to count toward admissibility
-    for code in (0, 1, 2):
-        mask = site == code
-        m = int(np.sum(mask))
+    for m, w in zip(counts, wins):
         if m == 0:
             continue
         if m >= min_branch:
             n_sized += 1
-        child += m * _entropy(float(np.sum(y[mask])), m) / n
+        child += m * _entropy(w, m) / n
         frac = m / n
         split_info -= frac * math.log2(frac)
     gain = parent - child
     if n_sized < 2 or gain <= 1e-12 or split_info <= 0:
         return None
     return _Candidate(gain=gain, ratio=gain / split_info,
-                      feature=SITE_FEATURE, threshold=None)
+                      feature=SITE_FEATURE, threshold=0.0)
 
 
 def _select_split(cands: list[_Candidate]) -> _Candidate | None:
@@ -148,62 +214,133 @@ def _select_split(cands: list[_Candidate]) -> _Candidate | None:
     return max(eligible, key=lambda c: c.ratio)  # stable: first max wins ties
 
 
-def grow_tree(X: np.ndarray, site: np.ndarray, y: np.ndarray,
-              min_rows: int, rng: np.random.Generator | None = None,
-              n_candidates: int | None = None,
-              min_branch: int | None = None) -> Tree:
-    """Recursive grower; rng/n_candidates enable forest-style feature sampling.
+class _Growth:
+    """One tree growing in preorder: its node table so far, and a stack of
+    (rows, parent, slot) still to visit, where ``rows`` is None for an empty
+    site branch."""
 
-    ``min_branch`` is the per-branch admissibility minimum (defaults to
-    ``max(2, min_rows)``); pass 1 to grow unrestricted forest-style trees.
-    """
-    d = X.shape[1]
-    if min_branch is None:
-        min_branch = max(2, min_rows)
-    nodes: list[tuple[int, float, list[int], int, int]] = []
+    def __init__(self, rows: np.ndarray, rng: np.random.Generator | None):
+        self.rng = rng
+        self.stack: list[tuple[np.ndarray | None, int, int]] = [(rows, -1, 0)]
+        self.feature, self.children = array("q"), array("q")
+        self.threshold, self.n, self.wins = array("d"), array("q"), array("q")
 
-    def add(feature: int, threshold: float, n: int, wins: int) -> int:
-        nodes.append((feature, threshold, [0, 0, 0], n, wins))
-        return len(nodes) - 1
-
-    def build(idx: np.ndarray) -> int:
-        n = len(idx)
-        wins = int(np.sum(y[idx]))
-        if wins == 0 or wins == n or n < max(2, min_rows):
-            return add(LEAF, 0.0, n, wins)
-
-        features = list(range(d)) + [SITE_FEATURE]
-        if n_candidates is not None and n_candidates < len(features):
-            pick = rng.choice(len(features), size=n_candidates, replace=False)
-            features = [features[i] for i in sorted(pick)]
-
-        cands = []
-        for f in features:
-            cand = (_site_split(site[idx], y[idx], min_branch) if f == SITE_FEATURE
-                    else _best_numeric_split(X[idx, f], y[idx], f, min_branch))
-            if cand is not None:
-                cands.append(cand)
-        best = _select_split(cands)
-        if best is None:
-            return add(LEAF, 0.0, n, wins)
-
-        if best.feature == SITE_FEATURE:
-            node = add(SITE_FEATURE, 0.0, n, wins)
-            for code in (0, 1, 2):
-                sub = idx[site[idx] == code]
-                # an empty branch falls back to the parent's stats
-                nodes[node][2][code] = add(LEAF, 0.0, n, wins) if len(sub) == 0 else build(sub)
-            return node
-
-        node = add(best.feature, best.threshold, n, wins)
-        mask = X[idx, best.feature] <= best.threshold
-        nodes[node][2][:2] = build(idx[mask]), build(idx[~mask])
+    def add(self, feature: int, threshold: float, n: int, wins: int,
+            parent: int, slot: int) -> int:
+        node = len(self.feature)
+        self.feature.append(feature)
+        self.threshold.append(threshold)
+        self.children.extend((0, 0, 0))
+        self.n.append(n)
+        self.wins.append(wins)
+        if parent >= 0:
+            self.children[3 * parent + slot] = node
         return node
 
-    build(np.arange(len(y)))
-    feature, threshold, children, n, wins = zip(*nodes)
-    return Tree(feature=np.array(feature), threshold=np.array(threshold, dtype=float),
-                children=np.array(children), n=np.array(n), wins=np.array(wins))
+    def tree(self) -> Tree:
+        return Tree(feature=np.array(self.feature), threshold=np.array(self.threshold),
+                    children=np.array(self.children).reshape(-1, 3),
+                    n=np.array(self.n), wins=np.array(self.wins))
+
+
+class _Visit(NamedTuple):
+    """A node about to be scored: its tree, its rows, and where it hangs."""
+
+    growth: _Growth
+    rows: np.ndarray
+    n: int
+    wins: int
+    parent: int
+    slot: int
+    features: list[int]
+
+
+def _score(X: np.ndarray, site: np.ndarray, y: np.ndarray, visits: list[_Visit],
+           min_branch: int) -> list[list[_Candidate]]:
+    """The candidate splits of every visited node, in its feature order.
+
+    The numeric (node, feature) segments of all nodes are searched together,
+    in batches of at most ``_BATCH`` rows; a larger segment is searched alone.
+    One count of rows and wins by (node, site code) serves all site splits.
+    """
+    segments = [(v.rows, f) for v in visits for f in v.features if f != SITE_FEATURE]
+    at_site = [v.rows for v in visits if SITE_FEATURE in v.features]
+    numeric: list[_Candidate | None] = []
+    lo = size = 0
+    for hi, (rows, _) in enumerate(segments):
+        if size and size + len(rows) > _BATCH:
+            numeric += _numeric_splits(X, y, segments[lo:hi], min_branch)
+            lo, size = hi, 0
+        size += len(rows)
+    if segments:
+        numeric += _numeric_splits(X, y, segments[lo:], min_branch)
+    by_site: list[_Candidate | None] = []
+    if at_site:
+        rows = np.concatenate(at_site)
+        code = np.repeat(np.arange(0, 3 * len(at_site), 3), [len(r) for r in at_site])
+        code += site[rows]
+        counts = np.bincount(code, minlength=3 * len(at_site)).reshape(-1, 3)
+        wins = np.bincount(code, y[rows], minlength=3 * len(at_site)).reshape(-1, 3)
+        by_site = [_site_split(c, w, min_branch) for c, w in zip(counts.tolist(), wins.tolist())]
+    numeric_it, site_it = iter(numeric), iter(by_site)
+    out = []
+    for v in visits:
+        cands = [next(site_it if f == SITE_FEATURE else numeric_it) for f in v.features]
+        out.append([c for c in cands if c is not None])
+    return out
+
+
+def grow_trees(X: np.ndarray, site: np.ndarray, y: np.ndarray, samples: list[np.ndarray],
+               min_rows: int, min_branch: int,
+               rngs: list[np.random.Generator] | None = None,
+               n_candidates: int | None = None) -> list[Tree]:
+    """Grow one tree on each sample (rows of ``X``, in sample order), in lockstep.
+
+    Each step takes from every tree still growing the next node to split,
+    resolving the leaves before it, and scores all of them with one
+    :func:`_score` call.  ``rngs``/``n_candidates`` enable forest-style
+    feature sampling, one stream per tree.  ``min_rows`` is the smallest
+    node that may split, ``min_branch`` the per-branch admissibility
+    minimum; 1 grows unrestricted forest-style trees.
+    """
+    everything = list(range(X.shape[1])) + [SITE_FEATURE]
+    growing = [_Growth(rows, rng) for rows, rng in zip(samples, rngs or [None] * len(samples))]
+    active = growing
+    while active:
+        visits = []
+        for g in active:
+            while g.stack:
+                rows, parent, slot = g.stack.pop()
+                if rows is None:    # an empty branch falls back to the parent's stats
+                    g.add(LEAF, 0.0, g.n[parent], g.wins[parent], parent, slot)
+                    continue
+                n = len(rows)
+                wins = int(y[rows].sum())
+                if wins == 0 or wins == n or n < max(2, min_rows):
+                    g.add(LEAF, 0.0, n, wins, parent, slot)
+                    continue
+                features = everything
+                if n_candidates is not None and n_candidates < len(everything):
+                    pick = g.rng.choice(len(everything), size=n_candidates, replace=False)
+                    features = [everything[i] for i in sorted(pick)]
+                visits.append(_Visit(g, rows, n, wins, parent, slot, features))
+                break
+        for v, cands in zip(visits, _score(X, site, y, visits, min_branch)):
+            best = _select_split(cands)
+            if best is None:
+                v.growth.add(LEAF, 0.0, v.n, v.wins, v.parent, v.slot)
+                continue
+            node = v.growth.add(best.feature, best.threshold, v.n, v.wins, v.parent, v.slot)
+            if best.feature == SITE_FEATURE:
+                codes = site[v.rows]
+                for code in (2, 1, 0):      # popped in slot order
+                    sub = v.rows[codes == code]
+                    v.growth.stack.append((sub if len(sub) else None, node, code))
+            else:
+                left = X[v.rows, best.feature] <= best.threshold
+                v.growth.stack += [(v.rows[~left], node, 1), (v.rows[left], node, 0)]
+        active = [v.growth for v in visits]
+    return [g.tree() for g in growing]
 
 
 def p_win(tree: Tree, X: np.ndarray, site: np.ndarray) -> np.ndarray:
@@ -221,7 +358,8 @@ def p_win(tree: Tree, X: np.ndarray, site: np.ndarray) -> np.ndarray:
 
 def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> Tree:
     min_rows = math.ceil(hp["min_node_fraction"] * len(y))
-    return grow_tree(X, site, y, min_rows=min_rows)
+    return grow_trees(X, site, y, [np.arange(len(y))], min_rows=min_rows,
+                      min_branch=max(2, min_rows))[0]
 
 
 def _used(feature: np.ndarray) -> np.ndarray:

@@ -8,8 +8,12 @@ production run *exactly* (bitwise) is the strongest check that the
 incremental accumulators are right; both sides fold values in the same
 chronological order, so float results must coincide operation for operation.
 
-The same goes for the two references at the end: naive Bayes scored one row
-at a time, and RPI recomputed from scratch for each team.
+The same goes for the references at the end: naive Bayes scored one row at
+a time, RPI recomputed from scratch for each team, and decision trees grown
+by recursion, one node and one feature column at a time.  A threshold there
+falls back to the value below the cut when the midpoint rounds onto the value
+above it, as in production; without that, such a split sends every row left
+and the recursion never ends.
 """
 
 from __future__ import annotations
@@ -33,6 +37,14 @@ from courtcast.adjust import (
 from courtcast.baselines import BaselineError
 from courtcast.ingest import SeasonStore
 from courtcast.models.naive_bayes import KdeParams
+from courtcast.models.tree import (
+    LEAF,
+    SITE_FEATURE,
+    Tree,
+    _Candidate,
+    _entropy,
+    _select_split,
+)
 from courtcast.stats import FourFactors, game_stats
 
 _FACTORS = FourFactors.field_names()
@@ -280,3 +292,142 @@ def naive_rpi(team: str, games) -> float:
 
     oo_wp = sum(owp(opp) for opp, _ in own) / len(own)
     return 0.25 * wp(team) + 0.50 * owp(team) + 0.25 * oo_wp
+
+
+def _best_numeric_split(x: np.ndarray, y: np.ndarray, feature: int,
+                        min_branch: int) -> _Candidate | None:
+    """Best-gain threshold for one numeric column, scored by gain ratio."""
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    n = len(ys)
+    # candidate cut positions: between consecutive distinct values, leaving
+    # at least min_branch rows on each side
+    diff = np.nonzero(xs[1:] != xs[:-1])[0]
+    diff = diff[(diff + 1 >= min_branch) & (n - diff - 1 >= min_branch)]
+    if diff.size == 0:
+        return None
+    total_wins = float(np.sum(ys))
+    parent = _entropy(total_wins, n)
+    cum_wins = np.cumsum(ys)
+
+    left_n = (diff + 1).astype(float)
+    left_wins = cum_wins[diff].astype(float)
+    right_n = n - left_n
+    right_wins = total_wins - left_wins
+
+    def ent(w, m):
+        out = np.zeros_like(m)
+        ok = (m > 0) & (w > 0) & (w < m)
+        p = np.divide(w, m, out=np.zeros_like(m), where=m > 0)
+        pc = 1.0 - p
+        out[ok] = -(p[ok] * np.log2(p[ok]) + pc[ok] * np.log2(pc[ok]))
+        return out
+
+    child = (left_n * ent(left_wins, left_n) + right_n * ent(right_wins, right_n)) / n
+    gain = parent - child
+    best = int(np.argmax(gain))     # first max -> lowest threshold on ties
+    if gain[best] <= 1e-12:
+        return None
+    frac = left_n[best] / n
+    split_info = -(frac * math.log2(frac) + (1 - frac) * math.log2(1 - frac))
+    if split_info <= 0:
+        return None
+    thresh = (xs[diff[best]] + xs[diff[best] + 1]) / 2.0
+    if not thresh < xs[diff[best] + 1]:     # the midpoint rounded onto the value above
+        thresh = xs[diff[best]]
+    return _Candidate(gain=float(gain[best]), ratio=float(gain[best]) / split_info,
+                      feature=feature, threshold=float(thresh))
+
+
+def _site_split(site: np.ndarray, y: np.ndarray, min_branch: int) -> _Candidate | None:
+    """The three-way site split, one mask per site code."""
+    n = len(y)
+    parent = _entropy(float(np.sum(y)), n)
+    child = 0.0
+    split_info = 0.0
+    n_sized = 0  # branches large enough to count toward admissibility
+    for code in (0, 1, 2):
+        mask = site == code
+        m = int(np.sum(mask))
+        if m == 0:
+            continue
+        if m >= min_branch:
+            n_sized += 1
+        child += m * _entropy(float(np.sum(y[mask])), m) / n
+        frac = m / n
+        split_info -= frac * math.log2(frac)
+    gain = parent - child
+    if n_sized < 2 or gain <= 1e-12 or split_info <= 0:
+        return None
+    return _Candidate(gain=gain, ratio=gain / split_info,
+                      feature=SITE_FEATURE, threshold=None)
+
+
+def grow_tree(X: np.ndarray, site: np.ndarray, y: np.ndarray,
+              min_rows: int, rng: np.random.Generator | None = None,
+              n_candidates: int | None = None,
+              min_branch: int | None = None) -> Tree:
+    """Recursive grower; rng/n_candidates enable forest-style feature sampling.
+
+    ``min_branch`` is the per-branch admissibility minimum (defaults to
+    ``max(2, min_rows)``); pass 1 to grow unrestricted forest-style trees.
+    """
+    d = X.shape[1]
+    if min_branch is None:
+        min_branch = max(2, min_rows)
+    nodes: list[tuple[int, float, list[int], int, int]] = []
+
+    def add(feature: int, threshold: float, n: int, wins: int) -> int:
+        nodes.append((feature, threshold, [0, 0, 0], n, wins))
+        return len(nodes) - 1
+
+    def build(idx: np.ndarray) -> int:
+        n = len(idx)
+        wins = int(np.sum(y[idx]))
+        if wins == 0 or wins == n or n < max(2, min_rows):
+            return add(LEAF, 0.0, n, wins)
+
+        features = list(range(d)) + [SITE_FEATURE]
+        if n_candidates is not None and n_candidates < len(features):
+            pick = rng.choice(len(features), size=n_candidates, replace=False)
+            features = [features[i] for i in sorted(pick)]
+
+        cands = []
+        for f in features:
+            cand = (_site_split(site[idx], y[idx], min_branch) if f == SITE_FEATURE
+                    else _best_numeric_split(X[idx, f], y[idx], f, min_branch))
+            if cand is not None:
+                cands.append(cand)
+        best = _select_split(cands)
+        if best is None:
+            return add(LEAF, 0.0, n, wins)
+
+        if best.feature == SITE_FEATURE:
+            node = add(SITE_FEATURE, 0.0, n, wins)
+            for code in (0, 1, 2):
+                sub = idx[site[idx] == code]
+                # an empty branch falls back to the parent's stats
+                nodes[node][2][code] = add(LEAF, 0.0, n, wins) if len(sub) == 0 else build(sub)
+            return node
+
+        node = add(best.feature, best.threshold, n, wins)
+        mask = X[idx, best.feature] <= best.threshold
+        nodes[node][2][:2] = build(idx[mask]), build(idx[~mask])
+        return node
+
+    build(np.arange(len(y)))
+    feature, threshold, children, n, wins = zip(*nodes)
+    return Tree(feature=np.array(feature), threshold=np.array(threshold, dtype=float),
+                children=np.array(children), n=np.array(n), wins=np.array(wins))
+
+
+def grow_forest(X: np.ndarray, site: np.ndarray, y: np.ndarray, n_trees: int,
+                n_candidates: int, seed: int) -> list[Tree]:
+    """A random forest one tree at a time, each on its own bootstrap sample."""
+    trees = []
+    for ss in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(ss)
+        rows = rng.integers(0, len(y), size=len(y))
+        trees.append(grow_tree(X[rows], site[rows], y[rows], min_rows=0, rng=rng,
+                               n_candidates=n_candidates, min_branch=1))
+    return trees

@@ -178,6 +178,13 @@ def edited(edit):
     ("naive_bayes_kde", "infinite_site_count",
      edited(lambda doc: doc["params"]["site_counts"][1].__setitem__(2, float("inf"))),
      "must be finite"),
+    ("naive_bayes_kde", "tiny_bandwidth",
+     edited(lambda doc: doc["params"]["bandwidths"].__setitem__(
+         0, [1e-300] * len(doc["params"]["bandwidths"][0]))),
+     "bandwidths must be finite and positive, at least 1e-50"),
+    ("naive_bayes_kde", "huge_point",
+     edited(lambda doc: doc["params"]["points"][0][0].__setitem__(0, 1e300)),
+     "at most 1e+50 in magnitude"),
     ("naive_bayes_kde", "positive_log_prior",
      edited(lambda doc: doc["params"]["log_priors"].__setitem__(0, 50.0)),
      "log priors must be finite and at most 0"),
@@ -206,6 +213,8 @@ def test_model_file_that_is_not_json(league, tmp_path):
     (["train", "--kind", "mlp", "--hyper", "epochs=abc"], "epochs"),
     (["train", "--kind", "random_forest", "--hyper", "n_trees=abc"], "n_trees"),
     (["train", "--kind", "naive_bayes_kde", "--hyper", "bandwidth=abc"], "bandwidth"),
+    (["train", "--kind", "naive_bayes_kde", "--hyper", "bandwidth_floor=1e-60"],
+     "bandwidth_floor"),
     (["glass-ceiling", "--hyper", "decision_tree.min_node_fraction=abc"],
      "min_node_fraction"),
     (["train", "--kind", "mlp", "--hyper", "hidden=0.5"], "hidden"),

@@ -31,12 +31,13 @@ from courtcast.models import (
     save_model,
     train,
 )
+from courtcast.models import forest as forest_mod
 from courtcast.models import mlp as mlp_mod
 from courtcast.models import naive_bayes as nb_mod
 from courtcast.models import tree as tree_mod
 from courtcast.stats import Site
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
-from tests.oracles import naive_bayes_p_win
+from tests.oracles import grow_forest, grow_tree, naive_bayes_p_win
 
 DATE = dt.date(2011, 2, 1)
 ALL_KINDS = list(ModelKind)
@@ -278,6 +279,20 @@ class TestTree:
         assert p == pytest.approx(0.6)
         assert label is Label.WIN
 
+    def test_a_cut_between_adjacent_doubles_separates_them(self):
+        # the midpoint of these two doubles rounds onto the upper one
+        low = np.nextafter(1.0, 2.0)
+        high = np.nextafter(low, 2.0)
+        assert (low + high) / 2.0 == high
+        X = np.array([[low], [low], [high], [high]])
+        site, y = np.zeros(4, dtype=int), np.array([0, 0, 1, 1])
+        t = tree_mod.fit(X, site, y, {"min_node_fraction": 0.0}, seed=0)
+        assert t.feature.tolist() == [0, tree_mod.LEAF, tree_mod.LEAF]
+        assert t.threshold[0] == low
+        assert tree_mod.p_win(t, X, site).tolist() == [0.0, 0.0, 1.0, 1.0]
+        for t in forest_mod.fit(X, site, y, {"n_trees": 5, "candidate_features": None}, 0):
+            assert t.n[t.feature == tree_mod.LEAF].min() >= 1
+
     def test_single_leaf_round_trips(self, tmp_path):
         insts = ([make_instance([1, 1, 1, 1], Label.WIN) for _ in range(6)]
                  + [make_instance([1, 1, 1, 1], Label.LOSS) for _ in range(4)])
@@ -424,6 +439,100 @@ class TestNaiveBayesBatch:
             assert nb_mod.p_win(model.params, X[idx], site[idx]).tobytes() == full[idx].tobytes()
         for i in range(len(X)):
             assert nb_mod.p_win(model.params, X[i:i + 1], site[i:i + 1])[0] == full[i]
+
+
+ORACLE_SEEDS = (4, 9)
+TREE_FIELDS = ("feature", "threshold", "children", "n", "wins")
+
+
+@pytest.fixture(scope="module")
+def scheme_arrays():
+    """(X, site, y) of a generated league's training rows, per (seed, scheme)."""
+    out = {}
+    for seed in ORACLE_SEEDS:
+        spec = SyntheticLeagueSpec(n_teams=12, games_per_team=14, n_seasons=2, seed=seed)
+        store, _ = generate_league(spec, bayes_sims=100)
+        test_season = store.seasons[-1]
+        runs = run_seasons(store, AveragingScheme.ALPHA, Seeding.PRIOR_SEASON,
+                           through=test_season)
+        for scheme in FeatureScheme:
+            train_set, _ = build_dataset(store, runs, scheme, test_season)
+            out[seed, scheme] = to_arrays(train_set)
+    return out
+
+
+def assert_same_trees(got: list[tree_mod.Tree], want: list[tree_mod.Tree]):
+    """Node for node, bit for bit."""
+    assert len(got) == len(want)
+    for k, (a, b) in enumerate(zip(got, want)):
+        for field in TREE_FIELDS:
+            u, v = getattr(a, field), getattr(b, field)
+            assert np.array_equal(u, v) and u.tobytes() == v.tobytes(), (k, field)
+
+
+def default_candidates(X: np.ndarray) -> int:
+    return math.ceil(math.sqrt(X.shape[1] + 1))
+
+
+class TestGrowerMatchesOracle:
+    """The lockstep grower against the recursive one it replaced."""
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("scheme", list(FeatureScheme))
+    def test_tree(self, scheme_arrays, scheme, seed):
+        X, site, y = scheme_arrays[seed, scheme]
+        for fraction in (0.0, 0.01, 0.05):
+            got = tree_mod.fit(X, site, y, {"min_node_fraction": fraction}, seed=seed)
+            want = grow_tree(X, site, y, min_rows=math.ceil(fraction * len(y)))
+            assert_same_trees([got], [want])
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("scheme", list(FeatureScheme))
+    def test_forest(self, scheme_arrays, scheme, seed):
+        X, site, y = scheme_arrays[seed, scheme]
+        d = X.shape[1] + 1
+        for k in (1, None, d + 1):
+            got = forest_mod.fit(X, site, y, {"n_trees": 4, "candidate_features": k}, seed)
+            want = grow_forest(X, site, y, 4, k or default_candidates(X), seed)
+            assert_same_trees(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_many_ties(self, data):
+        """Integer-valued columns (with both signed zeros, and two adjacent
+        doubles whose midpoint rounds up), duplicate rows, all sites."""
+        d = data.draw(st.integers(1, 4))
+        low = np.nextafter(1.0, 2.0)
+        values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, low, np.nextafter(low, 2.0), 3.0])
+        base = data.draw(st.lists(st.lists(values, min_size=d, max_size=d),
+                                  min_size=1, max_size=12))
+        pick = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=2, max_size=40))
+        X = np.array([base[i] for i in pick])
+        n = len(X)
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        site = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        min_rows = data.draw(st.integers(0, 6))
+        got = tree_mod.grow_trees(X, site, y, [np.arange(n)], min_rows=min_rows,
+                                  min_branch=max(2, min_rows))
+        assert_same_trees(got, [grow_tree(X, site, y, min_rows=min_rows)])
+        n_trees, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, d + 2))
+        seed = data.draw(st.integers(0, 2**16))
+        got = forest_mod.fit(X, site, y, {"n_trees": n_trees, "candidate_features": k}, seed)
+        assert_same_trees(got, grow_forest(X, site, y, n_trees, k, seed))
+
+
+class TestForestStreams:
+    def test_a_tree_does_not_depend_on_the_forest_size(self, scheme_arrays):
+        X, site, y = scheme_arrays[4, FeatureScheme.ADJ_FOUR_FACTORS]
+        three = forest_mod.fit(X, site, y, {"n_trees": 3, "candidate_features": None}, 5)
+        twenty = forest_mod.fit(X, site, y, {"n_trees": 20, "candidate_features": None}, 5)
+        assert_same_trees(three, twenty[:3])
+
+    def test_a_forest_of_several_groups_equals_the_oracle(self, scheme_arrays):
+        X, site, y = scheme_arrays[9, FeatureScheme.ADJ_EFF]
+        n_trees = 2 * forest_mod._GROUP + 3
+        got = forest_mod.fit(X, site, y, {"n_trees": n_trees, "candidate_features": None}, 3)
+        assert_same_trees(got, grow_forest(X, site, y, n_trees, default_candidates(X), 3))
 
 
 class TestAllKindsContract:

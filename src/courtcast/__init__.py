@@ -59,7 +59,6 @@ from courtcast.ingest import (
     parse_roster,
     season_partition,
     write_game_log,
-    write_roster,
 )
 from courtcast.models import (
     ModelError,

@@ -92,8 +92,10 @@ class AdjustConfig:
     navg_source: str = "raw"
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise AdjustmentError(f"alpha must be in [0, 1], got {self.alpha}")
+        # ft_weight is the share of free-throw attempts that end a possession
+        for name in ("ft_weight", "alpha"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise AdjustmentError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.navg_source not in ("raw", "adjusted"):
             raise AdjustmentError(f"navg_source must be 'raw' or 'adjusted', got {self.navg_source!r}")
 

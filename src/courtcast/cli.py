@@ -19,10 +19,8 @@ default ``--data`` path is resolved against.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import datetime as dt
-import json
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -53,6 +51,7 @@ from courtcast.evaluate import (
     BASELINE_KINDS,
     EvalError,
     check_hyper,
+    glass_ceiling_experiment,
     resolve_kind,
     walk_forward_evaluate,
 )
@@ -71,6 +70,7 @@ from courtcast.ingest import (
     SeasonStore,
     parse_game_log,
     parse_roster,
+    write_csv,
     write_game_log,
 )
 from courtcast.models import (
@@ -90,9 +90,6 @@ from courtcast.synthetic import (
 )
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
-
-COMMANDS = ("ingest", "stats", "adjust", "features", "train", "predict",
-            "rank", "evaluate", "simulate", "glass-ceiling")
 
 
 class UsageError(CourtcastError):
@@ -223,33 +220,16 @@ def parse_hyper(text: str) -> dict[str, object]:
 # ---------------------------------------------------------------------------
 # Artifact plumbing
 
-def config_echo(cfg: RunConfig) -> list[str]:
-    return [f"# {f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)]
-
-
-def _write_csv(path: Path, cfg: RunConfig, header: Sequence[str],
-               rows: Sequence[Sequence[object]],
-               extra_comments: Sequence[str] = ()) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        for line in config_echo(cfg):
-            fh.write(line + "\n")
-        for line in extra_comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_run_config(cfg: RunConfig, out: Path) -> None:
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)]
-    (out / "run_config.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _out_dir(cfg: RunConfig) -> Path:
+def _out_dir(cfg: RunConfig) -> tuple[Path, list[str]]:
+    """The artifact directory, with ``run_config.cfg`` written in it, and the
+    configuration's ``key = value`` lines: that file's body, and the comment
+    header of every CSV artifact.  Both render ``dataclasses.asdict(cfg)``,
+    the mapping ``model.json`` carries as ``run_config``."""
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_run_config(cfg, out)
-    return out
+    echo = [f"{key} = {value}" for key, value in dataclasses.asdict(cfg).items()]
+    (out / "run_config.cfg").write_text("\n".join(echo) + "\n", encoding="utf-8")
+    return out, echo
 
 
 def _say(path: Path, detail: str = "") -> None:
@@ -328,16 +308,16 @@ def _load_model_file(cfg: RunConfig, requested: ModelKind):
 
 def cmd_ingest(cfg: RunConfig) -> None:
     store = _load_store(cfg)
-    out = _out_dir(cfg)
+    out, echo = _out_dir(cfg)
     path = out / "games.csv"
-    write_game_log(store, path, header_comments=config_echo(cfg))
+    write_game_log(store, path, echo)
     n_teams = len({t for s in store.seasons for t in store.teams(s)})
     _say(path, f"{store.n_games} games, seasons {store.seasons}, {n_teams} teams")
 
 
 def cmd_stats(cfg: RunConfig) -> None:
     store = _load_store(cfg)
-    out = _out_dir(cfg)
+    out, echo = _out_dir(cfg)
     factor_cols = list(FourFactors.field_names())
     header = (["date", "season", "team", "opponent", "site", "won",
                "points", "poss", "oe", "de"]
@@ -352,14 +332,14 @@ def cmd_stats(cfg: RunConfig) -> None:
                         + [getattr(side.off_factors, c) for c in factor_cols]
                         + [getattr(side.def_factors, c) for c in factor_cols])
     path = out / "game_stats.csv"
-    _write_csv(path, cfg, header, rows)
+    write_csv(path, header, rows, echo)
     _say(path, f"{len(rows)} team-game rows")
 
 
 def cmd_adjust(cfg: RunConfig) -> None:
     store = _load_store(cfg)
     runs = _runs(cfg, store)
-    out = _out_dir(cfg)
+    out, echo = _out_dir(cfg)
     header = ["season", "team", "games_played"] + list(STATE_KEYS)
     rows = []
     for season in sorted(runs):
@@ -369,7 +349,7 @@ def cmd_adjust(cfg: RunConfig) -> None:
             rows.append([season, team, snap.games_played]
                         + team_row(snap)[:len(STATE_KEYS)].tolist())
     path = out / "snapshots.csv"
-    _write_csv(path, cfg, header, rows)
+    write_csv(path, header, rows, echo)
     _say(path, f"{len(rows)} team-season snapshots")
 
 
@@ -377,7 +357,7 @@ def cmd_features(cfg: RunConfig) -> None:
     store = _load_store(cfg)
     runs = _runs(cfg, store)
     scheme = FeatureScheme(cfg.scheme)
-    out = _out_dir(cfg)
+    out, echo = _out_dir(cfg)
     header = (["date", "season", "team_first", "team_second", "location", "label"]
               + list(feature_names(scheme)))
     rows = []
@@ -387,7 +367,7 @@ def cmd_features(cfg: RunConfig) -> None:
                          inst.team_second, inst.location.value, inst.label.value]
                         + list(inst.features))
     path = out / "features.csv"
-    _write_csv(path, cfg, header, rows)
+    write_csv(path, header, rows, echo)
     _say(path, f"{len(rows)} instances, scheme {scheme.value}")
 
 
@@ -399,12 +379,9 @@ def cmd_train(cfg: RunConfig) -> None:
     runs = _runs(cfg, store, through=test_season)
     train_set, _ = build_dataset(store, runs, FeatureScheme(cfg.scheme), test_season)
     model = train(train_set, kind, hyper=hyper or None, seed=cfg.seed)
-    out = _out_dir(cfg)
+    out, _ = _out_dir(cfg)
     path = out / "model.json"
-    save_model(model, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    doc["run_config"] = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    save_model(dataclasses.replace(model, run_config=dataclasses.asdict(cfg)), path)
     _say(path, f"{kind.value} on {len(train_set)} instances "
                f"from seasons before {test_season}")
 
@@ -447,13 +424,12 @@ def cmd_predict(cfg: RunConfig) -> None:
     label = resolve_label(p, location)
     winner = cfg.team_first if label is Label.WIN else cfg.team_second
 
-    out = _out_dir(cfg)
+    out, echo = _out_dir(cfg)
     path = out / "prediction.csv"
-    _write_csv(path, cfg,
-               ["date", "team_first", "team_second", "location", "predictor",
-                "predicted_winner", "p_first_wins"],
-               [[date.isoformat(), cfg.team_first, cfg.team_second,
-                 location.value, cfg.kind, winner, p]])
+    write_csv(path, ["date", "team_first", "team_second", "location", "predictor",
+                     "predicted_winner", "p_first_wins"],
+              [[date.isoformat(), cfg.team_first, cfg.team_second,
+                location.value, cfg.kind, winner, p]], echo)
     _say(path, f"{winner} (p_first={p:.3f})")
 
 
@@ -466,7 +442,7 @@ def cmd_rank(cfg: RunConfig) -> None:
     runs = _runs(cfg, store, through=test_season)
     run = runs[test_season]
     snapshots = [run.final[t] for t in sorted(run.final)]
-    out = _out_dir(cfg)
+    out, echo = _out_dir(cfg)
     path = out / "rankings.csv"
 
     if kind == "rpi":
@@ -482,8 +458,8 @@ def cmd_rank(cfg: RunConfig) -> None:
         ranking = round_robin_rank(predictor, snapshots)
         rows = [[e.rank, e.team, e.score] for e in ranking.entries]
 
-    _write_csv(path, cfg, ["rank", "team", "score"], rows,
-               extra_comments=[f"season = {test_season}", f"rater = {cfg.kind}"])
+    write_csv(path, ["rank", "team", "score"], rows,
+              echo + [f"season = {test_season}", f"rater = {cfg.kind}"])
     _say(path, f"{len(rows)} teams, season {test_season}, rater {cfg.kind}")
 
 
@@ -499,23 +475,17 @@ def cmd_evaluate(cfg: RunConfig) -> None:
         AveragingScheme(cfg.averaging), Seeding(cfg.seeding),
         seed=cfg.seed, config=_adjust_config(cfg), hyper=hyper or None)
 
-    out = _out_dir(cfg)
-    summary = [f"kind = {report.kind}", f"scheme = {report.scheme}",
-               f"test_season = {report.test_season}",
-               f"n_train = {report.n_train}", f"n_test = {report.n_test}",
-               f"accuracy = {report.accuracy}"]
-    summary += [f"confusion {k} = {v}" for k, v in sorted(report.confusion.items())]
+    out, echo = _out_dir(cfg)
+    doc = report.as_dict()
+    summary = [f"{key} = {doc[key]}" for key in
+               ("kind", "scheme", "test_season", "n_train", "n_test", "accuracy")]
+    summary += [f"confusion {k} = {v}" for k, v in sorted(doc["confusion"].items())]
     report_path = out / "eval_report.csv"
-    _write_csv(report_path, cfg,
-               ["date", "team_first", "team_second", "location",
-                "predicted", "actual", "p_win"],
-               [[p.date.isoformat(), p.team_first, p.team_second, p.location.value,
-                 p.predicted.value, p.actual.value, p.p_win]
-                for p in report.predictions],
-               extra_comments=summary)
+    write_csv(report_path, ["date", "team_first", "team_second", "location",
+                            "predicted", "actual", "p_win"],
+              doc["predictions"], echo + summary)
     curve_path = out / "eval_curve.csv"
-    _write_csv(curve_path, cfg, ["date", "cumulative_accuracy"],
-               [[d.isoformat(), acc] for d, acc in report.series])
+    write_csv(curve_path, ["date", "cumulative_accuracy"], doc["series"], echo)
     _say(report_path, f"accuracy {report.accuracy:.4f} on {report.n_test} games")
     _say(curve_path)
 
@@ -523,34 +493,40 @@ def cmd_evaluate(cfg: RunConfig) -> None:
 def cmd_simulate(cfg: RunConfig) -> None:
     spec = _league_spec(cfg)
     store, truth = generate_league(spec)
-    out = _out_dir(cfg)
+    out, echo = _out_dir(cfg)
     games_path = out / "games.csv"
-    write_game_log(store, games_path, header_comments=config_echo(cfg))
+    write_game_log(store, games_path, echo)
     truth_path = out / "league_truth.csv"
     rows = [[team, off, deff, off - deff]
             for team, (off, deff) in sorted(truth.strengths.items())]
-    _write_csv(truth_path, cfg, ["team", "off_strength", "def_strength", "net"],
-               rows, extra_comments=[f"noise = {truth.noise}",
-                                     f"bayes_accuracy = {truth.bayes_accuracy}",
-                                     f"bayes_sims = {truth.bayes_sims}"])
+    write_csv(truth_path, ["team", "off_strength", "def_strength", "net"], rows,
+              echo + [f"noise = {truth.noise}", f"bayes_accuracy = {truth.bayes_accuracy}",
+                      f"bayes_sims = {truth.bayes_sims}"])
     _say(games_path, f"{store.n_games} games, seasons {store.seasons}")
     _say(truth_path, f"best achievable accuracy {truth.bayes_accuracy:.4f}")
+
+
+def _listed(cfg: RunConfig, key: str) -> list[str]:
+    """The names in the comma-separated ``cfg.<key>``; naming none is a usage error."""
+    names = [p.strip() for p in getattr(cfg, key).split(",") if p.strip()]
+    if not names:
+        raise UsageError(f"--{key} names nothing, got {getattr(cfg, key)!r}")
+    return names
 
 
 def _ceiling_kinds(cfg: RunConfig) -> list[ModelKind | str]:
     if not cfg.kinds:
         return list(ModelKind)
-    return [_predictor(name)
-            for name in filter(None, (p.strip() for p in cfg.kinds.split(",")))]
+    return [_predictor(name) for name in _listed(cfg, "kinds")]
 
 
 def _ceiling_schemes(cfg: RunConfig) -> list[FeatureScheme]:
     if not cfg.schemes:
         return [FeatureScheme.ADJ_EFF, FeatureScheme.ADJ_FOUR_FACTORS,
                 FeatureScheme.RAW]
+    names = _listed(cfg, "schemes")
     try:
-        return [FeatureScheme(p.strip())
-                for p in cfg.schemes.split(",") if p.strip()]
+        return [FeatureScheme(name) for name in names]
     except ValueError:
         raise UsageError(f"schemes must come from "
                          f"{[s.value for s in FeatureScheme]}, got {cfg.schemes!r}") from None
@@ -572,23 +548,18 @@ def _hyper_overrides(cfg: RunConfig) -> dict[str, dict[str, object]]:
 
 
 def cmd_glass_ceiling(cfg: RunConfig) -> None:
-    from courtcast.evaluate import glass_ceiling_experiment
-
     spec = _league_spec(cfg)
     report = glass_ceiling_experiment(
         spec, _ceiling_kinds(cfg), _ceiling_schemes(cfg),
         AveragingScheme(cfg.averaging), Seeding(cfg.seeding),
         seed=cfg.seed, config=_adjust_config(cfg),
         hyper_overrides=_hyper_overrides(cfg) or None)
-    out = _out_dir(cfg)
+    out, echo = _out_dir(cfg)
     path = out / "ceiling.csv"
-    _write_csv(path, cfg, ["kind", "scheme", "accuracy", "gap", "n_test"],
-               [[c.kind, c.scheme, c.accuracy, c.gap, c.n_test]
-                for c in report.cells],
-               extra_comments=[f"bound = {report.bound}",
-                               f"halfwidth = {report.halfwidth}",
-                               f"n_test = {report.n_test}",
-                               f"test_season = {report.test_season}"])
+    doc = report.as_dict()
+    write_csv(path, ["kind", "scheme", "accuracy", "gap", "n_test"], doc["cells"],
+              echo + [f"{key} = {doc[key]}"
+                      for key in ("bound", "halfwidth", "n_test", "test_season")])
     print(f"bound {report.bound:.4f} (99% halfwidth {report.halfwidth:.4f}, "
           f"n_test {report.n_test})")
     for c in report.cells:
@@ -596,11 +567,19 @@ def cmd_glass_ceiling(cfg: RunConfig) -> None:
     _say(path)
 
 
-_DISPATCH: dict[str, Callable[[RunConfig], None]] = {
-    "ingest": cmd_ingest, "stats": cmd_stats, "adjust": cmd_adjust,
-    "features": cmd_features, "train": cmd_train, "predict": cmd_predict,
-    "rank": cmd_rank, "evaluate": cmd_evaluate, "simulate": cmd_simulate,
-    "glass-ceiling": cmd_glass_ceiling,
+#: Every subcommand: name -> (the function that runs it, its one-line help).
+COMMANDS: dict[str, tuple[Callable[[RunConfig], None], str]] = {
+    "ingest": (cmd_ingest, "validate a game log and write the normalized copy"),
+    "stats": (cmd_stats, "per-game possessions, efficiencies, and four factors"),
+    "adjust": (cmd_adjust, "season-long opponent-adjusted team snapshots"),
+    "features": (cmd_features, "encode every game as a model-ready instance"),
+    "train": (cmd_train, "fit a classifier on seasons before the test season"),
+    "predict": (cmd_predict, "predict one hypothetical pairing from snapshots"),
+    "rank": (cmd_rank, "round-robin ranking (pythag, rpi, or a trained model)"),
+    "evaluate": (cmd_evaluate, "walk-forward accuracy report plus in-season curve"),
+    "simulate": (cmd_simulate, "generate a synthetic league with known ground truth"),
+    "glass-ceiling": (cmd_glass_ceiling,
+                      "model-x-scheme accuracy grid against a known bound"),
 }
 
 
@@ -626,21 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Possession-based team ratings and match "
                                  "outcome prediction pipeline.")
     sub = parser.add_subparsers(dest="command", metavar="command")
-    helps = {
-        "ingest": "validate a game log and write the normalized copy",
-        "stats": "per-game possessions, efficiencies, and four factors",
-        "adjust": "season-long opponent-adjusted team snapshots",
-        "features": "encode every game as a model-ready instance",
-        "train": "fit a classifier on seasons before the test season",
-        "predict": "predict one hypothetical pairing from snapshots",
-        "rank": "round-robin ranking (pythag, rpi, or a trained model)",
-        "evaluate": "walk-forward accuracy report plus in-season curve",
-        "simulate": "generate a synthetic league with known ground truth",
-        "glass-ceiling": "model-x-scheme accuracy grid against a known bound",
-    }
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common], help=helps[name],
-                       description=helps[name])
+    for name, (_, text) in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text, description=text)
     return parser
 
 
@@ -655,7 +621,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                        if k not in ("command", "config")}
         file_values = parse_config_file(ns.config) if ns.config else {}
         cfg = resolve_config(file_values, flag_values)
-        _DISPATCH[ns.command](cfg)
+        COMMANDS[ns.command][0](cfg)
         return EXIT_OK
     except SystemExit as exc:  # argparse --help
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE

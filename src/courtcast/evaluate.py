@@ -288,20 +288,22 @@ def glass_ceiling_experiment(
         seeding: Seeding = Seeding.PRIOR_SEASON, *,
         seed: int = 0, config: AdjustConfig | None = None,
         hyper_overrides: Mapping[str, Mapping[str, object]] | None = None,
-        bayes_sims: int = 100_000, test_season: int | None = None) -> CeilingReport:
+        bayes_sims: int = 100_000) -> CeilingReport:
     """Run every (kind, scheme) cell against a known accuracy bound.
 
     The league is generated from ``spec`` (its last season is the test
-    season unless given), each cell is a full walk-forward evaluation, and
-    the recorded best achievable accuracy becomes the bound every cell is
-    compared to.  ``hyper_overrides`` maps a kind name to hyperparameter
-    overrides for that kind's training runs.
+    season), each cell is a full walk-forward evaluation, and the recorded
+    best achievable accuracy becomes the bound every cell is compared to.
+    ``hyper_overrides`` maps a kind name to hyperparameter overrides for
+    that kind's training runs.
     """
-    if spec.n_seasons < 2 and test_season is None:
+    if not kinds or not schemes:
+        raise EvalError(f"the experiment needs at least one kind and one scheme, "
+                        f"got {len(kinds)} kinds and {len(schemes)} schemes")
+    if spec.n_seasons < 2:
         raise EvalError("the experiment needs at least one season before the test season")
     store, truth = generate_league(spec, bayes_sims=bayes_sims)
-    if test_season is None:
-        test_season = spec.first_season + spec.n_seasons - 1
+    test_season = spec.first_season + spec.n_seasons - 1
     config = config or AdjustConfig()
     averaging, seeding = AveragingScheme(averaging), Seeding(seeding)
     overrides = {str(getattr(k, "value", k)): dict(v)

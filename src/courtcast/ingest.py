@@ -337,34 +337,25 @@ def parse_game_log(path: str | Path,
     return SeasonStore(games, rosters=rosters, off_roster_dropped=dropped)
 
 
+def write_csv(path: str | Path, header: Sequence[str],
+              rows: Iterable[Sequence[object]], comments: Sequence[str] = ()) -> None:
+    """Write every CSV artifact: ``comments`` as ``# ``-prefixed lines, then
+    ``header``, then ``rows``.  :func:`parse_game_log` skips the comments."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_game_log(store: SeasonStore, path: str | Path,
-                   header_comments: Sequence[str] = ()) -> None:
-    """Serialize a store back to the game-log CSV schema (round-trip safe).
-
-    ``header_comments`` lines (already ``#``-prefixed) go above the header;
-    :func:`parse_game_log` skips them on the way back in.
-    """
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        for comment in header_comments:
-            fh.write(comment + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(HEADER)
-        for g in store.all_games():
-            row: list = [g.date.isoformat(), g.season, g.team_a, g.team_b, g.location.value]
-            for box in (g.box_a, g.box_b):
-                row.extend(getattr(box, f) for f in BOX_FIELDS)
-            writer.writerow(row)
-
-
-def write_roster(rosters: dict[int, Sequence[str] | set[str]], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["season", "team"])
-        for season in sorted(rosters):
-            for team in sorted(rosters[season]):
-                writer.writerow([season, team])
+                   comments: Sequence[str] = ()) -> None:
+    """Serialize a store back to the game-log CSV schema (round-trip safe)."""
+    write_csv(path, HEADER, ([g.date.isoformat(), g.season, g.team_a, g.team_b,
+                              g.location.value]
+                             + [getattr(g.box_a, f) for f in BOX_FIELDS]
+                             + [getattr(g.box_b, f) for f in BOX_FIELDS]
+                             for g in store.all_games()), comments)
 
 
 def season_partition(store: SeasonStore, test_season: int) -> tuple[list[GameRecord], list[GameRecord]]:

@@ -112,6 +112,7 @@ def load_model(path: str | Path) -> TrainedModel:
             class_counts=doc["class_counts"],
             hyper=doc["hyper"],
             params=_IMPL[kind].decode_params(doc["params"], len(names)),
+            run_config=doc.get("run_config"),
         )
     except KeyError as err:
         raise ModelError(f"{path}: malformed model file: missing key {err}") from None

@@ -41,7 +41,9 @@ class TrainedModel:
 
     ``class_counts`` records the training class balance (the prior
     information several kinds use); ``params`` is kind-specific and opaque
-    to everything except the kind's own ``p_win`` and codec.
+    to everything except the kind's own ``p_win`` and codec.  ``run_config``
+    is the resolved configuration of the command that trained the model,
+    saved with it; None when the model comes from the library.
     """
 
     kind: ModelKind
@@ -50,6 +52,7 @@ class TrainedModel:
     class_counts: dict[str, int]
     hyper: dict[str, Any]
     params: Any
+    run_config: dict[str, Any] | None = None
 
 
 def resolve_label(p_win: float, location: Site) -> Label:
@@ -146,6 +149,8 @@ def save_model(model: TrainedModel, path: str | Path,
         "hyper": model.hyper,
         "params": encode_params(model.params),
     }
+    if model.run_config is not None:
+        doc["run_config"] = model.run_config
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
                           encoding="utf-8")
 

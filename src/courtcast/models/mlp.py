@@ -49,7 +49,8 @@ class MlpParams:
 
 
 def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+    with np.errstate(over="ignore"):  # exp(-z) = inf saturates the output to 0.0
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _normalize(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray) -> np.ndarray:

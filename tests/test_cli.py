@@ -3,11 +3,15 @@
 Each test runs ``python -m courtcast`` in a subprocess from a temp directory,
 against the same package the test process imported, so argument parsing,
 exit codes, config layering, and artifact bytes are all exercised exactly as
-a user would hit them.
+a user would hit them.  One test calls ``cli.main`` in process instead, to
+record every file ``train`` opens.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import courtcast
+from courtcast import cli
 
 # The directory the test process imported courtcast from: ``src`` in a
 # checkout, ``site-packages`` in an install.
@@ -193,6 +198,27 @@ class TestArtifacts:
         p = float(row[header.index("p_first_wins")])
         assert 0.0 <= p <= 1.0
         assert row[header.index("predicted_winner")] in ("t00", "t03")
+
+    def test_train_writes_model_json_once_and_never_reads_it(self, league_dir,
+                                                             tmp_path, monkeypatch):
+        # in process, so that every file the command opens is recorded
+        opened, real_open = [], Path.open
+
+        def recording_open(self, mode="r", *args, **kwargs):
+            opened.append((self.name, mode))
+            return real_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        out = tmp_path / "once"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["train", "--data", str(league_dir / "sim" / "games.csv"),
+                             "--out", str(out), "--kind", "decision_tree"])
+        assert code == 0
+        assert [mode for name, mode in opened if name == "model.json"] == ["w"]
+        monkeypatch.undo()
+        doc = json.loads((out / "model.json").read_text(encoding="utf-8"))
+        assert doc["run_config"]["kind"] == "decision_tree"
+        assert doc["run_config"]["out"] == str(out)
 
     def test_predict_with_mismatched_kind_is_a_data_error(self, league_dir):
         assert run_cli(["train", *DATA, "--out", "mismatch", "--kind",

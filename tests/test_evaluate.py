@@ -274,11 +274,18 @@ class TestGlassCeiling:
         assert echoed["seed"] == 9
         assert smoke_report.test_season == 2022
 
-    def test_single_season_needs_an_explicit_test_season(self):
+    def test_single_season_league_is_rejected(self):
         spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=1)
         with pytest.raises(EvalError, match="season"):
             glass_ceiling_experiment(spec, [ModelKind.NAIVE_BAYES_KDE],
                                      [FeatureScheme.ADJ_EFF])
+
+    @pytest.mark.parametrize("kinds, schemes", [
+        ([], [FeatureScheme.ADJ_EFF]), ([ModelKind.NAIVE_BAYES_KDE], [])])
+    def test_an_empty_grid_is_rejected(self, kinds, schemes):
+        spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=2)
+        with pytest.raises(EvalError, match="at least one kind and one scheme"):
+            glass_ceiling_experiment(spec, kinds, schemes)
 
     def test_hyper_overrides_reach_the_models(self):
         spec = SyntheticLeagueSpec(n_teams=8, games_per_team=14, n_seasons=2,

@@ -228,6 +228,11 @@ def test_model_file_that_is_not_json(league, tmp_path):
     (["simulate", "--noise", "nan"], "noise"),
     (["simulate", "--home-advantage", "inf"], "home_advantage"),
     (["glass-ceiling", "--strength-spread", "nan"], "strengths"),
+    (["glass-ceiling", "--kinds", " , "], "--kinds"),
+    (["glass-ceiling", "--schemes", " , "], "--schemes"),
+    (["adjust", "--ft-weight", "-5"], "ft_weight"),
+    (["stats", "--ft-weight", "nan"], "ft_weight"),
+    (["evaluate", "--ft-weight", "1e308"], "ft_weight"),
 ])
 def test_bad_value_is_a_usage_error_before_any_data_is_read(tmp_path, argv, key):
     # the game log does not exist: a check after reading it would exit 2

@@ -18,7 +18,6 @@ from courtcast.ingest import (
     parse_roster,
     season_partition,
     write_game_log,
-    write_roster,
 )
 from tests.conftest import BOX_A, BOX_B, make_box
 
@@ -157,9 +156,8 @@ class TestStoreAndPartition:
         assert SeasonStore([]).off_roster_dropped == 0
 
     def test_roster_round_trip(self, tmp_path):
-        rosters = {2010: {"b", "a"}, 2011: {"c"}}
         path = tmp_path / "roster.csv"
-        write_roster(rosters, path)
+        path.write_text("season,team\n2010,b\n2010,a\n2011,c\n")
         back = parse_roster(path)
         assert back == {2010: {"a", "b"}, 2011: {"c"}}
 
@@ -187,7 +185,7 @@ class TestRoundTrip:
     def test_comment_header_survives_the_round_trip(self, two_season_store, tmp_path):
         path = tmp_path / "out.csv"
         write_game_log(two_season_store, path,
-                       header_comments=["# seed = 0", "# scheme = adj_eff"])
+                       comments=["seed = 0", "scheme = adj_eff"])
         assert path.read_text().startswith("# seed = 0\n# scheme = adj_eff\n")
         back = parse_game_log(path)
         assert back.all_games() == two_season_store.all_games()

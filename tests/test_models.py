@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime as dt
+import json
 import math
 
 import numpy as np
@@ -191,6 +192,15 @@ class TestMlp:
         p.b2 = 0.0
         prob = predict(model, make_instance([100, 100, 100, 100], None))[1]
         assert prob == 0.5
+
+    def test_huge_learning_rate_saturates_without_overflow(self):
+        # exp(-z) overflows to inf inside the logistic, which reads 0.0
+        insts = separable_instances(40, seed=4)
+        model = train(insts, ModelKind.MLP,
+                      hyper={"epochs": 5, "learning_rate": 1e10}, seed=1)
+        X, site, _ = to_arrays(insts)
+        probs = p_win(model, X, site)
+        assert np.all((0.0 <= probs) & (probs <= 1.0))
 
     def test_hidden_width_default(self):
         # 4 numeric features + 1 site attribute + 2 classes -> ceil(7/2) = 4
@@ -570,6 +580,19 @@ class TestAllKindsContract:
         path2 = tmp_path / "again.model.json"
         save_model(back, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_run_config_is_saved_and_loaded_with_the_model(self, tmp_path):
+        model = train(separable_instances(60, seed=18), ModelKind.DECISION_TREE, seed=9)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert model.run_config is None
+        assert "run_config" not in json.loads(path.read_text())
+        echo = {"kind": "decision_tree", "alpha": 0.2, "seed": 9}
+        save_model(dataclasses.replace(model, run_config=echo), path)
+        back = load_model(path)
+        assert back.run_config == echo
+        save_model(back, tmp_path / "again.json")
+        assert path.read_bytes() == (tmp_path / "again.json").read_bytes()
 
     def test_load_rejects_foreign_files(self, tmp_path):
         p = tmp_path / "x.json"

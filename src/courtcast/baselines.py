@@ -137,9 +137,6 @@ class RankEntry:
 class Ranking:
     entries: tuple[RankEntry, ...]
 
-    def order(self) -> list[str]:
-        return [e.team for e in self.entries]
-
 
 def pythag_predictor(params: PythagParams = PythagParams()) -> PairPredictor:
     """Rate every team once, in order, and combine the ratings per pairing."""

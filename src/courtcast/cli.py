@@ -113,7 +113,7 @@ class RunConfig:
     navg_source: str = "raw"     # national-average source: raw | adjusted
     kind: str = "naive_bayes_kde"   # model kind or baseline (home_wins, pythag; rank also takes rpi)
     hyper: str = ""              # hyperparameter overrides "key=value[,key=value...]"
-    pythag_y: float = 11.5       # rating exponent for the pythag baseline
+    pythag_y: float = 11.5       # pythag's default exponent y (--hyper y=... overrides it)
     seed: int = 0                # the only randomness source of a run
     test_season: int = 0         # season to evaluate/predict against; 0 -> latest
     team_first: str = ""         # predict: first team of the pairing
@@ -292,6 +292,15 @@ def _predictor(name: str, hyper: dict[str, object] | None = None,
     return kind
 
 
+def _kind_and_hyper(cfg: RunConfig, baselines: Sequence[str] = BASELINE_KINDS):
+    """The predictor ``--kind`` picks and its ``--hyper`` overrides, checked
+    before any data is read; ``--pythag-y`` is pythag's default ``y``."""
+    hyper = parse_hyper(cfg.hyper)
+    if cfg.kind == "pythag":
+        hyper = {"y": cfg.pythag_y, **hyper}
+    return _predictor(cfg.kind, hyper, baselines), hyper
+
+
 def _load_model_file(cfg: RunConfig, requested: ModelKind):
     path = Path(cfg.model) if cfg.model else Path(cfg.out) / "model.json"
     if not path.exists():
@@ -372,8 +381,7 @@ def cmd_features(cfg: RunConfig) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    hyper = parse_hyper(cfg.hyper)
-    kind = _predictor(cfg.kind, hyper, baselines=())
+    kind, hyper = _kind_and_hyper(cfg, baselines=())
     store = _load_store(cfg)
     test_season = _resolve_test_season(cfg, store)
     runs = _runs(cfg, store, through=test_season)
@@ -391,7 +399,7 @@ def cmd_predict(cfg: RunConfig) -> None:
         raise UsageError("predict needs --team-first and --team-second")
     if cfg.team_first == cfg.team_second:
         raise UsageError("a team cannot play itself")
-    kind = _predictor(cfg.kind)
+    kind, hyper = _kind_and_hyper(cfg)
     store = _load_store(cfg)
     test_season = _resolve_test_season(cfg, store)
     for team in (cfg.team_first, cfg.team_second):
@@ -410,7 +418,7 @@ def cmd_predict(cfg: RunConfig) -> None:
     location = Site(cfg.location)
 
     if kind == "pythag":
-        p = pythag_pair_prob(snap_a, snap_b, PythagParams(y=cfg.pythag_y))
+        p = pythag_pair_prob(snap_a, snap_b, PythagParams(y=float(hyper["y"])))
     elif kind == "home_wins":
         p = HOME_WINS_P[location]
     else:
@@ -436,7 +444,7 @@ def cmd_predict(cfg: RunConfig) -> None:
 def cmd_rank(cfg: RunConfig) -> None:
     if cfg.kind == "home_wins":
         raise UsageError("home_wins cannot rank neutral-site pairings")
-    kind = _predictor(cfg.kind, baselines=("pythag", "rpi"))
+    kind, hyper = _kind_and_hyper(cfg, baselines=("pythag", "rpi"))
     store = _load_store(cfg)
     test_season = _resolve_test_season(cfg, store)
     runs = _runs(cfg, store, through=test_season)
@@ -452,7 +460,7 @@ def cmd_rank(cfg: RunConfig) -> None:
         rows = [[n, team, score] for n, (team, score) in enumerate(scores, start=1)]
     else:
         if kind == "pythag":
-            predictor = pythag_predictor(PythagParams(y=cfg.pythag_y))
+            predictor = pythag_predictor(PythagParams(y=float(hyper["y"])))
         else:
             predictor = model_predictor(_load_model_file(cfg, kind))
         ranking = round_robin_rank(predictor, snapshots)
@@ -464,10 +472,7 @@ def cmd_rank(cfg: RunConfig) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
-    hyper = parse_hyper(cfg.hyper)
-    if cfg.kind == "pythag":
-        hyper = hyper or {"y": cfg.pythag_y}
-    kind = _predictor(cfg.kind, hyper)
+    kind, hyper = _kind_and_hyper(cfg)
     store = _load_store(cfg)
     test_season = _resolve_test_season(cfg, store)
     report = walk_forward_evaluate(
@@ -548,6 +553,8 @@ def _hyper_overrides(cfg: RunConfig) -> dict[str, dict[str, object]]:
 
 
 def cmd_glass_ceiling(cfg: RunConfig) -> None:
+    if cfg.n_seasons < 2:
+        raise UsageError(f"glass-ceiling needs n_seasons >= 2, got {cfg.n_seasons}")
     spec = _league_spec(cfg)
     report = glass_ceiling_experiment(
         spec, _ceiling_kinds(cfg), _ceiling_schemes(cfg),

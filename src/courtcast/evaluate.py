@@ -16,7 +16,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 from typing import Callable, Mapping, Sequence
 
@@ -48,13 +48,13 @@ _HYPER = {**HYPERPARAMETERS, "pythag": {"y": (PythagParams.y, POSITIVE)}}
 PredictFn = Callable[[MatchInstance], tuple[Label, float]]
 
 
-def binomial_halfwidth(p: float, n: int, confidence: float = 0.99) -> float:
-    """Normal-approximation half-width of a binomial proportion CI."""
+def binomial_halfwidth(p: float, n: int) -> float:
+    """Normal-approximation half-width of a 99% binomial proportion CI."""
     if not 0.0 <= p <= 1.0:
         raise EvalError(f"proportion must be in [0, 1], got {p}")
     if n < 1:
         raise EvalError(f"sample size must be positive, got {n}")
-    z = NormalDist().inv_cdf(0.5 * (1.0 + confidence))
+    z = NormalDist().inv_cdf(0.995)
     return z * math.sqrt(p * (1.0 - p) / n)
 
 
@@ -213,8 +213,7 @@ def _evaluate_cell(runs: dict[int, SeasonRun],
     else:
         predict_fn = _baseline_predict_fn(kind, resolved, runs[test_season])
 
-    echo = {"alpha": config.alpha, "ft_weight": config.ft_weight,
-            "navg_source": config.navg_source, "hyper": resolved}
+    echo = {**asdict(config), "hyper": resolved}
     return evaluate_predictor(
         test_set, predict_fn, test_season=test_season,
         kind=getattr(kind, "value", kind),
@@ -276,9 +275,6 @@ class CeilingReport:
                       for c in self.cells],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=1) + "\n"
-
 
 def glass_ceiling_experiment(
         spec: SyntheticLeagueSpec,
@@ -287,8 +283,7 @@ def glass_ceiling_experiment(
         averaging: AveragingScheme = AveragingScheme.ALPHA,
         seeding: Seeding = Seeding.PRIOR_SEASON, *,
         seed: int = 0, config: AdjustConfig | None = None,
-        hyper_overrides: Mapping[str, Mapping[str, object]] | None = None,
-        bayes_sims: int = 100_000) -> CeilingReport:
+        hyper_overrides: Mapping[str, Mapping[str, object]] | None = None) -> CeilingReport:
     """Run every (kind, scheme) cell against a known accuracy bound.
 
     The league is generated from ``spec`` (its last season is the test
@@ -302,7 +297,7 @@ def glass_ceiling_experiment(
                         f"got {len(kinds)} kinds and {len(schemes)} schemes")
     if spec.n_seasons < 2:
         raise EvalError("the experiment needs at least one season before the test season")
-    store, truth = generate_league(spec, bayes_sims=bayes_sims)
+    store, truth = generate_league(spec)
     test_season = spec.first_season + spec.n_seasons - 1
     config = config or AdjustConfig()
     averaging, seeding = AveragingScheme(averaging), Seeding(seeding)
@@ -324,16 +319,10 @@ def glass_ceiling_experiment(
                 kind=report.kind, scheme=report.scheme, accuracy=report.accuracy,
                 gap=report.accuracy - truth.bayes_accuracy, n_test=report.n_test))
 
-    echo = {"alpha": config.alpha, "ft_weight": config.ft_weight,
-            "navg_source": config.navg_source, "seed": seed,
+    echo = {**asdict(config), "seed": seed,
             "averaging": averaging.value, "seeding": seeding.value,
-            "hyper_overrides": overrides, "bayes_sims": bayes_sims,
-            "spec": {"n_teams": spec.n_teams, "games_per_team": spec.games_per_team,
-                     "noise": spec.noise, "home_advantage": spec.home_advantage,
-                     "strength_spread": spec.strength_spread,
-                     "imbalance": spec.imbalance,
-                     "n_seasons": spec.n_seasons, "first_season": spec.first_season,
-                     "seed": spec.seed}}
+            "hyper_overrides": overrides, "bayes_sims": truth.bayes_sims,
+            "spec": asdict(spec)}
     return CeilingReport(
         bound=truth.bayes_accuracy,
         halfwidth=binomial_halfwidth(truth.bayes_accuracy, n_test),

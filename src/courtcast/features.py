@@ -138,7 +138,7 @@ def encode_pairing(first: TeamSnapshot, second: TeamSnapshot,
     return encode_pairings([first, second], [0], [1], scheme)[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchInstance:
     """One encoded match: site + features (+ label when the game is played)."""
 
@@ -150,20 +150,6 @@ class MatchInstance:
     season: int
     team_first: str
     team_second: str
-
-    def __eq__(self, other):
-        if not isinstance(other, MatchInstance):
-            return NotImplemented
-        return (self.scheme == other.scheme and self.location == other.location
-                and self.label == other.label and self.date == other.date
-                and self.season == other.season
-                and self.team_first == other.team_first
-                and self.team_second == other.team_second
-                and np.array_equal(self.features, other.features))
-
-    def __hash__(self):
-        return hash((self.scheme, self.location, self.date,
-                     self.team_first, self.team_second))
 
 
 def encode_season(run: SeasonRun, scheme: FeatureScheme) -> list[MatchInstance]:

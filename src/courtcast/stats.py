@@ -59,9 +59,6 @@ class FourFactors:
     or_pct: float
     ftr: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.efg, self.to_pct, self.or_pct, self.ftr])
-
     @staticmethod
     def field_names() -> tuple[str, str, str, str]:
         return ("efg", "to_pct", "or_pct", "ftr")

@@ -65,15 +65,14 @@ def spread_strengths(n: int, spread: float = 10.0) -> tuple[tuple[float, float],
 class SyntheticLeagueSpec:
     """Parameters of a generated league.
 
-    ``strengths`` holds one (offensive, defensive) pair per team; when
-    omitted, teams are evenly spaced over ``+-strength_spread``.  ``noise``
-    is the standard deviation of each side's per-game efficiency draw, and
-    ``home_advantage`` is added to the home side's expected efficiency.
+    Team strengths come from ``strength_spread``: teams are evenly spaced
+    over ``+-strength_spread``.  ``noise`` is the standard deviation of each
+    side's per-game efficiency draw, and ``home_advantage`` is added to the
+    home side's expected efficiency.
     """
 
     n_teams: int
     games_per_team: int
-    strengths: tuple[tuple[float, float], ...] | None = None
     strength_spread: float = 10.0
     noise: float = 6.0
     home_advantage: float = 0.0
@@ -105,16 +104,13 @@ class SyntheticLeagueSpec:
                 f"{self.n_teams} teams cannot form them")
         if self.n_seasons < 1:
             raise SyntheticError("n_seasons must be >= 1")
-        if self.strengths is not None and len(self.strengths) != self.n_teams:
-            raise SyntheticError(
-                f"{len(self.strengths)} strength pairs for {self.n_teams} teams")
         for o, d in self.resolved_strengths().values():
             if not (0 < o < math.inf and 0 < d < math.inf):
                 raise SyntheticError(f"strengths must be positive and finite, got ({o}, {d})")
 
     def resolved_strengths(self) -> dict[str, tuple[float, float]]:
-        pairs = self.strengths or spread_strengths(self.n_teams, self.strength_spread)
-        return dict(zip(team_names(self.n_teams), pairs))
+        return dict(zip(team_names(self.n_teams),
+                        spread_strengths(self.n_teams, self.strength_spread)))
 
 
 @dataclass(frozen=True)
@@ -131,10 +127,6 @@ class LeagueTruth:
     def net_order(self) -> list[str]:
         return sorted(self.strengths,
                       key=lambda t: (-(self.strengths[t][0] - self.strengths[t][1]), t))
-
-    def favorite(self, team_a: str, team_b: str, location: Location) -> str:
-        p = self.matchup_probs[(team_a, team_b, location)]
-        return team_a if p >= 0.5 else team_b
 
 
 def _circle_round(members: list[int], r: int) -> list[tuple[int, int, bool]]:

@@ -58,16 +58,14 @@ from tests.test_models import make_instance, separable_instances
 
 @contextlib.contextmanager
 def criterion(capsys, number: int, title: str):
-    start = time.perf_counter()
+    start, verdict = time.perf_counter(), "FAIL"
     try:
         yield
-    except BaseException:
+        verdict = "PASS"
+    finally:
         with capsys.disabled():
-            print(f"criterion {number}: FAIL - {title}")
-        raise
-    with capsys.disabled():
-        print(f"criterion {number}: PASS - {title} "
-              f"({time.perf_counter() - start:.1f}s)")
+            print(f"criterion {number}: {verdict} - {title} "
+                  f"({time.perf_counter() - start:.1f}s)")
 
 
 ALL_COMBOS = [(sch, sd) for sch in AveragingScheme for sd in Seeding]
@@ -271,7 +269,7 @@ def test_criterion_8_rankings_cohere_with_their_ratings(capsys):
                 adj_de=float(rng.uniform(85.0, 120.0))) for i in range(n)]
             ranking = round_robin_rank(pythag_predictor(params), snaps)
             by_rating = sorted(snaps, key=lambda s: (-pythag_rating(s, params), s.team))
-            assert ranking.order() == [s.team for s in by_rating]
+            assert [e.team for e in ranking.entries] == [s.team for s in by_rating]
 
         # every team 1-1 in a four-team cycle: all RPI components are .500
         teams = ["ants", "bees", "cats", "dogs"]

@@ -158,7 +158,7 @@ class TestRoundRobinRank:
     def test_two_teams(self):
         ranking = round_robin_rank(
             pythag_predictor(), [snap("weak", 98.0, 104.0), snap("strong", 112.0, 95.0)])
-        assert ranking.order() == ["strong", "weak"]
+        assert [e.team for e in ranking.entries] == ["strong", "weak"]
         assert [e.score for e in ranking.entries] == [1.0, 0.0]
         assert [e.rank for e in ranking.entries] == [1, 2]
 
@@ -169,14 +169,14 @@ class TestRoundRobinRank:
                      for i in range(10)]
             ranking = round_robin_rank(pythag_predictor(), snaps)
             by_rating = sorted(snaps, key=lambda s: (-pythag_rating(s), s.team))
-            assert ranking.order() == [s.team for s in by_rating]
+            assert [e.team for e in ranking.entries] == [s.team for s in by_rating]
             # a totally ordered field: k-th team wins exactly n-1-k pairings
             assert [e.score for e in ranking.entries] == [9.0 - k for k in range(10)]
 
     def test_exact_tie_goes_to_first_team(self):
         snaps = [snap("a", 105.0, 95.0), snap("b", 105.0, 95.0), snap("c", 90.0, 110.0)]
         ranking = round_robin_rank(pythag_predictor(), snaps)
-        assert ranking.order() == ["a", "b", "c"]
+        assert [e.team for e in ranking.entries] == ["a", "b", "c"]
         assert [e.score for e in ranking.entries] == [2.0, 1.0, 0.0]
 
     def test_cycle_breaks_by_mean_probability(self):
@@ -188,7 +188,7 @@ class TestRoundRobinRank:
         snaps = [snap("a", 100.0, 100.0), snap("b", 100.0, 100.0), snap("c", 100.0, 100.0)]
         ranking = round_robin_rank(predictor, snaps)
         # everyone 1-1; mean probabilities: c 0.55, a 0.50, b 0.45
-        assert ranking.order() == ["c", "a", "b"]
+        assert [e.team for e in ranking.entries] == ["c", "a", "b"]
         assert [e.mean_p for e in ranking.entries] == pytest.approx([0.55, 0.5, 0.45])
 
     def test_input_validation(self):
@@ -208,7 +208,7 @@ class TestRoundRobinRank:
         snaps = [snap("mid", 100.0, 100.0), snap("top", 114.0, 92.0),
                  snap("low", 90.0, 112.0)]
         ranking = round_robin_rank(model_predictor(model), snaps)
-        assert ranking.order() == ["top", "mid", "low"]
+        assert [e.team for e in ranking.entries] == ["top", "mid", "low"]
 
 
 def reference_rank(model, snaps) -> list[tuple[str, float, float]]:

@@ -220,6 +220,22 @@ class TestArtifacts:
         assert doc["run_config"]["kind"] == "decision_tree"
         assert doc["run_config"]["out"] == str(out)
 
+    def test_hyper_y_is_the_exponent_of_a_pythag_prediction(self, league_dir, tmp_path):
+        # in process; --hyper y= overrides --pythag-y, as it does for evaluate
+        def p_first_wins(*flags):
+            out = tmp_path / str(len(list(tmp_path.iterdir())))
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["predict", "--data", str(league_dir / "sim" / "games.csv"),
+                                 "--out", str(out), "--kind", "pythag",
+                                 "--team-first", "t00", "--team-second", "t03", *flags])
+            assert code == 0
+            rows = [ln for ln in (out / "prediction.csv").read_text().splitlines()
+                    if not ln.startswith("#")]
+            return rows[1].split(",")[-1]
+
+        assert (p_first_wins("--hyper", "y=3") == p_first_wins("--pythag-y", "3")
+                == p_first_wins("--pythag-y", "0.5", "--hyper", "y=3") != p_first_wins())
+
     def test_predict_with_mismatched_kind_is_a_data_error(self, league_dir):
         assert run_cli(["train", *DATA, "--out", "mismatch", "--kind",
                         "decision_tree"], cwd=league_dir).returncode == 0

@@ -233,7 +233,7 @@ def smoke_report():
     return glass_ceiling_experiment(
         spec, [ModelKind.NAIVE_BAYES_KDE, "home_wins"],
         [FeatureScheme.ADJ_EFF, FeatureScheme.RAW],
-        seed=1, bayes_sims=20_000)
+        seed=1)
 
 
 def cells_by_key(report) -> dict:
@@ -292,7 +292,7 @@ class TestGlassCeiling:
                                    noise=6.0, seed=9)
         report = glass_ceiling_experiment(
             spec, [ModelKind.DECISION_TREE], [FeatureScheme.ADJ_EFF],
-            seed=1, bayes_sims=100,
+            seed=1,
             hyper_overrides={"decision_tree": {"min_node_fraction": 0.25}})
         assert report.config["hyper_overrides"] == {
             "decision_tree": {"min_node_fraction": 0.25}}

@@ -233,6 +233,14 @@ def test_model_file_that_is_not_json(league, tmp_path):
     (["adjust", "--ft-weight", "-5"], "ft_weight"),
     (["stats", "--ft-weight", "nan"], "ft_weight"),
     (["evaluate", "--ft-weight", "1e308"], "ft_weight"),
+    (["rank", "--kind", "pythag", "--pythag-y", "0"], "'y'"),
+    (["rank", "--kind", "pythag", "--pythag-y", "nan"], "'y'"),
+    (["predict", "--kind", "pythag", "--pythag-y", "0", *PAIRING], "'y'"),
+    (["predict", "--kind", "pythag", "--pythag-y", "nan", *PAIRING], "'y'"),
+    (["rank", "--kind", "pythag", "--hyper", "bogus=1"], "bogus"),
+    (["predict", "--kind", "home_wins", "--hyper", "y=3", *PAIRING], "home_wins"),
+    (["rank", "--kind", "rpi", "--hyper", "bogus=1"], "rpi"),
+    (["glass-ceiling", "--n-seasons", "1"], "n_seasons"),
 ])
 def test_bad_value_is_a_usage_error_before_any_data_is_read(tmp_path, argv, key):
     # the game log does not exist: a check after reading it would exit 2

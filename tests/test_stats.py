@@ -8,6 +8,8 @@ fixture boxes in conftest (team A: 26/55 FG, 6 threes, 9/20 FT, 10 OR,
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -136,8 +138,10 @@ class TestGameArrays:
             "poss": [[s.poss for s in pair] for pair in sides],
             "oe": [[s.oe for s in pair] for pair in sides],
             "de": [[s.de for s in pair] for pair in sides],
-            "off_factors": [[s.off_factors.as_array() for s in pair] for pair in sides],
-            "def_factors": [[s.def_factors.as_array() for s in pair] for pair in sides],
+            "off_factors": [[dataclasses.astuple(s.off_factors) for s in pair]
+                            for pair in sides],
+            "def_factors": [[dataclasses.astuple(s.def_factors) for s in pair]
+                            for pair in sides],
         }
         for name, values in want.items():
             a, b = np.asarray(getattr(got, name)), np.asarray(values)

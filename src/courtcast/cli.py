@@ -65,6 +65,7 @@ from courtcast.features import (
     feature_names,
 )
 from courtcast.ingest import (
+    BOX_FIELDS,
     CourtcastError,
     GameLogError,
     SeasonStore,
@@ -81,7 +82,7 @@ from courtcast.models import (
     save_model,
     train,
 )
-from courtcast.stats import FourFactors, Site, game_stats
+from courtcast.stats import FourFactors, Site, site_for
 from courtcast.synthetic import (
     SyntheticError,
     SyntheticLeagueSpec,
@@ -331,15 +332,19 @@ def cmd_stats(cfg: RunConfig) -> None:
     header = (["date", "season", "team", "opponent", "site", "won",
                "points", "poss", "oe", "de"]
               + [f"off_{c}" for c in factor_cols] + [f"def_{c}" for c in factor_cols])
-    checked_game_arrays(store.all_games(), cfg.ft_weight)
+    games = store.all_games()
+    stats = checked_game_arrays(games, cfg.ft_weight)
+    points = stats.box[:, :, BOX_FIELDS.index("points")]
+    won = points > points[:, ::-1]    # a parsed game log has no ties
+    columns = (points, won, stats.poss, stats.oe, stats.de,
+               stats.off_factors, stats.def_factors)
     rows = []
-    for g in store.all_games():
-        for side in game_stats(g, cfg.ft_weight):
-            rows.append([side.date.isoformat(), side.season, side.team,
-                         side.opponent, side.site.value, int(side.won),
-                         side.box.points, side.poss, side.oe, side.de]
-                        + [getattr(side.off_factors, c) for c in factor_cols]
-                        + [getattr(side.def_factors, c) for c in factor_cols])
+    for g, *sides in zip(games, *(c.tolist() for c in columns)):
+        teams = (g.team_a, g.team_b)
+        for k, (pts, w, poss, oe, de, off, allowed) in enumerate(zip(*sides)):
+            rows.append([g.date.isoformat(), g.season, teams[k], teams[1 - k],
+                         site_for(g.location, k == 0).value, int(w), pts, poss, oe, de]
+                        + off + allowed)
     path = out / "game_stats.csv"
     write_csv(path, header, rows, echo)
     _say(path, f"{len(rows)} team-game rows")

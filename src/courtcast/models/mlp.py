@@ -11,12 +11,23 @@ deterministic given the seed that draws the initial weights.
 
 The single logistic output is read directly as p(win), so p(win) + p(loss)
 is 1 by construction.
+
+All weights live in one float64 vector ``theta``: ``W1`` (hidden x inputs,
+row-major), ``b1``, ``w2``, then the output bias ``b2`` as ``theta[-1]``;
+``W1``, ``b1`` and ``w2`` are views into it.  The gradient buffer shares the
+layout, so a momentum step ``vel = mom * vel - lr * grad; theta += vel`` does
+elementwise what updating each array on its own would, bit for bit.
+
+``exp(-z)`` overflows to inf for a very negative ``z``, which saturates the
+logistic to 0.0 as it should.  ``fit``, ``p_win`` and ``gradient_check`` each
+enter ``np.errstate(over="ignore")`` once around their loops: entered per
+logistic call, it would cost as much as the arithmetic it guards.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,19 +49,26 @@ HYPER = {  # name -> (default, allowed values)
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class MlpParams:
     mins: np.ndarray         # (d_numeric,)
     ranges: np.ndarray       # (d_numeric,) max - min, 0 where constant
-    W1: np.ndarray           # (hidden, d_in)
-    b1: np.ndarray           # (hidden,)
-    w2: np.ndarray           # (d_in -> scalar) shape (hidden,)
-    b2: float
+    theta: np.ndarray        # W1 (row-major), b1, w2, b2
+    W1: np.ndarray = field(init=False, repr=False)   # (hidden, d_in) view of theta
+    b1: np.ndarray = field(init=False, repr=False)   # (hidden,) view of theta
+    w2: np.ndarray = field(init=False, repr=False)   # (hidden,) view of theta
+
+    def __post_init__(self):
+        d_in = len(self.mins) + 3
+        hidden = (len(self.theta) - 1) // (d_in + 2)
+        n_w1 = hidden * d_in
+        self.W1 = self.theta[:n_w1].reshape(hidden, d_in)
+        self.b1 = self.theta[n_w1:n_w1 + hidden]
+        self.w2 = self.theta[n_w1 + hidden:-1]
 
 
-def _sigmoid(z):
-    with np.errstate(over="ignore"):  # exp(-z) = inf saturates the output to 0.0
-        return 1.0 / (1.0 + np.exp(-z))
+def _sigmoid(z):   # exp(-z) may overflow: callers hold np.errstate(over="ignore")
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 def _normalize(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray) -> np.ndarray:
@@ -71,20 +89,19 @@ def _inputs(X: np.ndarray, site: np.ndarray, mins: np.ndarray,
 
 def _forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, float]:
     hidden = _sigmoid(p.W1 @ x + p.b1)
-    out = float(_sigmoid(np.dot(p.w2, hidden) + p.b2))
+    out = float(_sigmoid(np.dot(p.w2, hidden) + p.theta[-1]))
     return hidden, out
 
 
-def _gradients(p: MlpParams, x: np.ndarray, target: float):
-    """Backprop for E = 0.5 * (out - target)^2 at a single instance."""
+def _gradients(p: MlpParams, x: np.ndarray, target: float, grad: MlpParams) -> None:
+    """Backprop for E = 0.5 * (out - target)^2 at a single instance, written
+    into ``grad.theta`` (a buffer in the parameter layout)."""
     hidden, out = _forward(p, x)
     delta_out = (out - target) * out * (1.0 - out)
-    grad_w2 = delta_out * hidden
-    grad_b2 = delta_out
-    delta_hidden = delta_out * p.w2 * hidden * (1.0 - hidden)
-    grad_W1 = np.outer(delta_hidden, x)
-    grad_b1 = delta_hidden
-    return grad_W1, grad_b1, grad_w2, grad_b2
+    np.multiply(delta_out, hidden, out=grad.w2)
+    grad.theta[-1] = delta_out
+    grad.b1[:] = delta_out * p.w2 * hidden * (1.0 - hidden)
+    np.outer(grad.b1, x, out=grad.W1)
 
 
 def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> MlpParams:
@@ -97,38 +114,25 @@ def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> 
     hidden = hp["hidden"] if hp["hidden"] is not None else math.ceil((n_attr + 2) / 2)
 
     rng = np.random.default_rng(seed)
-    p = MlpParams(
-        mins=mins, ranges=ranges,
-        W1=rng.uniform(-0.5, 0.5, size=(hidden, d_in)),
-        b1=rng.uniform(-0.5, 0.5, size=hidden),
-        w2=rng.uniform(-0.5, 0.5, size=hidden),
-        b2=float(rng.uniform(-0.5, 0.5)),
-    )
-
+    p = MlpParams(mins, ranges, rng.uniform(-0.5, 0.5, size=hidden * (d_in + 2) + 1))
+    grad = MlpParams(mins, ranges, np.zeros_like(p.theta))
+    vel = np.zeros_like(p.theta)
     lr, mom = hp["learning_rate"], hp["momentum"]
-    vel_W1 = np.zeros_like(p.W1)
-    vel_b1 = np.zeros_like(p.b1)
-    vel_w2 = np.zeros_like(p.w2)
-    vel_b2 = 0.0
     targets = y.astype(float)
-    for _ in range(hp["epochs"]):
-        for i in range(n):
-            g_W1, g_b1, g_w2, g_b2 = _gradients(p, Xin[i], targets[i])
-            vel_W1 = mom * vel_W1 - lr * g_W1
-            vel_b1 = mom * vel_b1 - lr * g_b1
-            vel_w2 = mom * vel_w2 - lr * g_w2
-            vel_b2 = mom * vel_b2 - lr * g_b2
-            p.W1 += vel_W1
-            p.b1 += vel_b1
-            p.w2 += vel_w2
-            p.b2 += vel_b2
-
+    with np.errstate(over="ignore"):
+        for _ in range(hp["epochs"]):
+            for i in range(n):
+                _gradients(p, Xin[i], targets[i], grad)
+                vel = mom * vel - lr * grad.theta
+                p.theta += vel
     return p
 
 
 def p_win(p: MlpParams, X: np.ndarray, site: np.ndarray) -> np.ndarray:
     """The network's output for each row, one forward pass per row."""
-    return np.array([_forward(p, x)[1] for x in _inputs(X, site, p.mins, p.ranges)])
+    rows = _inputs(X, site, p.mins, p.ranges)
+    with np.errstate(over="ignore"):
+        return np.array([_forward(p, x)[1] for x in rows])
 
 
 def gradient_check(model: TrainedModel, instance: MatchInstance,
@@ -149,36 +153,24 @@ def gradient_check(model: TrainedModel, instance: MatchInstance,
     x = _inputs(x[None], np.array([SITE_ORDER.index(instance.location)]), p.mins, p.ranges)[0]
     target = 1.0 if instance.label is None else float(instance.label is Label.WIN)
 
-    g_W1, g_b1, g_w2, g_b2 = _gradients(p, x, target)
-    analytic = np.concatenate([g_W1.ravel(), g_b1, g_w2, [g_b2]])
-
     def loss() -> float:
         _, out = _forward(p, x)
         return 0.5 * (out - target) ** 2
 
-    arrays = [p.W1, p.b1, p.w2]
-    numeric = []
-    for arr in arrays:
-        flat = arr.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
+    grad = MlpParams(p.mins, p.ranges, np.empty_like(p.theta))
+    numeric = np.empty_like(p.theta)
+    with np.errstate(over="ignore"):
+        _gradients(p, x, target, grad)
+        for i, orig in enumerate(p.theta.tolist()):
+            p.theta[i] = orig + epsilon
             up = loss()
-            flat[i] = orig - epsilon
+            p.theta[i] = orig - epsilon
             down = loss()
-            flat[i] = orig
-            numeric.append((up - down) / (2.0 * epsilon))
-    orig = p.b2
-    p.b2 = orig + epsilon
-    up = loss()
-    p.b2 = orig - epsilon
-    down = loss()
-    p.b2 = orig
-    numeric.append((up - down) / (2.0 * epsilon))
-    numeric = np.asarray(numeric)
+            p.theta[i] = orig
+            numeric[i] = (up - down) / (2.0 * epsilon)
 
     worst = 0.0
-    for ga, gn in zip(analytic, numeric):
+    for ga, gn in zip(grad.theta, numeric):
         denom = max(abs(ga), abs(gn))
         err = abs(ga - gn) if denom < 1e-8 else abs(ga - gn) / denom
         worst = max(worst, err)
@@ -189,21 +181,21 @@ def encode_params(p: MlpParams) -> dict:
     return {
         "mins": p.mins.tolist(), "ranges": p.ranges.tolist(),
         "W1": p.W1.tolist(), "b1": p.b1.tolist(),
-        "w2": p.w2.tolist(), "b2": p.b2,
+        "w2": p.w2.tolist(), "b2": float(p.theta[-1]),
     }
 
 
 def decode_params(doc: dict, n_features: int) -> MlpParams:
-    p = MlpParams(
-        mins=np.asarray(doc["mins"], dtype=float),
-        ranges=np.asarray(doc["ranges"], dtype=float),
-        W1=np.asarray(doc["W1"], dtype=float),
-        b1=np.asarray(doc["b1"], dtype=float),
-        w2=np.asarray(doc["w2"], dtype=float),
-        b2=float(doc["b2"]),
-    )
-    hidden = len(p.b1)
-    shapes = (p.mins.shape, p.ranges.shape, p.W1.shape, p.b1.shape, p.w2.shape)
+    mins = np.asarray(doc["mins"], dtype=float)
+    ranges = np.asarray(doc["ranges"], dtype=float)
+    W1, b1, w2 = (np.asarray(doc[k], dtype=float) for k in ("W1", "b1", "w2"))
+    hidden = len(b1)
+    shapes = (mins.shape, ranges.shape, W1.shape, b1.shape, w2.shape)
     if shapes != ((n_features,), (n_features,), (hidden, n_features + 3), (hidden,), (hidden,)):
         raise ModelError("MLP weight shapes do not match the feature count")
-    return p
+    theta = np.concatenate([W1.ravel(), b1, w2, [float(doc["b2"])]])
+    if not all(np.all(np.isfinite(v)) for v in (mins, ranges, theta)):
+        raise ModelError("MLP scaling values and weights must be finite")
+    if np.any(ranges < 0):
+        raise ModelError("MLP feature ranges must not be negative")
+    return MlpParams(mins, ranges, theta)

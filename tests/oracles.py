@@ -13,13 +13,16 @@ a time, RPI recomputed from scratch for each team, and decision trees grown
 by recursion, one node and one feature column at a time.  A threshold there
 falls back to the value below the cut when the midpoint rounds onto the value
 above it, as in production; without that, such a split sends every row left
-and the recursion never ends.
+and the recursion never ends.  Last comes the MLP trained on four separate
+arrays (``W1``, ``b1``, ``w2`` and the scalar ``b2``), each with its own
+velocity: the flat parameter vector must reproduce it weight for weight.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from courtcast.adjust import (
 )
 from courtcast.baselines import BaselineError
 from courtcast.ingest import SeasonStore
+from courtcast.models.mlp import _inputs
 from courtcast.models.naive_bayes import KdeParams
 from courtcast.models.tree import (
     LEAF,
@@ -431,3 +435,83 @@ def grow_forest(X: np.ndarray, site: np.ndarray, y: np.ndarray, n_trees: int,
         trees.append(grow_tree(X[rows], site[rows], y[rows], min_rows=0, rng=rng,
                                n_candidates=n_candidates, min_branch=1))
     return trees
+
+
+@dataclass
+class FourArrayMlp:
+    mins: np.ndarray
+    ranges: np.ndarray
+    W1: np.ndarray           # (hidden, d_in)
+    b1: np.ndarray           # (hidden,)
+    w2: np.ndarray           # (hidden,)
+    b2: float
+
+
+def _mlp_sigmoid(z):
+    with np.errstate(over="ignore"):  # exp(-z) = inf saturates the output to 0.0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _mlp_forward(p: FourArrayMlp, x: np.ndarray) -> tuple[np.ndarray, float]:
+    hidden = _mlp_sigmoid(p.W1 @ x + p.b1)
+    out = float(_mlp_sigmoid(np.dot(p.w2, hidden) + p.b2))
+    return hidden, out
+
+
+def _mlp_gradients(p: FourArrayMlp, x: np.ndarray, target: float):
+    """Backprop for E = 0.5 * (out - target)^2 at a single instance."""
+    hidden, out = _mlp_forward(p, x)
+    delta_out = (out - target) * out * (1.0 - out)
+    grad_w2 = delta_out * hidden
+    grad_b2 = delta_out
+    delta_hidden = delta_out * p.w2 * hidden * (1.0 - hidden)
+    grad_W1 = np.outer(delta_hidden, x)
+    grad_b1 = delta_hidden
+    return grad_W1, grad_b1, grad_w2, grad_b2
+
+
+def mlp_fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> FourArrayMlp:
+    """The MLP's online backpropagation with one velocity per weight array."""
+    mins = np.min(X, axis=0)
+    ranges = np.max(X, axis=0) - mins
+    Xin = _inputs(X, site, mins, ranges)
+    n, d_in = Xin.shape
+    n_attr = X.shape[1] + 1
+    hidden = hp["hidden"] if hp["hidden"] is not None else math.ceil((n_attr + 2) / 2)
+
+    rng = np.random.default_rng(seed)
+    p = FourArrayMlp(
+        mins=mins, ranges=ranges,
+        W1=rng.uniform(-0.5, 0.5, size=(hidden, d_in)),
+        b1=rng.uniform(-0.5, 0.5, size=hidden),
+        w2=rng.uniform(-0.5, 0.5, size=hidden),
+        b2=float(rng.uniform(-0.5, 0.5)),
+    )
+
+    lr, mom = hp["learning_rate"], hp["momentum"]
+    vel_W1 = np.zeros_like(p.W1)
+    vel_b1 = np.zeros_like(p.b1)
+    vel_w2 = np.zeros_like(p.w2)
+    vel_b2 = 0.0
+    targets = y.astype(float)
+    for _ in range(hp["epochs"]):
+        for i in range(n):
+            g_W1, g_b1, g_w2, g_b2 = _mlp_gradients(p, Xin[i], targets[i])
+            vel_W1 = mom * vel_W1 - lr * g_W1
+            vel_b1 = mom * vel_b1 - lr * g_b1
+            vel_w2 = mom * vel_w2 - lr * g_w2
+            vel_b2 = mom * vel_b2 - lr * g_b2
+            p.W1 += vel_W1
+            p.b1 += vel_b1
+            p.w2 += vel_w2
+            p.b2 += vel_b2
+    return p
+
+
+def mlp_encode(p: FourArrayMlp) -> dict:
+    """The model-file value of a four-array MLP, key for key."""
+    return {
+        "mins": p.mins.tolist(), "ranges": p.ranges.tolist(),
+        "W1": p.W1.tolist(), "b1": p.b1.tolist(),
+        "w2": p.w2.tolist(), "b2": p.b2,
+    }

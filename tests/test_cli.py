@@ -10,6 +10,7 @@ record every file ``train`` opens.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -21,6 +22,8 @@ import pytest
 
 import courtcast
 from courtcast import cli
+from courtcast.ingest import parse_game_log
+from courtcast.stats import FourFactors, game_stats
 
 # The directory the test process imported courtcast from: ``src`` in a
 # checkout, ``site-packages`` in an install.
@@ -165,6 +168,24 @@ class TestArtifacts:
         text = (league_dir / "stats_out" / "game_stats.csv").read_text()
         assert text.startswith("# data = sim/games.csv\n")
         assert "# seed = 0\n" in text
+
+    def test_stats_rows_equal_per_game_stats(self, league_dir):
+        """The rows built from the game arrays, against ``game_stats`` per game."""
+        proc = run_cli(["stats", *DATA, "--out", "stats_rows"], cwd=league_dir)
+        assert proc.returncode == 0, proc.stderr
+        text = (league_dir / "stats_rows" / "game_stats.csv").read_text()
+        got = [ln for ln in text.splitlines() if not ln.startswith("#")][1:]
+        factors = FourFactors.field_names()
+        want = io.StringIO(newline="")
+        csv.writer(want).writerows(
+            [side.date.isoformat(), side.season, side.team, side.opponent,
+             side.site.value, int(side.won), side.box.points, side.poss, side.oe, side.de]
+            + [getattr(side.off_factors, c) for c in factors]
+            + [getattr(side.def_factors, c) for c in factors]
+            for g in parse_game_log(league_dir / "sim" / "games.csv").all_games()
+            for side in game_stats(g))
+        assert got == want.getvalue().splitlines()
+        assert len(got) == 224    # 2 seasons x 56 games x 2 sides
 
     def test_two_identical_runs_write_identical_report_bytes(self, league_dir):
         args = ["evaluate", *DATA, "--out", "twice", "--kind", "mlp", "--seed", "4"]

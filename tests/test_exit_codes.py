@@ -164,6 +164,18 @@ def edited(edit):
     ("decision_tree", "bad_scheme", edited(lambda doc: doc.update(scheme="elo")), "elo"),
     ("decision_tree", "bad_kind", edited(lambda doc: doc.update(kind=3)), "ModelKind"),
     ("mlp", "short_bias", edited(lambda doc: doc["params"]["b1"].pop()), "shapes"),
+    ("mlp", "nan_weight",
+     edited(lambda doc: doc["params"]["W1"][0].__setitem__(0, float("nan"))),
+     "weights must be finite"),
+    ("mlp", "nan_min", edited(lambda doc: doc["params"]["mins"].__setitem__(1, float("nan"))),
+     "weights must be finite"),
+    ("mlp", "infinite_output_bias", edited(lambda doc: doc["params"].update(b2=float("inf"))),
+     "weights must be finite"),
+    ("mlp", "infinite_range",
+     edited(lambda doc: doc["params"]["ranges"].__setitem__(0, float("inf"))),
+     "weights must be finite"),
+    ("mlp", "negative_range", edited(lambda doc: doc["params"]["ranges"].__setitem__(0, -1.0)),
+     "ranges must not be negative"),
     ("naive_bayes_kde", "negative_count",
      edited(lambda doc: doc["params"]["site_counts"][0].__setitem__(0, -5.0)), "do not fit"),
     ("naive_bayes_kde", "zero_bandwidth",
@@ -253,7 +265,7 @@ def test_a_stray_value_error_is_an_internal_fault(league, tmp_path, monkeypatch)
     def broken(*args, **kwargs):
         raise ValueError("not a courtcast error")
 
-    monkeypatch.setattr(cli, "game_stats", broken)
+    monkeypatch.setattr(cli, "checked_game_arrays", broken)
     code, err = main("stats", "--data", league / "sim" / "games.csv", "--out", tmp_path / "o")
     assert code == 3 and "internal error" in err
 

@@ -38,7 +38,9 @@ from courtcast.models import naive_bayes as nb_mod
 from courtcast.models import tree as tree_mod
 from courtcast.stats import Site
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
-from tests.oracles import grow_forest, grow_tree, naive_bayes_p_win
+from courtcast.models.base import TrainedModel, resolve_hyper
+from courtcast.models.base import save_model as save_with
+from tests.oracles import grow_forest, grow_tree, mlp_encode, mlp_fit, naive_bayes_p_win
 
 DATE = dt.date(2011, 2, 1)
 ALL_KINDS = list(ModelKind)
@@ -185,11 +187,7 @@ class TestMlp:
     def test_zero_weight_network_outputs_half(self):
         model = train(separable_instances(20, seed=1), ModelKind.MLP,
                       hyper={"epochs": 0})
-        p = model.params
-        p.W1[:] = 0.0
-        p.b1[:] = 0.0
-        p.w2[:] = 0.0
-        p.b2 = 0.0
+        model.params.theta[:] = 0.0   # W1, b1, w2 and b2
         prob = predict(model, make_instance([100, 100, 100, 100], None))[1]
         assert prob == 0.5
 
@@ -206,7 +204,11 @@ class TestMlp:
         # 4 numeric features + 1 site attribute + 2 classes -> ceil(7/2) = 4
         model = train(separable_instances(20, seed=1), ModelKind.MLP,
                       hyper={"epochs": 1})
-        assert model.params.W1.shape[0] == 4
+        p = model.params
+        assert p.W1.shape[0] == 4
+        # theta holds W1 (4 x (4 + 3)), b1, w2 and b2, and W1, b1, w2 view it
+        assert p.theta.shape == (4 * 7 + 4 + 4 + 1,)
+        assert all(np.shares_memory(v, p.theta) for v in (p.W1, p.b1, p.w2))
 
     def test_gradient_check_random_networks(self):
         insts = separable_instances(30, seed=2)
@@ -218,11 +220,7 @@ class TestMlp:
     def test_gradient_check_zero_network_exact(self):
         model = train(separable_instances(10, seed=3), ModelKind.MLP,
                       hyper={"epochs": 0})
-        p = model.params
-        p.W1[:] = 0.0
-        p.b1[:] = 0.0
-        p.w2[:] = 0.0
-        p.b2 = 0.0
+        model.params.theta[:] = 0.0   # W1, b1, w2 and b2
         err = gradient_check(model, make_instance([1, 2, 3, 4], Label.WIN))
         assert err <= 1e-9
 
@@ -231,9 +229,9 @@ class TestMlp:
         model = train(insts, ModelKind.MLP, hyper={"epochs": 0})
         real = mlp_mod._gradients
 
-        def corrupted(p, x, target):
-            g_W1, g_b1, g_w2, g_b2 = real(p, x, target)
-            return g_W1 * 1.5 + 0.01, g_b1, g_w2, g_b2
+        def corrupted(p, x, target, grad):
+            real(p, x, target, grad)
+            grad.W1[:] = grad.W1 * 1.5 + 0.01
 
         monkeypatch.setattr(mlp_mod, "_gradients", corrupted)
         assert gradient_check(model, insts[0]) > 1e-4
@@ -543,6 +541,36 @@ class TestForestStreams:
         n_trees = 2 * forest_mod._GROUP + 3
         got = forest_mod.fit(X, site, y, {"n_trees": n_trees, "candidate_features": None}, 3)
         assert_same_trees(got, grow_forest(X, site, y, n_trees, default_candidates(X), 3))
+
+
+GRID_SCHEMES = (FeatureScheme.ADJ_EFF, FeatureScheme.ADJ_FOUR_FACTORS, FeatureScheme.RAW)
+
+
+class TestMlpMatchesOracle:
+    """The flat parameter vector against four separately updated arrays.
+
+    The default case runs all 500 epochs; the others override one setting
+    and run 60 epochs to keep the test quick."""
+
+    @pytest.mark.parametrize("hyper", [
+        {}, {"hidden": 1, "epochs": 60}, {"momentum": 0.0, "epochs": 60},
+        {"learning_rate": 1e10, "epochs": 60}, {"epochs": 0},
+    ], ids=["defaults", "hidden_1", "no_momentum", "saturating", "untrained"])
+    @pytest.mark.parametrize("scheme", GRID_SCHEMES)
+    def test_weights_and_model_file(self, scheme_arrays, scheme, hyper, tmp_path):
+        X, site, y = (a[:24] for a in scheme_arrays[4, scheme])
+        hp = resolve_hyper(mlp_mod.HYPER, hyper, ModelKind.MLP)
+        got = mlp_mod.fit(X, site, y, hp, seed=3)
+        want = mlp_fit(X, site, y, hp, seed=3)
+        assert got.theta.tobytes() == np.concatenate(
+            [want.W1.ravel(), want.b1, want.w2, [want.b2]]).tobytes()
+
+        model = TrainedModel(kind=ModelKind.MLP, scheme=scheme,
+                             feature_names=feature_names(scheme), class_counts={},
+                             hyper=hp, params=got)
+        save_model(model, tmp_path / "flat.json")
+        save_with(dataclasses.replace(model, params=want), tmp_path / "four.json", mlp_encode)
+        assert (tmp_path / "flat.json").read_bytes() == (tmp_path / "four.json").read_bytes()
 
 
 class TestAllKindsContract:

@@ -33,8 +33,13 @@ vectorised pass (:func:`courtcast.stats.game_arrays`).  Team state is one
 plus integer games-played and box-sum arrays.  Each day records both teams'
 morning team rows (``TEAM_ROW``: the 18 values, then the 12 raw means) of
 every game into a ``(games, 2, 30)`` pre-match array, adjusts all of the
-day's game values at once, and scatters the folds back.  ``TeamSnapshot``
-objects are built from those rows only when a caller reads one.
+day's game values at once, and scatters the folds back.  League means are
+rows too: each morning's six values (oe, de, then the four factors) go into
+one ``(days + 1, 6)`` array, closed by the end of the season, and a
+from_scratch seed is such a row spread over the 18 state values.  A run
+keeps every team's final row beside the pre-match array (``final_rows``,
+``final_played``).  ``TeamSnapshot`` objects are built from those rows only
+when a caller reads one; ``final`` builds each team's on first read.
 
 Floating-point note: every accumulator folds values in one canonical order
 (games by (date, team_a, team_b), side a before side b).  Elementwise numpy
@@ -100,22 +105,11 @@ class AdjustConfig:
             raise AdjustmentError(f"navg_source must be 'raw' or 'adjusted', got {self.navg_source!r}")
 
 
-@dataclass(frozen=True)
-class LeagueMeans:
-    """League-wide mean efficiencies and factors as of some morning."""
-
-    oe: float
-    de: float
-    factors: FourFactors
-
-
-# Used only before any game has been played (no data to average yet):
-# round league-typical values, identical for every team, so they cancel in
-# any within-day comparison.
-NEUTRAL_BASELINE = LeagueMeans(
-    oe=100.0, de=100.0,
-    factors=FourFactors(efg=0.5, to_pct=0.2, or_pct=1.0 / 3.0, ftr=1.0 / 3.0),
-)
+# League means are a six-value row: oe, de, then the four factors in
+# FourFactors order.  This one is used only before any game has been played
+# (no data to average yet): round league-typical values, identical for every
+# team, so they cancel in any within-day comparison.
+NEUTRAL_BASELINE = (100.0, 100.0, 0.5, 0.2, 1.0 / 3.0, 1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -203,6 +197,9 @@ _BLOCKS = ("adj_off", "adj_def", "avg_off", "avg_def")
 STATE_KEYS = ("adj_oe", "adj_de") + tuple(f"{b}_{f}" for b in _BLOCKS for f in _FACTORS)
 _N_ADJ = 10
 _COUNTER = np.array([1, 0, 6, 7, 8, 9, 2, 3, 4, 5])
+# For each state value, the league mean it is seeded from: a from_scratch
+# seed is ``league_row[_SEED]``, each factor's mean serving all four blocks.
+_SEED = np.array([0, 1] + [2, 3, 4, 5] * len(_BLOCKS))
 
 # A team row: the 18 state values, then the 12 raw means.  Every array of
 # team profiles (a run's pre-match rows, a feature encoder's input) uses it.
@@ -228,56 +225,24 @@ def _team_rows(values: np.ndarray, played: np.ndarray, sums: np.ndarray) -> np.n
     return np.concatenate([values, means], axis=-1)
 
 
-def _means_row(means: LeagueMeans) -> np.ndarray:
-    """League means laid out as a state row: a from_scratch seed."""
-    factors = [getattr(means.factors, f) for f in _FACTORS]
-    return np.array([means.oe, means.de] + factors * 4)
-
-
-def _league_means(oe_de: np.ndarray, factors: np.ndarray) -> LeagueMeans:
-    oe, de = oe_de.tolist()
-    return LeagueMeans(oe=oe, de=de, factors=FourFactors(*factors.tolist()))
-
-
 def _running_sums(rows: np.ndarray) -> np.ndarray:
     """Running column sums of ``rows``: entry k adds the first k rows one after
     another, starting at 0.0 (a sequential fold, never a pairwise sum)."""
     return np.add.accumulate(np.concatenate([np.zeros((1,) + rows.shape[1:]), rows]))
 
 
-def _adjusted_means(values: np.ndarray) -> LeagueMeans | None:
-    """Mean averaged adjusted values over the rows of the teams that have played.
+def _adjusted_means(values: np.ndarray) -> np.ndarray:
+    """Mean averaged adjusted values over the rows of the teams that have
+    played (the neutral baseline if none has).
 
     The rows are in sorted team order; each team adds its offensive factor
     and then its defensive one to the same factor sum.
     """
     if len(values) == 0:
-        return None
+        return np.array(NEUTRAL_BASELINE)
     n = float(len(values))
-    return _league_means(_running_sums(values[:, :2])[-1] / n,
-                         _running_sums(values[:, 2:_N_ADJ].reshape(-1, 4))[-1] / (2.0 * n))
-
-
-@dataclass
-class NationalAverages:
-    """Daily league means for one season, queryable for any morning.
-
-    ``as_of(d)`` returns the means over all games strictly before ``d``
-    (the neutral baseline before any game has been played).
-    """
-
-    season: int
-    dates: list[dt.date] = field(default_factory=list)
-    morning: list[LeagueMeans] = field(default_factory=list)
-    end_of_season: LeagueMeans | None = None
-
-    def as_of(self, date: dt.date) -> LeagueMeans:
-        i = bisect.bisect_left(self.dates, date)
-        if i < len(self.dates):
-            return self.morning[i]
-        if self.end_of_season is not None:
-            return self.end_of_season
-        return NEUTRAL_BASELINE
+    return np.concatenate([_running_sums(values[:, :2])[-1] / n,
+                           _running_sums(values[:, 2:_N_ADJ].reshape(-1, 4))[-1] / (2.0 * n)])
 
 
 class _PreMatch(Mapping):
@@ -322,39 +287,37 @@ class _Series(Sequence):
 class SeasonRun:
     """Everything produced by one season's day-by-day pass, held as arrays.
 
-    Teams are indexed in sorted order (``_teams``) and ``games`` are the
-    store's games of the season in canonical order.  ``pre_rows[i, side]``
-    is the morning team row (``TEAM_ROW`` order) of game ``i``'s team_a
-    (side 0) or team_b (side 1); ``_pre_played`` holds the games played
-    beside it.  ``_final`` and ``_final_played`` hold the same for each
-    team after its last game, and ``_prior`` the prior-season final state
-    values used as seeds.
+    Teams are indexed in sorted order (``teams``) and ``games`` are the
+    store's games of the season in canonical order.  ``days`` are the
+    season's game dates; ``league_means[k]`` is the six-value league row
+    (oe, de, then the four factors) on the morning of ``days[k]``, and its
+    last row the league after the final day.  ``pre_rows[i, side]`` is the
+    morning team row (``TEAM_ROW`` order) of game ``i``'s team_a (side 0)
+    or team_b (side 1); ``_pre_played`` holds the games played beside it.
+    ``final_rows`` and ``final_played`` hold the same for each team after
+    its last game, and ``_prior`` the prior-season final state values used
+    as seeds.
 
-    ``pre_match`` maps each game's key to both teams' snapshots and builds
-    them on every read; ``final`` is a dict of each team's snapshot after
-    its last game (the next season's seed under prior_season seeding);
-    ``series`` gives each team's pre-match snapshots in date order.
+    Snapshots are built from those rows only when read: ``pre_match`` maps
+    each game's key to both teams' snapshots and builds them on every read;
+    ``final`` is a dict of each team's snapshot after its last game, built
+    on first read; ``series`` gives each team's pre-match snapshots in date
+    order.
     """
 
     season: int
     scheme: AveragingScheme
     seeding: Seeding
     config: AdjustConfig
-    national: NationalAverages
+    days: list[dt.date] = field(repr=False)
+    league_means: np.ndarray = field(repr=False)
     games: tuple[GameRecord, ...] = field(repr=False)
     pre_rows: np.ndarray = field(repr=False)
-    _teams: list[str] = field(repr=False)
+    teams: list[str] = field(repr=False)
     _pre_played: np.ndarray = field(repr=False)
-    _final: np.ndarray = field(repr=False)
-    _final_played: np.ndarray = field(repr=False)
+    final_rows: np.ndarray = field(repr=False)
+    final_played: np.ndarray = field(repr=False)
     _prior: dict[str, np.ndarray] = field(repr=False)
-
-    def __post_init__(self):
-        last = {}
-        for g in self.games:
-            last[g.team_a] = last[g.team_b] = g.date
-        self.final: dict[str, TeamSnapshot] = {
-            team: self._final_snapshot(i, last[team]) for i, team in enumerate(self._teams)}
 
     def _snapshot(self, team: str, date: dt.date, n: int, v: list[float]) -> TeamSnapshot:
         """The snapshot of team row ``v`` after ``n`` games."""
@@ -373,8 +336,14 @@ class SeasonRun:
                 self._snapshot(g.team_b, date, n[1], v[1]))
 
     def _final_snapshot(self, t: int, date: dt.date) -> TeamSnapshot:
-        return self._snapshot(self._teams[t], date, int(self._final_played[t]),
-                              self._final[t].tolist())
+        return self._snapshot(self.teams[t], date, int(self.final_played[t]),
+                              self.final_rows[t].tolist())
+
+    @cached_property
+    def final(self) -> dict[str, TeamSnapshot]:
+        """Each team's snapshot after its last game, dated that game's date."""
+        return {team: self._final_snapshot(t, self._by_team[team][0][-1])
+                for t, team in enumerate(self.teams)}
 
     @property
     def pre_match(self) -> Mapping[tuple[dt.date, str, str], tuple[TeamSnapshot, TeamSnapshot]]:
@@ -389,7 +358,7 @@ class SeasonRun:
     def _by_team(self) -> dict[str, tuple[list[dt.date], list[tuple[int, int]]]]:
         """Each team's game dates and (game, side) rows, in date order."""
         out: dict[str, tuple[list[dt.date], list[tuple[int, int]]]] = {
-            team: ([], []) for team in self._teams}
+            team: ([], []) for team in self.teams}
         for i, g in enumerate(self.games):
             for side, team in enumerate((g.team_a, g.team_b)):
                 out[team][0].append(g.date)
@@ -415,10 +384,10 @@ class SeasonRun:
             if k < len(rows):
                 game, side = rows[k]
                 return self._pre_snapshots(game, date)[side]
-            return self._final_snapshot(self._teams.index(team), date)
+            return self._final_snapshot(self.teams.index(team), date)
         seed = self._prior.get(team)
         if seed is None:
-            seed = _means_row(self.national.as_of(date))
+            seed = self.league_means[bisect.bisect_left(self.days, date)][_SEED]
         return self._snapshot(team, date, 0, seed.tolist() + [0.0] * _N_RAW)
 
 
@@ -459,7 +428,7 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
     # over ``den`` (explicit), games played, and integer box sums.  Teams
     # with a prior-season final start from it; the rest are seeded on the
     # morning of their first game.
-    prior_rows = ({t: prior._final[i, :len(STATE_KEYS)] for i, t in enumerate(prior._teams)}
+    prior_rows = ({t: prior.final_rows[i, :len(STATE_KEYS)] for i, t in enumerate(prior.teams)}
                   if prior is not None else {})
     seeded = np.array([t in prior_rows for t in teams], dtype=bool)
     acc = np.array([prior_rows.get(t, np.zeros(len(STATE_KEYS))) for t in teams]
@@ -489,24 +458,20 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
                                     stats.off_factors], axis=-1).reshape(2 * n, 6)
         league = _running_sums(side_rows)
 
-    def morning(s: int) -> LeagueMeans:
+    def morning(s: int) -> np.ndarray:
+        """The league row on the morning that has seen the first ``s`` games."""
         if config.navg_source == "adjusted":
-            means = _adjusted_means(values(np.flatnonzero(played)))
-        else:
-            means = (_league_means(league[2 * s, :2] / float(2 * s),
-                                   league[2 * s, 2:] / float(2 * s)) if s else None)
-        return means if means is not None else NEUTRAL_BASELINE
+            return _adjusted_means(values(np.flatnonzero(played)))
+        return league[2 * s] / float(2 * s) if s else np.array(NEUTRAL_BASELINE)
 
     pre = np.empty((n, 2, len(TEAM_ROW)))
     pre_played = np.empty((n, 2), dtype=np.int64)
-    national = NationalAverages(season=season)
     ordinals = np.array([g.date.toordinal() for g in games], dtype=np.int64)
     starts = np.flatnonzero(np.diff(ordinals, prepend=-1)).tolist()
-    for s, e in zip(starts, starts[1:] + [n]):
-        navg = morning(s)
-        national.dates.append(games[s].date)
-        national.morning.append(navg)
-        navg_row = _means_row(navg)
+    league_means = np.empty((len(starts) + 1, len(NEUTRAL_BASELINE)))
+    for k, (s, e) in enumerate(zip(starts, starts[1:] + [n])):
+        league_means[k] = morning(s)
+        navg_row = league_means[k][_SEED]
         scale = navg_row[:_N_ADJ]
         if (scale <= 0.0).any():
             raise AdjustmentError(
@@ -544,12 +509,12 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
             for j in range(flat.size):
                 fold(flat[j:j + 1], game_values[j:j + 1], box_rows[j:j + 1])
 
-    national.end_of_season = morning(n)
+    league_means[-1] = morning(n)
     return SeasonRun(
         season=season, scheme=scheme, seeding=seeding, config=config,
-        national=national, games=games, pre_rows=pre, _teams=teams,
-        _pre_played=pre_played,
-        _final=_team_rows(values(np.arange(n_teams)), played, sums), _final_played=played,
+        days=[games[s].date for s in starts], league_means=league_means,
+        games=games, pre_rows=pre, teams=teams, _pre_played=pre_played,
+        final_rows=_team_rows(values(np.arange(n_teams)), played, sums), final_played=played,
         _prior=prior_rows)
 
 

@@ -2,6 +2,9 @@
 
 Pythagorean expectation turns a team's averaged efficiencies into a win
 probability:  oe^y / (oe^y + de^y)  with exponent y = 11.5 by default.
+Walk-forward evaluation scores every game of a season run at once from the
+run's pre-match team rows (:func:`pythag_game_probs`); the snapshot
+functions serve single matchups and rankings.
 RPI blends a team's winning percentage with its opponents' and its
 opponents' opponents' (0.25/0.50/0.25), excluding games against the rated
 team from each opponent's record.  Rankings come from predicting every
@@ -16,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from courtcast.adjust import TeamSnapshot
+from courtcast.adjust import TEAM_ROW, SeasonRun, TeamSnapshot
 from courtcast.features import SITE_ORDER, encode_pairings
 from courtcast.ingest import CourtcastError, GameRecord
 from courtcast.models import p_win
@@ -38,25 +41,29 @@ class PythagParams:
             raise BaselineError(f"exponent must be positive and finite, got {self.y}")
 
 
-def pythag_rating(snap: TeamSnapshot, params: PythagParams = PythagParams()) -> float:
-    """Win probability proxy from averaged adjusted efficiencies.
+def _rating(team: str, oe: float, de: float, params: PythagParams) -> float:
+    """``team``'s win probability proxy from its averaged adjusted
+    efficiencies ``oe`` and ``de``.
 
     Computed so that swapping offense and defense yields the exact
     complement: the weaker side's share is divided once and the stronger
     side is literally 1.0 minus it.
     """
-    if snap.adj_oe <= 0 or snap.adj_de <= 0:
-        raise BaselineError(
-            f"{snap.team}: efficiencies must be positive "
-            f"(adj_oe={snap.adj_oe}, adj_de={snap.adj_de})")
+    if oe <= 0 or de <= 0:
+        raise BaselineError(f"{team}: efficiencies must be positive (adj_oe={oe}, adj_de={de})")
     try:
-        x = snap.adj_oe ** params.y
-        z = snap.adj_de ** params.y
+        x = oe ** params.y
+        z = de ** params.y
     except OverflowError:
-        raise BaselineError(f"{snap.team}: rating overflows at exponent {params.y}") from None
+        raise BaselineError(f"{team}: rating overflows at exponent {params.y}") from None
     if x <= z:
         return x / (x + z)
     return 1.0 - z / (z + x)
+
+
+def pythag_rating(snap: TeamSnapshot, params: PythagParams = PythagParams()) -> float:
+    """Win probability proxy from a snapshot's averaged adjusted efficiencies."""
+    return _rating(snap.team, snap.adj_oe, snap.adj_de, params)
 
 
 def _head_to_head(ra: float, rb: float) -> float:
@@ -73,6 +80,16 @@ def pythag_pair_prob(snap_a: TeamSnapshot, snap_b: TeamSnapshot,
                      params: PythagParams = PythagParams()) -> float:
     """Head-to-head win probability for a from two Pythagorean ratings."""
     return _head_to_head(pythag_rating(snap_a, params), pythag_rating(snap_b, params))
+
+
+_EFFICIENCIES = [TEAM_ROW.index("adj_oe"), TEAM_ROW.index("adj_de")]
+
+
+def pythag_game_probs(run: SeasonRun, params: PythagParams = PythagParams()) -> list[float]:
+    """p(team_a wins) of every game of ``run``, in game order, rated from the
+    run's pre-match rows: :func:`pythag_pair_prob` without the snapshots."""
+    return [_head_to_head(_rating(g.team_a, *a, params), _rating(g.team_b, *b, params))
+            for g, (a, b) in zip(run.games, run.pre_rows[:, :, _EFFICIENCIES].tolist())]
 
 
 #: The home-wins baseline: p(first team wins) by the first team's site.

@@ -36,7 +36,6 @@ from courtcast.adjust import (
     Seeding,
     checked_game_arrays,
     run_seasons,
-    team_row,
 )
 from courtcast.baselines import (
     HOME_WINS_P,
@@ -356,12 +355,10 @@ def cmd_adjust(cfg: RunConfig) -> None:
     out, echo = _out_dir(cfg)
     header = ["season", "team", "games_played"] + list(STATE_KEYS)
     rows = []
-    for season in sorted(runs):
-        final = runs[season].final
-        for team in sorted(final):
-            snap = final[team]
-            rows.append([season, team, snap.games_played]
-                        + team_row(snap)[:len(STATE_KEYS)].tolist())
+    for season, run in sorted(runs.items()):
+        for team, played, values in zip(run.teams, run.final_played.tolist(),
+                                        run.final_rows[:, :len(STATE_KEYS)].tolist()):
+            rows.append([season, team, played] + values)
     path = out / "snapshots.csv"
     write_csv(path, header, rows, echo)
     _say(path, f"{len(rows)} team-season snapshots")
@@ -454,13 +451,12 @@ def cmd_rank(cfg: RunConfig) -> None:
     test_season = _resolve_test_season(cfg, store)
     runs = _runs(cfg, store, through=test_season)
     run = runs[test_season]
-    snapshots = [run.final[t] for t in sorted(run.final)]
     out, echo = _out_dir(cfg)
     path = out / "rankings.csv"
 
     if kind == "rpi":
         ratings = rpi(list(store.games(test_season)))
-        scores = sorted(((team, ratings[team]) for team in run.final),
+        scores = sorted(((team, ratings[team]) for team in run.teams),
                         key=lambda kv: (-kv[1], kv[0]))
         rows = [[n, team, score] for n, (team, score) in enumerate(scores, start=1)]
     else:
@@ -468,7 +464,7 @@ def cmd_rank(cfg: RunConfig) -> None:
             predictor = pythag_predictor(PythagParams(y=float(hyper["y"])))
         else:
             predictor = model_predictor(_load_model_file(cfg, kind))
-        ranking = round_robin_rank(predictor, snapshots)
+        ranking = round_robin_rank(predictor, list(run.final.values()))
         rows = [[e.rank, e.team, e.score] for e in ranking.entries]
 
     write_csv(path, ["rank", "team", "score"], rows,

@@ -1,7 +1,7 @@
 """Walk-forward evaluation and the accuracy-ceiling experiment.
 
 Evaluation is strictly time-ordered: a model trains on all seasons before
-the test season and predicts each test game from pre-match snapshots only.
+the test season and predicts each test game from pre-match team state only.
 Reports carry every prediction, the cumulative in-season accuracy series,
 and the resolved configuration, and serialize byte-identically for fixed
 seeds.
@@ -27,7 +27,7 @@ from courtcast.adjust import (
     Seeding,
     run_seasons,
 )
-from courtcast.baselines import HOME_WINS_P, PythagParams, pythag_pair_prob
+from courtcast.baselines import HOME_WINS_P, PythagParams, pythag_game_probs
 from courtcast.features import FeatureScheme, Label, MatchInstance, build_dataset, to_arrays
 from courtcast.ingest import CourtcastError, SeasonStore
 from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, p_win, resolve_label, train
@@ -177,25 +177,6 @@ def check_hyper(kind: ModelKind | str,
         key: float(value) for key, value in resolved.items()}
 
 
-def _baseline_predict_fn(kind: str, hyper: Mapping[str, float],
-                         run: SeasonRun) -> PredictFn:
-    if kind == "home_wins":
-        def home_fn(inst: MatchInstance) -> tuple[Label, float]:
-            p = HOME_WINS_P[inst.location]
-            return resolve_label(p, inst.location), p
-
-        return home_fn
-
-    params = PythagParams(y=hyper["y"])
-
-    def pythag_fn(inst: MatchInstance) -> tuple[Label, float]:
-        snap_a, snap_b = run.pre_match[(inst.date, inst.team_first, inst.team_second)]
-        p = pythag_pair_prob(snap_a, snap_b, params)
-        return resolve_label(p, inst.location), p
-
-    return pythag_fn
-
-
 def _evaluate_cell(runs: dict[int, SeasonRun],
                    train_set: list[MatchInstance], test_set: list[MatchInstance],
                    test_season: int, kind: ModelKind | str, scheme: FeatureScheme,
@@ -207,11 +188,15 @@ def _evaluate_cell(runs: dict[int, SeasonRun],
     if isinstance(kind, ModelKind):
         model = train(train_set, kind, hyper=dict(hyper) if hyper else None, seed=seed)
         X, site, _ = to_arrays(test_set)
-        probs = dict(zip(map(id, test_set), p_win(model, X, site).tolist()))
-        predict_fn: PredictFn = lambda inst: (
-            resolve_label(probs[id(inst)], inst.location), probs[id(inst)])
+        probs = p_win(model, X, site).tolist()
+    elif kind == "home_wins":
+        probs = [HOME_WINS_P[inst.location] for inst in test_set]
     else:
-        predict_fn = _baseline_predict_fn(kind, resolved, runs[test_season])
+        # the test set is the test season's games in the run's game order
+        probs = pythag_game_probs(runs[test_season], PythagParams(y=resolved["y"]))
+    p_of = dict(zip(map(id, test_set), probs, strict=True))
+    predict_fn: PredictFn = lambda inst: (
+        resolve_label(p_of[id(inst)], inst.location), p_of[id(inst)])
 
     echo = {**asdict(config), "hyper": resolved}
     return evaluate_predictor(

@@ -76,11 +76,9 @@ _BOX_SUFFIX = {"or_": "or", "points": "pts"}
 MAX_COUNT = 10**6  # no box count comes near; larger ones would overflow int64 sums
 
 
-def _box_columns(side: str) -> list[str]:
-    return [f"{_BOX_SUFFIX.get(f, f)}{side}" for f in BOX_FIELDS]
-
-
-HEADER = ["date", "season", "team_a", "team_b", "location"] + _box_columns("a") + _box_columns("b")
+# Each side's box-score column names, in BOX_FIELDS order: side a, then b.
+_BOX_COLUMNS = tuple([f"{_BOX_SUFFIX.get(f, f)}{side}" for f in BOX_FIELDS] for side in "ab")
+HEADER = ["date", "season", "team_a", "team_b", "location"] + _BOX_COLUMNS[0] + _BOX_COLUMNS[1]
 
 
 @dataclass(frozen=True)
@@ -247,9 +245,9 @@ def _parse_row(row: dict[str, str], path: str, line: int) -> GameRecord:
             path=path, line=line, field="location") from None
 
     boxes = []
-    for side in ("a", "b"):
+    for columns in _BOX_COLUMNS:
         counts = {}
-        for attr, col in zip(BOX_FIELDS, _box_columns(side)):
+        for attr, col in zip(BOX_FIELDS, columns):
             counts[attr] = _parse_int(row[col], path=path, line=line, field=col)
         box = BoxScore(**counts)
         try:

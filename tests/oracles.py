@@ -30,7 +30,6 @@ from courtcast.adjust import (
     NEUTRAL_BASELINE,
     AdjustConfig,
     AveragingScheme,
-    LeagueMeans,
     Seeding,
     TeamSnapshot,
     adjust_value,
@@ -58,17 +57,20 @@ _KEYS = (["adj_oe", "adj_de"]
 _COUNTS = ("fgm", "fga", "fgm3", "ft", "fta", "or_", "dr", "to", "stl", "blk")
 
 
-def _seed_dict(means: LeagueMeans) -> dict[str, float]:
-    seed = {"adj_oe": means.oe, "adj_de": means.de}
-    for f in _FACTORS:
-        v = getattr(means.factors, f)
+def _seed_dict(means: tuple[float, ...]) -> dict[str, float]:
+    oe, de, *factors = means
+    seed = {"adj_oe": oe, "adj_de": de}
+    for f, v in zip(_FACTORS, factors):
         for prefix in ("adj_off", "adj_def", "avg_off", "avg_def"):
             seed[f"{prefix}_{f}"] = v
     return seed
 
 
-def naive_league_means(games, before: dt.date, ft_weight: float) -> LeagueMeans:
-    """Full rescan of every game strictly before a date, in store order."""
+def naive_league_means(games, before: dt.date, ft_weight: float) -> tuple[float, ...]:
+    """Full rescan of every game strictly before a date, in store order.
+
+    The means come as a six-value tuple: oe, de, then the four factors.
+    """
     count = 0
     oe = de = 0.0
     fac = {f: 0.0 for f in _FACTORS}
@@ -84,8 +86,7 @@ def naive_league_means(games, before: dt.date, ft_weight: float) -> LeagueMeans:
     if count == 0:
         return NEUTRAL_BASELINE
     n = float(count)
-    return LeagueMeans(oe=oe / n, de=de / n,
-                       factors=FourFactors(*(fac[f] / n for f in _FACTORS)))
+    return (oe / n, de / n) + tuple(fac[f] / n for f in _FACTORS)
 
 
 def _refold(seed: float, values: list[float], scheme: AveragingScheme, alpha: float) -> float:
@@ -147,7 +148,7 @@ def naive_season(store: SeasonStore, season: int, scheme: AveragingScheme,
             state["raw_means"] = (0.0,) * 12
         return state
 
-    def adjusted_means(date: dt.date) -> LeagueMeans:
+    def adjusted_means(date: dt.date) -> tuple[float, ...]:
         played = sorted(t for t in seeds if values[t])
         if not played:
             return NEUTRAL_BASELINE
@@ -161,8 +162,7 @@ def naive_season(store: SeasonStore, season: int, scheme: AveragingScheme,
             for f in _FACTORS:
                 fac[f] += state[f"adj_off_{f}"]
                 fac[f] += state[f"adj_def_{f}"]
-        return LeagueMeans(oe=oe / n, de=de / n,
-                           factors=FourFactors(*(fac[f] / (2.0 * n) for f in _FACTORS)))
+        return (oe / n, de / n) + tuple(fac[f] / (2.0 * n) for f in _FACTORS)
 
     pre_match: dict[tuple, tuple[dict, dict]] = {}
     post: dict[str, list[tuple[dt.date, dict]]] = {}
@@ -173,6 +173,7 @@ def naive_season(store: SeasonStore, season: int, scheme: AveragingScheme,
             navg = adjusted_means(d)
         else:
             navg = naive_league_means(games, d, config.ft_weight)
+        navg_oe, navg_de, *navg_factors = navg
         pending: list[tuple[str, dict, object]] = []
         for g in day:
             for team in (g.team_a, g.team_b):
@@ -189,11 +190,10 @@ def naive_season(store: SeasonStore, season: int, scheme: AveragingScheme,
             stats_a, stats_b = game_stats(g, config.ft_weight)
             for stats, opp in ((stats_a, state_b), (stats_b, state_a)):
                 gv = {
-                    "adj_oe": adjust_value(stats.oe, navg.oe, opp["adj_de"]),
-                    "adj_de": adjust_value(stats.de, navg.de, opp["adj_oe"]),
+                    "adj_oe": adjust_value(stats.oe, navg_oe, opp["adj_de"]),
+                    "adj_de": adjust_value(stats.de, navg_de, opp["adj_oe"]),
                 }
-                for f in _FACTORS:
-                    n_f = getattr(navg.factors, f)
+                for f, n_f in zip(_FACTORS, navg_factors):
                     gv[f"adj_off_{f}"] = adjust_value(
                         getattr(stats.off_factors, f), n_f, opp[f"adj_def_{f}"])
                     gv[f"adj_def_{f}"] = adjust_value(

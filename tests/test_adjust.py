@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import gc
 import weakref
@@ -157,8 +158,8 @@ class TestRunSeasonBasics:
         # Day one of the only season: both seeds are the neutral baseline.
         for snap in (snap_a, snap_b):
             assert snap.games_played == 0
-            assert snap.adj_oe == NEUTRAL_BASELINE.oe
-            assert snap.adj_de == NEUTRAL_BASELINE.de
+            assert snap.adj_oe == NEUTRAL_BASELINE[0]
+            assert snap.adj_de == NEUTRAL_BASELINE[1]
         # After the game the sides diverge.
         fin_a, fin_b = run.final["a"], run.final["b"]
         assert fin_a.adj_oe != fin_b.adj_oe
@@ -171,8 +172,8 @@ class TestRunSeasonBasics:
         ghost = run.snapshot_at("ghosts", late)
         assert ghost.games_played == 0
         # From-scratch seed = national average as of the queried morning.
-        navg = run.national.as_of(late)
-        assert ghost.adj_oe == navg.oe and ghost.adj_de == navg.de
+        oe, de = run.league_means[bisect.bisect_left(run.days, late), :2].tolist()
+        assert ghost.adj_oe == oe and ghost.adj_de == de
 
     def test_snapshot_at_matches_pre_match(self, two_season_store):
         run = run_season(two_season_store, 2011, AveragingScheme.EXPLICIT,
@@ -192,7 +193,7 @@ class TestRunSeasonBasics:
             for run in runs.values():
                 for key in run.pre_match:
                     run.pre_match[key]
-                run.series, run.snapshot_at("ghosts", dt.date(2012, 3, 1))
+                run.series, run.final, run.snapshot_at("ghosts", dt.date(2012, 3, 1))
             refs = [weakref.ref(run) for run in runs.values()]
             del runs, run
             assert [r() for r in refs] == [None] * len(refs)
@@ -203,8 +204,8 @@ class TestRunSeasonBasics:
     def test_national_average_day_one_is_baseline(self, two_season_store):
         run = run_season(two_season_store, 2010, AveragingScheme.EXPLICIT,
                          Seeding.FROM_SCRATCH)
-        first = run.national.dates[0]
-        assert run.national.as_of(first) == NEUTRAL_BASELINE
+        morning = run.league_means[bisect.bisect_left(run.days, run.days[0])]
+        assert tuple(morning.tolist()) == NEUTRAL_BASELINE
 
     def test_prior_season_seeds_carry_over(self, two_season_store):
         runs = run_seasons(two_season_store, AveragingScheme.EXPLICIT,
@@ -250,10 +251,12 @@ class TestOracleEquivalence:
         run = run_season(two_season_store, season, AveragingScheme.EXPLICIT,
                          Seeding.FROM_SCRATCH)
         games = two_season_store.games(season)
-        for date, means in zip(run.national.dates, run.national.morning):
+        # every morning, then the end of the season: every game before it
+        mornings = run.days + [dt.date.max]
+        assert len(run.league_means) == len(mornings)
+        for date, means in zip(mornings, run.league_means.tolist()):
             ref = naive_league_means(games, date, 0.475)
-            assert means.oe == ref.oe and means.de == ref.de
-            assert means.factors == ref.factors
+            assert tuple(means) == ref
 
 
 class TestNoLeakage:

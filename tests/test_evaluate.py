@@ -9,6 +9,8 @@ import random
 import numpy as np
 import pytest
 
+from courtcast.adjust import AveragingScheme, Seeding, run_seasons
+from courtcast.baselines import PythagParams, pythag_pair_prob
 from courtcast.evaluate import (
     BASELINE_KINDS,
     EvalError,
@@ -296,6 +298,24 @@ class TestGlassCeiling:
             hyper_overrides={"decision_tree": {"min_node_fraction": 0.25}})
         assert report.config["hyper_overrides"] == {
             "decision_tree": {"min_node_fraction": 0.25}}
+
+
+@pytest.mark.parametrize("hyper", [None, {"y": 3.0}])
+@pytest.mark.parametrize("averaging", list(AveragingScheme))
+@pytest.mark.parametrize("seeding", list(Seeding))
+def test_pythag_rows_match_the_snapshot_path(two_season_store, averaging, seeding, hyper):
+    # pythag is scored from the run's pre-match rows; each probability must
+    # be the one the snapshots of the same run give, bit for bit
+    test_season = two_season_store.seasons[-1]
+    report = walk_forward_evaluate(two_season_store, test_season, "pythag",
+                                   FeatureScheme.ADJ_EFF, averaging, seeding, hyper=hyper)
+    run = run_seasons(two_season_store, averaging, seeding,
+                      through=test_season)[test_season]
+    params = PythagParams(**(hyper or {}))
+    assert report.n_test == len(run.games)
+    for p in report.predictions:
+        snaps = run.pre_match[(p.date, p.team_first, p.team_second)]
+        assert p.p_win == pythag_pair_prob(*snaps, params)
 
 
 def test_baseline_kind_registry():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,12 @@ class TestBadFiles:
         adjust = main("adjust", "--data", log, "--out", tmp_path / "o")
         assert stats == adjust
         assert stats[0] == 2 and "aa vs bb on 2021-11-01" in stats[1]
+
+    def test_pythag_rating_that_overflows_names_the_team(self, league, tmp_path):
+        code, err = main("evaluate", "--data", league / "sim" / "games.csv",
+                         "--kind", "pythag", "--hyper", "y=1e308", "--out", tmp_path / "o")
+        assert code == 2, err
+        assert re.search(r"t\d\d: rating overflows at exponent 1e\+308", err), err
 
     def test_predict_after_a_season_that_ends_on_the_last_date(self, tmp_path):
         log = tmp_path / "late.csv"

@@ -16,6 +16,15 @@ row arrives the other way around).
 An optional roster file (CSV ``season,team``) restricts each season to a
 known pool of teams; games involving an off-roster side are dropped so that
 exhibition-style matches cannot distort the averages downstream.
+
+:func:`parse_game_log` has two paths.  The fast path streams the file
+through ``csv.reader``, converts the box cells with ``int`` and builds and
+validates each record as it goes.  It keeps no line numbers and gives up at
+the first fault of any kind.  The row parser then reads the file again, one
+validated row at a time, and raises the error that names the file, the
+physical line and the field.  It stays for those messages, and as the
+reference the tests hold the fast path to: on any log, both build equal
+stores or neither does.
 """
 
 from __future__ import annotations
@@ -23,10 +32,9 @@ from __future__ import annotations
 import csv
 import datetime as dt
 from contextlib import contextmanager
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class CourtcastError(ValueError):
@@ -81,9 +89,8 @@ _BOX_COLUMNS = tuple([f"{_BOX_SUFFIX.get(f, f)}{side}" for f in BOX_FIELDS] for 
 HEADER = ["date", "season", "team_a", "team_b", "location"] + _BOX_COLUMNS[0] + _BOX_COLUMNS[1]
 
 
-@dataclass(frozen=True)
-class BoxScore:
-    """One team's raw counting statistics for one game."""
+class BoxScore(NamedTuple):
+    """One team's raw counting statistics for one game, in ``BOX_FIELDS`` order."""
 
     fgm: int
     fga: int
@@ -99,10 +106,9 @@ class BoxScore:
 
     def validate(self) -> None:
         """Check internal consistency; raise :class:`GameLogError` if violated."""
-        for name in BOX_FIELDS:
-            if not 0 <= getattr(self, name) <= MAX_COUNT:
-                raise GameLogError(f"count {getattr(self, name)} outside [0, {MAX_COUNT}]",
-                                   field=name)
+        for name, count in zip(BOX_FIELDS, self):
+            if not 0 <= count <= MAX_COUNT:
+                raise GameLogError(f"count {count} outside [0, {MAX_COUNT}]", field=name)
         if self.fgm > self.fga:
             raise GameLogError(f"fgm={self.fgm} exceeds fga={self.fga}", field="fgm")
         if self.fgm3 > self.fgm:
@@ -118,9 +124,8 @@ class BoxScore:
             )
 
 
-@dataclass(frozen=True)
-class GameRecord:
-    """A completed match in canonical orientation (team_a < team_b)."""
+class _GameFields(NamedTuple):
+    """The fields of :class:`GameRecord`, which checks them on construction."""
 
     date: dt.date
     season: int
@@ -130,14 +135,20 @@ class GameRecord:
     box_a: BoxScore
     box_b: BoxScore
 
-    def __post_init__(self):
-        if self.team_a == self.team_b:
-            raise GameLogError(f"team plays itself: {self.team_a}", field="team_b")
-        if self.team_a > self.team_b:
+
+class GameRecord(_GameFields):
+    """A completed match in canonical orientation (team_a < team_b)."""
+
+    __slots__ = ()
+
+    def __new__(cls, date: dt.date, season: int, team_a: str, team_b: str,
+                location: Location, box_a: BoxScore, box_b: BoxScore) -> "GameRecord":
+        if team_a == team_b:
+            raise GameLogError(f"team plays itself: {team_a}", field="team_b")
+        if team_a > team_b:
             raise GameLogError(
-                f"not canonically oriented: {self.team_a!r} > {self.team_b!r}",
-                field="team_a",
-            )
+                f"not canonically oriented: {team_a!r} > {team_b!r}", field="team_a")
+        return super().__new__(cls, date, season, team_a, team_b, location, box_a, box_b)
 
     @staticmethod
     def oriented(date: dt.date, season: int, first: str, second: str,
@@ -263,6 +274,9 @@ def _parse_row(row: dict[str, str], path: str, line: int) -> GameRecord:
     return GameRecord.oriented(date, season, first, second, location, boxes[0], boxes[1])
 
 
+_ROSTER_HEADER = ["season", "team"]
+
+
 def parse_roster(path: str | Path) -> dict[int, set[str]]:
     """Read a roster CSV (``season,team``) into season -> team-id sets."""
     path = Path(path)
@@ -270,9 +284,10 @@ def parse_roster(path: str | Path) -> dict[int, set[str]]:
     with path.open(newline="", encoding="utf-8") as fh, \
             _csv_errors(path, lambda: reader.reader.line_num):
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["season", "team"]:
+        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != _ROSTER_HEADER:
             raise GameLogError(f"roster header must be 'season,team', got {reader.fieldnames}",
                                path=str(path), line=1)
+        reader.fieldnames = _ROSTER_HEADER  # key cells by position, not by padded names
         for row in reader:
             line = reader.line_num  # the physical line; csv skips blank ones
             if None in row.values() or None in row:
@@ -299,6 +314,65 @@ def parse_game_log(path: str | Path,
     path = Path(path)
     if not path.exists():
         raise GameLogError("file not found", path=str(path))
+    store = _parse_fast(path, rosters)
+    return store if store is not None else _parse_rows(path, rosters)
+
+
+_LOCATIONS = {loc.value: loc for loc in Location}
+
+
+def _parse_fast(path: Path, rosters: dict[int, set[str]] | None) -> SeasonStore | None:
+    """The store :func:`_parse_rows` builds from ``path``, or None where it
+    would raise: the first fault of any kind ends the parse, unexplained."""
+    n = len(BOX_FIELDS)
+    games: list[GameRecord] = []
+    seen: set[tuple[dt.date, str, str]] = set()
+    dates: dict[str, dt.date] = {}
+    dropped = 0
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
+            header = next(rows, None)
+            if header is None or [c.strip() for c in header] != HEADER:
+                return None
+            for row in rows:
+                if not row:
+                    continue  # csv reads a blank line as []
+                if len(row) != len(HEADER):
+                    return None
+                date = dates.get(row[0])
+                if date is None:
+                    date = dates[row[0]] = dt.date.fromisoformat(row[0])
+                first, second = row[2].strip(), row[3].strip()
+                location = _LOCATIONS.get(row[4])
+                if not first or not second or location is None:
+                    return None
+                counts = list(map(int, row[5:]))
+                box_first, box_second = BoxScore._make(counts[:n]), BoxScore._make(counts[n:])
+                box_first.validate()
+                box_second.validate()
+                if box_first.points == box_second.points:
+                    return None
+                record = GameRecord.oriented(date, int(row[1]), first, second, location,
+                                             box_first, box_second)
+                key = (record.date, record.team_a, record.team_b)
+                if key in seen:
+                    return None
+                seen.add(key)
+                if rosters is not None:
+                    pool = rosters.get(record.season, set())
+                    if record.team_a not in pool or record.team_b not in pool:
+                        dropped += 1
+                        continue
+                games.append(record)
+    except (ValueError, csv.Error):  # GameLogError and UnicodeDecodeError too
+        return None
+    return SeasonStore(games, rosters=rosters, off_roster_dropped=dropped)
+
+
+def _parse_rows(path: Path, rosters: dict[int, set[str]] | None) -> SeasonStore:
+    """:func:`parse_game_log` one validated row at a time: raises the error
+    that names the file, the physical line and the field of the first fault."""
     games: list[GameRecord] = []
     seen: set[tuple[dt.date, str, str]] = set()
     dropped = 0
@@ -314,6 +388,7 @@ def parse_game_log(path: str | Path,
         if got != HEADER:
             raise GameLogError(
                 f"bad header: expected {','.join(HEADER)}", path=str(path), line=data[0][0])
+        reader.fieldnames = HEADER  # key cells by position, not by padded names
         for row in reader:
             line = data[reader.line_num - 1][0]
             if any(v is None for v in row.values()) or None in row:
@@ -350,9 +425,7 @@ def write_game_log(store: SeasonStore, path: str | Path,
                    comments: Sequence[str] = ()) -> None:
     """Serialize a store back to the game-log CSV schema (round-trip safe)."""
     write_csv(path, HEADER, ([g.date.isoformat(), g.season, g.team_a, g.team_b,
-                              g.location.value]
-                             + [getattr(g.box_a, f) for f in BOX_FIELDS]
-                             + [getattr(g.box_b, f) for f in BOX_FIELDS]
+                              g.location.value, *g.box_a, *g.box_b]
                              for g in store.all_games()), comments)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 import datetime as dt
@@ -172,8 +171,7 @@ def game_arrays(games: Sequence[GameRecord],
     same functions evaluate the same expressions elementwise, and numpy
     rounds each operation exactly as Python does.
     """
-    counts = attrgetter(*BOX_FIELDS)
-    box = np.array([(counts(g.box_a), counts(g.box_b)) for g in games],
+    box = np.array([g.box_a + g.box_b for g in games],
                    dtype=np.int64).reshape(len(games), 2, len(BOX_FIELDS))
     own = SimpleNamespace(**{f: box[:, :, k] for k, f in enumerate(BOX_FIELDS)})
     opp = SimpleNamespace(**{f: box[:, ::-1, k] for k, f in enumerate(BOX_FIELDS)})

@@ -5,21 +5,26 @@ from __future__ import annotations
 import datetime as dt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from courtcast.ingest import (
     HEADER,
+    MAX_COUNT,
     BoxScore,
     GameLogError,
     GameRecord,
     Location,
     SeasonStore,
+    _parse_fast,
+    _parse_rows,
     parse_game_log,
     parse_roster,
     season_partition,
     write_game_log,
 )
+from courtcast.synthetic import SyntheticLeagueSpec, generate_league
 from tests.conftest import BOX_A, BOX_B, make_box
+from tests.test_exit_codes import EDITS, corrupted
 
 
 def game_row(date="2011-01-15", season="2011", team_a="aardvarks", team_b="bobcats",
@@ -103,6 +108,13 @@ class TestValidation:
         with pytest.raises(GameLogError):
             parse_game_log(path)
 
+    def test_padded_header_parses_like_a_clean_one(self, tmp_path):
+        rows = [game_row(), game_row(date="2011-01-16", team_a="bobcats", team_b="aardvarks")]
+        clean = parse_game_log(write_log(tmp_path, rows))
+        padded_header = ",".join(f" {c}" for c in HEADER)
+        padded = parse_game_log(write_log(tmp_path, rows, header=padded_header))
+        assert padded.all_games() == clean.all_games() and len(clean.all_games()) == 2
+
 
 class TestOrientation:
     def test_reversed_row_is_canonicalized(self, tmp_path):
@@ -123,6 +135,12 @@ class TestOrientation:
         with pytest.raises(GameLogError, match="canonically"):
             GameRecord(dt.date(2011, 1, 1), 2011, "z", "a",
                        Location.NEUTRAL, BOX_A, BOX_B)
+
+    def test_fields_cannot_be_assigned(self, example_game):
+        with pytest.raises(AttributeError):
+            example_game.team_a = "zebras"
+        with pytest.raises(AttributeError):
+            example_game.box_a.points = 0
 
 
 class TestStoreAndPartition:
@@ -160,6 +178,11 @@ class TestStoreAndPartition:
         path.write_text("season,team\n2010,b\n2010,a\n2011,c\n")
         back = parse_roster(path)
         assert back == {2010: {"a", "b"}, 2011: {"c"}}
+
+    def test_padded_roster_header(self, tmp_path):
+        path = tmp_path / "roster.csv"
+        path.write_text(" season, team \n2010,b\n2011,c\n")
+        assert parse_roster(path) == {2010: {"b"}, 2011: {"c"}}
 
     def test_truncated_drops_later_games(self, two_season_store):
         games = two_season_store.games(2011)
@@ -234,3 +257,231 @@ def test_orientation_is_involution_free(box1, box2, loc):
     g1 = GameRecord.oriented(dt.date(2011, 1, 1), 2011, "m", "q", loc, box1, box2)
     g2 = GameRecord.oriented(dt.date(2011, 1, 1), 2011, "q", "m", loc.swapped(), box2, box1)
     assert g1 == g2
+
+
+def outcome(parse, path, rosters=None):
+    """What ``parse`` makes of ``path``: the store's contents, the error it
+    raises, or the fast path's refusal."""
+    try:
+        store = parse(path, rosters)
+    except GameLogError as err:
+        return "raises", type(err), str(err)
+    if store is None:
+        return ("refuses",)
+    return ("parses", store.seasons, [store.games(s) for s in store.seasons],
+            [store.teams(s) for s in store.seasons], store.off_roster_dropped)
+
+
+@pytest.fixture(scope="module")
+def simulated_log(tmp_path_factory):
+    store, _ = generate_league(SyntheticLeagueSpec(
+        n_teams=6, games_per_team=6, n_seasons=2, seed=1), bayes_sims=1)
+    path = tmp_path_factory.mktemp("differential") / "games.csv"
+    write_game_log(store, path)
+    return path
+
+
+_COL = {c: k for k, c in enumerate(HEADER)}
+_BOX_A = slice(_COL["fgma"], _COL["ptsa"] + 1)
+_BOX_B = slice(_COL["fgmb"], _COL["ptsb"] + 1)
+
+# Each edit changes a log's lines in place, at data line ``k`` (line 0 is the header).
+
+
+def _cells(change):
+    """An edit that applies ``change`` to the cells of line ``k``."""
+    def edit(lines, k):
+        cells = lines[k].split(",")
+        change(cells)
+        lines[k] = ",".join(cells)
+    edit.__name__ = change.__name__
+    return edit
+
+
+@_cells
+def _reverse(cells):
+    """The same game listed the other way around."""
+    cells[2], cells[3] = cells[3], cells[2]
+    cells[_BOX_A], cells[_BOX_B] = cells[_BOX_B], cells[_BOX_A]
+    cells[4] = {"home_a": "home_b", "home_b": "home_a"}.get(cells[4], cells[4])
+
+
+@_cells
+def _tie(cells):
+    cells[_BOX_B] = cells[_BOX_A]
+
+
+@_cells
+def _fgm_over_fga(cells):
+    cells[_COL["fgaa"]] = str(int(cells[_COL["fgma"]]) - 1)
+
+
+@_cells
+def _fgm3_over_fgm(cells):
+    """More threes than field goals, with points that still add up."""
+    extra = int(cells[_COL["fgma"]]) - int(cells[_COL["fgm3a"]]) + 1
+    for column in ("fgm3a", "ptsa"):
+        cells[_COL[column]] = str(int(cells[_COL[column]]) + extra)
+
+
+@_cells
+def _ft_over_fta(cells):
+    extra = int(cells[_COL["ftaa"]]) - int(cells[_COL["fta"]]) + 1
+    for column in ("fta", "ptsa"):
+        cells[_COL[column]] = str(int(cells[_COL[column]]) + extra)
+
+
+@_cells
+def _bad_points(cells):
+    cells[_COL["ptsa"]] = str(int(cells[_COL["ptsa"]]) + 1)
+
+
+@_cells
+def _negative_count(cells):
+    cells[_COL["stla"]] = "-1"
+
+
+@_cells
+def _count_over_max(cells):
+    cells[_COL["blkb"]] = str(MAX_COUNT + 1)
+
+
+@_cells
+def _count_over_int64(cells):
+    cells[_COL["drb"]] = str(2**63)
+
+
+@_cells
+def _non_integer(cells):
+    cells[_COL["tob"]] = "4.5"
+
+
+@_cells
+def _bad_date(cells):
+    cells[_COL["date"]] = "2021-02-30"
+
+
+@_cells
+def _bad_location(cells):
+    cells[_COL["location"]] = "moon"
+
+
+@_cells
+def _self_play(cells):
+    cells[_COL["team_b"]] = cells[_COL["team_a"]]
+
+
+@_cells
+def _empty_team(cells):
+    cells[_COL["team_a"]] = " "
+
+
+@_cells
+def _empty_opponent(cells):
+    cells[_COL["team_b"]] = ""
+
+
+@_cells
+def _padded_team(cells):
+    cells[_COL["team_b"]] = f" {cells[_COL['team_b']]} "
+
+
+@_cells
+def _missing_column(cells):
+    del cells[-1]
+
+
+@_cells
+def _extra_column(cells):
+    cells.append("0")
+
+
+def _duplicate(lines, k):
+    lines.append(lines[k])
+
+
+def _duplicate_reversed(lines, k):
+    lines.append(lines[k])
+    _reverse(lines, len(lines) - 1)
+
+
+@_cells
+def _next_season(cells):
+    cells[_COL["season"]] = str(int(cells[_COL["season"]]) + 1)
+
+
+def _duplicate_in_another_season(lines, k):
+    lines.append(lines[k])
+    _next_season(lines, len(lines) - 1)
+
+
+def _blank_line(lines, k):
+    lines.insert(k, "")
+
+
+def _comment_line(lines, k):
+    lines.insert(k, "# a comment")
+
+
+def _padded_header(lines, k):
+    lines[0] = ",".join(f" {c}" for c in HEADER)
+
+
+def _set_cell(column: int, value: str):
+    def cell(cells):
+        cells[column] = value
+    return _cells(cell)
+
+
+LOG_EDITS = [_reverse, _tie, _fgm_over_fga, _fgm3_over_fgm, _ft_over_fta, _bad_points,
+             _negative_count, _count_over_max, _count_over_int64, _non_integer, _bad_date,
+             _bad_location, _self_play, _empty_team, _empty_opponent, _padded_team,
+             _missing_column, _extra_column, _duplicate, _duplicate_reversed,
+             _duplicate_in_another_season, _next_season, _blank_line, _comment_line,
+             _padded_header]
+CELLS = st.sampled_from(["x", "4.5", "", " 7", "-3", str(MAX_COUNT + 1), str(2**63), "0",
+                         "2021-02-30", "2021-11-03", "moon", "neutral", "t01"])
+TEAMS = [f"t{k:02d}" for k in range(6)]
+ROSTERS = st.none() | st.dictionaries(st.sampled_from([2021, 2022]),
+                                      st.sets(st.sampled_from(TEAMS)))
+
+
+@st.composite
+def edited_logs(draw, text: str) -> bytes:
+    """``text`` after a few log edits and, at times, byte edits."""
+    lines = text.splitlines()
+    unedited = set(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        intact = [k for k, line in enumerate(lines) if k and line in unedited]
+        edit = draw(st.sampled_from(LOG_EDITS)
+                    | st.builds(_set_cell, st.integers(0, len(HEADER) - 1), CELLS))
+        edit(lines, draw(st.sampled_from(intact)))
+    data = ("\n".join(lines) + "\n").encode()
+    return corrupted(data, draw(EDITS)) if draw(st.booleans()) else data
+
+
+def assert_parsers_agree(path, rosters):
+    want = outcome(_parse_rows, path, rosters)
+    assert outcome(parse_game_log, path, rosters) == want
+    # the fast path refuses exactly the logs the row parser rejects
+    assert outcome(_parse_fast, path, rosters) == (want if want[0] == "parses"
+                                                   else ("refuses",))
+
+
+@pytest.mark.parametrize("edit", LOG_EDITS, ids=lambda edit: edit.__name__.strip("_"))
+@pytest.mark.parametrize("rosters", [None, {2021: set(TEAMS[:4]), 2022: set(TEAMS)}])
+def test_each_log_edit_parses_as_the_row_parser_does(simulated_log, tmp_path, edit, rosters):
+    lines = simulated_log.read_text().splitlines()
+    edit(lines, 5)
+    path = tmp_path / "edited.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert_parsers_agree(path, rosters)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), rosters=ROSTERS)
+def test_fast_path_agrees_with_the_row_parser(simulated_log, data, rosters):
+    path = simulated_log.with_name("edited.csv")
+    path.write_bytes(data.draw(edited_logs(simulated_log.read_text())))
+    assert_parsers_agree(path, rosters)
+

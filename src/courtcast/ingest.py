@@ -17,14 +17,12 @@ An optional roster file (CSV ``season,team``) restricts each season to a
 known pool of teams; games involving an off-roster side are dropped so that
 exhibition-style matches cannot distort the averages downstream.
 
-:func:`parse_game_log` has two paths.  The fast path streams the file
-through ``csv.reader``, converts the box cells with ``int`` and builds and
-validates each record as it goes.  It keeps no line numbers and gives up at
-the first fault of any kind.  The row parser then reads the file again, one
-validated row at a time, and raises the error that names the file, the
-physical line and the field.  It stays for those messages, and as the
-reference the tests hold the fast path to: on any log, both build equal
-stores or neither does.
+:func:`parse_game_log` reads the file once, as a stream: ``csv.reader``
+splits each line, ``int`` converts the box cells, and each record is built
+and validated as it is read.  A row that fails there goes to the row
+parser, which raises the error naming the file, the physical line and the
+field.  Before any error is raised the rest of the file is read, so an
+undecodable byte anywhere outranks every other fault.
 """
 
 from __future__ import annotations
@@ -255,23 +253,19 @@ def _parse_row(row: dict[str, str], path: str, line: int) -> GameRecord:
             f"location must be one of home_a/home_b/neutral, got {row['location']!r}",
             path=path, line=line, field="location") from None
 
-    boxes = []
-    for columns in _BOX_COLUMNS:
-        counts = {}
-        for attr, col in zip(BOX_FIELDS, columns):
-            counts[attr] = _parse_int(row[col], path=path, line=line, field=col)
-        box = BoxScore(**counts)
-        try:
-            box.validate()
-        except GameLogError as e:
-            raise GameLogError(e.detail, path=path, line=line, field=e.field) from None
-        boxes.append(box)
-
-    if boxes[0].points == boxes[1].points:
-        raise GameLogError(
-            f"tied score {boxes[0].points}-{boxes[1].points}; games cannot end tied",
-            path=path, line=line, field="ptsb")
-    return GameRecord.oriented(date, season, first, second, location, boxes[0], boxes[1])
+    boxes: list[BoxScore] = []
+    try:  # the file and line, for the bare errors of validate, the tie check and oriented
+        for columns in _BOX_COLUMNS:
+            boxes.append(BoxScore._make(
+                [_parse_int(row[col], path=path, line=line, field=col) for col in columns]))
+            boxes[-1].validate()
+        if boxes[0].points == boxes[1].points:
+            raise GameLogError(
+                f"tied score {boxes[0].points}-{boxes[1].points}; games cannot end tied",
+                field="ptsb")
+        return GameRecord.oriented(date, season, first, second, location, *boxes)
+    except GameLogError as e:
+        raise GameLogError(e.detail, path=path, line=line, field=e.field) from None
 
 
 _ROSTER_HEADER = ["season", "team"]
@@ -300,6 +294,9 @@ def parse_roster(path: str | Path) -> dict[int, set[str]]:
     return rosters
 
 
+_LOCATIONS = {loc.value: loc for loc in Location}
+
+
 def parse_game_log(path: str | Path,
                    rosters: dict[int, set[str]] | None = None) -> SeasonStore:
     """Parse and validate a game-log CSV into a :class:`SeasonStore`.
@@ -314,50 +311,57 @@ def parse_game_log(path: str | Path,
     path = Path(path)
     if not path.exists():
         raise GameLogError("file not found", path=str(path))
-    store = _parse_fast(path, rosters)
-    return store if store is not None else _parse_rows(path, rosters)
-
-
-_LOCATIONS = {loc.value: loc for loc in Location}
-
-
-def _parse_fast(path: Path, rosters: dict[int, set[str]] | None) -> SeasonStore | None:
-    """The store :func:`_parse_rows` builds from ``path``, or None where it
-    would raise: the first fault of any kind ends the parse, unexplained."""
-    n = len(BOX_FIELDS)
+    where, n = str(path), len(BOX_FIELDS)
     games: list[GameRecord] = []
     seen: set[tuple[dt.date, str, str]] = set()
     dates: dict[str, dt.date] = {}
     dropped = 0
-    try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            rows = csv.reader(ln for ln in fh if not ln.startswith("#"))
+    start = line = 0  # physical lines: the header's first, and the last csv read
+
+    def data_lines(fh):
+        nonlocal start, line
+        for number, text in enumerate(fh, 1):
+            if not text.startswith("#"):
+                start, line = start or number, number
+                yield text
+
+    with path.open(newline="", encoding="utf-8") as fh, _csv_errors(path, lambda: line):
+        try:
+            rows = csv.reader(data_lines(fh))
             header = next(rows, None)
-            if header is None or [c.strip() for c in header] != HEADER:
-                return None
+            if header is None:
+                raise GameLogError("empty file, header required", path=where, line=1)
+            if [c.strip() for c in header] != HEADER:
+                raise GameLogError(
+                    f"bad header: expected {','.join(HEADER)}", path=where, line=start)
             for row in rows:
                 if not row:
                     continue  # csv reads a blank line as []
                 if len(row) != len(HEADER):
-                    return None
-                date = dates.get(row[0])
-                if date is None:
-                    date = dates[row[0]] = dt.date.fromisoformat(row[0])
-                first, second = row[2].strip(), row[3].strip()
-                location = _LOCATIONS.get(row[4])
-                if not first or not second or location is None:
-                    return None
-                counts = list(map(int, row[5:]))
-                box_first, box_second = BoxScore._make(counts[:n]), BoxScore._make(counts[n:])
-                box_first.validate()
-                box_second.validate()
-                if box_first.points == box_second.points:
-                    return None
-                record = GameRecord.oriented(date, int(row[1]), first, second, location,
-                                             box_first, box_second)
+                    raise GameLogError(f"expected {len(HEADER)} columns", path=where, line=line)
+                try:
+                    date = dates.get(row[0])
+                    if date is None:
+                        date = dates[row[0]] = dt.date.fromisoformat(row[0])
+                    first, second = row[2].strip(), row[3].strip()
+                    location = _LOCATIONS.get(row[4])
+                    counts = list(map(int, row[5:]))
+                    box_first, box_second = BoxScore._make(counts[:n]), BoxScore._make(counts[n:])
+                    box_first.validate()
+                    box_second.validate()
+                    if (not first or not second or location is None
+                            or box_first.points == box_second.points):
+                        raise ValueError("a fault the row parser words")
+                    record = GameRecord.oriented(date, int(row[1]), first, second, location,
+                                                 box_first, box_second)
+                except ValueError:  # GameLogError too
+                    # the row parser raises the fault with its field, or builds the record
+                    record = _parse_row(dict(zip(HEADER, row)), where, line)
                 key = (record.date, record.team_a, record.team_b)
                 if key in seen:
-                    return None
+                    raise GameLogError(
+                        f"duplicate game {record.team_a} vs {record.team_b} on {record.date}",
+                        path=where, line=line, field="team_a")
                 seen.add(key)
                 if rosters is not None:
                     pool = rosters.get(record.season, set())
@@ -365,48 +369,10 @@ def _parse_fast(path: Path, rosters: dict[int, set[str]] | None) -> SeasonStore 
                         dropped += 1
                         continue
                 games.append(record)
-    except (ValueError, csv.Error):  # GameLogError and UnicodeDecodeError too
-        return None
-    return SeasonStore(games, rosters=rosters, off_roster_dropped=dropped)
-
-
-def _parse_rows(path: Path, rosters: dict[int, set[str]] | None) -> SeasonStore:
-    """:func:`parse_game_log` one validated row at a time: raises the error
-    that names the file, the physical line and the field of the first fault."""
-    games: list[GameRecord] = []
-    seen: set[tuple[dt.date, str, str]] = set()
-    dropped = 0
-    with path.open(newline="", encoding="utf-8") as fh, _csv_errors(path):
-        data = [(n, ln) for n, ln in enumerate(fh, start=1)
-                if not ln.startswith("#")]
-    reader = csv.DictReader(ln for _, ln in data)
-    # the physical line csv last read; blank lines count, as csv skips them
-    with _csv_errors(path, lambda: data[reader.reader.line_num - 1][0]):
-        if reader.fieldnames is None:
-            raise GameLogError("empty file, header required", path=str(path), line=1)
-        got = [c.strip() for c in reader.fieldnames]
-        if got != HEADER:
-            raise GameLogError(
-                f"bad header: expected {','.join(HEADER)}", path=str(path), line=data[0][0])
-        reader.fieldnames = HEADER  # key cells by position, not by padded names
-        for row in reader:
-            line = data[reader.line_num - 1][0]
-            if any(v is None for v in row.values()) or None in row:
-                raise GameLogError(f"expected {len(HEADER)} columns",
-                                   path=str(path), line=line)
-            record = _parse_row(row, str(path), line)
-            key = (record.date, record.team_a, record.team_b)
-            if key in seen:
-                raise GameLogError(
-                    f"duplicate game {record.team_a} vs {record.team_b} on {record.date}",
-                    path=str(path), line=line, field="team_a")
-            seen.add(key)
-            if rosters is not None:
-                pool = rosters.get(record.season, set())
-                if record.team_a not in pool or record.team_b not in pool:
-                    dropped += 1
-                    continue
-            games.append(record)
+        except (GameLogError, csv.Error):
+            for _ in fh:  # an undecodable byte anywhere outranks every other fault
+                pass
+            raise
     return SeasonStore(games, rosters=rosters, off_roster_dropped=dropped)
 
 

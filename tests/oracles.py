@@ -13,16 +13,21 @@ a time, RPI recomputed from scratch for each team, and decision trees grown
 by recursion, one node and one feature column at a time.  A threshold there
 falls back to the value below the cut when the midpoint rounds onto the value
 above it, as in production; without that, such a split sends every row left
-and the recursion never ends.  Last comes the MLP trained on four separate
+and the recursion never ends.  Then comes the MLP trained on four separate
 arrays (``W1``, ``b1``, ``w2`` and the scalar ``b2``), each with its own
 velocity: the flat parameter vector must reproduce it weight for weight.
+Last comes the game-log row parser: it decodes the whole log first,
+then checks one ``csv.DictReader`` row at a time, and the streaming parser
+must build the same store or raise the same error.
 """
 
 from __future__ import annotations
 
+import csv
 import datetime as dt
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +42,14 @@ from courtcast.adjust import (
     explicit_weighted_average,
 )
 from courtcast.baselines import BaselineError
-from courtcast.ingest import SeasonStore
+from courtcast.ingest import (
+    HEADER,
+    GameLogError,
+    GameRecord,
+    SeasonStore,
+    _csv_errors,
+    _parse_row,
+)
 from courtcast.models.mlp import _inputs
 from courtcast.models.naive_bayes import KdeParams
 from courtcast.models.tree import (
@@ -515,3 +527,43 @@ def mlp_encode(p: FourArrayMlp) -> dict:
         "W1": p.W1.tolist(), "b1": p.b1.tolist(),
         "w2": p.w2.tolist(), "b2": p.b2,
     }
+
+
+def parse_rows(path: Path, rosters: dict[int, set[str]] | None) -> SeasonStore:
+    """:func:`parse_game_log` one validated row at a time: raises the error
+    that names the file, the physical line and the field of the first fault."""
+    games: list[GameRecord] = []
+    seen: set[tuple[dt.date, str, str]] = set()
+    dropped = 0
+    with path.open(newline="", encoding="utf-8") as fh, _csv_errors(path):
+        data = [(n, ln) for n, ln in enumerate(fh, start=1)
+                if not ln.startswith("#")]
+    reader = csv.DictReader(ln for _, ln in data)
+    # the physical line csv last read; blank lines count, as csv skips them
+    with _csv_errors(path, lambda: data[reader.reader.line_num - 1][0]):
+        if reader.fieldnames is None:
+            raise GameLogError("empty file, header required", path=str(path), line=1)
+        got = [c.strip() for c in reader.fieldnames]
+        if got != HEADER:
+            raise GameLogError(
+                f"bad header: expected {','.join(HEADER)}", path=str(path), line=data[0][0])
+        reader.fieldnames = HEADER  # key cells by position, not by padded names
+        for row in reader:
+            line = data[reader.line_num - 1][0]
+            if any(v is None for v in row.values()) or None in row:
+                raise GameLogError(f"expected {len(HEADER)} columns",
+                                   path=str(path), line=line)
+            record = _parse_row(row, str(path), line)
+            key = (record.date, record.team_a, record.team_b)
+            if key in seen:
+                raise GameLogError(
+                    f"duplicate game {record.team_a} vs {record.team_b} on {record.date}",
+                    path=str(path), line=line, field="team_a")
+            seen.add(key)
+            if rosters is not None:
+                pool = rosters.get(record.season, set())
+                if record.team_a not in pool or record.team_b not in pool:
+                    dropped += 1
+                    continue
+            games.append(record)
+    return SeasonStore(games, rosters=rosters, off_roster_dropped=dropped)

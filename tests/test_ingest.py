@@ -15,8 +15,6 @@ from courtcast.ingest import (
     GameRecord,
     Location,
     SeasonStore,
-    _parse_fast,
-    _parse_rows,
     parse_game_log,
     parse_roster,
     season_partition,
@@ -24,6 +22,7 @@ from courtcast.ingest import (
 )
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
 from tests.conftest import BOX_A, BOX_B, make_box
+from tests.oracles import parse_rows
 from tests.test_exit_codes import EDITS, corrupted
 
 
@@ -105,8 +104,9 @@ class TestValidation:
 
     def test_self_play_rejected(self, tmp_path):
         path = write_log(tmp_path, [game_row(team_b="aardvarks")])
-        with pytest.raises(GameLogError):
+        with pytest.raises(GameLogError) as exc:
             parse_game_log(path)
+        assert str(exc.value) == f"{path}:2: field 'team_b': team plays itself: aardvarks"
 
     def test_padded_header_parses_like_a_clean_one(self, tmp_path):
         rows = [game_row(), game_row(date="2011-01-16", team_a="bobcats", team_b="aardvarks")]
@@ -260,14 +260,11 @@ def test_orientation_is_involution_free(box1, box2, loc):
 
 
 def outcome(parse, path, rosters=None):
-    """What ``parse`` makes of ``path``: the store's contents, the error it
-    raises, or the fast path's refusal."""
+    """What ``parse`` makes of ``path``: the store's contents or the error it raises."""
     try:
         store = parse(path, rosters)
     except GameLogError as err:
         return "raises", type(err), str(err)
-    if store is None:
-        return ("refuses",)
     return ("parses", store.seasons, [store.games(s) for s in store.seasons],
             [store.teams(s) for s in store.seasons], store.off_roster_dropped)
 
@@ -387,6 +384,12 @@ def _padded_team(cells):
 
 
 @_cells
+def _quoted_newline(cells):
+    """A quoted count cell that runs onto a second physical line."""
+    cells[_COL["stla"]] = '"1\n2"'
+
+
+@_cells
 def _missing_column(cells):
     del cells[-1]
 
@@ -427,6 +430,17 @@ def _padded_header(lines, k):
     lines[0] = ",".join(f" {c}" for c in HEADER)
 
 
+def _quoted_header(lines, k):
+    """A bad header cell quoted across two physical lines: the error names the first."""
+    lines[0] = '"da\nte"' + lines[0][len("date"):]
+
+
+def _quote_open_at_the_end(lines, k):
+    """A quote opened in the last data line's last cell, left open past a comment line."""
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ',"1.5'
+    lines.append("# a comment")
+
+
 def _set_cell(column: int, value: str):
     def cell(cells):
         cells[column] = value
@@ -436,9 +450,9 @@ def _set_cell(column: int, value: str):
 LOG_EDITS = [_reverse, _tie, _fgm_over_fga, _fgm3_over_fgm, _ft_over_fta, _bad_points,
              _negative_count, _count_over_max, _count_over_int64, _non_integer, _bad_date,
              _bad_location, _self_play, _empty_team, _empty_opponent, _padded_team,
-             _missing_column, _extra_column, _duplicate, _duplicate_reversed,
+             _quoted_newline, _missing_column, _extra_column, _duplicate, _duplicate_reversed,
              _duplicate_in_another_season, _next_season, _blank_line, _comment_line,
-             _padded_header]
+             _padded_header, _quoted_header, _quote_open_at_the_end]
 CELLS = st.sampled_from(["x", "4.5", "", " 7", "-3", str(MAX_COUNT + 1), str(2**63), "0",
                          "2021-02-30", "2021-11-03", "moon", "neutral", "t01"])
 TEAMS = [f"t{k:02d}" for k in range(6)]
@@ -461,11 +475,7 @@ def edited_logs(draw, text: str) -> bytes:
 
 
 def assert_parsers_agree(path, rosters):
-    want = outcome(_parse_rows, path, rosters)
-    assert outcome(parse_game_log, path, rosters) == want
-    # the fast path refuses exactly the logs the row parser rejects
-    assert outcome(_parse_fast, path, rosters) == (want if want[0] == "parses"
-                                                   else ("refuses",))
+    assert outcome(parse_game_log, path, rosters) == outcome(parse_rows, path, rosters)
 
 
 @pytest.mark.parametrize("edit", LOG_EDITS, ids=lambda edit: edit.__name__.strip("_"))
@@ -485,3 +495,13 @@ def test_fast_path_agrees_with_the_row_parser(simulated_log, data, rosters):
     path.write_bytes(data.draw(edited_logs(simulated_log.read_text())))
     assert_parsers_agree(path, rosters)
 
+
+def test_an_undecodable_byte_outranks_an_earlier_bad_cell(tmp_path):
+    # 300 rows put the byte past the first 8 KiB the decoder reads, well after row 1
+    rows = [game_row(date=str(dt.date(2011, 1, 1) + dt.timedelta(days=d))) for d in range(300)]
+    rows[0] = game_row(date="2011-01-01", season="20x1")
+    path = write_log(tmp_path, rows)
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+    want = outcome(parse_rows, path)
+    assert want[0] == "raises" and want[2].startswith(f"{path}: not UTF-8 text")
+    assert outcome(parse_game_log, path) == want

@@ -14,10 +14,6 @@ from courtcast.adjust import (
     SeasonRun,
     Seeding,
     TeamSnapshot,
-    adjust_value,
-    alpha_update,
-    explicit_weighted_average,
-    run_season,
     run_seasons,
 )
 from courtcast.baselines import (

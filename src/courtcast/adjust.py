@@ -24,7 +24,8 @@ running team average:
 
 The seed is either the team's end-of-prior-season averages (``prior_season``)
 or the national average on the morning of the team's first game
-(``from_scratch``).
+(``from_scratch``).  Scheme and seeding are arguments of :func:`run_seasons`,
+the engine's one entry point, which returns one :class:`SeasonRun` per season.
 
 The engine works on arrays.  A season's per-game stats come from one
 vectorised pass (:func:`courtcast.stats.game_arrays`).  Team state is one
@@ -160,34 +161,6 @@ class TeamSnapshot:
     raw_means: RawMeans
 
 
-def adjust_value(raw: float, national_avg: float, opp_adjusted_counter: float) -> float:
-    """Rescale a raw per-game value by league context and opponent quality."""
-    if national_avg <= 0.0:
-        raise AdjustmentError(f"national average must be positive, got {national_avg}")
-    if opp_adjusted_counter <= 0.0:
-        raise AdjustmentError(
-            f"opponent counter-statistic must be positive, got {opp_adjusted_counter}")
-    return raw * national_avg / opp_adjusted_counter
-
-
-def alpha_update(pre: float, game_value: float, alpha: float) -> float:
-    """Exponentially-weighted update of a running average."""
-    if not 0.0 <= alpha <= 1.0:
-        raise AdjustmentError(f"alpha must be in [0, 1], got {alpha}")
-    return (1.0 - alpha) * pre + alpha * game_value
-
-
-def explicit_weighted_average(prior_season_value: float, game_values: list[float]) -> float:
-    """Weighted mean where the seed has weight 1 and game i (1-based) weight i+1."""
-    num = prior_season_value
-    den = 1.0
-    for i, v in enumerate(game_values):
-        w = float(i + 2)
-        num += w * v
-        den += w
-    return num / den
-
-
 # The 18 seasonally-averaged values a team carries, in state-row order.  The
 # first ten are opponent-adjusted; ``_COUNTER`` names, for each of them, the
 # opponent's value it is divided by: adj_oe by the opponent's adj_de and vice
@@ -285,7 +258,7 @@ class _Series(Sequence):
 
 @dataclass(eq=False)
 class SeasonRun:
-    """Everything produced by one season's day-by-day pass, held as arrays.
+    """One season's day-by-day results as arrays (its settings stay with the caller).
 
     Teams are indexed in sorted order (``teams``) and ``games`` are the
     store's games of the season in canonical order.  ``days`` are the
@@ -306,9 +279,6 @@ class SeasonRun:
     """
 
     season: int
-    scheme: AveragingScheme
-    seeding: Seeding
-    config: AdjustConfig
     days: list[dt.date] = field(repr=False)
     league_means: np.ndarray = field(repr=False)
     games: tuple[GameRecord, ...] = field(repr=False)
@@ -407,8 +377,7 @@ def checked_game_arrays(games: Sequence[GameRecord],
 
 
 def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
-                seeding: Seeding, config: AdjustConfig,
-                prior: SeasonRun | None) -> SeasonRun:
+                config: AdjustConfig, prior: SeasonRun | None) -> SeasonRun:
     """One season's day-by-day pass; ``prior`` is the run that seeds it."""
     games = store.games(season)
     teams = sorted({t for g in games for t in (g.team_a, g.team_b)})
@@ -511,29 +480,10 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
 
     league_means[-1] = morning(n)
     return SeasonRun(
-        season=season, scheme=scheme, seeding=seeding, config=config,
-        days=[games[s].date for s in starts], league_means=league_means,
+        season=season, days=[games[s].date for s in starts], league_means=league_means,
         games=games, pre_rows=pre, teams=teams, _pre_played=pre_played,
         final_rows=_team_rows(values(np.arange(n_teams)), played, sums), final_played=played,
         _prior=prior_rows)
-
-
-def run_season(store: SeasonStore, season: int,
-               scheme: AveragingScheme = AveragingScheme.EXPLICIT,
-               seeding: Seeding = Seeding.PRIOR_SEASON,
-               config: AdjustConfig = AdjustConfig()) -> SeasonRun:
-    """Process one season chronologically into pre-match snapshots.
-
-    Under prior_season seeding, earlier stored seasons are processed first
-    (earliest season first, each seeding the next); teams with no prior
-    history fall back to from_scratch seeding individually.
-    """
-    prior = None
-    if seeding is Seeding.PRIOR_SEASON:
-        for prev in store.seasons:
-            if prev < season:
-                prior = _run_season(store, prev, scheme, seeding, config, prior)
-    return _run_season(store, season, scheme, seeding, config, prior)
 
 
 def run_seasons(store: SeasonStore,
@@ -541,13 +491,14 @@ def run_seasons(store: SeasonStore,
                 seeding: Seeding = Seeding.PRIOR_SEASON,
                 config: AdjustConfig = AdjustConfig(),
                 through: int | None = None) -> dict[int, SeasonRun]:
-    """Run every stored season in order, chaining seeds when applicable."""
+    """Run every stored season in order, through ``through``: under prior_season
+    seeding each seeds the next, and a team new to the league starts from scratch."""
     runs: dict[int, SeasonRun] = {}
     prior = None
     for season in store.seasons:
         if through is not None and season > through:
             break
-        runs[season] = _run_season(store, season, scheme, seeding, config,
+        runs[season] = _run_season(store, season, scheme, config,
                                    prior if seeding is Seeding.PRIOR_SEASON else None)
         prior = runs[season]
     return runs

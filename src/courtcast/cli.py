@@ -49,6 +49,7 @@ from courtcast.baselines import (
 from courtcast.evaluate import (
     BASELINE_KINDS,
     EvalError,
+    check_grid,
     check_hyper,
     glass_ceiling_experiment,
     resolve_kind,
@@ -281,24 +282,18 @@ def _league_spec(cfg: RunConfig) -> SyntheticLeagueSpec:
     return spec
 
 
-def _predictor(name: str, hyper: dict[str, object] | None = None,
-               baselines: Sequence[str] = BASELINE_KINDS) -> ModelKind | str:
-    """The predictor ``name`` picks; a bad name or ``hyper`` is a usage error."""
-    try:
-        kind = resolve_kind(name, baselines)
-        check_hyper(kind, hyper)
-    except EvalError as err:
-        raise UsageError(str(err)) from None
-    return kind
-
-
 def _kind_and_hyper(cfg: RunConfig, baselines: Sequence[str] = BASELINE_KINDS):
     """The predictor ``--kind`` picks and its ``--hyper`` overrides, checked
     before any data is read; ``--pythag-y`` is pythag's default ``y``."""
     hyper = parse_hyper(cfg.hyper)
     if cfg.kind == "pythag":
         hyper = {"y": cfg.pythag_y, **hyper}
-    return _predictor(cfg.kind, hyper, baselines), hyper
+    try:
+        kind = resolve_kind(cfg.kind, baselines)
+        check_hyper(kind, hyper)
+    except EvalError as err:
+        raise UsageError(str(err)) from None
+    return kind, hyper
 
 
 def _load_model_file(cfg: RunConfig, requested: ModelKind):
@@ -408,8 +403,7 @@ def cmd_predict(cfg: RunConfig) -> None:
         if team not in store.teams(test_season):
             raise GameLogError(
                 f"team {team!r} not in season {test_season} of {cfg.data}")
-    runs = _runs(cfg, store, through=test_season)
-    run = runs[test_season]
+    run = _runs(cfg, store, through=test_season)[test_season]
     last = max(g.date for g in store.games(test_season))
     if not cfg.date and last == dt.date.max:
         raise GameLogError(f"season {test_season} of {cfg.data} ends on {last}, "
@@ -449,8 +443,7 @@ def cmd_rank(cfg: RunConfig) -> None:
     kind, hyper = _kind_and_hyper(cfg, baselines=("pythag", "rpi"))
     store = _load_store(cfg)
     test_season = _resolve_test_season(cfg, store)
-    runs = _runs(cfg, store, through=test_season)
-    run = runs[test_season]
+    run = _runs(cfg, store, through=test_season)[test_season]
     out, echo = _out_dir(cfg)
     path = out / "rankings.csv"
 
@@ -520,12 +513,6 @@ def _listed(cfg: RunConfig, key: str) -> list[str]:
     return names
 
 
-def _ceiling_kinds(cfg: RunConfig) -> list[ModelKind | str]:
-    if not cfg.kinds:
-        return list(ModelKind)
-    return [_predictor(name) for name in _listed(cfg, "kinds")]
-
-
 def _ceiling_schemes(cfg: RunConfig) -> list[FeatureScheme]:
     if not cfg.schemes:
         return [FeatureScheme.ADJ_EFF, FeatureScheme.ADJ_FOUR_FACTORS,
@@ -538,8 +525,9 @@ def _ceiling_schemes(cfg: RunConfig) -> list[FeatureScheme]:
                          f"{[s.value for s in FeatureScheme]}, got {cfg.schemes!r}") from None
 
 
-def _hyper_overrides(cfg: RunConfig) -> dict[str, dict[str, object]]:
-    """Glass-ceiling hyper entries are kind-qualified (``kind.key=value``), checked per kind."""
+def _ceiling_grid(cfg: RunConfig) -> tuple[list[ModelKind | str], dict[str, dict]]:
+    """The kinds ``--kinds`` names (all models if none) and the overrides of
+    the kind-qualified ``--hyper`` entries (``kind.key=value``), checked."""
     out: dict[str, dict[str, object]] = {}
     for key, value in parse_hyper(cfg.hyper).items():
         kind, sep, param = key.partition(".")
@@ -548,20 +536,22 @@ def _hyper_overrides(cfg: RunConfig) -> dict[str, dict[str, object]]:
                 f"glass-ceiling hyper keys are kind-qualified "
                 f"(e.g. decision_tree.min_node_fraction=0.05), got {key!r}")
         out.setdefault(kind, {})[param] = value
-    for kind, params in out.items():
-        _predictor(kind, params)
-    return out
+    try:
+        return check_grid(_listed(cfg, "kinds") if cfg.kinds else list(ModelKind), out)
+    except EvalError as err:
+        raise UsageError(str(err)) from None
 
 
 def cmd_glass_ceiling(cfg: RunConfig) -> None:
     if cfg.n_seasons < 2:
         raise UsageError(f"glass-ceiling needs n_seasons >= 2, got {cfg.n_seasons}")
     spec = _league_spec(cfg)
+    kinds, overrides = _ceiling_grid(cfg)
     report = glass_ceiling_experiment(
-        spec, _ceiling_kinds(cfg), _ceiling_schemes(cfg),
+        spec, kinds, _ceiling_schemes(cfg),
         AveragingScheme(cfg.averaging), Seeding(cfg.seeding),
         seed=cfg.seed, config=_adjust_config(cfg),
-        hyper_overrides=_hyper_overrides(cfg) or None)
+        hyper_overrides=overrides or None)
     out, echo = _out_dir(cfg)
     path = out / "ceiling.csv"
     doc = report.as_dict()

@@ -261,6 +261,22 @@ class CeilingReport:
         }
 
 
+def check_grid(kinds: Sequence[ModelKind | str],
+               hyper_overrides: Mapping[str, Mapping[str, object]] | None
+               ) -> tuple[list[ModelKind | str], dict[str, dict[str, object]]]:
+    """The resolved ``kinds`` and the overrides by kind name, each checked:
+    an override for a kind the grid does not run is an error."""
+    kinds = [resolve_kind(kind) for kind in kinds]
+    overrides = {str(getattr(k, "value", k)): dict(v)
+                 for k, v in (hyper_overrides or {}).items()}
+    unrun = sorted(set(overrides) - {getattr(kind, "value", kind) for kind in kinds})
+    if unrun:
+        raise EvalError(f"hyper overrides name kinds the grid does not run: {unrun}")
+    for kind in kinds:
+        check_hyper(kind, overrides.get(getattr(kind, "value", kind)))
+    return kinds, overrides
+
+
 def glass_ceiling_experiment(
         spec: SyntheticLeagueSpec,
         kinds: Sequence[ModelKind | str],
@@ -275,19 +291,18 @@ def glass_ceiling_experiment(
     season), each cell is a full walk-forward evaluation, and the recorded
     best achievable accuracy becomes the bound every cell is compared to.
     ``hyper_overrides`` maps a kind name to hyperparameter overrides for
-    that kind's training runs.
+    that kind's training runs, checked with the kinds before the league is made.
     """
     if not kinds or not schemes:
         raise EvalError(f"the experiment needs at least one kind and one scheme, "
                         f"got {len(kinds)} kinds and {len(schemes)} schemes")
     if spec.n_seasons < 2:
         raise EvalError("the experiment needs at least one season before the test season")
+    kinds, overrides = check_grid(kinds, hyper_overrides)
     store, truth = generate_league(spec)
     test_season = spec.first_season + spec.n_seasons - 1
     config = config or AdjustConfig()
     averaging, seeding = AveragingScheme(averaging), Seeding(seeding)
-    overrides = {str(getattr(k, "value", k)): dict(v)
-                 for k, v in (hyper_overrides or {}).items()}
 
     runs = run_seasons(store, averaging, seeding, config, through=test_season)
     cells = []

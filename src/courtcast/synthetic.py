@@ -332,21 +332,19 @@ def calibrate_noise(spec: SyntheticLeagueSpec, target: float) -> float:
     """
     if not 0.5 < target < 1.0:
         raise SyntheticError(f"target accuracy must be in (0.5, 1), got {target}")
-    strengths = spec.resolved_strengths()
-    rounds = _schedule(spec)
-    names = team_names(spec.n_teams)
-    gaps = []
-    for games in rounds:
-        for i, j, home_is_i in games:
-            off_i, def_i = strengths[names[i]]
-            off_j, def_j = strengths[names[j]]
-            mu_i = expected_efficiency(off_i, def_j, spec.home_advantage if home_is_i else 0.0)
-            mu_j = expected_efficiency(off_j, def_i, 0.0 if home_is_i else spec.home_advantage)
-            gaps.append(abs(mu_i - mu_j))
-    gaps = np.asarray(gaps)
+    off, dfn = np.array(list(spec.resolved_strengths().values())).T
+    i, j, home_is_i = np.array([game for games in _schedule(spec) for game in games]).T
+    home_i = np.where(home_is_i, spec.home_advantage, 0.0)
+    home_j = np.where(home_is_i, 0.0, spec.home_advantage)
+    gaps = np.abs(expected_efficiency(off[i], dfn[j], home_i)
+                  - expected_efficiency(off[j], dfn[i], home_j))
+    # Schedules repeat gaps (71 distinct in 480 games at 32 teams), so each step
+    # scores a gap once and averages the same per-game array, in game order.
+    distinct, per_game = np.unique(gaps, return_inverse=True)
 
     def mean_acc(noise: float) -> float:
-        return float(np.mean([_favorite_prob(g, noise) for g in gaps]))
+        scores = np.array([_favorite_prob(g, noise) for g in distinct])
+        return float(np.mean(scores[per_game]))
 
     lo, hi = 1e-6, 1.0
     if mean_acc(lo) < target:

@@ -3,7 +3,9 @@
 Deliberately structured unlike the production code: no incremental state.
 Every quantity is recomputed from scratch by rescanning history — league
 means by summing all earlier games, team averages by refolding the full
-per-game value list through the public averaging functions.  Matching the
+per-game value list through the scalar formulas below (``adjust_value``,
+``alpha_update``, ``explicit_weighted_average``), which the engine never
+calls: it computes the same expressions on arrays.  Matching the
 production run *exactly* (bitwise) is the strongest check that the
 incremental accumulators are right; both sides fold values in the same
 chronological order, so float results must coincide operation for operation.
@@ -16,9 +18,11 @@ above it, as in production; without that, such a split sends every row left
 and the recursion never ends.  Then comes the MLP trained on four separate
 arrays (``W1``, ``b1``, ``w2`` and the scalar ``b2``), each with its own
 velocity: the flat parameter vector must reproduce it weight for weight.
-Last comes the game-log row parser: it decodes the whole log first,
+Then comes the game-log row parser: it decodes the whole log first,
 then checks one ``csv.DictReader`` row at a time, and the streaming parser
-must build the same store or raise the same error.
+must build the same store or raise the same error.  Last comes the noise
+calibration that scores every game at every bisection step; scoring each
+distinct gap once must return the same noise exactly.
 """
 
 from __future__ import annotations
@@ -34,12 +38,10 @@ import numpy as np
 from courtcast.adjust import (
     NEUTRAL_BASELINE,
     AdjustConfig,
+    AdjustmentError,
     AveragingScheme,
     Seeding,
     TeamSnapshot,
-    adjust_value,
-    alpha_update,
-    explicit_weighted_average,
 )
 from courtcast.baselines import BaselineError
 from courtcast.ingest import (
@@ -61,6 +63,14 @@ from courtcast.models.tree import (
     _select_split,
 )
 from courtcast.stats import FourFactors, game_stats
+from courtcast.synthetic import (
+    SyntheticError,
+    SyntheticLeagueSpec,
+    _favorite_prob,
+    _schedule,
+    expected_efficiency,
+    team_names,
+)
 
 _FACTORS = FourFactors.field_names()
 _KEYS = (["adj_oe", "adj_de"]
@@ -99,6 +109,34 @@ def naive_league_means(games, before: dt.date, ft_weight: float) -> tuple[float,
         return NEUTRAL_BASELINE
     n = float(count)
     return (oe / n, de / n) + tuple(fac[f] / n for f in _FACTORS)
+
+
+def adjust_value(raw: float, national_avg: float, opp_adjusted_counter: float) -> float:
+    """Rescale a raw per-game value by league context and opponent quality."""
+    if national_avg <= 0.0:
+        raise AdjustmentError(f"national average must be positive, got {national_avg}")
+    if opp_adjusted_counter <= 0.0:
+        raise AdjustmentError(
+            f"opponent counter-statistic must be positive, got {opp_adjusted_counter}")
+    return raw * national_avg / opp_adjusted_counter
+
+
+def alpha_update(pre: float, game_value: float, alpha: float) -> float:
+    """Exponentially-weighted update of a running average."""
+    if not 0.0 <= alpha <= 1.0:
+        raise AdjustmentError(f"alpha must be in [0, 1], got {alpha}")
+    return (1.0 - alpha) * pre + alpha * game_value
+
+
+def explicit_weighted_average(prior_season_value: float, game_values: list[float]) -> float:
+    """Weighted mean where the seed has weight 1 and game i (1-based) weight i+1."""
+    num = prior_season_value
+    den = 1.0
+    for i, v in enumerate(game_values):
+        w = float(i + 2)
+        num += w * v
+        den += w
+    return num / den
 
 
 def _refold(seed: float, values: list[float], scheme: AveragingScheme, alpha: float) -> float:
@@ -567,3 +605,40 @@ def parse_rows(path: Path, rosters: dict[int, set[str]] | None) -> SeasonStore:
                     continue
             games.append(record)
     return SeasonStore(games, rosters=rosters, off_roster_dropped=dropped)
+
+
+def calibrate_noise_per_game(spec: SyntheticLeagueSpec, target: float) -> float:
+    """``synthetic.calibrate_noise`` taking each game's gap one game at a time
+    and scoring every game at every bisection step."""
+    if not 0.5 < target < 1.0:
+        raise SyntheticError(f"target accuracy must be in (0.5, 1), got {target}")
+    strengths = spec.resolved_strengths()
+    rounds = _schedule(spec)
+    names = team_names(spec.n_teams)
+    gaps = []
+    for games in rounds:
+        for i, j, home_is_i in games:
+            off_i, def_i = strengths[names[i]]
+            off_j, def_j = strengths[names[j]]
+            mu_i = expected_efficiency(off_i, def_j, spec.home_advantage if home_is_i else 0.0)
+            mu_j = expected_efficiency(off_j, def_i, 0.0 if home_is_i else spec.home_advantage)
+            gaps.append(abs(mu_i - mu_j))
+    gaps = np.asarray(gaps)
+
+    def mean_acc(noise: float) -> float:
+        return float(np.mean([_favorite_prob(g, noise) for g in gaps]))
+
+    lo, hi = 1e-6, 1.0
+    if mean_acc(lo) < target:
+        raise SyntheticError("strength gaps too small to reach the target accuracy")
+    while mean_acc(hi) > target:
+        hi *= 2.0
+        if hi > 1e6:
+            raise SyntheticError("target accuracy unreachable")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mean_acc(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

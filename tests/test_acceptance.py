@@ -20,10 +20,6 @@ from courtcast.adjust import (
     AdjustConfig,
     AveragingScheme,
     Seeding,
-    adjust_value,
-    alpha_update,
-    explicit_weighted_average,
-    run_season,
     run_seasons,
 )
 from courtcast.baselines import (
@@ -50,7 +46,13 @@ from courtcast.synthetic import (
     generate_league,
 )
 from tests.conftest import BOX_A, BOX_B, make_box
-from tests.oracles import naive_season, snapshot_as_dict
+from tests.oracles import (
+    adjust_value,
+    alpha_update,
+    explicit_weighted_average,
+    naive_season,
+    snapshot_as_dict,
+)
 from tests.test_cli import run_cli
 from tests.test_features import make_snap
 from tests.test_models import make_instance, separable_instances
@@ -147,7 +149,7 @@ def test_criterion_2_adjustment_matches_naive_reference(capsys):
         for st in (store, two_store):
             for scheme, seeding in ALL_COMBOS:
                 for season in st.seasons:
-                    run = run_season(st, season, scheme, seeding)
+                    run = run_seasons(st, scheme, seeding, through=season)[season]
                     ref = naive_season(st, season, scheme, seeding)
                     assert run.pre_match.keys() == ref["pre_match"].keys()
                     for key, (snap_a, snap_b) in run.pre_match.items():
@@ -165,14 +167,15 @@ def test_criterion_3_no_leakage_at_random_truncations(capsys):
                                    noise=5.0, seed=21)
         store, _ = generate_league(spec, bayes_sims=1)
         season = store.seasons[0]
-        full = {(sch, sd): run_season(store, season, sch, sd)
+        full = {(sch, sd): run_seasons(store, sch, sd, through=season)[season]
                 for sch, sd in ALL_COMBOS}
         games = store.games(season)
         rng = np.random.default_rng(123)
         for draw in range(20):
             cut = games[int(rng.integers(len(games)))].date
             sch, sd = ALL_COMBOS[draw % len(ALL_COMBOS)]
-            part = run_season(store.truncated(season, cut), season, sch, sd)
+            part = run_seasons(store.truncated(season, cut), sch, sd,
+                               through=season)[season]
             assert part.pre_match  # the cut never empties the season
             for key, snaps in part.pre_match.items():
                 assert key[0] <= cut

@@ -16,16 +16,20 @@ from courtcast.adjust import (
     AdjustmentError,
     AveragingScheme,
     Seeding,
-    adjust_value,
-    alpha_update,
-    explicit_weighted_average,
-    run_season,
     run_seasons,
 )
 from courtcast.ingest import GameRecord, Location, SeasonStore
 from courtcast.stats import DEFAULT_FT_WEIGHT
 from tests.conftest import make_box, tiny_store
-from tests.oracles import linear_scan_at, naive_league_means, naive_season, snapshot_as_dict
+from tests.oracles import (
+    adjust_value,
+    alpha_update,
+    explicit_weighted_average,
+    linear_scan_at,
+    naive_league_means,
+    naive_season,
+    snapshot_as_dict,
+)
 
 TOL = 1e-9
 ALL_COMBOS = [(sch, sd) for sch in AveragingScheme for sd in Seeding]
@@ -37,6 +41,14 @@ _BOXES = [
     make_box(fgm=22, fga=54, fgm3=3, ft=9, fta=14, or_=8, dr=20, to=9),
     make_box(fgm=25, fga=55, fgm3=5, ft=10, fta=15, or_=10, dr=22, to=7),
 ]
+
+
+def season_run(store: SeasonStore, season: int,
+               scheme: AveragingScheme = AveragingScheme.EXPLICIT,
+               seeding: Seeding = Seeding.PRIOR_SEASON,
+               config: AdjustConfig = AdjustConfig()):
+    """The run of ``season``, from :func:`run_seasons` through that season."""
+    return run_seasons(store, scheme, seeding, config, through=season)[season]
 
 
 def store_from(days: dict[dt.date, list[tuple[str, str]]]) -> SeasonStore:
@@ -153,7 +165,7 @@ class TestRunSeasonBasics:
         store = ing.SeasonStore([ing.GameRecord(
             date=dt.date(2011, 1, 5), season=2011, team_a="a", team_b="b",
             location=ing.Location.HOME_A, box_a=BOX_A, box_b=BOX_B)])
-        run = run_season(store, 2011, AveragingScheme.EXPLICIT, Seeding.FROM_SCRATCH)
+        run = season_run(store, 2011, AveragingScheme.EXPLICIT, Seeding.FROM_SCRATCH)
         snap_a, snap_b = run.pre_match[(dt.date(2011, 1, 5), "a", "b")]
         # Day one of the only season: both seeds are the neutral baseline.
         for snap in (snap_a, snap_b):
@@ -166,7 +178,7 @@ class TestRunSeasonBasics:
         assert fin_a.games_played == fin_b.games_played == 1
 
     def test_never_playing_team_stays_at_seed(self, two_season_store):
-        run = run_season(two_season_store, 2011, AveragingScheme.EXPLICIT,
+        run = season_run(two_season_store, 2011, AveragingScheme.EXPLICIT,
                          Seeding.FROM_SCRATCH)
         late = dt.date(2012, 3, 1)
         ghost = run.snapshot_at("ghosts", late)
@@ -176,7 +188,7 @@ class TestRunSeasonBasics:
         assert ghost.adj_oe == oe and ghost.adj_de == de
 
     def test_snapshot_at_matches_pre_match(self, two_season_store):
-        run = run_season(two_season_store, 2011, AveragingScheme.EXPLICIT,
+        run = season_run(two_season_store, 2011, AveragingScheme.EXPLICIT,
                          Seeding.PRIOR_SEASON)
         for (date, a, b), (snap_a, snap_b) in run.pre_match.items():
             assert run.snapshot_at(a, date) == snap_a
@@ -202,7 +214,7 @@ class TestRunSeasonBasics:
                 gc.enable()
 
     def test_national_average_day_one_is_baseline(self, two_season_store):
-        run = run_season(two_season_store, 2010, AveragingScheme.EXPLICIT,
+        run = season_run(two_season_store, 2010, AveragingScheme.EXPLICIT,
                          Seeding.FROM_SCRATCH)
         morning = run.league_means[bisect.bisect_left(run.days, run.days[0])]
         assert tuple(morning.tolist()) == NEUTRAL_BASELINE
@@ -229,7 +241,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("scheme,seeding", ALL_COMBOS)
     def test_pre_match_snapshots_exact(self, two_season_store, scheme, seeding):
         for season in two_season_store.seasons:
-            run = run_season(two_season_store, season, scheme, seeding)
+            run = season_run(two_season_store, season, scheme, seeding)
             ref = naive_season(two_season_store, season, scheme, seeding)
             assert run.pre_match.keys() == ref["pre_match"].keys()
             for key, (snap_a, snap_b) in run.pre_match.items():
@@ -240,7 +252,7 @@ class TestOracleEquivalence:
     @pytest.mark.parametrize("scheme,seeding", ALL_COMBOS)
     def test_finals_exact(self, two_season_store, scheme, seeding):
         season = two_season_store.seasons[-1]
-        run = run_season(two_season_store, season, scheme, seeding)
+        run = season_run(two_season_store, season, scheme, seeding)
         ref = naive_season(two_season_store, season, scheme, seeding)
         assert set(run.final) == set(ref["final"])
         for team, snap in run.final.items():
@@ -248,7 +260,7 @@ class TestOracleEquivalence:
 
     def test_national_series_exact(self, two_season_store):
         season = 2011
-        run = run_season(two_season_store, season, AveragingScheme.EXPLICIT,
+        run = season_run(two_season_store, season, AveragingScheme.EXPLICIT,
                          Seeding.FROM_SCRATCH)
         games = two_season_store.games(season)
         # every morning, then the end of the season: every game before it
@@ -264,10 +276,10 @@ class TestNoLeakage:
     def test_truncation_leaves_past_snapshots_bitwise_identical(
             self, two_season_store, scheme, seeding):
         season = 2011
-        full = run_season(two_season_store, season, scheme, seeding)
+        full = season_run(two_season_store, season, scheme, seeding)
         dates = sorted({g.date for g in two_season_store.games(season)})
         for cut in dates:
-            trunc = run_season(two_season_store.truncated(season, cut),
+            trunc = season_run(two_season_store.truncated(season, cut),
                                season, scheme, seeding)
             for key, snaps in full.pre_match.items():
                 if key[0] > cut:
@@ -279,8 +291,8 @@ class TestNoLeakage:
 
 class TestAdjustedSourceSwitch:
     def test_adjusted_means_differ_but_run_completes(self, two_season_store):
-        raw = run_season(two_season_store, 2011, config=AdjustConfig(navg_source="raw"))
-        adj = run_season(two_season_store, 2011, config=AdjustConfig(navg_source="adjusted"))
+        raw = season_run(two_season_store, 2011, config=AdjustConfig(navg_source="raw"))
+        adj = season_run(two_season_store, 2011, config=AdjustConfig(navg_source="adjusted"))
         assert set(raw.final) == set(adj.final)
         # Different national-average definitions must actually change values
         # somewhere (they only coincide before any game is played).
@@ -289,7 +301,7 @@ class TestAdjustedSourceSwitch:
 
 def assert_matches_oracle(store, scheme, seeding, config=AdjustConfig()):
     for season in store.seasons:
-        run = run_season(store, season, scheme, seeding, config)
+        run = season_run(store, season, scheme, seeding, config)
         ref = naive_season(store, season, scheme, seeding, config)
         assert run.pre_match.keys() == ref["pre_match"].keys()
         for key, (snap_a, snap_b) in run.pre_match.items():
@@ -324,7 +336,7 @@ class TestSameDayRepeats:
                               AdjustConfig(navg_source=navg_source))
 
     def test_both_same_day_games_see_the_morning_state(self):
-        run = run_season(same_day_store(), 2010, AveragingScheme.ALPHA,
+        run = season_run(same_day_store(), 2010, AveragingScheme.ALPHA,
                          Seeding.FROM_SCRATCH)
         day = dt.date(2010, 11, 8)
         first = run.pre_match[(day, "ants", "dogs")][0]
@@ -341,7 +353,7 @@ class TestSnapshotAt:
     def test_matches_linear_scan(self, make_store, scheme, seeding):
         store = make_store()
         for season in store.seasons:
-            run = run_season(store, season, scheme, seeding)
+            run = season_run(store, season, scheme, seeding)
             ref = naive_season(store, season, scheme, seeding)
             games = store.games(season)
             dates = sorted({g.date for g in games})
@@ -374,7 +386,7 @@ def _bad_possessions_store() -> SeasonStore:
 class TestAdjustmentErrors:
     def test_non_positive_opponent_counter_value_raises(self):
         with pytest.raises(AdjustmentError, match="opponent counter-statistic"):
-            run_season(_bad_possessions_store(), 2021, AveragingScheme.EXPLICIT,
+            season_run(_bad_possessions_store(), 2021, AveragingScheme.EXPLICIT,
                        Seeding.FROM_SCRATCH)
 
     def test_zero_field_goal_attempts_raise(self):
@@ -382,7 +394,7 @@ class TestAdjustmentErrors:
         store = SeasonStore([GameRecord(dt.date(2021, 11, 1), 2021, "aa", "bb",
                                         Location.HOME_A, empty, _BOXES[0])])
         with pytest.raises(AdjustmentError, match="aa vs bb on 2021-11-01"):
-            run_season(store, 2021)
+            season_run(store, 2021)
 
     def test_cli_reports_the_error_as_a_data_error(self, tmp_path):
         from courtcast.ingest import write_game_log

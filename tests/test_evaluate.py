@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from courtcast import evaluate
 from courtcast.adjust import AveragingScheme, Seeding, run_seasons
 from courtcast.baselines import PythagParams, pythag_pair_prob
 from courtcast.evaluate import (
@@ -288,6 +289,24 @@ class TestGlassCeiling:
         spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=2)
         with pytest.raises(EvalError, match="at least one kind and one scheme"):
             glass_ceiling_experiment(spec, kinds, schemes)
+
+    @pytest.mark.parametrize("kinds, overrides, match", [
+        (["bogus"], None, "kind must be one of"),
+        ([ModelKind.MLP], {"decision_tree": {"min_node_fraction": 0.05}}, "does not run"),
+        (["home_wins"], {"pythag": {"y": 3.0}}, "does not run"),
+        ([ModelKind.DECISION_TREE], {"decision_tree": {"min_node_fraction": "abc"}},
+         "min_node_fraction"),
+    ])
+    def test_kinds_and_overrides_are_checked_before_the_league_is_made(
+            self, monkeypatch, kinds, overrides, match):
+        def reached(*args, **kwargs):
+            raise AssertionError("the league was generated before the grid was checked")
+
+        monkeypatch.setattr(evaluate, "generate_league", reached)
+        spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=2)
+        with pytest.raises(EvalError, match=match):
+            glass_ceiling_experiment(spec, kinds, [FeatureScheme.ADJ_EFF],
+                                     hyper_overrides=overrides)
 
     def test_hyper_overrides_reach_the_models(self):
         spec = SyntheticLeagueSpec(n_teams=8, games_per_team=14, n_seasons=2,

@@ -248,6 +248,8 @@ def test_model_file_that_is_not_json(league, tmp_path):
     (["simulate", "--home-advantage", "inf"], "home_advantage"),
     (["glass-ceiling", "--strength-spread", "nan"], "strengths"),
     (["glass-ceiling", "--kinds", " , "], "--kinds"),
+    (["glass-ceiling", "--kinds", "mlp", "--hyper", "decision_tree.min_node_fraction=0.05"],
+     "decision_tree"),
     (["glass-ceiling", "--schemes", " , "], "--schemes"),
     (["adjust", "--ft-weight", "-5"], "ft_weight"),
     (["stats", "--ft-weight", "nan"], "ft_weight"),

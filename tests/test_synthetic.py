@@ -21,6 +21,7 @@ from courtcast.synthetic import (
     spread_strengths,
     team_names,
 )
+from tests.oracles import calibrate_noise_per_game
 
 
 def net(strengths: dict[str, tuple[float, float]]) -> dict[str, float]:
@@ -230,6 +231,16 @@ class TestCalibration:
     def test_noise_is_monotone_in_target(self):
         spec = SyntheticLeagueSpec(n_teams=8, games_per_team=10)
         assert calibrate_noise(spec, 0.9) < calibrate_noise(spec, 0.7)
+
+    @pytest.mark.parametrize("home_advantage", [0.0, 3.0])
+    @pytest.mark.parametrize("imbalance", [0.0, 0.75])
+    @pytest.mark.parametrize("n_teams", [8, 32, 128])
+    def test_noise_equals_the_per_game_oracle(self, n_teams, imbalance, home_advantage):
+        # gaps taken on arrays, each distinct one scored once, must not move a bit
+        spec = SyntheticLeagueSpec(n_teams=n_teams, games_per_team=20, imbalance=imbalance,
+                                   home_advantage=home_advantage, seed=n_teams)
+        for target in (0.6, 0.75, 0.9):
+            assert calibrate_noise(spec, target) == calibrate_noise_per_game(spec, target)
 
     def test_home_advantage_frozen_value(self):
         # inverse of the Gaussian margin model: cdf((ha*k + 0.5)/(sd*k*sqrt2))

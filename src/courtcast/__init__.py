@@ -53,7 +53,6 @@ from courtcast.ingest import (
     SeasonStore,
     parse_game_log,
     parse_roster,
-    season_partition,
     write_game_log,
 )
 from courtcast.models import (

@@ -49,10 +49,8 @@ from courtcast.baselines import (
 from courtcast.evaluate import (
     BASELINE_KINDS,
     EvalError,
-    check_grid,
-    check_hyper,
     glass_ceiling_experiment,
-    resolve_kind,
+    resolve_grid,
     walk_forward_evaluate,
 )
 from courtcast.features import (
@@ -207,11 +205,14 @@ def parse_hyper(text: str) -> dict[str, object]:
     out: dict[str, object] = {}
     for part in filter(None, (p.strip() for p in text.split(","))):
         key, sep, value = part.partition("=")
-        if not sep or not key.strip():
+        key = key.strip()
+        if not sep or not key:
             raise UsageError(f"hyper entries look like key=value, got {part!r}")
+        if key in out:
+            raise UsageError(f"hyper key {key!r} is given twice")
         for conv in (int, float, str):
             try:
-                out[key.strip()] = conv(value.strip())
+                out[key] = conv(value.strip())
                 break
             except ValueError:
                 continue
@@ -282,18 +283,24 @@ def _league_spec(cfg: RunConfig) -> SyntheticLeagueSpec:
     return spec
 
 
-def _kind_and_hyper(cfg: RunConfig, baselines: Sequence[str] = BASELINE_KINDS):
-    """The predictor ``--kind`` picks and its ``--hyper`` overrides, checked
-    before any data is read; ``--pythag-y`` is pythag's default ``y``."""
-    hyper = parse_hyper(cfg.hyper)
-    if cfg.kind == "pythag":
-        hyper = {"y": cfg.pythag_y, **hyper}
+def _resolve(cfg: RunConfig, kinds: Sequence[str], overrides: dict[str, dict],
+             schemes: Sequence[str] = (), baselines: Sequence[str] = BASELINE_KINDS):
+    """:func:`resolve_grid` on the names of a command line, with ``--pythag-y``
+    as pythag's default ``y``; a bad name is a usage error."""
+    if "pythag" in kinds:
+        overrides = {**overrides, "pythag": {"y": cfg.pythag_y, **overrides.get("pythag", {})}}
     try:
-        kind = resolve_kind(cfg.kind, baselines)
-        check_hyper(kind, hyper)
+        return resolve_grid(kinds, overrides, schemes, baselines)
     except EvalError as err:
         raise UsageError(str(err)) from None
-    return kind, hyper
+
+
+def _kind_and_hyper(cfg: RunConfig, baselines: Sequence[str] = BASELINE_KINDS):
+    """The predictor ``--kind`` picks and its hyperparameters, ``--hyper``
+    overriding its defaults, checked before any data is read."""
+    (kind,), _, hyper = _resolve(cfg, [cfg.kind], {cfg.kind: parse_hyper(cfg.hyper)},
+                                 baselines=baselines)
+    return kind, hyper[kind]
 
 
 def _load_model_file(cfg: RunConfig, requested: ModelKind):
@@ -383,7 +390,7 @@ def cmd_train(cfg: RunConfig) -> None:
     test_season = _resolve_test_season(cfg, store)
     runs = _runs(cfg, store, through=test_season)
     train_set, _ = build_dataset(store, runs, FeatureScheme(cfg.scheme), test_season)
-    model = train(train_set, kind, hyper=hyper or None, seed=cfg.seed)
+    model = train(train_set, kind, hyper=hyper, seed=cfg.seed)
     out, _ = _out_dir(cfg)
     path = out / "model.json"
     save_model(dataclasses.replace(model, run_config=dataclasses.asdict(cfg)), path)
@@ -414,7 +421,7 @@ def cmd_predict(cfg: RunConfig) -> None:
     location = Site(cfg.location)
 
     if kind == "pythag":
-        p = pythag_pair_prob(snap_a, snap_b, PythagParams(y=float(hyper["y"])))
+        p = pythag_pair_prob(snap_a, snap_b, PythagParams(**hyper))
     elif kind == "home_wins":
         p = HOME_WINS_P[location]
     else:
@@ -454,7 +461,7 @@ def cmd_rank(cfg: RunConfig) -> None:
         rows = [[n, team, score] for n, (team, score) in enumerate(scores, start=1)]
     else:
         if kind == "pythag":
-            predictor = pythag_predictor(PythagParams(y=float(hyper["y"])))
+            predictor = pythag_predictor(PythagParams(**hyper))
         else:
             predictor = model_predictor(_load_model_file(cfg, kind))
         ranking = round_robin_rank(predictor, list(run.final.values()))
@@ -472,7 +479,7 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     report = walk_forward_evaluate(
         store, test_season, kind, FeatureScheme(cfg.scheme),
         AveragingScheme(cfg.averaging), Seeding(cfg.seeding),
-        seed=cfg.seed, config=_adjust_config(cfg), hyper=hyper or None)
+        seed=cfg.seed, config=_adjust_config(cfg), hyper=hyper)
 
     out, echo = _out_dir(cfg)
     doc = report.as_dict()
@@ -505,53 +512,37 @@ def cmd_simulate(cfg: RunConfig) -> None:
     _say(truth_path, f"best achievable accuracy {truth.bayes_accuracy:.4f}")
 
 
-def _listed(cfg: RunConfig, key: str) -> list[str]:
-    """The names in the comma-separated ``cfg.<key>``; naming none is a usage error."""
-    names = [p.strip() for p in getattr(cfg, key).split(",") if p.strip()]
-    if not names:
-        raise UsageError(f"--{key} names nothing, got {getattr(cfg, key)!r}")
-    return names
-
-
-def _ceiling_schemes(cfg: RunConfig) -> list[FeatureScheme]:
-    if not cfg.schemes:
-        return [FeatureScheme.ADJ_EFF, FeatureScheme.ADJ_FOUR_FACTORS,
-                FeatureScheme.RAW]
-    names = _listed(cfg, "schemes")
-    try:
-        return [FeatureScheme(name) for name in names]
-    except ValueError:
-        raise UsageError(f"schemes must come from "
-                         f"{[s.value for s in FeatureScheme]}, got {cfg.schemes!r}") from None
-
-
-def _ceiling_grid(cfg: RunConfig) -> tuple[list[ModelKind | str], dict[str, dict]]:
-    """The kinds ``--kinds`` names (all models if none) and the overrides of
-    the kind-qualified ``--hyper`` entries (``kind.key=value``), checked."""
-    out: dict[str, dict[str, object]] = {}
+def _ceiling_grid(cfg: RunConfig):
+    """The kinds ``--kinds`` names and the schemes ``--schemes`` names (all of
+    each if none), and each kind's hyperparameters, which the kind-qualified
+    ``--hyper`` entries (``kind.key=value``) override."""
+    names = {"kinds": list(ModelKind), "schemes": [
+        FeatureScheme.ADJ_EFF, FeatureScheme.ADJ_FOUR_FACTORS, FeatureScheme.RAW]}
+    for key in names:
+        text = getattr(cfg, key)
+        if text:
+            names[key] = [p.strip() for p in text.split(",") if p.strip()]
+            if not names[key]:
+                raise UsageError(f"--{key} names nothing, got {text!r}")
+    overrides: dict[str, dict[str, object]] = {}
     for key, value in parse_hyper(cfg.hyper).items():
         kind, sep, param = key.partition(".")
         if not sep:
             raise UsageError(
                 f"glass-ceiling hyper keys are kind-qualified "
                 f"(e.g. decision_tree.min_node_fraction=0.05), got {key!r}")
-        out.setdefault(kind, {})[param] = value
-    try:
-        return check_grid(_listed(cfg, "kinds") if cfg.kinds else list(ModelKind), out)
-    except EvalError as err:
-        raise UsageError(str(err)) from None
+        overrides.setdefault(kind, {})[param] = value
+    return _resolve(cfg, names["kinds"], overrides, names["schemes"])
 
 
 def cmd_glass_ceiling(cfg: RunConfig) -> None:
     if cfg.n_seasons < 2:
         raise UsageError(f"glass-ceiling needs n_seasons >= 2, got {cfg.n_seasons}")
     spec = _league_spec(cfg)
-    kinds, overrides = _ceiling_grid(cfg)
+    kinds, schemes, hyper = _ceiling_grid(cfg)
     report = glass_ceiling_experiment(
-        spec, kinds, _ceiling_schemes(cfg),
-        AveragingScheme(cfg.averaging), Seeding(cfg.seeding),
-        seed=cfg.seed, config=_adjust_config(cfg),
-        hyper_overrides=overrides or None)
+        spec, kinds, schemes, AveragingScheme(cfg.averaging), Seeding(cfg.seeding),
+        seed=cfg.seed, config=_adjust_config(cfg), hyper_overrides=hyper)
     out, echo = _out_dir(cfg)
     path = out / "ceiling.csv"
     doc = report.as_dict()

@@ -152,29 +152,49 @@ def evaluate_predictor(instances: Sequence[MatchInstance], predict_fn: PredictFn
         predictions=tuple(preds), series=tuple(series), config=dict(config))
 
 
-def resolve_kind(kind: ModelKind | str,
-                 baselines: Sequence[str] = BASELINE_KINDS) -> ModelKind | str:
-    """The predictor ``kind`` names: a :class:`ModelKind` or one of ``baselines``."""
-    if kind in baselines:
-        return kind
-    try:
-        return ModelKind(kind)
-    except ValueError:
-        valid = [k.value for k in ModelKind] + list(baselines)
-        raise EvalError(f"kind must be one of {valid}, got {kind!r}") from None
+def resolve_grid(kinds: Sequence[ModelKind | str],
+                 hyper: Mapping[ModelKind | str, Mapping[str, object]] | None = None,
+                 schemes: Sequence[FeatureScheme | str] = (),
+                 baselines: Sequence[str] = BASELINE_KINDS) -> tuple[list, list, dict]:
+    """Check a run's names before any work: the ``kinds`` (each a
+    :class:`ModelKind`, one of ``baselines``, or a name), the ``schemes``, and
+    ``hyper``, which maps a kind to overrides of its hyperparameters.
+
+    Returns the kinds, the schemes, and each kind's hyperparameters: its
+    defaults overridden, a baseline's read as floats.  An unknown or repeated
+    name, or an override for a kind not run, raises :class:`EvalError`.
+    """
+    kinds = _named(kinds, ModelKind, "kind", baselines)
+    schemes = _named(schemes, FeatureScheme, "scheme")
+    overrides = {str(getattr(k, "value", k)): v for k, v in (hyper or {}).items()}
+    unrun = sorted(set(overrides).difference(kinds))    # a ModelKind is its name
+    if unrun:
+        raise EvalError(f"hyper overrides name kinds the grid does not run: {unrun}")
+    resolved = {}
+    for kind in kinds:
+        try:
+            values = resolve_hyper(_HYPER.get(kind, {}), overrides.get(kind), kind)
+        except ModelError as err:
+            raise EvalError(str(err)) from None
+        # a baseline's echo reads as floats, however the value was typed
+        resolved[kind] = values if isinstance(kind, ModelKind) else {
+            key: float(value) for key, value in values.items()}
+    return kinds, schemes, resolved
 
 
-def check_hyper(kind: ModelKind | str,
-                hyper: Mapping[str, object] | None) -> dict[str, object]:
-    """The hyperparameters a resolved ``kind`` runs with: its defaults
-    overridden by ``hyper``, each checked for name, type and range."""
-    try:
-        resolved = resolve_hyper(_HYPER.get(kind, {}), hyper, kind)
-    except ModelError as err:
-        raise EvalError(str(err)) from None
-    # a baseline's echo reads as floats, however the value was typed
-    return resolved if isinstance(kind, ModelKind) else {
-        key: float(value) for key, value in resolved.items()}
+def _named(names: Sequence, enum: type, what: str, extra: Sequence[str] = ()) -> list:
+    """Each of ``names`` as a member of ``enum`` or one of ``extra``, none twice."""
+    out = []
+    for name in names:
+        try:
+            member = name if name in extra else enum(name)
+        except ValueError:
+            valid = [m.value for m in enum] + list(extra)
+            raise EvalError(f"{what} must be one of {valid}, got {name!r}") from None
+        if member in out:
+            raise EvalError(f"{what} {getattr(member, 'value', member)!r} is named twice")
+        out.append(member)
+    return out
 
 
 def _evaluate_cell(runs: dict[int, SeasonRun],
@@ -182,23 +202,22 @@ def _evaluate_cell(runs: dict[int, SeasonRun],
                    test_season: int, kind: ModelKind | str, scheme: FeatureScheme,
                    averaging: AveragingScheme, seeding: Seeding,
                    config: AdjustConfig, seed: int,
-                   hyper: Mapping[str, object] | None) -> EvalReport:
-    kind = resolve_kind(kind)
-    resolved = check_hyper(kind, hyper)
+                   hyper: dict[str, object]) -> EvalReport:
+    """Score one kind, resolved by :func:`resolve_grid` with its ``hyper``."""
     if isinstance(kind, ModelKind):
-        model = train(train_set, kind, hyper=dict(hyper) if hyper else None, seed=seed)
+        model = train(train_set, kind, hyper=hyper, seed=seed)
         X, site, _ = to_arrays(test_set)
         probs = p_win(model, X, site).tolist()
     elif kind == "home_wins":
         probs = [HOME_WINS_P[inst.location] for inst in test_set]
     else:
         # the test set is the test season's games in the run's game order
-        probs = pythag_game_probs(runs[test_season], PythagParams(y=resolved["y"]))
+        probs = pythag_game_probs(runs[test_season], PythagParams(**hyper))
     p_of = dict(zip(map(id, test_set), probs, strict=True))
     predict_fn: PredictFn = lambda inst: (
         resolve_label(p_of[id(inst)], inst.location), p_of[id(inst)])
 
-    echo = {**asdict(config), "hyper": resolved}
+    echo = {**asdict(config), "hyper": hyper}
     return evaluate_predictor(
         test_set, predict_fn, test_season=test_season,
         kind=getattr(kind, "value", kind),
@@ -218,14 +237,14 @@ def walk_forward_evaluate(store: SeasonStore, test_season: int,
     strings in :data:`BASELINE_KINDS` ("home_wins" picks the home side,
     "pythag" compares rating-derived win probabilities).
     """
+    (kind,), (scheme,), resolved = resolve_grid([kind], {kind: hyper or {}}, [scheme])
     config = config or AdjustConfig()
-    scheme = FeatureScheme(scheme)
     runs = run_seasons(store, AveragingScheme(averaging), Seeding(seeding),
                        config, through=test_season)
     train_set, test_set = build_dataset(store, runs, scheme, test_season)
     return _evaluate_cell(runs, train_set, test_set, test_season, kind,
                           scheme, AveragingScheme(averaging), Seeding(seeding),
-                          config, seed, hyper)
+                          config, seed, resolved[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -261,26 +280,10 @@ class CeilingReport:
         }
 
 
-def check_grid(kinds: Sequence[ModelKind | str],
-               hyper_overrides: Mapping[str, Mapping[str, object]] | None
-               ) -> tuple[list[ModelKind | str], dict[str, dict[str, object]]]:
-    """The resolved ``kinds`` and the overrides by kind name, each checked:
-    an override for a kind the grid does not run is an error."""
-    kinds = [resolve_kind(kind) for kind in kinds]
-    overrides = {str(getattr(k, "value", k)): dict(v)
-                 for k, v in (hyper_overrides or {}).items()}
-    unrun = sorted(set(overrides) - {getattr(kind, "value", kind) for kind in kinds})
-    if unrun:
-        raise EvalError(f"hyper overrides name kinds the grid does not run: {unrun}")
-    for kind in kinds:
-        check_hyper(kind, overrides.get(getattr(kind, "value", kind)))
-    return kinds, overrides
-
-
 def glass_ceiling_experiment(
         spec: SyntheticLeagueSpec,
         kinds: Sequence[ModelKind | str],
-        schemes: Sequence[FeatureScheme],
+        schemes: Sequence[FeatureScheme | str],
         averaging: AveragingScheme = AveragingScheme.ALPHA,
         seeding: Seeding = Seeding.PRIOR_SEASON, *,
         seed: int = 0, config: AdjustConfig | None = None,
@@ -290,15 +293,16 @@ def glass_ceiling_experiment(
     The league is generated from ``spec`` (its last season is the test
     season), each cell is a full walk-forward evaluation, and the recorded
     best achievable accuracy becomes the bound every cell is compared to.
-    ``hyper_overrides`` maps a kind name to hyperparameter overrides for
-    that kind's training runs, checked with the kinds before the league is made.
+    ``hyper_overrides`` maps a kind to hyperparameter overrides for that
+    kind's cells; :func:`resolve_grid` checks them with the kinds and schemes
+    before the league is made.
     """
     if not kinds or not schemes:
         raise EvalError(f"the experiment needs at least one kind and one scheme, "
                         f"got {len(kinds)} kinds and {len(schemes)} schemes")
     if spec.n_seasons < 2:
         raise EvalError("the experiment needs at least one season before the test season")
-    kinds, overrides = check_grid(kinds, hyper_overrides)
+    kinds, schemes, resolved = resolve_grid(kinds, hyper_overrides, schemes)
     store, truth = generate_league(spec)
     test_season = spec.first_season + spec.n_seasons - 1
     config = config or AdjustConfig()
@@ -307,21 +311,22 @@ def glass_ceiling_experiment(
     runs = run_seasons(store, averaging, seeding, config, through=test_season)
     cells = []
     n_test = 0
-    for scheme in (FeatureScheme(s) for s in schemes):
+    for scheme in schemes:
         train_set, test_set = build_dataset(store, runs, scheme, test_season)
         n_test = len(test_set)
         for kind in kinds:
-            kind_name = str(getattr(kind, "value", kind))
             report = _evaluate_cell(
                 runs, train_set, test_set, test_season, kind, scheme,
-                averaging, seeding, config, seed, overrides.get(kind_name))
+                averaging, seeding, config, seed, resolved[kind])
             cells.append(CeilingCell(
                 kind=report.kind, scheme=report.scheme, accuracy=report.accuracy,
                 gap=report.accuracy - truth.bayes_accuracy, n_test=report.n_test))
 
     echo = {**asdict(config), "seed": seed,
             "averaging": averaging.value, "seeding": seeding.value,
-            "hyper_overrides": overrides, "bayes_sims": truth.bayes_sims,
+            "hyper_overrides": {str(getattr(k, "value", k)): dict(v)
+                                for k, v in (hyper_overrides or {}).items()},
+            "bayes_sims": truth.bayes_sims,
             "spec": asdict(spec)}
     return CeilingReport(
         bound=truth.bayes_accuracy,

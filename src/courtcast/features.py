@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from courtcast.adjust import TEAM_ROW, RawMeans, SeasonRun, TeamSnapshot, team_row
-from courtcast.ingest import CourtcastError, SeasonStore, season_partition
+from courtcast.ingest import CourtcastError, GameLogError, SeasonStore
 from courtcast.stats import FourFactors, Site, site_for
 
 
@@ -168,10 +168,14 @@ def build_dataset(store: SeasonStore, runs: dict[int, SeasonRun],
                   test_season: int) -> tuple[list[MatchInstance], list[MatchInstance]]:
     """Encode every game, split into (train, test) around ``test_season``.
 
-    Training instances come from all seasons before the test season; counts
-    match the game counts of each partition exactly.
+    Training instances come from all seasons before the test season, so
+    advancing the test season one year grows the training set by exactly the
+    previous test set; counts match the game counts of each partition.
     """
-    season_partition(store, test_season)     # rejects a split with no train or test games
+    if test_season not in store.seasons:
+        raise GameLogError(f"season {test_season} not in store (have {store.seasons})")
+    if test_season == store.seasons[0]:
+        raise GameLogError(f"no training data: {test_season} is the earliest stored season")
     out: tuple[list[MatchInstance], list[MatchInstance]] = ([], [])
     for season in store.seasons:
         if season > test_season:

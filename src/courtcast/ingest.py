@@ -393,20 +393,3 @@ def write_game_log(store: SeasonStore, path: str | Path,
     write_csv(path, HEADER, ([g.date.isoformat(), g.season, g.team_a, g.team_b,
                               g.location.value, *g.box_a, *g.box_b]
                              for g in store.all_games()), comments)
-
-
-def season_partition(store: SeasonStore, test_season: int) -> tuple[list[GameRecord], list[GameRecord]]:
-    """Split into (train, test): all earlier seasons train, ``test_season`` tests.
-
-    Training data accumulates from the earliest stored season, so advancing
-    the test season one year grows the training set by exactly the previous
-    test set.
-    """
-    if test_season not in store.seasons:
-        raise GameLogError(f"season {test_season} not in store (have {store.seasons})")
-    earlier = [s for s in store.seasons if s < test_season]
-    if not earlier:
-        raise GameLogError(f"no training data: {test_season} is the earliest stored season")
-    train = [g for s in earlier for g in store.games(s)]
-    test = list(store.games(test_season))
-    return train, test

@@ -308,6 +308,29 @@ class TestArtifacts:
         assert len(rows) == 2
         assert {r.split(",")[0] for r in rows} == {"naive_bayes_kde", "home_wins"}
 
+    @pytest.mark.parametrize("argv, pythag", [
+        (["--kinds", "pythag,home_wins", "--pythag-y", "3"], {"y": 3.0}),
+        (["--kinds", "pythag", "--pythag-y", "3", "--hyper", "pythag.y=4"], {"y": 4.0}),
+        (["--kinds", "mlp", "--pythag-y", "3", "--hyper", "mlp.epochs=5"], None),
+    ])
+    def test_glass_ceiling_applies_pythag_y_to_pythag_cells(self, tmp_path, monkeypatch,
+                                                            argv, pythag):
+        # in process: a pythag rating is monotone in oe/de, so no accuracy can
+        # show which y ran; the hyperparameters the grid is handed show it
+        seen, real = [], cli.glass_ceiling_experiment
+
+        def capture(*args, **kwargs):
+            seen.append(kwargs["hyper_overrides"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "glass_ceiling_experiment", capture)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["glass-ceiling", "--out", str(tmp_path / "gc"),
+                             "--n-teams", "4", "--games-per-team", "3",
+                             "--n-seasons", "2", "--schemes", "raw", *argv])
+        assert code == 0
+        assert [hyper.get("pythag") for hyper in seen] == [pythag]
+
     def test_glass_ceiling_hyper_must_be_kind_qualified(self, league_dir):
         proc = run_cli(["glass-ceiling", "--out", "x", "--hyper", "depth=3"],
                        cwd=league_dir)

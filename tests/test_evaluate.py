@@ -218,6 +218,20 @@ class TestWalkForward:
             walk_forward_evaluate(noise_free_league, 2022, "elo",
                                   FeatureScheme.ADJ_EFF)
 
+    @pytest.mark.parametrize("kind, scheme, hyper, match", [
+        ("elo", FeatureScheme.ADJ_EFF, None, "kind must be one of"),
+        (ModelKind.MLP, "elo", None, "scheme must be one of"),
+        ("pythag", FeatureScheme.RAW, {"exponent": 2.0}, "unknown hyperparameter"),
+    ])
+    def test_bad_names_fail_before_the_adjust_pass(
+            self, noise_free_league, monkeypatch, kind, scheme, hyper, match):
+        def reached(*args, **kwargs):
+            raise AssertionError("run_seasons ran before the names were checked")
+
+        monkeypatch.setattr(evaluate, "run_seasons", reached)
+        with pytest.raises(EvalError, match=match):
+            walk_forward_evaluate(noise_free_league, 2022, kind, scheme, hyper=hyper)
+
     def test_missing_test_season_propagates(self, noise_free_league):
         with pytest.raises(GameLogError):
             walk_forward_evaluate(noise_free_league, 2030,
@@ -296,6 +310,7 @@ class TestGlassCeiling:
         (["home_wins"], {"pythag": {"y": 3.0}}, "does not run"),
         ([ModelKind.DECISION_TREE], {"decision_tree": {"min_node_fraction": "abc"}},
          "min_node_fraction"),
+        ([ModelKind.MLP, "mlp"], None, "kind 'mlp' is named twice"),
     ])
     def test_kinds_and_overrides_are_checked_before_the_league_is_made(
             self, monkeypatch, kinds, overrides, match):
@@ -307,6 +322,20 @@ class TestGlassCeiling:
         with pytest.raises(EvalError, match=match):
             glass_ceiling_experiment(spec, kinds, [FeatureScheme.ADJ_EFF],
                                      hyper_overrides=overrides)
+
+    @pytest.mark.parametrize("schemes, match", [
+        ([FeatureScheme.ADJ_EFF, "elo"], "scheme must be one of"),
+        (["raw", FeatureScheme.RAW], "scheme 'raw' is named twice"),
+    ])
+    def test_schemes_are_checked_before_the_league_is_made(self, monkeypatch,
+                                                           schemes, match):
+        def reached(*args, **kwargs):
+            raise AssertionError("the league was generated before the schemes were checked")
+
+        monkeypatch.setattr(evaluate, "generate_league", reached)
+        spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=2)
+        with pytest.raises(EvalError, match=match):
+            glass_ceiling_experiment(spec, [ModelKind.NAIVE_BAYES_KDE], schemes)
 
     def test_hyper_overrides_reach_the_models(self):
         spec = SyntheticLeagueSpec(n_teams=8, games_per_team=14, n_seasons=2,

@@ -262,6 +262,15 @@ def test_model_file_that_is_not_json(league, tmp_path):
     (["predict", "--kind", "home_wins", "--hyper", "y=3", *PAIRING], "home_wins"),
     (["rank", "--kind", "rpi", "--hyper", "bogus=1"], "rpi"),
     (["glass-ceiling", "--n-seasons", "1"], "n_seasons"),
+    (["glass-ceiling", "--kinds", "home_wins,home_wins"], "kind 'home_wins' is named twice"),
+    (["glass-ceiling", "--kinds", "mlp, mlp"], "kind 'mlp' is named twice"),
+    (["glass-ceiling", "--schemes", "adj_eff,adj_eff"], "scheme 'adj_eff' is named twice"),
+    (["glass-ceiling", "--schemes", "elo"], "scheme must be one of"),
+    (["train", "--kind", "mlp", "--hyper", "epochs=3,epochs=5"],
+     "hyper key 'epochs' is given twice"),
+    (["glass-ceiling", "--kinds", "pythag", "--hyper", "pythag.y=3,pythag.y=4"],
+     "hyper key 'pythag.y' is given twice"),
+    (["glass-ceiling", "--kinds", "pythag", "--pythag-y", "0"], "'y'"),
 ])
 def test_bad_value_is_a_usage_error_before_any_data_is_read(tmp_path, argv, key):
     # the game log does not exist: a check after reading it would exit 2

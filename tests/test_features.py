@@ -26,7 +26,7 @@ from courtcast.features import (
     feature_names,
     to_arrays,
 )
-from courtcast.ingest import GameRecord, Location, SeasonStore
+from courtcast.ingest import GameLogError, GameRecord, Location, SeasonStore
 from courtcast.stats import FourFactors, Site
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
 from tests.conftest import BOX_A, BOX_B
@@ -244,6 +244,27 @@ class TestBuildDataset:
         assert len(test) == len(two_season_store.games(2011))
         assert all(i.season == 2010 for i in train)
         assert all(i.label is not None for i in train + test)
+
+    def test_training_seasons_accumulate(self):
+        store, _ = generate_league(SyntheticLeagueSpec(n_teams=4, games_per_team=3,
+                                                       n_seasons=3, seed=2), bayes_sims=1)
+        runs = run_seasons(store)
+        train_2022, test_2022 = build_dataset(store, runs, FeatureScheme.ADJ_EFF, 2022)
+        train_2023, test_2023 = build_dataset(store, runs, FeatureScheme.ADJ_EFF, 2023)
+        assert {i.season for i in train_2022} == {2021}
+        assert {i.season for i in test_2022} == {2022}
+        assert len(train_2022) == len(test_2022) == 6
+        # advancing the test season grows training by exactly the old test set
+        key = lambda i: (i.date, i.team_first, i.team_second)
+        assert list(map(key, train_2023)) == list(map(key, train_2022 + test_2022))
+        assert {i.season for i in test_2023} == {2023}
+
+    def test_unknown_and_earliest_test_seasons_are_rejected(self, two_season_store):
+        runs = run_seasons(two_season_store)
+        with pytest.raises(GameLogError, match="not in store"):
+            build_dataset(two_season_store, runs, FeatureScheme.ADJ_EFF, 1999)
+        with pytest.raises(GameLogError, match="earliest"):
+            build_dataset(two_season_store, runs, FeatureScheme.ADJ_EFF, 2010)
 
     def test_missing_run_is_reported(self, two_season_store):
         runs = run_seasons(two_season_store, through=2010)

@@ -17,7 +17,6 @@ from courtcast.ingest import (
     SeasonStore,
     parse_game_log,
     parse_roster,
-    season_partition,
     write_game_log,
 )
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
@@ -149,18 +148,6 @@ class TestStoreAndPartition:
             games = two_season_store.games(season)
             keys = [(g.date, g.team_a, g.team_b) for g in games]
             assert keys == sorted(keys)
-
-    def test_partition_accumulates_training_seasons(self, two_season_store):
-        train, test = season_partition(two_season_store, 2011)
-        assert all(g.season == 2010 for g in train)
-        assert all(g.season == 2011 for g in test)
-        assert len(train) == len(test) == 6
-
-    def test_partition_rejects_unknown_and_earliest(self, two_season_store):
-        with pytest.raises(GameLogError, match="not in store"):
-            season_partition(two_season_store, 1999)
-        with pytest.raises(GameLogError, match="earliest"):
-            season_partition(two_season_store, 2010)
 
     def test_roster_filter_drops_off_roster_games(self, tmp_path):
         rows = [game_row(),

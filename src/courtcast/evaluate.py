@@ -238,13 +238,13 @@ def walk_forward_evaluate(store: SeasonStore, test_season: int,
     "pythag" compares rating-derived win probabilities).
     """
     (kind,), (scheme,), resolved = resolve_grid([kind], {kind: hyper or {}}, [scheme])
+    (averaging,) = _named([averaging], AveragingScheme, "averaging")
+    (seeding,) = _named([seeding], Seeding, "seeding")
     config = config or AdjustConfig()
-    runs = run_seasons(store, AveragingScheme(averaging), Seeding(seeding),
-                       config, through=test_season)
+    runs = run_seasons(store, averaging, seeding, config, through=test_season)
     train_set, test_set = build_dataset(store, runs, scheme, test_season)
     return _evaluate_cell(runs, train_set, test_set, test_season, kind,
-                          scheme, AveragingScheme(averaging), Seeding(seeding),
-                          config, seed, resolved[kind])
+                          scheme, averaging, seeding, config, seed, resolved[kind])
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +303,11 @@ def glass_ceiling_experiment(
     if spec.n_seasons < 2:
         raise EvalError("the experiment needs at least one season before the test season")
     kinds, schemes, resolved = resolve_grid(kinds, hyper_overrides, schemes)
+    (averaging,) = _named([averaging], AveragingScheme, "averaging")
+    (seeding,) = _named([seeding], Seeding, "seeding")
     store, truth = generate_league(spec)
     test_season = spec.first_season + spec.n_seasons - 1
     config = config or AdjustConfig()
-    averaging, seeding = AveragingScheme(averaging), Seeding(seeding)
 
     runs = run_seasons(store, averaging, seeding, config, through=test_season)
     cells = []

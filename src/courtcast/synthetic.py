@@ -13,6 +13,17 @@ exact win probability (by Monte Carlo over the same outcome function) and
 from those the best accuracy any predictor could reach on the schedule.
 No model evaluated on the league should beat that number by more than
 sampling error.
+
+Generation works on tables, not one game at a time.  All games' realized
+efficiencies come from one ``standard_normal((games, 2))`` draw, and their
+points from one elementwise pass of the tie rule.  A box pair is built once
+per distinct ``(points_a, points_b)`` and shared by every game with that
+score (``BoxScore`` is immutable).  The Monte-Carlo bound simulates its
+matchups a block at a time, one ``standard_normal((k, 2, sims))`` draw per
+block of at most ``_BLOCK`` doubles (or of one matchup that needs more).  A
+numpy ``Generator`` fills an array in order, so each game and each matchup
+sees exactly the draws that a call of its own would give, and the league is
+the same, bit for bit.
 """
 
 from __future__ import annotations
@@ -173,18 +184,24 @@ def expected_efficiency(off: float, opp_def: float, home_edge: float = 0.0) -> f
     return off * opp_def / 100.0 + home_edge
 
 
-def _points_from_effs(eff_a, eff_b, mu_a: float, mu_b: float):
-    """Map realized efficiencies to integer points; ties go to the higher
-    expectation (the first side when expectations are equal).  Works on
-    scalars and on numpy arrays alike."""
-    pa = np.maximum(np.rint(np.asarray(eff_a) * POINTS_PER_EFF), 4.0)
-    pb = np.maximum(np.rint(np.asarray(eff_b) * POINTS_PER_EFF), 4.0)
-    tie = pa == pb
-    if mu_a >= mu_b:
-        pa = pa + tie
-    else:
-        pb = pb + tie
-    return pa, pb
+def _points(effs: np.ndarray) -> np.ndarray:
+    """Realized efficiencies to integer points on the 4-point floor, in place."""
+    effs *= POINTS_PER_EFF
+    np.rint(effs, out=effs)
+    return np.maximum(effs, 4.0, out=effs)
+
+
+def _points_from_effs(effs: np.ndarray, mus: np.ndarray) -> np.ndarray:
+    """Map each game's realized efficiencies, a ``(games, 2)`` row of
+    ``effs``, to integer points, in place.  Ties go to the higher expectation
+    in the same row of ``mus`` (the first side when expectations are equal);
+    the rule applies row by row."""
+    pts = _points(effs)
+    tie = pts[:, 0] == pts[:, 1]
+    a_favored = mus[:, 0] >= mus[:, 1]
+    pts[:, 0] += tie & a_favored
+    pts[:, 1] += tie & ~a_favored
+    return pts
 
 
 def _offense_line(points: int) -> dict[str, int]:
@@ -227,16 +244,35 @@ def _boxes(points_a: int, points_b: int) -> tuple[BoxScore, BoxScore]:
     return box_a, box_b
 
 
-def _matchup_prob(mu_a: float, mu_b: float, noise: float,
-                  rng: np.random.Generator, sims: int) -> float:
-    """P(side a wins) under the exact outcome function, by Monte Carlo."""
-    if noise == 0.0:
-        pa, pb = _points_from_effs(mu_a, mu_b, mu_a, mu_b)
-        return 1.0 if pa > pb else 0.0
-    draws = rng.standard_normal((2, sims))
-    pa, pb = _points_from_effs(mu_a + noise * draws[0], mu_b + noise * draws[1],
-                               mu_a, mu_b)
-    return float(np.mean(pa > pb))
+# doubles of one Monte-Carlo block; a matchup needing more is simulated alone
+_BLOCK = 1 << 15
+
+
+def _win_probs(mus: np.ndarray, noise: float, rng: np.random.Generator,
+               sims: int) -> np.ndarray:
+    """P(side a wins) for each ``(mu_a, mu_b)`` row of ``mus``, under the
+    exact outcome function, by Monte Carlo over ``sims`` games (one game
+    without draws when ``noise`` is 0, which decides the matchup).
+
+    Rows are simulated in order, a block of rows per draw, so each sees the
+    draws of its own ``standard_normal((2, sims))`` call.  Side a wins a game
+    by outscoring side b, or on a tie when ``mu_a >= mu_b``.
+    """
+    per_block = max(1, _BLOCK // (2 * sims))
+    probs = np.empty(len(mus))
+    for lo in range(0, len(mus), per_block):
+        block = mus[lo:lo + per_block, :, None]
+        if noise == 0.0:
+            pts = block.copy()
+        else:
+            pts = rng.standard_normal((len(block), 2, sims))
+            pts *= noise
+            pts += block
+        _points(pts)
+        pa, pb = pts[:, 0], pts[:, 1]
+        won = np.where(block[:, 0] >= block[:, 1], pa >= pb, pa > pb)
+        probs[lo:lo + len(block)] = np.count_nonzero(won, axis=1) / won.shape[1]
+    return probs
 
 
 def generate_league(spec: SyntheticLeagueSpec,
@@ -282,28 +318,31 @@ def generate_league(spec: SyntheticLeagueSpec,
                                     expected_efficiency(off_b, def_a, edge_b))
                 schedule.append((season, date, first, second, loc))
 
+    # one draw for all games, then one box pair per distinct score
+    game_mus = np.array([classes[(first, second, loc)]
+                         for _, _, first, second, loc in schedule])
+    effs = game_mus.copy()
+    if spec.noise != 0.0:
+        effs += spec.noise * rng_games.standard_normal(effs.shape)
+    points = _points_from_effs(effs, game_mus).astype(int).T.tolist()
+    boxes: dict[tuple[int, int], tuple[BoxScore, BoxScore]] = {}
     records = []
-    for season, date, first, second, loc in schedule:
-        mu_a, mu_b = classes[(first, second, loc)]
-        if spec.noise == 0.0:
-            eff_a, eff_b = mu_a, mu_b
-        else:
-            z = rng_games.standard_normal(2)
-            eff_a, eff_b = mu_a + spec.noise * z[0], mu_b + spec.noise * z[1]
-        pa, pb = _points_from_effs(eff_a, eff_b, mu_a, mu_b)
-        box_a, box_b = _boxes(int(pa), int(pb))
-        records.append(GameRecord(date, season, first, second, loc, box_a, box_b))
+    for (season, date, first, second, loc), pa, pb in zip(schedule, *points):
+        if (pa, pb) not in boxes:
+            boxes[(pa, pb)] = _boxes(pa, pb)
+        records.append(GameRecord(date, season, first, second, loc, *boxes[(pa, pb)]))
 
     # distinct matchups often share an expected-efficiency pair (equal-strength
-    # leagues collapse to a handful), so simulate once per (mu_a, mu_b)
-    by_mu: dict[tuple[float, float], float] = {}
-    for key, (mu_a, mu_b) in sorted(classes.items()):
-        if (mu_a, mu_b) not in by_mu:
-            if (mu_b, mu_a) in by_mu and mu_a != mu_b:
-                by_mu[(mu_a, mu_b)] = 1.0 - by_mu[(mu_b, mu_a)]
-            else:
-                by_mu[(mu_a, mu_b)] = _matchup_prob(
-                    mu_a, mu_b, spec.noise, rng_bayes, bayes_sims)
+    # leagues collapse to a handful), so simulate once per (mu_a, mu_b); a pair
+    # whose mirror came first in key order takes the mirror's complement
+    simulated, mirrored, seen = [], [], set()
+    for mu_a, mu_b in dict.fromkeys(mus for _, mus in sorted(classes.items())):
+        (mirrored if (mu_b, mu_a) in seen else simulated).append((mu_a, mu_b))
+        seen.add((mu_a, mu_b))
+    wins = _win_probs(np.array(simulated), spec.noise, rng_bayes, bayes_sims)
+    by_mu = dict(zip(simulated, wins.tolist()))
+    for mu_a, mu_b in mirrored:
+        by_mu[(mu_a, mu_b)] = 1.0 - by_mu[(mu_b, mu_a)]
     probs = {key: by_mu[mus] for key, mus in sorted(classes.items())}
     per_game = [max(probs[(a, b, loc)], 1.0 - probs[(a, b, loc)])
                 for _, _, a, b, loc in schedule]
@@ -355,10 +394,10 @@ def calibrate_noise(spec: SyntheticLeagueSpec, target: float) -> float:
             raise SyntheticError("target accuracy unreachable")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if mean_acc(mid) > target:
-            lo = mid
-        else:
-            hi = mid
+        bracket = (mid, hi) if mean_acc(mid) > target else (lo, mid)
+        if bracket == (lo, hi):
+            break   # a step depends only on (lo, hi), so every later one repeats this
+        lo, hi = bracket
     return 0.5 * (lo + hi)
 
 

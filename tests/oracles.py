@@ -20,9 +20,14 @@ arrays (``W1``, ``b1``, ``w2`` and the scalar ``b2``), each with its own
 velocity: the flat parameter vector must reproduce it weight for weight.
 Then comes the game-log row parser: it decodes the whole log first,
 then checks one ``csv.DictReader`` row at a time, and the streaming parser
-must build the same store or raise the same error.  Last comes the noise
-calibration that scores every game at every bisection step; scoring each
-distinct gap once must return the same noise exactly.
+must build the same store or raise the same error.  Then comes the noise
+calibration that scores every game at every bisection step, for all 200
+steps; scoring each distinct gap once and stopping at the bisection's fixed
+point must return the same noise exactly.  Last comes the league generator
+that draws, scores and boxes one game at a time and simulates one matchup
+per ``standard_normal((2, sims))`` call: the box table, the single draw for
+all games and the blocked Monte-Carlo bound must give the same store and
+the same truth, bit for bit.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from courtcast.ingest import (
     HEADER,
     GameLogError,
     GameRecord,
+    Location,
     SeasonStore,
     _csv_errors,
     _parse_row,
@@ -64,8 +70,11 @@ from courtcast.models.tree import (
 )
 from courtcast.stats import FourFactors, game_stats
 from courtcast.synthetic import (
+    POINTS_PER_EFF,
+    LeagueTruth,
     SyntheticError,
     SyntheticLeagueSpec,
+    _boxes,
     _favorite_prob,
     _schedule,
     expected_efficiency,
@@ -642,3 +651,93 @@ def calibrate_noise_per_game(spec: SyntheticLeagueSpec, target: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _points_from_effs_scalar(eff_a: float, eff_b: float, mu_a: float, mu_b: float):
+    """Integer points of one game, or of one matchup's simulations; ties go
+    to the higher expectation (the first side when expectations are equal)."""
+    pa = np.maximum(np.rint(np.asarray(eff_a) * POINTS_PER_EFF), 4.0)
+    pb = np.maximum(np.rint(np.asarray(eff_b) * POINTS_PER_EFF), 4.0)
+    tie = pa == pb
+    if mu_a >= mu_b:
+        pa = pa + tie
+    else:
+        pb = pb + tie
+    return pa, pb
+
+
+def _matchup_prob(mu_a: float, mu_b: float, noise: float,
+                  rng: np.random.Generator, sims: int) -> float:
+    if noise == 0.0:
+        pa, pb = _points_from_effs_scalar(mu_a, mu_b, mu_a, mu_b)
+        return 1.0 if pa > pb else 0.0
+    draws = rng.standard_normal((2, sims))
+    pa, pb = _points_from_effs_scalar(mu_a + noise * draws[0], mu_b + noise * draws[1],
+                                      mu_a, mu_b)
+    return float(np.mean(pa > pb))
+
+
+def generate_league_per_game(spec: SyntheticLeagueSpec,
+                             bayes_sims: int = 100_000) -> tuple[SeasonStore, LeagueTruth]:
+    """``synthetic.generate_league`` one game and one matchup at a time: a
+    ``standard_normal(2)`` draw and a fresh pair of boxes per game, and a
+    ``standard_normal((2, sims))`` draw per simulated matchup."""
+    if bayes_sims < 1:
+        raise SyntheticError("bayes_sims must be >= 1")
+    names = team_names(spec.n_teams)
+    strengths = spec.resolved_strengths()
+    rounds = _schedule(spec)
+    ss = np.random.SeedSequence(spec.seed)
+    rng_games, rng_bayes = (np.random.default_rng(s) for s in ss.spawn(2))
+
+    classes: dict[tuple[str, str, Location], tuple[float, float]] = {}
+    schedule: list[tuple[int, dt.date, str, str, Location]] = []
+    for season_idx in range(spec.n_seasons):
+        season = spec.first_season + season_idx
+        start = dt.date(season, 11, 1)
+        for r, games in enumerate(rounds):
+            date = start + dt.timedelta(days=2 * r)
+            for i, j, home_is_i in games:
+                first, second = names[i], names[j]
+                loc = Location.HOME_A if home_is_i else Location.HOME_B
+                if first > second:
+                    first, second = second, first
+                    loc = loc.swapped()
+                key = (first, second, loc)
+                if key not in classes:
+                    off_a, def_a = strengths[first]
+                    off_b, def_b = strengths[second]
+                    edge_a = spec.home_advantage if loc is Location.HOME_A else 0.0
+                    edge_b = spec.home_advantage if loc is Location.HOME_B else 0.0
+                    classes[key] = (expected_efficiency(off_a, def_b, edge_a),
+                                    expected_efficiency(off_b, def_a, edge_b))
+                schedule.append((season, date, first, second, loc))
+
+    records = []
+    for season, date, first, second, loc in schedule:
+        mu_a, mu_b = classes[(first, second, loc)]
+        if spec.noise == 0.0:
+            eff_a, eff_b = mu_a, mu_b
+        else:
+            z = rng_games.standard_normal(2)
+            eff_a, eff_b = mu_a + spec.noise * z[0], mu_b + spec.noise * z[1]
+        pa, pb = _points_from_effs_scalar(eff_a, eff_b, mu_a, mu_b)
+        box_a, box_b = _boxes(int(pa), int(pb))
+        records.append(GameRecord(date, season, first, second, loc, box_a, box_b))
+
+    by_mu: dict[tuple[float, float], float] = {}
+    for key, (mu_a, mu_b) in sorted(classes.items()):
+        if (mu_a, mu_b) not in by_mu:
+            if (mu_b, mu_a) in by_mu and mu_a != mu_b:
+                by_mu[(mu_a, mu_b)] = 1.0 - by_mu[(mu_b, mu_a)]
+            else:
+                by_mu[(mu_a, mu_b)] = _matchup_prob(
+                    mu_a, mu_b, spec.noise, rng_bayes, bayes_sims)
+    probs = {key: by_mu[mus] for key, mus in sorted(classes.items())}
+    per_game = [max(probs[(a, b, loc)], 1.0 - probs[(a, b, loc)])
+                for _, _, a, b, loc in schedule]
+    truth = LeagueTruth(
+        strengths=strengths, noise=spec.noise, home_advantage=spec.home_advantage,
+        bayes_accuracy=float(np.mean(per_game)), bayes_sims=bayes_sims,
+        matchup_probs=probs)
+    return SeasonStore(records), truth

@@ -232,6 +232,22 @@ class TestWalkForward:
         with pytest.raises(EvalError, match=match):
             walk_forward_evaluate(noise_free_league, 2022, kind, scheme, hyper=hyper)
 
+    @pytest.mark.parametrize("averaging, seeding, match", [
+        ("ewma", Seeding.PRIOR_SEASON,
+         r"averaging must be one of \['alpha', 'explicit'\], got 'ewma'"),
+        (AveragingScheme.ALPHA, "cold",
+         r"seeding must be one of \['prior_season', 'from_scratch'\], got 'cold'"),
+    ], ids=["averaging", "seeding"])
+    def test_bad_adjust_schemes_fail_before_the_adjust_pass(
+            self, noise_free_league, monkeypatch, averaging, seeding, match):
+        def reached(*args, **kwargs):
+            raise AssertionError("run_seasons ran before the names were checked")
+
+        monkeypatch.setattr(evaluate, "run_seasons", reached)
+        with pytest.raises(EvalError, match=match):
+            walk_forward_evaluate(noise_free_league, 2022, ModelKind.MLP,
+                                  FeatureScheme.ADJ_EFF, averaging, seeding)
+
     def test_missing_test_season_propagates(self, noise_free_league):
         with pytest.raises(GameLogError):
             walk_forward_evaluate(noise_free_league, 2030,
@@ -336,6 +352,24 @@ class TestGlassCeiling:
         spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=2)
         with pytest.raises(EvalError, match=match):
             glass_ceiling_experiment(spec, [ModelKind.NAIVE_BAYES_KDE], schemes)
+
+    @pytest.mark.parametrize("averaging, seeding, match", [
+        ("ewma", Seeding.PRIOR_SEASON,
+         r"averaging must be one of \['alpha', 'explicit'\], got 'ewma'"),
+        (AveragingScheme.EXPLICIT, "cold",
+         r"seeding must be one of \['prior_season', 'from_scratch'\], got 'cold'"),
+    ], ids=["averaging", "seeding"])
+    def test_adjust_schemes_are_checked_before_the_league_is_made(
+            self, monkeypatch, averaging, seeding, match):
+        def reached(*args, **kwargs):
+            raise AssertionError("the league was generated before the names were checked")
+
+        monkeypatch.setattr(evaluate, "generate_league", reached)
+        monkeypatch.setattr(evaluate, "run_seasons", reached)
+        spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=2)
+        with pytest.raises(EvalError, match=match):
+            glass_ceiling_experiment(spec, [ModelKind.NAIVE_BAYES_KDE],
+                                     [FeatureScheme.ADJ_EFF], averaging, seeding)
 
     def test_hyper_overrides_reach_the_models(self):
         spec = SyntheticLeagueSpec(n_teams=8, games_per_team=14, n_seasons=2,

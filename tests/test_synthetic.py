@@ -6,7 +6,9 @@ import math
 from collections import Counter
 from statistics import NormalDist
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from courtcast.ingest import Location, parse_game_log, write_game_log
 from courtcast.stats import possessions
@@ -21,7 +23,7 @@ from courtcast.synthetic import (
     spread_strengths,
     team_names,
 )
-from tests.oracles import calibrate_noise_per_game
+from tests.oracles import calibrate_noise_per_game, generate_league_per_game
 
 
 def net(strengths: dict[str, tuple[float, float]]) -> dict[str, float]:
@@ -196,6 +198,60 @@ class TestGroundTruth:
             generate_league(spec, bayes_sims=0)
 
 
+def _hexed(truth) -> tuple:
+    return ([(key, p.hex()) for key, p in truth.matchup_probs.items()],
+            truth.bayes_accuracy.hex(), truth.bayes_sims)
+
+
+class TestPerGameOracle:
+    """The table-driven generator must build the per-game generator's league."""
+
+    @pytest.mark.parametrize("sims", [1, 2_000, 100_000])
+    @pytest.mark.parametrize("kw", [
+        dict(noise=6.0),
+        dict(noise=0.0),
+        dict(noise=6.0, imbalance=0.75),
+        dict(noise=5.0, home_advantage=3.0),
+        dict(noise=0.0, imbalance=0.75, home_advantage=3.0),
+        # every matchup ties; with a home edge, each pair's mirror follows it
+        dict(noise=6.0, strength_spread=0.0),
+        dict(noise=6.0, strength_spread=0.0, home_advantage=3.0),
+        dict(noise=0.0, strength_spread=0.0, home_advantage=3.0),
+    ], ids=repr)
+    def test_same_store_and_truth_bit_for_bit(self, kw, sims):
+        # a block holds every matchup at 1 draw and 8 at 2,000; at 100,000 one
+        # matchup fills more than a block; 4 teams keep that case cheap
+        spec = SyntheticLeagueSpec(n_teams=4 if sims > 2_000 else 8, games_per_team=10,
+                                   n_seasons=2, seed=3, **kw)
+        store, truth = generate_league(spec, bayes_sims=sims)
+        oracle_store, oracle_truth = generate_league_per_game(spec, bayes_sims=sims)
+        assert store.all_games() == oracle_store.all_games()
+        assert _hexed(truth) == _hexed(oracle_truth)
+        assert truth == oracle_truth
+
+
+class TestGeneratorFillsInOrder:
+    """The single draws rest on this: one ``Generator`` call for an array
+    gives the values, and leaves the state, of the smaller calls in order."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 94])
+    def test_one_draw_for_all_games_equals_a_draw_per_game(self, seed):
+        whole, parts = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = whole.standard_normal((301, 2))
+        expected = np.array([parts.standard_normal(2) for _ in range(301)])
+        assert drawn.tobytes() == expected.tobytes()
+        assert whole.standard_normal() == parts.standard_normal()
+
+    @pytest.mark.parametrize("sims", [1, 1_001])
+    @pytest.mark.parametrize("seed", [0, 7, 94])
+    def test_one_draw_per_block_equals_a_draw_per_matchup(self, seed, sims):
+        whole, parts = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = whole.standard_normal((5, 2, sims))
+        expected = np.array([parts.standard_normal((2, sims)) for _ in range(5)])
+        assert drawn.tobytes() == expected.tobytes()
+        assert whole.standard_normal() == parts.standard_normal()
+
+
 class TestDeterminism:
     def test_same_seed_regenerates_identical_league(self):
         spec = SyntheticLeagueSpec(n_teams=8, games_per_team=14, n_seasons=2,
@@ -239,8 +295,17 @@ class TestCalibration:
         # gaps taken on arrays, each distinct one scored once, must not move a bit
         spec = SyntheticLeagueSpec(n_teams=n_teams, games_per_team=20, imbalance=imbalance,
                                    home_advantage=home_advantage, seed=n_teams)
-        for target in (0.6, 0.75, 0.9):
+        for target in (0.51, 0.6, 0.75, 0.9, 0.99):
             assert calibrate_noise(spec, target) == calibrate_noise_per_game(spec, target)
+
+    @settings(max_examples=40, deadline=None)
+    @given(target=st.floats(0.55, 0.95, exclude_min=True, exclude_max=True),
+           home_advantage=st.sampled_from([0.0, 3.0]))
+    def test_any_target_equals_the_per_game_oracle(self, target, home_advantage):
+        # stopping at the bisection's fixed point must not move a bit
+        spec = SyntheticLeagueSpec(n_teams=8, games_per_team=20,
+                                   home_advantage=home_advantage)
+        assert calibrate_noise(spec, target) == calibrate_noise_per_game(spec, target)
 
     def test_home_advantage_frozen_value(self):
         # inverse of the Gaussian margin model: cdf((ha*k + 0.5)/(sd*k*sqrt2))

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from courtcast.adjust import (
     AdjustConfig,
@@ -30,7 +30,7 @@ from courtcast.adjust import (
 from courtcast.baselines import HOME_WINS_P, PythagParams, pythag_game_probs
 from courtcast.features import FeatureScheme, Label, MatchInstance, build_dataset, to_arrays
 from courtcast.ingest import CourtcastError, SeasonStore
-from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, p_win, resolve_label, train
+from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, p_win, resolve_label, train_group
 from courtcast.models.base import POSITIVE, resolve_hyper
 from courtcast.stats import Site
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
@@ -197,32 +197,36 @@ def _named(names: Sequence, enum: type, what: str, extra: Sequence[str] = ()) ->
     return out
 
 
-def _evaluate_cell(runs: dict[int, SeasonRun],
-                   train_set: list[MatchInstance], test_set: list[MatchInstance],
-                   test_season: int, kind: ModelKind | str, scheme: FeatureScheme,
+def _evaluate_kind(runs: dict[int, SeasonRun],
+                   datasets: dict[FeatureScheme, tuple[list[MatchInstance], list[MatchInstance]]],
+                   test_season: int, kind: ModelKind | str,
                    averaging: AveragingScheme, seeding: Seeding,
                    config: AdjustConfig, seed: int,
-                   hyper: dict[str, object]) -> EvalReport:
-    """Score one kind, resolved by :func:`resolve_grid` with its ``hyper``."""
+                   hyper: dict[str, object]) -> Iterator[EvalReport]:
+    """Score one kind, resolved by :func:`resolve_grid` with its ``hyper``,
+    on each scheme's (train, test) sets, yielding one report per scheme.
+    A model kind trains once for all schemes, with :func:`train_group`."""
     if isinstance(kind, ModelKind):
-        model = train(train_set, kind, hyper=hyper, seed=seed)
-        X, site, _ = to_arrays(test_set)
-        probs = p_win(model, X, site).tolist()
+        models = train_group([train_set for train_set, _ in datasets.values()], kind,
+                             hyper=hyper, seed=seed)
+        probs = [p_win(model, *to_arrays(test_set)[:2]).tolist()
+                 for model, (_, test_set) in zip(models, datasets.values())]
     elif kind == "home_wins":
-        probs = [HOME_WINS_P[inst.location] for inst in test_set]
+        probs = [[HOME_WINS_P[inst.location] for inst in test_set]
+                 for _, test_set in datasets.values()]
     else:
-        # the test set is the test season's games in the run's game order
-        probs = pythag_game_probs(runs[test_season], PythagParams(**hyper))
-    p_of = dict(zip(map(id, test_set), probs, strict=True))
-    predict_fn: PredictFn = lambda inst: (
-        resolve_label(p_of[id(inst)], inst.location), p_of[id(inst)])
+        # every test set is the test season's games in the run's game order
+        probs = [pythag_game_probs(runs[test_season], PythagParams(**hyper))] * len(datasets)
 
     echo = {**asdict(config), "hyper": hyper}
-    return evaluate_predictor(
-        test_set, predict_fn, test_season=test_season,
-        kind=getattr(kind, "value", kind),
-        scheme=scheme.value, averaging=averaging.value, seeding=seeding.value,
-        seed=seed, n_train=len(train_set), config=echo)
+    for (scheme, (train_set, test_set)), cell_probs in zip(datasets.items(), probs):
+        p_of = dict(zip(map(id, test_set), cell_probs, strict=True))
+        yield evaluate_predictor(
+            test_set, lambda inst: (resolve_label(p_of[id(inst)], inst.location),
+                                    p_of[id(inst)]),
+            test_season=test_season, kind=getattr(kind, "value", kind),
+            scheme=scheme.value, averaging=averaging.value, seeding=seeding.value,
+            seed=seed, n_train=len(train_set), config=echo)
 
 
 def walk_forward_evaluate(store: SeasonStore, test_season: int,
@@ -242,9 +246,10 @@ def walk_forward_evaluate(store: SeasonStore, test_season: int,
     (seeding,) = _named([seeding], Seeding, "seeding")
     config = config or AdjustConfig()
     runs = run_seasons(store, averaging, seeding, config, through=test_season)
-    train_set, test_set = build_dataset(store, runs, scheme, test_season)
-    return _evaluate_cell(runs, train_set, test_set, test_season, kind,
-                          scheme, averaging, seeding, config, seed, resolved[kind])
+    datasets = {scheme: build_dataset(store, runs, scheme, test_season)}
+    [report] = _evaluate_kind(runs, datasets, test_season, kind, averaging, seeding,
+                              config, seed, resolved[kind])
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +298,9 @@ def glass_ceiling_experiment(
     The league is generated from ``spec`` (its last season is the test
     season), each cell is a full walk-forward evaluation, and the recorded
     best achievable accuracy becomes the bound every cell is compared to.
+    Every scheme's dataset is built first; then each kind trains once over
+    all schemes (an MLP's networks in lockstep) and scores its cells.  The
+    report lists the cells in (scheme, kind) order.
     ``hyper_overrides`` maps a kind to hyperparameter overrides for that
     kind's cells; :func:`resolve_grid` checks them with the kinds and schemes
     before the league is made.
@@ -310,18 +318,16 @@ def glass_ceiling_experiment(
     config = config or AdjustConfig()
 
     runs = run_seasons(store, averaging, seeding, config, through=test_season)
-    cells = []
-    n_test = 0
-    for scheme in schemes:
-        train_set, test_set = build_dataset(store, runs, scheme, test_season)
-        n_test = len(test_set)
-        for kind in kinds:
-            report = _evaluate_cell(
-                runs, train_set, test_set, test_season, kind, scheme,
-                averaging, seeding, config, seed, resolved[kind])
-            cells.append(CeilingCell(
+    datasets = {scheme: build_dataset(store, runs, scheme, test_season) for scheme in schemes}
+    cells = {}
+    for kind in kinds:
+        reports = _evaluate_kind(runs, datasets, test_season, kind, averaging,
+                                 seeding, config, seed, resolved[kind])
+        for scheme, report in zip(datasets, reports):
+            cells[scheme, kind] = CeilingCell(
                 kind=report.kind, scheme=report.scheme, accuracy=report.accuracy,
-                gap=report.accuracy - truth.bayes_accuracy, n_test=report.n_test))
+                gap=report.accuracy - truth.bayes_accuracy, n_test=report.n_test)
+    n_test = len(datasets[schemes[-1]][1])
 
     echo = {**asdict(config), "seed": seed,
             "averaging": averaging.value, "seeding": seeding.value,
@@ -332,4 +338,5 @@ def glass_ceiling_experiment(
     return CeilingReport(
         bound=truth.bayes_accuracy,
         halfwidth=binomial_halfwidth(truth.bayes_accuracy, n_test),
-        n_test=n_test, test_season=test_season, cells=tuple(cells), config=echo)
+        n_test=n_test, test_season=test_season, config=echo,
+        cells=tuple(cells[scheme, kind] for scheme in schemes for kind in kinds))

@@ -138,7 +138,7 @@ def encode_pairing(first: TeamSnapshot, second: TeamSnapshot,
     return encode_pairings([first, second], [0], [1], scheme)[0]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class MatchInstance:
     """One encoded match: site + features (+ label when the game is played)."""
 

@@ -1,6 +1,7 @@
 """Uniform train/predict contract over the four classifier kinds.
 
     model = train(instances, ModelKind.MLP, hyper={"epochs": 100}, seed=7)
+    models = train_group([adj_eff_set, raw_set], ModelKind.MLP)  # one per set
     probs = p_win(model, X, site)          # one p(win) per row of X
     label, p = predict(model, instance)    # the same, for one instance
 
@@ -13,6 +14,9 @@ allowed values) and four functions; see them for the algorithms:
 * ``encode_params(params)`` gives the JSON value ``save_model`` writes, and
   ``decode_params(doc, n_features)`` reads it back, raising
   :class:`ModelError` for anything ``p_win`` could not walk safely.
+
+The MLP also has ``fit_group(Xs, site, y, hp, seed)``, which trains one
+network per feature matrix in lockstep; ``train_group`` uses it.
 
 Only this module checks inputs and outputs: feature names, finiteness, and
 that every probability lies in [0, 1].  ``save_model``/``load_model``
@@ -52,17 +56,40 @@ _IMPL = {
 HYPERPARAMETERS = {kind: impl.HYPER for kind, impl in _IMPL.items()}
 
 
-def train(instances: list[MatchInstance], kind: ModelKind,
-          hyper: dict[str, Any] | None = None, seed: int = 0) -> TrainedModel:
-    """Fit one model kind; deterministic given the seed."""
+def train_group(datasets: list[list[MatchInstance]], kind: ModelKind,
+                hyper: dict[str, Any] | None = None, seed: int = 0) -> list[TrainedModel]:
+    """Fit one model kind on each of several encodings of one training set:
+    the same games, in the same order, under different feature schemes.
+
+    Each model equals :func:`train` of its own set; MLPs train in lockstep
+    (``mlp.fit_group``).  Sets whose sites or labels differ raise
+    :class:`ModelError`.
+    """
     kind = ModelKind(kind)
     hp = resolve_hyper(HYPERPARAMETERS[kind], hyper, kind)
-    X, site, y, scheme = check_training_data(instances)
-    return TrainedModel(
+    checked = [check_training_data(instances) for instances in datasets]
+    if not checked:
+        raise ModelError("no training sets")
+    _, site, y, _ = checked[0]
+    if any(not (np.array_equal(s, site) and np.array_equal(labels, y))
+           for _, s, labels, _ in checked):
+        raise ModelError("the training sets are not one set of games: "
+                         "their sites or labels differ")
+    Xs = [X for X, *_ in checked]
+    fitted = (mlp.fit_group(Xs, site, y, hp, seed) if kind is ModelKind.MLP
+              else [_IMPL[kind].fit(X, site, y, hp, seed) for X in Xs])
+    return [TrainedModel(
         kind=kind, scheme=scheme, feature_names=feature_names(scheme),
         class_counts={Label.LOSS.value: int(np.sum(y == 0)),
                       Label.WIN.value: int(np.sum(y == 1))},
-        hyper=hp, params=_IMPL[kind].fit(X, site, y, hp, seed))
+        hyper=dict(hp), params=params)
+        for (*_, scheme), params in zip(checked, fitted)]
+
+
+def train(instances: list[MatchInstance], kind: ModelKind,
+          hyper: dict[str, Any] | None = None, seed: int = 0) -> TrainedModel:
+    """Fit one model kind; deterministic given the seed."""
+    return train_group([instances], kind, hyper=hyper, seed=seed)[0]
 
 
 def p_win(model: TrainedModel, X: np.ndarray, site: np.ndarray) -> np.ndarray:
@@ -122,7 +149,7 @@ def load_model(path: str | Path) -> TrainedModel:
 
 __all__ = [
     "ModelError", "ModelKind", "TrainedModel",
-    "train", "p_win", "predict", "HYPERPARAMETERS",
+    "train", "train_group", "p_win", "predict", "HYPERPARAMETERS",
     "save_model", "load_model",
     "gradient_check",
     "resolve_label",

@@ -12,16 +12,33 @@ deterministic given the seed that draws the initial weights.
 The single logistic output is read directly as p(win), so p(win) + p(loss)
 is 1 by construction.
 
-All weights live in one float64 vector ``theta``: ``W1`` (hidden x inputs,
-row-major), ``b1``, ``w2``, then the output bias ``b2`` as ``theta[-1]``;
-``W1``, ``b1`` and ``w2`` are views into it.  The gradient buffer shares the
-layout, so a momentum step ``vel = mom * vel - lr * grad; theta += vel`` does
-elementwise what updating each array on its own would, bit for bit.
+All weights of one network live in one float64 vector ``theta``: ``W1``
+(hidden x inputs, row-major), ``b1``, ``w2``, then the output bias ``b2`` as
+``theta[-1]``; ``W1``, ``b1`` and ``w2`` are views into it.
+
+``fit_group`` trains several networks in lockstep: the ceiling grid's MLP
+cells see the same rows in the same order, with the same labels and
+hyperparameters, and differ only in input width.  ``fit`` is its group of
+one.  A group keeps every network's ``W1``, then every ``b1``, every ``w2``
+and every ``b2`` in one vector, and its gradient and velocity buffers share
+that layout; for one network it is exactly ``theta``.  In each online
+update only the reductions run per network, on that network's own arrays:
+``W1_k @ x_k``, ``w2_k . h_k`` and the outer product ``delta_k x_k``, so
+BLAS sees the shapes and summation order of a separate fit.  Every
+elementwise step runs once for the whole group, as one ufunc call over all
+networks' values laid end to end: the bias adds, both logistics, the output
+and hidden deltas, and the momentum step ``vel = mom * vel - lr * grad;
+theta += vel``.  An IEEE elementwise operation gives each element the same
+bits whatever sits beside it, so each network's weights equal those of its
+own fit, bit for bit, and an update costs 24 + 3K numpy calls for K
+networks instead of about 25 per network.  ``p_win`` and ``gradient_check``
+run the same forward pass and backprop on a group of one.
 
 ``exp(-z)`` overflows to inf for a very negative ``z``, which saturates the
-logistic to 0.0 as it should.  ``fit``, ``p_win`` and ``gradient_check`` each
-enter ``np.errstate(over="ignore")`` once around their loops: entered per
-logistic call, it would cost as much as the arithmetic it guards.
+logistic to 0.0 as it should.  ``fit_group``, ``p_win`` and
+``gradient_check`` each enter ``np.errstate(over="ignore")`` once around
+their loops: entered per logistic call, it would cost as much as the
+arithmetic it guards.
 """
 
 from __future__ import annotations
@@ -67,8 +84,50 @@ class MlpParams:
         self.w2 = self.theta[n_w1 + hidden:-1]
 
 
-def _sigmoid(z):   # exp(-z) may overflow: callers hold np.errstate(over="ignore")
-    return 1.0 / (1.0 + np.exp(-z))
+class _Group:
+    """A copy of networks' weights in group layout, each network's views
+    into it, and the activations of the last :func:`_forward`."""
+
+    def __init__(self, nets: list[MlpParams]):
+        self.theta = np.concatenate([p.W1.ravel() for p in nets] + [p.b1 for p in nets]
+                                    + [p.w2 for p in nets] + [p.theta[-1:] for p in nets])
+        shapes = [p.W1.shape for p in nets]
+        w1_ends = np.cumsum([0] + [h * d for h, d in shapes]).tolist()
+        h_ends = np.cumsum([0] + [h for h, _ in shapes]).tolist()
+        n_w1, n_h = w1_ends[-1], h_ends[-1]
+        self.W1 = self.theta[:n_w1]
+        self.b1 = self.theta[n_w1:n_w1 + n_h]
+        self.w2 = self.theta[n_w1 + n_h:n_w1 + 2 * n_h]
+        self.b2 = self.theta[n_w1 + 2 * n_h:]
+        spans = [slice(a, b) for a, b in zip(h_ends, h_ends[1:])]
+        self.W1s = [self.W1[a:b].reshape(shape)
+                    for a, b, shape in zip(w1_ends, w1_ends[1:], shapes)]
+        self.b1s = [self.b1[s] for s in spans]
+        self.w2s = [self.w2[s] for s in spans]
+        self.hidden = np.empty(n_h)
+        self.hiddens = [self.hidden[s] for s in spans]
+        self.out = np.empty(len(nets))
+        # 0-d views, so that np.dot writes each network's output in place
+        self.outs = [self.out[k:k + 1].reshape(()) for k in range(len(nets))]
+        # the network of each hidden unit, and scratch for 1 - activation
+        self.owner = np.repeat(np.arange(len(nets)), np.diff(h_ends))
+        self.spare_h, self.spare_out = np.empty(n_h), np.empty(len(nets))
+
+
+# The step below passes each ufunc its output positionally, and its
+# constants as 0-d arrays: on arrays of a few dozen values, parsing an out=
+# keyword or converting a Python float each cost about a tenth of the call.
+_ONE = np.array(1.0)
+_ONE.setflags(write=False)
+
+
+def _sigmoid(z: np.ndarray) -> None:
+    """The logistic, in place.  exp(-z) may overflow: callers hold
+    np.errstate(over="ignore")."""
+    np.negative(z, z)
+    np.exp(z, z)
+    z += _ONE
+    np.divide(_ONE, z, z)
 
 
 def _normalize(X: np.ndarray, mins: np.ndarray, ranges: np.ndarray) -> np.ndarray:
@@ -87,52 +146,88 @@ def _inputs(X: np.ndarray, site: np.ndarray, mins: np.ndarray,
     return np.concatenate([Xn, onehot], axis=1)
 
 
-def _forward(p: MlpParams, x: np.ndarray) -> tuple[np.ndarray, float]:
-    hidden = _sigmoid(p.W1 @ x + p.b1)
-    out = float(_sigmoid(np.dot(p.w2, hidden) + p.theta[-1]))
-    return hidden, out
+def _forward(g: _Group, xs) -> np.ndarray:
+    """Each network's hidden layer and output at its input in ``xs``,
+    written into ``g.hidden`` and ``g.out``; returns ``g.out``."""
+    for W1, x, h in zip(g.W1s, xs, g.hiddens):
+        np.matmul(W1, x, h)
+    g.hidden += g.b1
+    _sigmoid(g.hidden)
+    for w2, h, out in zip(g.w2s, g.hiddens, g.outs):
+        np.dot(w2, h, out)
+    g.out += g.b2
+    _sigmoid(g.out)
+    return g.out
 
 
-def _gradients(p: MlpParams, x: np.ndarray, target: float, grad: MlpParams) -> None:
-    """Backprop for E = 0.5 * (out - target)^2 at a single instance, written
-    into ``grad.theta`` (a buffer in the parameter layout)."""
-    hidden, out = _forward(p, x)
-    delta_out = (out - target) * out * (1.0 - out)
-    np.multiply(delta_out, hidden, out=grad.w2)
-    grad.theta[-1] = delta_out
-    grad.b1[:] = delta_out * p.w2 * hidden * (1.0 - hidden)
-    np.outer(grad.b1, x, out=grad.W1)
+def _gradients(g: _Group, xs, target: float | np.ndarray, grad: _Group) -> None:
+    """Backprop for E = 0.5 * (out - target)^2 of each network at its input
+    in ``xs``, written over all of ``grad.theta``, a second group.  The
+    networks share the ``target``: a float, or a 1-element array."""
+    out, hidden = _forward(g, xs), g.hidden
+    delta_out = grad.b2
+    np.subtract(out, target, delta_out)
+    delta_out *= out
+    np.subtract(_ONE, out, g.spare_out)
+    delta_out *= g.spare_out
+    delta_out.take(g.owner, None, grad.w2, "clip")   # delta_out per hidden unit
+    np.multiply(grad.w2, g.w2, grad.b1)
+    grad.b1 *= hidden
+    np.subtract(_ONE, hidden, g.spare_h)
+    grad.b1 *= g.spare_h
+    grad.w2 *= hidden
+    for W1, delta_hidden, x in zip(grad.W1s, grad.b1s, xs):
+        np.multiply(delta_hidden[:, None], x, W1)     # the outer product
+
+
+def fit_group(Xs: list[np.ndarray], site: np.ndarray, y: np.ndarray, hp: dict,
+              seed: int) -> list[MlpParams]:
+    """One network per feature matrix in ``Xs``, whose rows are the same
+    games at sites ``site`` with labels ``y``.  Each network equals
+    :func:`fit` of its own matrix, bit for bit."""
+    nets, inputs = [], []
+    for X in Xs:
+        mins = np.min(X, axis=0)
+        ranges = np.max(X, axis=0) - mins
+        inputs.append(_inputs(X, site, mins, ranges))
+        d_in = inputs[-1].shape[1]
+        # attribute count = numeric features + 1 site categorical; classes = 2
+        n_attr = X.shape[1] + 1
+        hidden = hp["hidden"] if hp["hidden"] is not None else math.ceil((n_attr + 2) / 2)
+        rng = np.random.default_rng(seed)
+        nets.append(MlpParams(mins, ranges,
+                              rng.uniform(-0.5, 0.5, size=hidden * (d_in + 2) + 1)))
+
+    g, grad = _Group(nets), _Group(nets)
+    vel, step = np.zeros_like(g.theta), np.empty_like(g.theta)
+    lr, mom = np.array(float(hp["learning_rate"])), np.array(float(hp["momentum"]))
+    targets = y.astype(float)[:, None]
+    with np.errstate(over="ignore"):
+        for _ in range(hp["epochs"]):
+            # each game's input row of every network, and its label
+            for xs, target in zip(zip(*inputs), targets):
+                _gradients(g, xs, target, grad)
+                np.multiply(grad.theta, lr, step)
+                vel *= mom
+                vel -= step
+                g.theta += vel
+
+    for k, p in enumerate(nets):
+        p.W1[:], p.b1[:], p.w2[:] = g.W1s[k], g.b1s[k], g.w2s[k]
+        p.theta[-1] = g.b2[k]
+    return nets
 
 
 def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> MlpParams:
-    mins = np.min(X, axis=0)
-    ranges = np.max(X, axis=0) - mins
-    Xin = _inputs(X, site, mins, ranges)
-    n, d_in = Xin.shape
-    # attribute count = numeric features + 1 site categorical; classes = 2
-    n_attr = X.shape[1] + 1
-    hidden = hp["hidden"] if hp["hidden"] is not None else math.ceil((n_attr + 2) / 2)
-
-    rng = np.random.default_rng(seed)
-    p = MlpParams(mins, ranges, rng.uniform(-0.5, 0.5, size=hidden * (d_in + 2) + 1))
-    grad = MlpParams(mins, ranges, np.zeros_like(p.theta))
-    vel = np.zeros_like(p.theta)
-    lr, mom = hp["learning_rate"], hp["momentum"]
-    targets = y.astype(float)
-    with np.errstate(over="ignore"):
-        for _ in range(hp["epochs"]):
-            for i in range(n):
-                _gradients(p, Xin[i], targets[i], grad)
-                vel = mom * vel - lr * grad.theta
-                p.theta += vel
-    return p
+    return fit_group([X], site, y, hp, seed)[0]
 
 
 def p_win(p: MlpParams, X: np.ndarray, site: np.ndarray) -> np.ndarray:
     """The network's output for each row, one forward pass per row."""
     rows = _inputs(X, site, p.mins, p.ranges)
+    g = _Group([p])
     with np.errstate(over="ignore"):
-        return np.array([_forward(p, x)[1] for x in rows])
+        return np.array([_forward(g, (x,))[0] for x in rows])
 
 
 def gradient_check(model: TrainedModel, instance: MatchInstance,
@@ -150,23 +245,23 @@ def gradient_check(model: TrainedModel, instance: MatchInstance,
     x = np.asarray(instance.features, dtype=float)
     if x.shape != p.mins.shape or not np.all(np.isfinite(x)):
         raise ModelError(f"gradient_check needs {len(p.mins)} finite feature values")
-    x = _inputs(x[None], np.array([SITE_ORDER.index(instance.location)]), p.mins, p.ranges)[0]
+    xs = _inputs(x[None], np.array([SITE_ORDER.index(instance.location)]), p.mins, p.ranges)  # 1 row
     target = 1.0 if instance.label is None else float(instance.label is Label.WIN)
+    g, grad = _Group([p]), _Group([p])
 
     def loss() -> float:
-        _, out = _forward(p, x)
+        out = float(_forward(g, xs)[0])
         return 0.5 * (out - target) ** 2
 
-    grad = MlpParams(p.mins, p.ranges, np.empty_like(p.theta))
-    numeric = np.empty_like(p.theta)
+    numeric = np.empty_like(g.theta)
     with np.errstate(over="ignore"):
-        _gradients(p, x, target, grad)
-        for i, orig in enumerate(p.theta.tolist()):
-            p.theta[i] = orig + epsilon
+        _gradients(g, xs, target, grad)
+        for i, orig in enumerate(g.theta.tolist()):
+            g.theta[i] = orig + epsilon
             up = loss()
-            p.theta[i] = orig - epsilon
+            g.theta[i] = orig - epsilon
             down = loss()
-            p.theta[i] = orig
+            g.theta[i] = orig
             numeric[i] = (up - down) / (2.0 * epsilon)
 
     worst = 0.0

@@ -381,6 +381,26 @@ class TestGlassCeiling:
         assert report.config["hyper_overrides"] == {
             "decision_tree": {"min_node_fraction": 0.25}}
 
+    def test_every_cell_equals_its_walk_forward_evaluation(self):
+        # the grid trains each kind once over all schemes (MLPs in lockstep);
+        # each cell must still score as its own walk-forward run does
+        spec = SyntheticLeagueSpec(n_teams=10, games_per_team=12, n_seasons=2,
+                                   noise=6.0, seed=5)
+        kinds = [*ModelKind, *BASELINE_KINDS]
+        schemes = [FeatureScheme.ADJ_EFF, FeatureScheme.ADJ_FOUR_FACTORS, FeatureScheme.RAW]
+        hyper = {"mlp": {"epochs": 20}, "random_forest": {"n_trees": 5}}
+        report = glass_ceiling_experiment(spec, kinds, schemes, seed=3,
+                                          hyper_overrides=hyper)
+        store, _ = generate_league(spec)
+        order = [(scheme, kind) for scheme in schemes for kind in kinds]
+        assert len(report.cells) == len(order) == 18
+        for cell, (scheme, kind) in zip(report.cells, order):
+            alone = walk_forward_evaluate(store, report.test_season, kind, scheme,
+                                          seed=3, hyper=hyper.get(getattr(kind, "value", kind)))
+            assert (cell.kind, cell.scheme) == (alone.kind, alone.scheme)
+            assert (cell.accuracy, cell.n_test) == (alone.accuracy, alone.n_test), cell
+            assert cell.n_test == report.n_test
+
 
 @pytest.mark.parametrize("hyper", [None, {"y": 3.0}])
 @pytest.mark.parametrize("averaging", list(AveragingScheme))

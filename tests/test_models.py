@@ -31,6 +31,7 @@ from courtcast.models import (
     resolve_label,
     save_model,
     train,
+    train_group,
 )
 from courtcast.models import forest as forest_mod
 from courtcast.models import mlp as mlp_mod
@@ -234,6 +235,22 @@ class TestMlp:
             grad.W1[:] = grad.W1 * 1.5 + 0.01
 
         monkeypatch.setattr(mlp_mod, "_gradients", corrupted)
+        assert gradient_check(model, insts[0]) > 1e-4
+
+    def test_training_runs_the_backprop_that_is_checked(self, monkeypatch):
+        # fit and gradient_check share one _gradients: corrupting it changes
+        # what fit learns, so a second copy of backprop could not pass both
+        insts = separable_instances(10, seed=4)
+        clean = train(insts, ModelKind.MLP, hyper={"epochs": 2}).params.theta
+        real = mlp_mod._gradients
+
+        def corrupted(p, x, target, grad):
+            real(p, x, target, grad)
+            grad.W1[:] = grad.W1 * 1.5 + 0.01
+
+        monkeypatch.setattr(mlp_mod, "_gradients", corrupted)
+        model = train(insts, ModelKind.MLP, hyper={"epochs": 2})
+        assert model.params.theta.tobytes() != clean.tobytes()
         assert gradient_check(model, insts[0]) > 1e-4
 
     def test_gradient_check_rejects_bad_input(self):
@@ -571,6 +588,65 @@ class TestMlpMatchesOracle:
         save_model(model, tmp_path / "flat.json")
         save_with(dataclasses.replace(model, params=want), tmp_path / "four.json", mlp_encode)
         assert (tmp_path / "flat.json").read_bytes() == (tmp_path / "four.json").read_bytes()
+
+
+MLP_GROUP_CASES = {
+    "defaults": {}, "hidden_1": {"hidden": 1, "epochs": 60},
+    "no_momentum": {"momentum": 0.0, "epochs": 60},
+    "saturating": {"learning_rate": 1e10, "epochs": 60}, "untrained": {"epochs": 0},
+}
+
+
+class TestMlpGroup:
+    """Networks trained in lockstep against separate fits of each one."""
+
+    @pytest.mark.parametrize("hyper", MLP_GROUP_CASES.values(), ids=MLP_GROUP_CASES)
+    def test_each_network_equals_the_oracle(self, scheme_arrays, hyper):
+        sets = [[a[:24] for a in scheme_arrays[4, scheme]] for scheme in GRID_SCHEMES]
+        _, site, y = sets[0]
+        assert all(np.array_equal(s, site) and np.array_equal(labels, y)
+                   for _, s, labels in sets)
+        Xs = [X for X, _, _ in sets]
+        assert [X.shape[1] for X in Xs] == [4, 16, 24]
+        hp = resolve_hyper(mlp_mod.HYPER, hyper, ModelKind.MLP)
+        got = mlp_mod.fit_group(Xs, site, y, hp, seed=3)
+        assert len(got) == 3
+        for X, p in zip(Xs, got):
+            want = mlp_fit(X, site, y, hp, seed=3)
+            assert p.theta.tobytes() == np.concatenate(
+                [want.W1.ravel(), want.b1, want.w2, [want.b2]]).tobytes()
+            assert p.mins.tobytes() == want.mins.tobytes()
+            assert p.ranges.tobytes() == want.ranges.tobytes()
+            # fit, the group of one
+            assert mlp_mod.fit(X, site, y, hp, seed=3).theta.tobytes() == p.theta.tobytes()
+
+    def test_train_group_equals_train_for_every_kind(self, league_instances, tmp_path):
+        train_set, _ = league_instances
+        sets = [[dataclasses.replace(inst, features=inst.features * k) for inst in train_set]
+                for k in (1.0, -2.0)]
+        hyper = {ModelKind.MLP: {"epochs": 3}, ModelKind.RANDOM_FOREST: {"n_trees": 3}}
+        for kind in ModelKind:
+            group = train_group(sets, kind, hyper=hyper.get(kind), seed=2)
+            for instances, model in zip(sets, group):
+                alone = train(instances, kind, hyper=hyper.get(kind), seed=2)
+                save_model(model, tmp_path / "group.json")
+                save_model(alone, tmp_path / "alone.json")
+                assert (tmp_path / "group.json").read_bytes() == \
+                    (tmp_path / "alone.json").read_bytes()
+
+    def test_sets_of_different_games_are_refused(self):
+        insts = separable_instances(20, seed=1)
+        first = insts[0]
+        flipped = [dataclasses.replace(first, label=Label.LOSS if first.label is Label.WIN
+                                       else Label.WIN), *insts[1:]]
+        moved = [dataclasses.replace(first, location=Site.AWAY if first.location is Site.HOME
+                                     else Site.HOME), *insts[1:]]
+        for other in (flipped, moved, insts[1:]):
+            for kind in (ModelKind.MLP, ModelKind.NAIVE_BAYES_KDE):
+                with pytest.raises(ModelError, match="sites or labels differ"):
+                    train_group([insts, other], kind, hyper=None)
+        with pytest.raises(ModelError, match="no training sets"):
+            train_group([], ModelKind.MLP)
 
 
 class TestAllKindsContract:

@@ -23,6 +23,7 @@ from courtcast.adjust import TEAM_ROW, SeasonRun, TeamSnapshot
 from courtcast.features import SITE_ORDER, encode_pairings
 from courtcast.ingest import CourtcastError, GameRecord
 from courtcast.models import p_win
+from courtcast.models.base import first_team_wins
 from courtcast.stats import Site
 
 
@@ -199,13 +200,13 @@ def round_robin_rank(predictor: PairPredictor,
                             f"for {len(first)} pairings")
     wins = [0] * len(snaps)
     prob_sum = [0.0] * len(snaps)
-    for i, j, p in zip(first.tolist(), second.tolist(), probs.tolist()):
+    firsts = first_team_wins(probs, SITE_ORDER.index(Site.NEUTRAL)).tolist()
+    for i, j, p, first_wins in zip(first.tolist(), second.tolist(), probs.tolist(), firsts):
         if not 0.0 <= p <= 1.0:
             raise BaselineError(f"predictor returned invalid probability {p}")
         prob_sum[i] += p
         prob_sum[j] += 1.0 - p
-        # exactly 0.5 at a neutral site: first team takes it
-        wins[i if p >= 0.5 else j] += 1
+        wins[i if first_wins else j] += 1
 
     n_pairings = len(snaps) - 1
     order = sorted(range(len(snaps)),

@@ -18,11 +18,11 @@ known pool of teams; games involving an off-roster side are dropped so that
 exhibition-style matches cannot distort the averages downstream.
 
 :func:`parse_game_log` reads the file once, as a stream: ``csv.reader``
-splits each line, ``int`` converts the box cells, and each record is built
-and validated as it is read.  A row that fails there goes to the row
-parser, which raises the error naming the file, the physical line and the
-field.  Before any error is raised the rest of the file is read, so an
-undecodable byte anywhere outranks every other fault.
+splits each line, and one pass over each row converts its cells, builds the
+record and validates it, field by field in column order.  The first fault
+raises the error naming the field, to which the loop adds the file and the
+physical line.  Before any error is raised the rest of the file is read, so
+an undecodable byte anywhere outranks every other fault.
 """
 
 from __future__ import annotations
@@ -228,44 +228,13 @@ def _csv_errors(path: Path, line: Callable[[], int] | None = None) -> Iterator[N
                            line=line() if line else None) from None
 
 
-def _parse_int(raw: str, *, path: str, line: int, field: str) -> int:
+def _parse_int(raw: str, *, path: str | None = None, line: int | None = None,
+               field: str) -> int:
     try:
         return int(raw)
     except ValueError:
         raise GameLogError(f"expected integer, got {raw!r}",
                            path=path, line=line, field=field) from None
-
-
-def _parse_row(row: dict[str, str], path: str, line: int) -> GameRecord:
-    try:
-        date = dt.date.fromisoformat(row["date"])
-    except ValueError:
-        raise GameLogError(f"bad ISO date {row['date']!r}",
-                           path=path, line=line, field="date") from None
-    season = _parse_int(row["season"], path=path, line=line, field="season")
-    first, second = row["team_a"].strip(), row["team_b"].strip()
-    if not first or not second:
-        raise GameLogError("empty team id", path=path, line=line, field="team_a")
-    try:
-        location = Location(row["location"])
-    except ValueError:
-        raise GameLogError(
-            f"location must be one of home_a/home_b/neutral, got {row['location']!r}",
-            path=path, line=line, field="location") from None
-
-    boxes: list[BoxScore] = []
-    try:  # the file and line, for the bare errors of validate, the tie check and oriented
-        for columns in _BOX_COLUMNS:
-            boxes.append(BoxScore._make(
-                [_parse_int(row[col], path=path, line=line, field=col) for col in columns]))
-            boxes[-1].validate()
-        if boxes[0].points == boxes[1].points:
-            raise GameLogError(
-                f"tied score {boxes[0].points}-{boxes[1].points}; games cannot end tied",
-                field="ptsb")
-        return GameRecord.oriented(date, season, first, second, location, *boxes)
-    except GameLogError as e:
-        raise GameLogError(e.detail, path=path, line=line, field=e.field) from None
 
 
 _ROSTER_HEADER = ["season", "team"]
@@ -297,6 +266,41 @@ def parse_roster(path: str | Path) -> dict[int, set[str]]:
 _LOCATIONS = {loc.value: loc for loc in Location}
 
 
+def _box(cells: list[str], columns: list[str]) -> BoxScore:
+    """One side's validated box from its cells; ``columns`` name them."""
+    try:
+        box = BoxScore._make(map(int, cells))
+    except ValueError:  # name the first cell that is not an integer
+        box = BoxScore._make([_parse_int(raw, field=col) for raw, col in zip(cells, columns)])
+    box.validate()
+    return box
+
+
+def _record(row: list[str], dates: dict[str, dt.date]) -> GameRecord:
+    """The game on one CSV row, checked in column order; the first fault
+    raises a :class:`GameLogError` that names its field.  ``dates`` caches
+    each date string's conversion."""
+    date = dates.get(row[0])
+    if date is None:
+        try:
+            date = dates[row[0]] = dt.date.fromisoformat(row[0])
+        except ValueError:
+            raise GameLogError(f"bad ISO date {row[0]!r}", field="date") from None
+    season = _parse_int(row[1], field="season")
+    first, second = row[2].strip(), row[3].strip()
+    if not first or not second:
+        raise GameLogError("empty team id", field="team_a")
+    location = _LOCATIONS.get(row[4])
+    if location is None:
+        raise GameLogError(
+            f"location must be one of home_a/home_b/neutral, got {row[4]!r}", field="location")
+    box_a, box_b = _box(row[5:16], _BOX_COLUMNS[0]), _box(row[16:], _BOX_COLUMNS[1])
+    if box_a.points == box_b.points:
+        raise GameLogError(
+            f"tied score {box_a.points}-{box_b.points}; games cannot end tied", field="ptsb")
+    return GameRecord.oriented(date, season, first, second, location, box_a, box_b)
+
+
 def parse_game_log(path: str | Path,
                    rosters: dict[int, set[str]] | None = None) -> SeasonStore:
     """Parse and validate a game-log CSV into a :class:`SeasonStore`.
@@ -311,7 +315,7 @@ def parse_game_log(path: str | Path,
     path = Path(path)
     if not path.exists():
         raise GameLogError("file not found", path=str(path))
-    where, n = str(path), len(BOX_FIELDS)
+    where = str(path)
     games: list[GameRecord] = []
     seen: set[tuple[dt.date, str, str]] = set()
     dates: dict[str, dt.date] = {}
@@ -340,23 +344,9 @@ def parse_game_log(path: str | Path,
                 if len(row) != len(HEADER):
                     raise GameLogError(f"expected {len(HEADER)} columns", path=where, line=line)
                 try:
-                    date = dates.get(row[0])
-                    if date is None:
-                        date = dates[row[0]] = dt.date.fromisoformat(row[0])
-                    first, second = row[2].strip(), row[3].strip()
-                    location = _LOCATIONS.get(row[4])
-                    counts = list(map(int, row[5:]))
-                    box_first, box_second = BoxScore._make(counts[:n]), BoxScore._make(counts[n:])
-                    box_first.validate()
-                    box_second.validate()
-                    if (not first or not second or location is None
-                            or box_first.points == box_second.points):
-                        raise ValueError("a fault the row parser words")
-                    record = GameRecord.oriented(date, int(row[1]), first, second, location,
-                                                 box_first, box_second)
-                except ValueError:  # GameLogError too
-                    # the row parser raises the fault with its field, or builds the record
-                    record = _parse_row(dict(zip(HEADER, row)), where, line)
+                    record = _record(row, dates)
+                except GameLogError as e:
+                    raise GameLogError(e.detail, path=where, line=line, field=e.field) from None
                 key = (record.date, record.team_a, record.team_b)
                 if key in seen:
                     raise GameLogError(

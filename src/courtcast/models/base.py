@@ -19,7 +19,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from courtcast.features import FeatureScheme, Label, MatchInstance, to_arrays
+from courtcast.features import SITE_ORDER, FeatureScheme, Label, MatchInstance, to_arrays
 from courtcast.ingest import CourtcastError
 from courtcast.stats import Site
 
@@ -55,13 +55,16 @@ class TrainedModel:
     run_config: dict[str, Any] | None = None
 
 
+def first_team_wins(p_win: np.ndarray | float, site: np.ndarray | int) -> np.ndarray | bool:
+    """The tie rule, elementwise: whether the first team is picked at win
+    probability ``p_win`` and site code ``site`` (a ``SITE_ORDER`` index).
+    Exactly 0.5 goes to the home team, or at a neutral site to the first."""
+    return (p_win > 0.5) | (p_win == 0.5) & (site != SITE_ORDER.index(Site.AWAY))
+
+
 def resolve_label(p_win: float, location: Site) -> Label:
     """Decision threshold 0.5 with the home-team tie rule at exactly 0.5."""
-    if p_win > 0.5:
-        return Label.WIN
-    if p_win < 0.5:
-        return Label.LOSS
-    return Label.WIN if location in (Site.HOME, Site.NEUTRAL) else Label.LOSS
+    return Label.WIN if first_team_wins(p_win, SITE_ORDER.index(location)) else Label.LOSS
 
 
 def check_training_data(instances: list[MatchInstance]) -> tuple[np.ndarray, np.ndarray, np.ndarray, FeatureScheme]:

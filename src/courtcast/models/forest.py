@@ -22,11 +22,9 @@ import math
 
 import numpy as np
 
-from courtcast.features import SITE_ORDER
 from courtcast.models import tree
-from courtcast.models.base import ModelError, Range
+from courtcast.models.base import ModelError, Range, first_team_wins
 from courtcast.models.tree import Tree, grow_trees
-from courtcast.stats import Site
 
 HYPER = {  # name -> (default, allowed values)
     "n_trees": (20, Range(int, 1, 10_000)),
@@ -34,7 +32,6 @@ HYPER = {  # name -> (default, allowed values)
     "candidate_features": (None, Range(int, 1)),
 }
 
-_AWAY = SITE_ORDER.index(Site.AWAY)
 _GROUP = 20   # trees grown in lockstep at once
 
 
@@ -53,12 +50,11 @@ def fit(X: np.ndarray, site: np.ndarray, y: np.ndarray, hp: dict, seed: int) -> 
 
 def p_win(trees: list[Tree], X: np.ndarray, site: np.ndarray) -> np.ndarray:
     """Fraction of trees voting win; each tree's vote applies the tie rule
-    (exactly 0.5 goes to the home or, at a neutral site, the first team).
-    Trees are walked one at a time, so temporaries stay one tree by rows."""
+    (``first_team_wins``).  Trees are walked one at a time, so temporaries
+    stay one tree by rows."""
     votes = np.zeros(len(X), dtype=int)
     for t in trees:
-        p = tree.p_win(t, X, site)
-        votes += (p > 0.5) | (p == 0.5) & (site != _AWAY)
+        votes += first_team_wins(tree.p_win(t, X, site), site)
     return votes / len(trees)
 
 

@@ -35,7 +35,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from courtcast.ingest import BoxScore, CourtcastError, GameRecord, Location, SeasonStore
+from courtcast.ingest import MAX_COUNT, BoxScore, CourtcastError, GameRecord, Location, SeasonStore
 from courtcast.stats import PACE_FACTOR
 
 
@@ -322,9 +322,16 @@ def generate_league(spec: SyntheticLeagueSpec,
     game_mus = np.array([classes[(first, second, loc)]
                          for _, _, first, second, loc in schedule])
     effs = game_mus.copy()
-    if spec.noise != 0.0:
-        effs += spec.noise * rng_games.standard_normal(effs.shape)
-    points = _points_from_effs(effs, game_mus).astype(int).T.tolist()
+    with np.errstate(over="ignore"):  # a total that overflows to inf is refused below
+        if spec.noise != 0.0:
+            effs += spec.noise * rng_games.standard_normal(effs.shape)
+        points = _points_from_effs(effs, game_mus)
+    top = points.max()
+    if not top <= MAX_COUNT:
+        raise SyntheticError(
+            f"noise {spec.noise} and home_advantage {spec.home_advantage} draw a point "
+            f"total of {top:.7g}, over the box-score limit {MAX_COUNT}")
+    points = points.astype(int).T.tolist()
     boxes: dict[tuple[int, int], tuple[BoxScore, BoxScore]] = {}
     records = []
     for (season, date, first, second, loc), pa, pb in zip(schedule, *points):

@@ -51,12 +51,14 @@ from courtcast.adjust import (
 from courtcast.baselines import BaselineError
 from courtcast.ingest import (
     HEADER,
+    BoxScore,
     GameLogError,
     GameRecord,
     Location,
     SeasonStore,
+    _BOX_COLUMNS,
     _csv_errors,
-    _parse_row,
+    _parse_int,
 )
 from courtcast.models.mlp import _inputs
 from courtcast.models.naive_bayes import KdeParams
@@ -574,6 +576,38 @@ def mlp_encode(p: FourArrayMlp) -> dict:
         "W1": p.W1.tolist(), "b1": p.b1.tolist(),
         "w2": p.w2.tolist(), "b2": p.b2,
     }
+
+
+def _parse_row(row: dict[str, str], path: str, line: int) -> GameRecord:
+    try:
+        date = dt.date.fromisoformat(row["date"])
+    except ValueError:
+        raise GameLogError(f"bad ISO date {row['date']!r}",
+                           path=path, line=line, field="date") from None
+    season = _parse_int(row["season"], path=path, line=line, field="season")
+    first, second = row["team_a"].strip(), row["team_b"].strip()
+    if not first or not second:
+        raise GameLogError("empty team id", path=path, line=line, field="team_a")
+    try:
+        location = Location(row["location"])
+    except ValueError:
+        raise GameLogError(
+            f"location must be one of home_a/home_b/neutral, got {row['location']!r}",
+            path=path, line=line, field="location") from None
+
+    boxes: list[BoxScore] = []
+    try:  # the file and line, for the bare errors of validate, the tie check and oriented
+        for columns in _BOX_COLUMNS:
+            boxes.append(BoxScore._make(
+                [_parse_int(row[col], path=path, line=line, field=col) for col in columns]))
+            boxes[-1].validate()
+        if boxes[0].points == boxes[1].points:
+            raise GameLogError(
+                f"tied score {boxes[0].points}-{boxes[1].points}; games cannot end tied",
+                field="ptsb")
+        return GameRecord.oriented(date, season, first, second, location, *boxes)
+    except GameLogError as e:
+        raise GameLogError(e.detail, path=path, line=line, field=e.field) from None
 
 
 def parse_rows(path: Path, rosters: dict[int, set[str]] | None) -> SeasonStore:

@@ -150,15 +150,29 @@ class TestConfigLayering:
         echo = (league_dir / "envout" / "run_config.cfg").read_text()
         assert str(league_dir / "sim") in echo
 
-    def test_rerunning_the_emitted_config_reproduces_the_artifact(self, league_dir):
-        first = run_cli(["evaluate", *DATA, "--out", "ev", "--kind",
-                         "naive_bayes_kde", "--seed", "1"], cwd=league_dir)
+    @pytest.mark.parametrize("command, flags", [
+        ("ingest", []),
+        ("stats", []),
+        ("adjust", ["--averaging", "explicit"]),
+        ("features", ["--scheme", "adj_four_factors"]),
+        ("train", ["--kind", "decision_tree"]),
+        ("predict", ["--kind", "pythag", "--team-first", "t01", "--team-second", "t02"]),
+        ("rank", ["--kind", "rpi"]),
+        ("evaluate", ["--kind", "naive_bayes_kde", "--seed", "1"]),
+        ("simulate", LEAGUE_FLAGS),
+        ("glass-ceiling", [*LEAGUE_FLAGS, "--kinds", "decision_tree,pythag",
+                           "--schemes", "adj_eff"]),
+    ])
+    def test_rerunning_the_emitted_config_reproduces_the_artifact(self, league_dir,
+                                                                  command, flags):
+        out = league_dir / f"replay_{command}"
+        first = run_cli([command, *DATA, "--out", out.name, *flags], cwd=league_dir)
         assert first.returncode == 0, first.stderr
-        report = (league_dir / "ev" / "eval_report.csv").read_bytes()
-        again = run_cli(["evaluate", "--config", "ev/run_config.cfg"],
+        artifacts = {f.name: f.read_bytes() for f in out.iterdir()}
+        again = run_cli([command, "--config", f"{out.name}/run_config.cfg"],
                         cwd=league_dir)
         assert again.returncode == 0, again.stderr
-        assert (league_dir / "ev" / "eval_report.csv").read_bytes() == report
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == artifacts
 
 
 class TestArtifacts:

@@ -279,6 +279,20 @@ def test_bad_value_is_a_usage_error_before_any_data_is_read(tmp_path, argv, key)
     assert key in err
 
 
+@pytest.mark.parametrize("argv, settings", [
+    (["simulate", "--home-advantage", "1e308"], "noise 6.0 and home_advantage 1e+308"),
+    (["simulate", "--home-advantage", "3e6"], "noise 6.0 and home_advantage 3000000.0"),
+    (["glass-ceiling", "--noise", "1e300"], "noise 1e+300 and home_advantage 0.0"),
+    (["simulate", "--noise", "1e308"], "noise 1e+308 and home_advantage 0.0"),
+])
+@pytest.mark.filterwarnings("error")   # a numpy warning on the way fails the case
+def test_a_setting_that_draws_a_huge_score_is_named(tmp_path, argv, settings):
+    code, err = main(*argv, *LEAGUE, "--out", tmp_path / "o")
+    assert code == 2, err
+    assert f"{settings} draw a point total of " in err, err
+    assert "over the box-score limit 1000000" in err, err
+
+
 def test_a_stray_value_error_is_an_internal_fault(league, tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("not a courtcast error")

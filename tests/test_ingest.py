@@ -107,6 +107,19 @@ class TestValidation:
             parse_game_log(path)
         assert str(exc.value) == f"{path}:2: field 'team_b': team plays itself: aardvarks"
 
+    def test_each_row_is_parsed_once(self, tmp_path, monkeypatch):
+        # five good rows, then one whose box b breaks the points identity
+        rows = [game_row(date=f"2011-01-1{d}") for d in range(5)]
+        path = write_log(tmp_path, rows + [game_row(date="2011-01-15", ptsb="99")])
+        validated = []
+        validate = BoxScore.validate
+        monkeypatch.setattr(BoxScore, "validate",
+                            lambda box: validated.append(box) or validate(box))
+        with pytest.raises(GameLogError) as err:
+            parse_game_log(path)
+        assert err.value.line == 7 and err.value.field == "points"
+        assert len(validated) == 12  # each box read once: a second pass over the row makes 14
+
     def test_padded_header_parses_like_a_clean_one(self, tmp_path):
         rows = [game_row(), game_row(date="2011-01-16", team_a="bobcats", team_b="aardvarks")]
         clean = parse_game_log(write_log(tmp_path, rows))

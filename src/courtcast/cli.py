@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import datetime as dt
 import os
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -576,6 +577,13 @@ COMMANDS: dict[str, tuple[Callable[[RunConfig], None], str]] = {
 # Argument parsing
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e3" as a flag: its pattern for a negative number
+        # has no exponent.  No courtcast flag looks like a number.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
     def error(self, message: str):  # argparse defaults to exit code 2
         raise UsageError(message)
 

@@ -8,7 +8,9 @@ seeds.
 
 The ceiling experiment runs a (model kind x feature scheme) grid on a
 synthetic league whose best achievable accuracy is known, reporting each
-cell's gap to that bound.
+cell's gap to that bound.  Each model kind, and the bound's Monte-Carlo run,
+is one job; the jobs run on up to one forked process per usable core, in
+process when that is one, and every output is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import math
+import os
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
 from typing import Callable, Iterator, Mapping, Sequence
@@ -33,7 +36,7 @@ from courtcast.ingest import CourtcastError, SeasonStore
 from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, p_win, resolve_label, train_group
 from courtcast.models.base import POSITIVE, resolve_hyper
 from courtcast.stats import Site
-from courtcast.synthetic import SyntheticLeagueSpec, generate_league
+from courtcast.synthetic import SyntheticLeagueSpec, league_games, league_truth
 
 
 class EvalError(CourtcastError):
@@ -197,27 +200,34 @@ def _named(names: Sequence, enum: type, what: str, extra: Sequence[str] = ()) ->
     return out
 
 
-def _evaluate_kind(runs: dict[int, SeasonRun],
-                   datasets: dict[FeatureScheme, tuple[list[MatchInstance], list[MatchInstance]]],
-                   test_season: int, kind: ModelKind | str,
-                   averaging: AveragingScheme, seeding: Seeding,
-                   config: AdjustConfig, seed: int,
-                   hyper: dict[str, object]) -> Iterator[EvalReport]:
-    """Score one kind, resolved by :func:`resolve_grid` with its ``hyper``,
-    on each scheme's (train, test) sets, yielding one report per scheme.
-    A model kind trains once for all schemes, with :func:`train_group`."""
-    if isinstance(kind, ModelKind):
-        models = train_group([train_set for train_set, _ in datasets.values()], kind,
-                             hyper=hyper, seed=seed)
-        probs = [p_win(model, *to_arrays(test_set)[:2]).tolist()
-                 for model, (_, test_set) in zip(models, datasets.values())]
-    elif kind == "home_wins":
-        probs = [[HOME_WINS_P[inst.location] for inst in test_set]
-                 for _, test_set in datasets.values()]
-    else:
-        # every test set is the test season's games in the run's game order
-        probs = [pythag_game_probs(runs[test_season], PythagParams(**hyper))] * len(datasets)
+def _kind_probs(datasets: Sequence[tuple[list[MatchInstance], list[MatchInstance]]],
+                kind: ModelKind, hyper: dict[str, object], seed: int) -> list[list[float]]:
+    """Each (train, test) pair's test-set win probabilities from ``kind``,
+    trained once over every train set with :func:`train_group`."""
+    models = train_group([train_set for train_set, _ in datasets], kind,
+                         hyper=hyper, seed=seed)
+    return [p_win(model, *to_arrays(test_set)[:2]).tolist()
+            for model, (_, test_set) in zip(models, datasets)]
 
+
+def _baseline_probs(run: SeasonRun,
+                    datasets: Sequence[tuple[list[MatchInstance], list[MatchInstance]]],
+                    kind: str, hyper: dict[str, object]) -> list[list[float]]:
+    """:func:`_kind_probs` for a baseline ``kind``, whose ``run`` is the test
+    season's."""
+    if kind == "home_wins":
+        return [[HOME_WINS_P[inst.location] for inst in test_set]
+                for _, test_set in datasets]
+    # every test set is the test season's games in the run's game order
+    return [pythag_game_probs(run, PythagParams(**hyper))] * len(datasets)
+
+
+def _reports(datasets: dict[FeatureScheme, tuple[list[MatchInstance], list[MatchInstance]]],
+             probs: list[list[float]], test_season: int, kind: ModelKind | str,
+             averaging: AveragingScheme, seeding: Seeding, config: AdjustConfig,
+             seed: int, hyper: dict[str, object]) -> Iterator[EvalReport]:
+    """One report per scheme of ``kind``, resolved by :func:`resolve_grid`
+    with its ``hyper``, from each scheme's test-set ``probs``."""
     echo = {**asdict(config), "hyper": hyper}
     for (scheme, (train_set, test_set)), cell_probs in zip(datasets.items(), probs):
         p_of = dict(zip(map(id, test_set), cell_probs, strict=True))
@@ -227,6 +237,48 @@ def _evaluate_kind(runs: dict[int, SeasonRun],
             test_season=test_season, kind=getattr(kind, "value", kind),
             scheme=scheme.value, averaging=averaging.value, seeding=seeding.value,
             seed=seed, n_train=len(train_set), config=echo)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_worker_jobs: list[tuple[Callable, tuple]] = []   # set in each worker at fork
+
+
+def _take_jobs(jobs: list[tuple[Callable, tuple]]) -> None:
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _run_job(index: int):
+    fn, args = _worker_jobs[index]
+    return fn(*args)
+
+
+def _run_jobs(jobs: list[tuple[Callable, tuple]]) -> list:
+    """Each ``(fn, args)`` job's ``fn(*args)``, in order: on one forked
+    worker per usable core, at most one per job, or in process when that is
+    one.  Workers inherit the jobs at fork and send back only results (the
+    ceiling grid's datasets take about 45 ms to pickle); an error in a job
+    is raised here with its type and message, and every worker has ended
+    when this returns."""
+    workers = min(_usable_cores(), len(jobs))
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(*args) for fn, args in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_take_jobs, initargs=(jobs,))
+    try:
+        futures = [pool.submit(_run_job, i) for i in range(len(jobs))]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def walk_forward_evaluate(store: SeasonStore, test_season: int,
@@ -247,8 +299,11 @@ def walk_forward_evaluate(store: SeasonStore, test_season: int,
     config = config or AdjustConfig()
     runs = run_seasons(store, averaging, seeding, config, through=test_season)
     datasets = {scheme: build_dataset(store, runs, scheme, test_season)}
-    [report] = _evaluate_kind(runs, datasets, test_season, kind, averaging, seeding,
-                              config, seed, resolved[kind])
+    sets = list(datasets.values())
+    probs = (_kind_probs(sets, kind, resolved[kind], seed) if isinstance(kind, ModelKind)
+             else _baseline_probs(runs[test_season], sets, kind, resolved[kind]))
+    [report] = _reports(datasets, probs, test_season, kind, averaging, seeding,
+                        config, seed, resolved[kind])
     return report
 
 
@@ -298,8 +353,10 @@ def glass_ceiling_experiment(
     The league is generated from ``spec`` (its last season is the test
     season), each cell is a full walk-forward evaluation, and the recorded
     best achievable accuracy becomes the bound every cell is compared to.
-    Every scheme's dataset is built first; then each kind trains once over
-    all schemes (an MLP's networks in lockstep) and scores its cells.  The
+    Every scheme's dataset is built first.  Then each model kind trains once
+    over all schemes (an MLP's networks in lockstep) and scores its test
+    sets, as one job, and the bound is one more; the jobs run on up to one
+    forked process per usable core, with the same bits as in process.  The
     report lists the cells in (scheme, kind) order.
     ``hyper_overrides`` maps a kind to hyperparameter overrides for that
     kind's cells; :func:`resolve_grid` checks them with the kinds and schemes
@@ -313,16 +370,24 @@ def glass_ceiling_experiment(
     kinds, schemes, resolved = resolve_grid(kinds, hyper_overrides, schemes)
     (averaging,) = _named([averaging], AveragingScheme, "averaging")
     (seeding,) = _named([seeding], Seeding, "seeding")
-    store, truth = generate_league(spec)
+    store, matchups = league_games(spec)
     test_season = spec.first_season + spec.n_seasons - 1
     config = config or AdjustConfig()
 
     runs = run_seasons(store, averaging, seeding, config, through=test_season)
     datasets = {scheme: build_dataset(store, runs, scheme, test_season) for scheme in schemes}
+    sets = list(datasets.values())
+    trained = [kind for kind in kinds if isinstance(kind, ModelKind)]
+    *trained_probs, truth = _run_jobs(
+        [(_kind_probs, (sets, kind, resolved[kind], seed)) for kind in trained]
+        + [(league_truth, (spec, matchups))])
+    probs_of = dict(zip(trained, trained_probs))
     cells = {}
     for kind in kinds:
-        reports = _evaluate_kind(runs, datasets, test_season, kind, averaging,
-                                 seeding, config, seed, resolved[kind])
+        probs = (probs_of[kind] if kind in probs_of else
+                 _baseline_probs(runs[test_season], sets, kind, resolved[kind]))
+        reports = _reports(datasets, probs, test_season, kind, averaging, seeding,
+                           config, seed, resolved[kind])
         for scheme, report in zip(datasets, reports):
             cells[scheme, kind] = CeilingCell(
                 kind=report.kind, scheme=report.scheme, accuracy=report.accuracy,

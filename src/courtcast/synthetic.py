@@ -275,6 +275,12 @@ def _win_probs(mus: np.ndarray, noise: float, rng: np.random.Generator,
     return probs
 
 
+#: A league's distinct matchups, each ``(first, second, location)`` key with
+#: its two expected efficiencies, and every scheduled game's key in order.
+Matchups = tuple[dict[tuple[str, str, Location], tuple[float, float]],
+                 list[tuple[str, str, Location]]]
+
+
 def generate_league(spec: SyntheticLeagueSpec,
                     bayes_sims: int = 100_000) -> tuple[SeasonStore, LeagueTruth]:
     """Simulate a league and record its generative ground truth.
@@ -283,20 +289,31 @@ def generate_league(spec: SyntheticLeagueSpec,
     :class:`LeagueTruth` carrying the latent strengths, the exact win
     probability of every scheduled matchup, and the schedule-weighted best
     achievable accuracy (``bayes_sims`` Monte-Carlo outcomes per distinct
-    matchup; at least 1e5 for a trustworthy third digit).
+    matchup; at least 1e5 for a trustworthy third digit).  The two halves,
+    :func:`league_games` and :func:`league_truth`, draw from separate
+    streams, so either may run first, or elsewhere.
     """
-    if bayes_sims < 1:
-        raise SyntheticError("bayes_sims must be >= 1")
+    store, matchups = league_games(spec)
+    return store, league_truth(spec, matchups, bayes_sims)
+
+
+def _streams(spec: SyntheticLeagueSpec) -> list[np.random.Generator]:
+    """The games' and the bound's random streams, in that order."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(2)]
+
+
+def league_games(spec: SyntheticLeagueSpec) -> tuple[SeasonStore, Matchups]:
+    """The game log of :func:`generate_league`, and the league's matchups
+    that :func:`league_truth` grades."""
     names = team_names(spec.n_teams)
     strengths = spec.resolved_strengths()
     rounds = _schedule(spec)
-    ss = np.random.SeedSequence(spec.seed)
-    rng_games, rng_bayes = (np.random.default_rng(s) for s in ss.spawn(2))
+    rng_games, _ = _streams(spec)
 
     # Expected efficiencies depend only on (matchup, site), not the season:
     # collect the distinct classes first so simulation effort is shared.
     classes: dict[tuple[str, str, Location], tuple[float, float]] = {}
-    schedule: list[tuple[int, dt.date, str, str, Location]] = []
+    schedule: list[tuple[int, dt.date, tuple[str, str, Location]]] = []
     for season_idx in range(spec.n_seasons):
         season = spec.first_season + season_idx
         start = dt.date(season, 11, 1)
@@ -316,11 +333,10 @@ def generate_league(spec: SyntheticLeagueSpec,
                     edge_b = spec.home_advantage if loc is Location.HOME_B else 0.0
                     classes[key] = (expected_efficiency(off_a, def_b, edge_a),
                                     expected_efficiency(off_b, def_a, edge_b))
-                schedule.append((season, date, first, second, loc))
+                schedule.append((season, date, key))
 
     # one draw for all games, then one box pair per distinct score
-    game_mus = np.array([classes[(first, second, loc)]
-                         for _, _, first, second, loc in schedule])
+    game_mus = np.array([classes[key] for _, _, key in schedule])
     effs = game_mus.copy()
     with np.errstate(over="ignore"):  # a total that overflows to inf is refused below
         if spec.noise != 0.0:
@@ -334,11 +350,20 @@ def generate_league(spec: SyntheticLeagueSpec,
     points = points.astype(int).T.tolist()
     boxes: dict[tuple[int, int], tuple[BoxScore, BoxScore]] = {}
     records = []
-    for (season, date, first, second, loc), pa, pb in zip(schedule, *points):
+    for (season, date, (first, second, loc)), pa, pb in zip(schedule, *points):
         if (pa, pb) not in boxes:
             boxes[(pa, pb)] = _boxes(pa, pb)
         records.append(GameRecord(date, season, first, second, loc, *boxes[(pa, pb)]))
+    return SeasonStore(records), (classes, [key for _, _, key in schedule])
 
+
+def league_truth(spec: SyntheticLeagueSpec, matchups: Matchups,
+                 bayes_sims: int = 100_000) -> LeagueTruth:
+    """The ground truth of :func:`generate_league`, from the ``matchups``
+    that :func:`league_games` returns for ``spec``."""
+    if bayes_sims < 1:
+        raise SyntheticError("bayes_sims must be >= 1")
+    classes, games = matchups
     # distinct matchups often share an expected-efficiency pair (equal-strength
     # leagues collapse to a handful), so simulate once per (mu_a, mu_b); a pair
     # whose mirror came first in key order takes the mirror's complement
@@ -346,18 +371,18 @@ def generate_league(spec: SyntheticLeagueSpec,
     for mu_a, mu_b in dict.fromkeys(mus for _, mus in sorted(classes.items())):
         (mirrored if (mu_b, mu_a) in seen else simulated).append((mu_a, mu_b))
         seen.add((mu_a, mu_b))
+    _, rng_bayes = _streams(spec)
     wins = _win_probs(np.array(simulated), spec.noise, rng_bayes, bayes_sims)
     by_mu = dict(zip(simulated, wins.tolist()))
     for mu_a, mu_b in mirrored:
         by_mu[(mu_a, mu_b)] = 1.0 - by_mu[(mu_b, mu_a)]
     probs = {key: by_mu[mus] for key, mus in sorted(classes.items())}
-    per_game = [max(probs[(a, b, loc)], 1.0 - probs[(a, b, loc)])
-                for _, _, a, b, loc in schedule]
-    truth = LeagueTruth(
-        strengths=strengths, noise=spec.noise, home_advantage=spec.home_advantage,
+    per_game = [max(probs[key], 1.0 - probs[key]) for key in games]
+    return LeagueTruth(
+        strengths=spec.resolved_strengths(), noise=spec.noise,
+        home_advantage=spec.home_advantage,
         bayes_accuracy=float(np.mean(per_game)), bayes_sims=bayes_sims,
         matchup_probs=probs)
-    return SeasonStore(records), truth
 
 
 # ---------------------------------------------------------------------------

@@ -333,7 +333,8 @@ class TestGlassCeiling:
         def reached(*args, **kwargs):
             raise AssertionError("the league was generated before the grid was checked")
 
-        monkeypatch.setattr(evaluate, "generate_league", reached)
+        monkeypatch.setattr(evaluate, "league_games", reached)
+        monkeypatch.setattr(evaluate, "league_truth", reached)
         spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=2)
         with pytest.raises(EvalError, match=match):
             glass_ceiling_experiment(spec, kinds, [FeatureScheme.ADJ_EFF],
@@ -348,7 +349,8 @@ class TestGlassCeiling:
         def reached(*args, **kwargs):
             raise AssertionError("the league was generated before the schemes were checked")
 
-        monkeypatch.setattr(evaluate, "generate_league", reached)
+        monkeypatch.setattr(evaluate, "league_games", reached)
+        monkeypatch.setattr(evaluate, "league_truth", reached)
         spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=2)
         with pytest.raises(EvalError, match=match):
             glass_ceiling_experiment(spec, [ModelKind.NAIVE_BAYES_KDE], schemes)
@@ -364,7 +366,8 @@ class TestGlassCeiling:
         def reached(*args, **kwargs):
             raise AssertionError("the league was generated before the names were checked")
 
-        monkeypatch.setattr(evaluate, "generate_league", reached)
+        monkeypatch.setattr(evaluate, "league_games", reached)
+        monkeypatch.setattr(evaluate, "league_truth", reached)
         monkeypatch.setattr(evaluate, "run_seasons", reached)
         spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=2)
         with pytest.raises(EvalError, match=match):

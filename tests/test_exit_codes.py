@@ -246,6 +246,7 @@ def test_model_file_that_is_not_json(league, tmp_path):
     (["train", "--kind", "mlp", "--seed", "-1"], "seed"),
     (["simulate", "--noise", "nan"], "noise"),
     (["simulate", "--home-advantage", "inf"], "home_advantage"),
+    (["simulate", "--home-advantage", "-1e400"], "home_advantage must be finite, got -inf"),
     (["glass-ceiling", "--strength-spread", "nan"], "strengths"),
     (["glass-ceiling", "--kinds", " , "], "--kinds"),
     (["glass-ceiling", "--kinds", "mlp", "--hyper", "decision_tree.min_node_fraction=0.05"],
@@ -284,6 +285,8 @@ def test_bad_value_is_a_usage_error_before_any_data_is_read(tmp_path, argv, key)
     (["simulate", "--home-advantage", "3e6"], "noise 6.0 and home_advantage 3000000.0"),
     (["glass-ceiling", "--noise", "1e300"], "noise 1e+300 and home_advantage 0.0"),
     (["simulate", "--noise", "1e308"], "noise 1e+308 and home_advantage 0.0"),
+    (["simulate", "--noise", "1e308", "--home-advantage", "-1e308"],
+     "noise 1e+308 and home_advantage -1e+308"),
 ])
 @pytest.mark.filterwarnings("error")   # a numpy warning on the way fails the case
 def test_a_setting_that_draws_a_huge_score_is_named(tmp_path, argv, settings):
@@ -291,6 +294,15 @@ def test_a_setting_that_draws_a_huge_score_is_named(tmp_path, argv, settings):
     assert code == 2, err
     assert f"{settings} draw a point total of " in err, err
     assert "over the box-score limit 1000000" in err, err
+
+
+@pytest.mark.parametrize("value", ["-1e3", "-2.5E+1", "-.5e-2", "-500"])
+def test_a_negative_number_in_exponent_form_is_a_value(tmp_path, value):
+    # argparse's own pattern for a negative number has no exponent
+    code, err = main("simulate", "--home-advantage", value, *LEAGUE, "--out", tmp_path)
+    assert code == 0, err
+    echoed = (tmp_path / "run_config.cfg").read_text()
+    assert f"home_advantage = {float(value)}\n" in echoed
 
 
 def test_a_stray_value_error_is_an_internal_fault(league, tmp_path, monkeypatch):

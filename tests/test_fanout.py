@@ -1,0 +1,104 @@
+"""The ceiling grid's fan-out: its model kinds and its bound run on forked
+workers, one per usable core, and give what one process gives, bit for bit.
+
+``evaluate._usable_cores`` is patched to pick the path: 1 runs every job in
+process, 2 forks two workers whatever the host has.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import courtcast
+from courtcast import cli, evaluate
+from courtcast.evaluate import BASELINE_KINDS, EvalError, glass_ceiling_experiment
+from courtcast.features import FeatureScheme
+from courtcast.models import ModelError, ModelKind
+from courtcast.synthetic import SyntheticLeagueSpec
+
+SPEC = SyntheticLeagueSpec(n_teams=10, games_per_team=12, n_seasons=2, noise=6.0, seed=5)
+KINDS = [*ModelKind, *BASELINE_KINDS]
+SCHEMES = [FeatureScheme.ADJ_EFF, FeatureScheme.ADJ_FOUR_FACTORS, FeatureScheme.RAW]
+HYPER = {"mlp": {"epochs": 20}, "random_forest": {"n_trees": 5}}
+CLI_GRID = ["glass-ceiling", "--n-teams", "10", "--games-per-team", "12", "--seed", "5",
+            "--kinds", ",".join(getattr(k, "value", k) for k in KINDS),
+            "--hyper", "mlp.epochs=20,random_forest.n_trees=5", "--out", "out"]
+PACKAGE_ROOT = str(Path(courtcast.__file__).resolve().parents[1])
+
+
+def cores(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(evaluate, "_usable_cores", lambda: n)
+
+
+def grid() -> evaluate.CeilingReport:
+    return glass_ceiling_experiment(SPEC, KINDS, SCHEMES, seed=3, hyper_overrides=HYPER)
+
+
+def cli_run(monkeypatch, cwd: Path) -> tuple[int, str, str, bytes]:
+    """``cli.main`` on the grid in ``cwd``: exit code, stdout, stderr, ceiling.csv."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(CLI_GRID)
+    csv = cwd / "out" / "ceiling.csv"
+    return code, out.getvalue(), err.getvalue(), csv.read_bytes() if csv.exists() else b""
+
+
+def test_fan_out_equals_one_process(monkeypatch, tmp_path):
+    cores(monkeypatch, 1)
+    alone, alone_cli = grid(), cli_run(monkeypatch, tmp_path / "alone")
+    cores(monkeypatch, 2)
+    fanned, fanned_cli = grid(), cli_run(monkeypatch, tmp_path / "fanned")
+    assert fanned.as_dict() == alone.as_dict()
+    assert fanned_cli == alone_cli
+    assert alone_cli[0] == 0 and len(alone.cells) == len(KINDS) * len(SCHEMES)
+    assert not multiprocessing.active_children()
+
+
+def test_fan_out_equals_one_process_on_one_blas_thread(tmp_path):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
+    env.pop("COURTCAST_DATA_DIR", None)
+    script = ("import sys; from courtcast import cli, evaluate; "
+              "evaluate._usable_cores = lambda: int(sys.argv[1]); "
+              "sys.exit(cli.main(sys.argv[2:]))")
+    runs = []
+    for n in (1, 2):
+        cwd = tmp_path / f"cores{n}"
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-c", script, str(n), *CLI_GRID],
+                              cwd=cwd, env=env, capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        runs.append((proc.stdout, proc.stderr, (cwd / "out" / "ceiling.csv").read_bytes()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("error, code", [
+    (EvalError("no cells to score"), 2),
+    (ModelError("the training sets differ"), 2),
+    (RuntimeError("a bug in a worker"), 3),
+])
+def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, tmp_path, error, code):
+    def failing(*args, **kwargs):
+        raise error
+
+    cores(monkeypatch, 2)
+    monkeypatch.setattr(evaluate, "_kind_probs", failing)
+    with pytest.raises(type(error)) as raised:
+        grid()
+    assert type(raised.value) is type(error) and str(raised.value) == str(error)
+    # the error was raised in a worker: the pool chains the worker's traceback
+    assert type(raised.value.__cause__).__name__ == "_RemoteTraceback"
+    assert not multiprocessing.active_children()
+    exit_code, _, err, _ = cli_run(monkeypatch, tmp_path / "cli")
+    assert exit_code == code and str(error) in err
+    assert not multiprocessing.active_children()

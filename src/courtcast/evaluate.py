@@ -6,7 +6,11 @@ Reports carry every prediction, the cumulative in-season accuracy series,
 and the resolved configuration, and serialize byte-identically for fixed
 seeds.
 
-The ceiling experiment runs a (model kind x feature scheme) grid on a
+Both entry points run one grid core, a (model kind x feature scheme) grid
+on a store and a test season: one adjust pass, every scheme's dataset, one
+job per trained kind, the baselines in process, and each cell's report
+built from its win probabilities in game order.  A walk-forward evaluation
+is the grid of one cell.  The ceiling experiment runs the grid on a
 synthetic league whose best achievable accuracy is known, reporting each
 cell's gap to that bound.  Each model kind, and the bound's Monte-Carlo run,
 is one job; the jobs run on up to one forked process per usable core, in
@@ -21,15 +25,9 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from courtcast.adjust import (
-    AdjustConfig,
-    AveragingScheme,
-    SeasonRun,
-    Seeding,
-    run_seasons,
-)
+from courtcast.adjust import AdjustConfig, AveragingScheme, Seeding, run_seasons
 from courtcast.baselines import HOME_WINS_P, PythagParams, pythag_game_probs
 from courtcast.features import FeatureScheme, Label, MatchInstance, build_dataset, to_arrays
 from courtcast.ingest import CourtcastError, SeasonStore
@@ -122,17 +120,25 @@ def evaluate_predictor(instances: Sequence[MatchInstance], predict_fn: PredictFn
     Instances are processed in canonical (date, teams) order regardless of
     the order given, so the report never depends on evaluation order.
     """
-    if not instances:
-        raise EvalError("nothing to evaluate")
     if any(inst.label is None for inst in instances):
         raise EvalError("evaluation instances must be labeled")
     ordered = sorted(instances, key=lambda i: (i.date, i.team_first, i.team_second))
+    return _report(ordered, map(predict_fn, ordered), config, test_season=test_season,
+                   kind=kind, scheme=scheme, averaging=averaging, seeding=seeding,
+                   seed=seed, n_train=n_train)
 
+
+def _report(ordered: Sequence[MatchInstance], picks: Iterable[tuple[Label, float]],
+            config: Mapping[str, object], **meta) -> EvalReport:
+    """The report of ``picks``, one (label, p) pair per instance of
+    ``ordered``, which is in (date, team_first, team_second) order; ``meta``
+    holds the report's fields that do not come from the picks."""
+    if not ordered:
+        raise EvalError("nothing to evaluate")
     preds = []
     confusion = {"pred_win_actual_win": 0, "pred_win_actual_loss": 0,
                  "pred_loss_actual_win": 0, "pred_loss_actual_loss": 0}
-    for inst in ordered:
-        predicted, p = predict_fn(inst)
+    for inst, (predicted, p) in zip(ordered, picks, strict=True):
         confusion[f"pred_{predicted.value}_actual_{inst.label.value}"] += 1
         preds.append(Prediction(
             date=inst.date, team_first=inst.team_first, team_second=inst.team_second,
@@ -140,18 +146,15 @@ def evaluate_predictor(instances: Sequence[MatchInstance], predict_fn: PredictFn
             p_win=float(p)))
 
     n = len(preds)
-    n_correct = sum(p.correct for p in preds)
-    series, seen, hits = [], 0, 0
+    series, hits = [], 0
     for i, p in enumerate(preds):
-        seen, hits = seen + 1, hits + p.correct
+        hits += p.correct
         last_of_day = i + 1 == n or preds[i + 1].date != p.date
         if last_of_day:
-            series.append((p.date, hits / seen))
+            series.append((p.date, hits / (i + 1)))
 
     return EvalReport(
-        test_season=test_season, kind=kind, scheme=scheme, averaging=averaging,
-        seeding=seeding, seed=seed, n_train=n_train, n_test=n,
-        accuracy=n_correct / n, confusion=confusion,
+        **meta, n_test=n, accuracy=hits / n, confusion=confusion,
         predictions=tuple(preds), series=tuple(series), config=dict(config))
 
 
@@ -210,35 +213,6 @@ def _kind_probs(datasets: Sequence[tuple[list[MatchInstance], list[MatchInstance
             for model, (_, test_set) in zip(models, datasets)]
 
 
-def _baseline_probs(run: SeasonRun,
-                    datasets: Sequence[tuple[list[MatchInstance], list[MatchInstance]]],
-                    kind: str, hyper: dict[str, object]) -> list[list[float]]:
-    """:func:`_kind_probs` for a baseline ``kind``, whose ``run`` is the test
-    season's."""
-    if kind == "home_wins":
-        return [[HOME_WINS_P[inst.location] for inst in test_set]
-                for _, test_set in datasets]
-    # every test set is the test season's games in the run's game order
-    return [pythag_game_probs(run, PythagParams(**hyper))] * len(datasets)
-
-
-def _reports(datasets: dict[FeatureScheme, tuple[list[MatchInstance], list[MatchInstance]]],
-             probs: list[list[float]], test_season: int, kind: ModelKind | str,
-             averaging: AveragingScheme, seeding: Seeding, config: AdjustConfig,
-             seed: int, hyper: dict[str, object]) -> Iterator[EvalReport]:
-    """One report per scheme of ``kind``, resolved by :func:`resolve_grid`
-    with its ``hyper``, from each scheme's test-set ``probs``."""
-    echo = {**asdict(config), "hyper": hyper}
-    for (scheme, (train_set, test_set)), cell_probs in zip(datasets.items(), probs):
-        p_of = dict(zip(map(id, test_set), cell_probs, strict=True))
-        yield evaluate_predictor(
-            test_set, lambda inst: (resolve_label(p_of[id(inst)], inst.location),
-                                    p_of[id(inst)]),
-            test_season=test_season, kind=getattr(kind, "value", kind),
-            scheme=scheme.value, averaging=averaging.value, seeding=seeding.value,
-            seed=seed, n_train=len(train_set), config=echo)
-
-
 def _usable_cores() -> int:
     """The cores this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -281,6 +255,49 @@ def _run_jobs(jobs: list[tuple[Callable, tuple]]) -> list:
         pool.shutdown(cancel_futures=True)
 
 
+def _grid(store: SeasonStore, test_season: int, kinds: list, schemes: list,
+          hyper: dict, averaging: AveragingScheme, seeding: Seeding,
+          config: AdjustConfig, seed: int,
+          extra: Sequence[tuple[Callable, tuple]] = ()) -> tuple[Iterator[EvalReport], list]:
+    """Every (scheme, kind) cell's report on ``test_season``, in that order,
+    and the results of the ``extra`` jobs; ``kinds``, ``schemes`` and each
+    kind's ``hyper`` are as :func:`resolve_grid` returns them.  The reports
+    are built one at a time as they are read, so a caller that keeps a
+    summary of each holds one report's predictions at once.
+
+    The adjust pass runs once and every scheme's dataset is built from it.
+    Each trained kind is one :func:`_kind_probs` job, which trains it once
+    over all schemes; :func:`_run_jobs` runs these and the ``extra`` jobs.
+    The baselines are scored in process.
+    """
+    runs = run_seasons(store, averaging, seeding, config, through=test_season)
+    datasets = [build_dataset(store, runs, scheme, test_season) for scheme in schemes]
+    trained = [kind for kind in kinds if isinstance(kind, ModelKind)]
+    results = _run_jobs([(_kind_probs, (datasets, kind, hyper[kind], seed))
+                         for kind in trained] + list(extra))
+    probs = dict(zip(trained, results))
+    # every scheme's test set is the test season's games in the run's game
+    # order, which is the report's (date, team_first, team_second) order
+    if "home_wins" in kinds:
+        probs["home_wins"] = [[HOME_WINS_P[inst.location]
+                               for inst in datasets[0][1]]] * len(schemes)
+    if "pythag" in kinds:
+        probs["pythag"] = [pythag_game_probs(
+            runs[test_season], PythagParams(**hyper["pythag"]))] * len(schemes)
+
+    def reports() -> Iterator[EvalReport]:
+        for s, (scheme, (train_set, test_set)) in enumerate(zip(schemes, datasets)):
+            for kind in kinds:
+                picks = ((resolve_label(p, inst.location), p)
+                         for inst, p in zip(test_set, probs[kind][s]))
+                yield _report(
+                    test_set, picks, {**asdict(config), "hyper": hyper[kind]},
+                    test_season=test_season, kind=getattr(kind, "value", kind),
+                    scheme=scheme.value, averaging=averaging.value,
+                    seeding=seeding.value, seed=seed, n_train=len(train_set))
+    return reports(), results[len(trained):]
+
+
 def walk_forward_evaluate(store: SeasonStore, test_season: int,
                           kind: ModelKind | str, scheme: FeatureScheme,
                           averaging: AveragingScheme = AveragingScheme.ALPHA,
@@ -291,19 +308,14 @@ def walk_forward_evaluate(store: SeasonStore, test_season: int,
 
     ``kind`` is a trainable :class:`ModelKind` or one of the baseline
     strings in :data:`BASELINE_KINDS` ("home_wins" picks the home side,
-    "pythag" compares rating-derived win probabilities).
+    "pythag" compares rating-derived win probabilities).  The run is the
+    ceiling grid of one cell, in process, with the same bits.
     """
     (kind,), (scheme,), resolved = resolve_grid([kind], {kind: hyper or {}}, [scheme])
     (averaging,) = _named([averaging], AveragingScheme, "averaging")
     (seeding,) = _named([seeding], Seeding, "seeding")
-    config = config or AdjustConfig()
-    runs = run_seasons(store, averaging, seeding, config, through=test_season)
-    datasets = {scheme: build_dataset(store, runs, scheme, test_season)}
-    sets = list(datasets.values())
-    probs = (_kind_probs(sets, kind, resolved[kind], seed) if isinstance(kind, ModelKind)
-             else _baseline_probs(runs[test_season], sets, kind, resolved[kind]))
-    [report] = _reports(datasets, probs, test_season, kind, averaging, seeding,
-                        config, seed, resolved[kind])
+    [report], _ = _grid(store, test_season, [kind], [scheme], resolved, averaging,
+                        seeding, config or AdjustConfig(), seed)
     return report
 
 
@@ -350,14 +362,14 @@ def glass_ceiling_experiment(
         hyper_overrides: Mapping[str, Mapping[str, object]] | None = None) -> CeilingReport:
     """Run every (kind, scheme) cell against a known accuracy bound.
 
-    The league is generated from ``spec`` (its last season is the test
-    season), each cell is a full walk-forward evaluation, and the recorded
-    best achievable accuracy becomes the bound every cell is compared to.
-    Every scheme's dataset is built first.  Then each model kind trains once
-    over all schemes (an MLP's networks in lockstep) and scores its test
-    sets, as one job, and the bound is one more; the jobs run on up to one
-    forked process per usable core, with the same bits as in process.  The
-    report lists the cells in (scheme, kind) order.
+    The league's games are generated from ``spec`` (its last season is the
+    test season) and run through the grid core, where each cell scores as
+    its own walk-forward evaluation does.  Each model kind trains once over
+    all schemes (an MLP's networks in lockstep) and scores its test sets, as
+    one job, and the bound, the best achievable accuracy every cell is
+    compared to, is one more job handed to the grid; the jobs run on up to
+    one forked process per usable core, with the same bits as in process.
+    The report lists the cells in (scheme, kind) order.
     ``hyper_overrides`` maps a kind to hyperparameter overrides for that
     kind's cells; :func:`resolve_grid` checks them with the kinds and schemes
     before the league is made.
@@ -374,25 +386,12 @@ def glass_ceiling_experiment(
     test_season = spec.first_season + spec.n_seasons - 1
     config = config or AdjustConfig()
 
-    runs = run_seasons(store, averaging, seeding, config, through=test_season)
-    datasets = {scheme: build_dataset(store, runs, scheme, test_season) for scheme in schemes}
-    sets = list(datasets.values())
-    trained = [kind for kind in kinds if isinstance(kind, ModelKind)]
-    *trained_probs, truth = _run_jobs(
-        [(_kind_probs, (sets, kind, resolved[kind], seed)) for kind in trained]
-        + [(league_truth, (spec, matchups))])
-    probs_of = dict(zip(trained, trained_probs))
-    cells = {}
-    for kind in kinds:
-        probs = (probs_of[kind] if kind in probs_of else
-                 _baseline_probs(runs[test_season], sets, kind, resolved[kind]))
-        reports = _reports(datasets, probs, test_season, kind, averaging, seeding,
-                           config, seed, resolved[kind])
-        for scheme, report in zip(datasets, reports):
-            cells[scheme, kind] = CeilingCell(
-                kind=report.kind, scheme=report.scheme, accuracy=report.accuracy,
-                gap=report.accuracy - truth.bayes_accuracy, n_test=report.n_test)
-    n_test = len(datasets[schemes[-1]][1])
+    reports, (truth,) = _grid(store, test_season, kinds, schemes, resolved, averaging,
+                              seeding, config, seed, [(league_truth, (spec, matchups))])
+    cells = tuple(CeilingCell(kind=r.kind, scheme=r.scheme, accuracy=r.accuracy,
+                              gap=r.accuracy - truth.bayes_accuracy, n_test=r.n_test)
+                  for r in reports)
+    n_test = cells[-1].n_test
 
     echo = {**asdict(config), "seed": seed,
             "averaging": averaging.value, "seeding": seeding.value,
@@ -404,4 +403,4 @@ def glass_ceiling_experiment(
         bound=truth.bayes_accuracy,
         halfwidth=binomial_halfwidth(truth.bayes_accuracy, n_test),
         n_test=n_test, test_season=test_season, config=echo,
-        cells=tuple(cells[scheme, kind] for scheme in schemes for kind in kinds))
+        cells=cells)

@@ -21,8 +21,8 @@ from courtcast.evaluate import (
     glass_ceiling_experiment,
     walk_forward_evaluate,
 )
-from courtcast.features import FeatureScheme, Label, MatchInstance, feature_names
-from courtcast.ingest import GameLogError
+from courtcast.features import FeatureScheme, Label, MatchInstance, build_dataset, feature_names
+from courtcast.ingest import GameLogError, parse_game_log, write_game_log
 from courtcast.models import ModelKind
 from courtcast.stats import Site
 from courtcast.synthetic import (
@@ -421,6 +421,29 @@ def test_pythag_rows_match_the_snapshot_path(two_season_store, averaging, seedin
     for p in report.predictions:
         snaps = run.pre_match[(p.date, p.team_first, p.team_second)]
         assert p.p_win == pythag_pair_prob(*snaps, params)
+
+
+def test_every_test_set_is_in_report_order(tmp_path):
+    # the grid core hands each cell's probabilities to the report builder in
+    # test-set order, so every scheme's test set must already be in the
+    # report's (date, team_first, team_second) order, whatever the log's
+    spec = SyntheticLeagueSpec(n_teams=8, games_per_team=14, n_seasons=2,
+                               noise=6.0, seed=9)
+    store, _ = generate_league(spec, bayes_sims=100)
+    write_game_log(store, tmp_path / "games.csv")
+    header, *rows = (tmp_path / "games.csv").read_text().splitlines()
+    random.Random(3).shuffle(rows)
+    (tmp_path / "shuffled.csv").write_text("\n".join([header, *rows]) + "\n")
+    shuffled = parse_game_log(tmp_path / "shuffled.csv")
+    test_season = shuffled.seasons[-1]
+    dates = [g.date for g in shuffled.games(test_season)]
+    assert len(set(dates)) < len(dates), "no date with several games"
+    runs = run_seasons(shuffled, AveragingScheme.ALPHA, Seeding.PRIOR_SEASON,
+                       through=test_season)
+    for scheme in FeatureScheme:
+        _, test_set = build_dataset(shuffled, runs, scheme, test_season)
+        ordered = sorted(test_set, key=lambda i: (i.date, i.team_first, i.team_second))
+        assert all(a is b for a, b in zip(test_set, ordered, strict=True)), scheme
 
 
 def test_baseline_kind_registry():

@@ -386,11 +386,13 @@ def test_fuzzed_model_file(league, kind, edits):
 
 
 @FUZZ
-@given(command=st.sampled_from(["ingest", "predict"]), edits=EDITS)
+@given(command=st.sampled_from(["ingest", "stats", "adjust", "features", "train",
+                                "predict", "rank", "evaluate"]), edits=EDITS)
 def test_fuzzed_game_log(league, command, edits):
     path = league / "fuzz_games.csv"
     path.write_bytes(corrupted((league / "sim" / "games.csv").read_bytes(), edits))
-    extra = (["--kind", "decision_tree", "--model", league / "decision_tree" / "model.json",
-              *PAIRING] if command == "predict" else [])
-    code, err = main(command, "--data", path, "--out", league / "fuzz", *extra)
+    tree = ["--kind", "decision_tree"]
+    model = [*tree, "--model", league / "decision_tree" / "model.json"]
+    extra = {"train": tree, "evaluate": tree, "rank": model, "predict": [*model, *PAIRING]}
+    code, err = main(command, "--data", path, "--out", league / "fuzz", *extra.get(command, ()))
     assert code in (0, 1, 2), err

@@ -7,6 +7,7 @@ process, 2 forks two workers whatever the host has.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import io
 import multiprocessing
@@ -19,10 +20,15 @@ import pytest
 
 import courtcast
 from courtcast import cli, evaluate
-from courtcast.evaluate import BASELINE_KINDS, EvalError, glass_ceiling_experiment
+from courtcast.evaluate import (
+    BASELINE_KINDS,
+    EvalError,
+    glass_ceiling_experiment,
+    walk_forward_evaluate,
+)
 from courtcast.features import FeatureScheme
 from courtcast.models import ModelError, ModelKind
-from courtcast.synthetic import SyntheticLeagueSpec
+from courtcast.synthetic import SyntheticLeagueSpec, league_games
 
 SPEC = SyntheticLeagueSpec(n_teams=10, games_per_team=12, n_seasons=2, noise=6.0, seed=5)
 KINDS = [*ModelKind, *BASELINE_KINDS]
@@ -102,3 +108,23 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, tmp_path, error, c
     exit_code, _, err, _ = cli_run(monkeypatch, tmp_path / "cli")
     assert exit_code == code and str(error) in err
     assert not multiprocessing.active_children()
+
+
+def test_a_grid_of_one_never_forks(monkeypatch):
+    # a walk-forward evaluation is a grid of one job, which runs in process
+    # however many cores there are
+    store, _ = league_games(SPEC)
+
+    def run() -> evaluate.EvalReport:
+        return walk_forward_evaluate(store, store.seasons[-1], ModelKind.DECISION_TREE,
+                                     FeatureScheme.ADJ_EFF, seed=3)
+
+    cores(monkeypatch, 1)
+    alone = run()
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a grid of one built a process pool")
+
+    cores(monkeypatch, 8)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert run().to_json() == alone.to_json()

@@ -39,7 +39,7 @@ rows too: each morning's six values (oe, de, then the four factors) go into
 one ``(days + 1, 6)`` array, closed by the end of the season, and a
 from_scratch seed is such a row spread over the 18 state values.  A run
 keeps every team's final row beside the pre-match array (``final_rows``,
-``final_played``).  ``TeamSnapshot`` objects are built from those rows only
+``final_played``).  ``TeamSnapshot`` objects are views built from those rows
 when a caller reads one; ``final`` builds each team's on first read.
 
 Floating-point note: every accumulator folds values in one canonical order
@@ -177,7 +177,6 @@ _SEED = np.array([0, 1] + [2, 3, 4, 5] * len(_BLOCKS))
 # A team row: the 18 state values, then the 12 raw means.  Every array of
 # team profiles (a run's pre-match rows, a feature encoder's input) uses it.
 TEAM_ROW = STATE_KEYS + RawMeans.field_names()
-_N_RAW = len(TEAM_ROW) - len(STATE_KEYS)
 
 # The TeamSnapshot attribute that holds each TEAM_ROW value, in order.
 _ROW_VALUES = attrgetter("adj_oe", "adj_de",
@@ -269,13 +268,13 @@ class SeasonRun:
     or team_b (side 1); ``_pre_played`` holds the games played beside it.
     ``final_rows`` and ``final_played`` hold the same for each team after
     its last game, and ``_prior`` the prior-season final state values used
-    as seeds.
+    as seeds.  ``rows_at`` gives any teams' rows on the morning of a date.
 
-    Snapshots are built from those rows only when read: ``pre_match`` maps
-    each game's key to both teams' snapshots and builds them on every read;
-    ``final`` is a dict of each team's snapshot after its last game, built
-    on first read; ``series`` gives each team's pre-match snapshots in date
-    order.
+    The program reads those rows.  Snapshot views of them are built only
+    when read: ``pre_match`` maps each game's key to both teams' snapshots
+    and builds them on every read; ``final`` is a dict of each team's
+    snapshot after its last game, built on first read; ``series`` gives
+    each team's pre-match snapshots in date order.
     """
 
     season: int
@@ -296,23 +295,18 @@ class SeasonRun:
             FourFactors(*v[2:6]), FourFactors(*v[6:10]),
             FourFactors(*v[10:14]), FourFactors(*v[14:18]), RawMeans(*v[18:]))
 
-    def _pre_snapshots(self, i: int, date: dt.date | None = None
-                       ) -> tuple[TeamSnapshot, TeamSnapshot]:
-        """Both teams' morning snapshots for game ``i``, dated ``date`` or the game's."""
+    def _pre_snapshots(self, i: int) -> tuple[TeamSnapshot, TeamSnapshot]:
+        """Both teams' morning snapshots for game ``i``."""
         g = self.games[i]
-        date = date or g.date
         v, n = self.pre_rows[i].tolist(), self._pre_played[i].tolist()
-        return (self._snapshot(g.team_a, date, n[0], v[0]),
-                self._snapshot(g.team_b, date, n[1], v[1]))
-
-    def _final_snapshot(self, t: int, date: dt.date) -> TeamSnapshot:
-        return self._snapshot(self.teams[t], date, int(self.final_played[t]),
-                              self.final_rows[t].tolist())
+        return (self._snapshot(g.team_a, g.date, n[0], v[0]),
+                self._snapshot(g.team_b, g.date, n[1], v[1]))
 
     @cached_property
     def final(self) -> dict[str, TeamSnapshot]:
         """Each team's snapshot after its last game, dated that game's date."""
-        return {team: self._final_snapshot(t, self._by_team[team][0][-1])
+        return {team: self._snapshot(team, self._by_team[team][0][-1],
+                                     int(self.final_played[t]), self.final_rows[t].tolist())
                 for t, team in enumerate(self.teams)}
 
     @property
@@ -339,26 +333,27 @@ class SeasonRun:
     def series(self) -> dict[str, Sequence[TeamSnapshot]]:
         return {team: _Series(self, rows) for team, (_, rows) in self._by_team.items()}
 
-    def snapshot_at(self, team: str, date: dt.date) -> TeamSnapshot:
-        """Team state on the morning of ``date`` (games strictly before it).
+    def rows_at(self, teams: Sequence[str], date: dt.date) -> np.ndarray:
+        """``(len(teams), 30)`` team rows on the morning of ``date`` (games
+        strictly before it), one per team in ``teams`` order.
 
-        That is the pre-match state of the team's first game on or after
-        ``date``, or its final state if it has none.  Teams with no games
-        this season report their seed; under from_scratch seeding (or with
-        no prior season) that is the national average as of the morning.
+        A team's row is its morning row of its first game on or after
+        ``date``, or its final row if it has none.  A team with no games
+        this season is at its seed; under from_scratch seeding (or with no
+        prior season) that is the national average as of the morning.
         """
-        played = self._by_team.get(team)
-        if played is not None:
-            dates, rows = played
-            k = bisect.bisect_left(dates, date)
-            if k < len(rows):
-                game, side = rows[k]
-                return self._pre_snapshots(game, date)[side]
-            return self._final_snapshot(self.teams.index(team), date)
-        seed = self._prior.get(team)
-        if seed is None:
-            seed = self.league_means[bisect.bisect_left(self.days, date)][_SEED]
-        return self._snapshot(team, date, 0, seed.tolist() + [0.0] * _N_RAW)
+        out = np.zeros((len(teams), len(TEAM_ROW)))
+        for k, team in enumerate(teams):
+            dates, rows = self._by_team.get(team, ([], []))
+            at = bisect.bisect_left(dates, date)
+            if at < len(rows):
+                out[k] = self.pre_rows[rows[at]]
+            elif rows:
+                out[k] = self.final_rows[self.teams.index(team)]
+            else:
+                out[k, :len(STATE_KEYS)] = self._prior.get(
+                    team, self.league_means[bisect.bisect_left(self.days, date)][_SEED])
+        return out
 
 
 def checked_game_arrays(games: Sequence[GameRecord],

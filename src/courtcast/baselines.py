@@ -2,9 +2,9 @@
 
 Pythagorean expectation turns a team's averaged efficiencies into a win
 probability:  oe^y / (oe^y + de^y)  with exponent y = 11.5 by default.
-Walk-forward evaluation scores every game of a season run at once from the
-run's pre-match team rows (:func:`pythag_game_probs`); the snapshot
-functions serve single matchups and rankings.
+Every scorer reads team rows (``adjust.TEAM_ROW``): walk-forward evaluation
+each game's two pre-match rows, ``predict`` two teams' rows at a date, and a
+ranking every team's final row; the snapshot functions are views of that code.
 RPI blends a team's winning percentage with its opponents' and its
 opponents' opponents' (0.25/0.50/0.25), excluding games against the rated
 team from each opponent's record.  Rankings come from predicting every
@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from courtcast.adjust import TEAM_ROW, SeasonRun, TeamSnapshot
+from courtcast.adjust import TEAM_ROW, TeamSnapshot
 from courtcast.features import SITE_ORDER, encode_pairings
 from courtcast.ingest import CourtcastError, GameRecord
 from courtcast.models import p_win
@@ -86,13 +86,6 @@ def pythag_pair_prob(snap_a: TeamSnapshot, snap_b: TeamSnapshot,
 _EFFICIENCIES = [TEAM_ROW.index("adj_oe"), TEAM_ROW.index("adj_de")]
 
 
-def pythag_game_probs(run: SeasonRun, params: PythagParams = PythagParams()) -> list[float]:
-    """p(team_a wins) of every game of ``run``, in game order, rated from the
-    run's pre-match rows: :func:`pythag_pair_prob` without the snapshots."""
-    return [_head_to_head(_rating(g.team_a, *a, params), _rating(g.team_b, *b, params))
-            for g, (a, b) in zip(run.games, run.pre_rows[:, :, _EFFICIENCIES].tolist())]
-
-
 #: The home-wins baseline: p(first team wins) by the first team's site.
 HOME_WINS_P = {Site.HOME: 1.0, Site.AWAY: 0.0, Site.NEUTRAL: 0.5}
 
@@ -137,10 +130,10 @@ def rpi(games: Sequence[GameRecord]) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # Ranking by hypothetical round robin
 
-# A pair predictor maps the teams' snapshots and two index arrays, first and
-# second, to p(first wins) of each pairing (first[k], second[k]) at a
-# neutral site, with first the lexicographically smaller team.
-PairPredictor = Callable[[Sequence[TeamSnapshot], np.ndarray, np.ndarray], Sequence[float]]
+# A pair predictor maps team ids, their team rows (row k is teams[k]'s) and
+# two index arrays to p(first wins) of each pairing (first[k], second[k]) at
+# a neutral site.  The ids name a team in an error.
+PairPredictor = Callable[[Sequence[str], np.ndarray, np.ndarray, np.ndarray], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -157,10 +150,11 @@ class Ranking:
 
 
 def pythag_predictor(params: PythagParams = PythagParams()) -> PairPredictor:
-    """Rate every team once, in order, and combine the ratings per pairing."""
-    def prob(snaps: Sequence[TeamSnapshot], first: np.ndarray,
+    """Rate every row once, in order, and combine the ratings per pairing."""
+    def prob(teams: Sequence[str], rows: np.ndarray, first: np.ndarray,
              second: np.ndarray) -> list[float]:
-        ratings = [pythag_rating(s, params) for s in snaps]
+        ratings = [_rating(team, oe, de, params)
+                   for team, (oe, de) in zip(teams, rows[:, _EFFICIENCIES].tolist())]
         return [_head_to_head(ratings[i], ratings[j]) for i, j in zip(first, second)]
 
     return prob
@@ -169,37 +163,35 @@ def pythag_predictor(params: PythagParams = PythagParams()) -> PairPredictor:
 def model_predictor(model) -> PairPredictor:
     """Adapt a trained classifier to hypothetical neutral-site pairings,
     encoded and scored in one batch."""
-    def prob(snaps: Sequence[TeamSnapshot], first: np.ndarray,
+    def prob(teams: Sequence[str], rows: np.ndarray, first: np.ndarray,
              second: np.ndarray) -> np.ndarray:
-        X = encode_pairings(snaps, first, second, model.scheme)
+        X = encode_pairings(rows, first, second, model.scheme)
         return p_win(model, X, np.full(len(X), SITE_ORDER.index(Site.NEUTRAL)))
 
     return prob
 
 
-def round_robin_rank(predictor: PairPredictor,
-                     snapshots: Sequence[TeamSnapshot]) -> Ranking:
-    """Rank teams by predicted wins over every hypothetical pairing.
+def round_robin_rank(predictor: PairPredictor, rows: Mapping[str, np.ndarray]) -> Ranking:
+    """Rank teams by predicted wins over every hypothetical pairing of their
+    team rows (``rows`` maps each team id to its row).
 
     Each unordered pair is predicted exactly once, at a neutral site, in
     canonical orientation (smaller team id first), all in one predictor
     call.  Ties in predicted wins break by mean win probability, then by
     team id.
     """
-    snaps = sorted(snapshots, key=lambda s: s.team)
-    if len(snaps) < 2:
+    names = sorted(rows)
+    if len(names) < 2:
         raise BaselineError("ranking needs at least two teams")
-    names = [s.team for s in snaps]
-    if len(set(names)) != len(names):
-        raise BaselineError("duplicate team in snapshot set")
 
-    first, second = np.triu_indices(len(snaps), k=1)    # every i < j, i-major
-    probs = np.asarray(predictor(snaps, first, second), dtype=float)
+    first, second = np.triu_indices(len(names), k=1)    # every i < j, i-major
+    table = np.stack([rows[team] for team in names])
+    probs = np.asarray(predictor(names, table, first, second), dtype=float)
     if probs.shape != first.shape:
         raise BaselineError(f"predictor returned an array of shape {probs.shape} "
                             f"for {len(first)} pairings")
-    wins = [0] * len(snaps)
-    prob_sum = [0.0] * len(snaps)
+    wins = [0] * len(names)
+    prob_sum = [0.0] * len(names)
     firsts = first_team_wins(probs, SITE_ORDER.index(Site.NEUTRAL)).tolist()
     for i, j, p, first_wins in zip(first.tolist(), second.tolist(), probs.tolist(), firsts):
         if not 0.0 <= p <= 1.0:
@@ -208,8 +200,8 @@ def round_robin_rank(predictor: PairPredictor,
         prob_sum[j] += 1.0 - p
         wins[i if first_wins else j] += 1
 
-    n_pairings = len(snaps) - 1
-    order = sorted(range(len(snaps)),
+    n_pairings = len(names) - 1
+    order = sorted(range(len(names)),
                    key=lambda t: (-wins[t], -prob_sum[t] / n_pairings, names[t]))
     entries = tuple(
         RankEntry(rank=rank, team=names[t], score=float(wins[t]),

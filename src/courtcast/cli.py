@@ -42,7 +42,6 @@ from courtcast.baselines import (
     HOME_WINS_P,
     PythagParams,
     model_predictor,
-    pythag_pair_prob,
     pythag_predictor,
     round_robin_rank,
     rpi,
@@ -59,7 +58,7 @@ from courtcast.features import (
     Label,
     MatchInstance,
     build_dataset,
-    encode_pairing,
+    encode_pairings,
     encode_season,
     feature_names,
 )
@@ -175,6 +174,11 @@ def resolve_config(file_values: dict[str, object],
                    flag_values: dict[str, object]) -> RunConfig:
     """defaults < config file < flags; validates the closed-choice fields."""
     merged = {**file_values, **flag_values}
+    for key, value in merged.items():
+        if isinstance(value, str):  # as run_config.cfg holds it, for a replay
+            if len(value.splitlines()) > 1:
+                raise UsageError(f"{key} must be one line, got {value!r}")
+            merged[key] = value.strip()
     cfg = RunConfig(**merged)
     if not cfg.data:
         root = os.environ.get("COURTCAST_DATA_DIR", ".")
@@ -417,19 +421,19 @@ def cmd_predict(cfg: RunConfig) -> None:
         raise GameLogError(f"season {test_season} of {cfg.data} ends on {last}, "
                            "the last date there is; give --date")
     date = dt.date.fromisoformat(cfg.date) if cfg.date else last + dt.timedelta(days=1)
-    snap_a = run.snapshot_at(cfg.team_first, date)
-    snap_b = run.snapshot_at(cfg.team_second, date)
+    teams = [cfg.team_first, cfg.team_second]
+    rows = run.rows_at(teams, date)
     location = Site(cfg.location)
 
     if kind == "pythag":
-        p = pythag_pair_prob(snap_a, snap_b, PythagParams(**hyper))
+        p = pythag_predictor(PythagParams(**hyper))(teams, rows, [0], [1])[0]
     elif kind == "home_wins":
         p = HOME_WINS_P[location]
     else:
         model = _load_model_file(cfg, kind)
         inst = MatchInstance(
             scheme=model.scheme, location=location,
-            features=encode_pairing(snap_a, snap_b, model.scheme),
+            features=encode_pairings(rows, [0], [1], model.scheme)[0],
             label=None, date=date, season=test_season,
             team_first=cfg.team_first, team_second=cfg.team_second)
         _, p = predict(model, inst)
@@ -465,7 +469,7 @@ def cmd_rank(cfg: RunConfig) -> None:
             predictor = pythag_predictor(PythagParams(**hyper))
         else:
             predictor = model_predictor(_load_model_file(cfg, kind))
-        ranking = round_robin_rank(predictor, list(run.final.values()))
+        ranking = round_robin_rank(predictor, dict(zip(run.teams, run.final_rows)))
         rows = [[e.rank, e.team, e.score] for e in ranking.entries]
 
     write_csv(path, ["rank", "team", "score"], rows,
@@ -564,7 +568,7 @@ COMMANDS: dict[str, tuple[Callable[[RunConfig], None], str]] = {
     "adjust": (cmd_adjust, "season-long opponent-adjusted team snapshots"),
     "features": (cmd_features, "encode every game as a model-ready instance"),
     "train": (cmd_train, "fit a classifier on seasons before the test season"),
-    "predict": (cmd_predict, "predict one hypothetical pairing from snapshots"),
+    "predict": (cmd_predict, "predict one hypothetical pairing from team rows"),
     "rank": (cmd_rank, "round-robin ranking (pythag, rpi, or a trained model)"),
     "evaluate": (cmd_evaluate, "walk-forward accuracy report plus in-season curve"),
     "simulate": (cmd_simulate, "generate a synthetic league with known ground truth"),

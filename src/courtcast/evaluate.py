@@ -28,7 +28,7 @@ from statistics import NormalDist
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from courtcast.adjust import AdjustConfig, AveragingScheme, Seeding, run_seasons
-from courtcast.baselines import HOME_WINS_P, PythagParams, pythag_game_probs
+from courtcast.baselines import HOME_WINS_P, PythagParams, pythag_predictor
 from courtcast.features import FeatureScheme, Label, MatchInstance, build_dataset, to_arrays
 from courtcast.ingest import CourtcastError, SeasonStore
 from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, p_win, resolve_label, train_group
@@ -41,7 +41,7 @@ class EvalError(CourtcastError):
     """Raised for invalid evaluation inputs."""
 
 
-#: Predictor kinds that need no training beyond the snapshot pipeline.
+#: Predictor kinds that need no training beyond the adjust pass.
 BASELINE_KINDS = ("home_wins", "pythag")
 #: Every predictor's hyperparameters, baselines' included.
 _HYPER = {**HYPERPARAMETERS, "pythag": {"y": (PythagParams.y, POSITIVE)}}
@@ -282,8 +282,12 @@ def _grid(store: SeasonStore, test_season: int, kinds: list, schemes: list,
         probs["home_wins"] = [[HOME_WINS_P[inst.location]
                                for inst in datasets[0][1]]] * len(schemes)
     if "pythag" in kinds:
-        probs["pythag"] = [pythag_game_probs(
-            runs[test_season], PythagParams(**hyper["pythag"]))] * len(schemes)
+        # each game's two sides are consecutive rows, team_a first
+        run = runs[test_season]
+        sides = range(2 * len(run.games))
+        probs["pythag"] = [pythag_predictor(PythagParams(**hyper["pythag"]))(
+            [team for g in run.games for team in (g.team_a, g.team_b)],
+            run.pre_rows.reshape(len(sides), -1), sides[::2], sides[1::2])] * len(schemes)
 
     def reports() -> Iterator[EvalReport]:
         for s, (scheme, (train_set, test_set)) in enumerate(zip(schemes, datasets)):

@@ -120,22 +120,18 @@ def _encode(pairs: np.ndarray, scheme: FeatureScheme) -> np.ndarray:
     return X if minus is None else X - pairs.take(minus, axis=1)
 
 
-def encode_pairings(snapshots: Sequence[TeamSnapshot], first: Sequence[int],
-                    second: Sequence[int], scheme: FeatureScheme) -> np.ndarray:
-    """``(m, d)`` features of ``m`` pairings: row ``k`` is
-    ``snapshots[first[k]]`` against ``snapshots[second[k]]``.  Each team's
-    row is built once, however many pairings it is in."""
-    rows = np.stack([team_row(snap) for snap in snapshots])
+def encode_pairings(rows: np.ndarray, first: Sequence[int], second: Sequence[int],
+                    scheme: FeatureScheme) -> np.ndarray:
+    """``(m, d)`` features of ``m`` pairings: row ``k`` is team row
+    ``rows[first[k]]`` against ``rows[second[k]]`` (``TEAM_ROW`` order).
+    Site is not part of the features; it travels as a separate categorical."""
     return _encode(np.concatenate([rows[first], rows[second]], axis=1), scheme)
 
 
 def encode_pairing(first: TeamSnapshot, second: TeamSnapshot,
                    scheme: FeatureScheme) -> np.ndarray:
-    """Numeric feature vector for (first vs second) under a scheme.
-
-    Site is not part of the vector; it travels as a separate categorical.
-    """
-    return encode_pairings([first, second], [0], [1], scheme)[0]
+    """The feature vector of one pairing of two snapshots."""
+    return encode_pairings(np.stack([team_row(first), team_row(second)]), [0], [1], scheme)[0]
 
 
 @dataclass(frozen=True, eq=False, slots=True)

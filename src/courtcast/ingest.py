@@ -209,12 +209,6 @@ class SeasonStore:
     def n_games(self) -> int:
         return sum(len(v) for v in self._by_season.values())
 
-    def truncated(self, season: int, last_date: dt.date) -> "SeasonStore":
-        """Copy of the store with every game in ``season`` after ``last_date`` removed."""
-        kept = [g for g in self.all_games()
-                if g.season != season or g.date <= last_date]
-        return SeasonStore(kept, rosters=dict(self._rosters))
-
 
 @contextmanager
 def _csv_errors(path: Path, line: Callable[[], int] | None = None) -> Iterator[None]:
@@ -237,28 +231,45 @@ def _parse_int(raw: str, *, path: str | None = None, line: int | None = None,
                            path=path, line=line, field=field) from None
 
 
+class _DataLines:
+    """The lines of ``fh`` that are not ``#`` comments; ``start`` and ``line``
+    number the first and the latest one handed out in the file (0 before any)."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.start = self.line = 0
+
+    def __iter__(self) -> Iterator[str]:
+        for number, text in enumerate(self._fh, 1):
+            if not text.startswith("#"):
+                self.start, self.line = self.start or number, number
+                yield text
+
+
 _ROSTER_HEADER = ["season", "team"]
 
 
 def parse_roster(path: str | Path) -> dict[int, set[str]]:
-    """Read a roster CSV (``season,team``) into season -> team-id sets."""
+    """Read a roster CSV (``season,team``) into season -> team-id sets.
+    Lines starting with ``#`` are comments, as in a game log."""
     path = Path(path)
     rosters: dict[int, set[str]] = {}
-    with path.open(newline="", encoding="utf-8") as fh, \
-            _csv_errors(path, lambda: reader.reader.line_num):
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != _ROSTER_HEADER:
-            raise GameLogError(f"roster header must be 'season,team', got {reader.fieldnames}",
-                               path=str(path), line=1)
-        reader.fieldnames = _ROSTER_HEADER  # key cells by position, not by padded names
-        for row in reader:
-            line = reader.line_num  # the physical line; csv skips blank ones
-            if None in row.values() or None in row:
-                raise GameLogError("expected 2 columns", path=str(path), line=line)
-            season = _parse_int(row["season"], path=str(path), line=line, field="season")
-            team = row["team"].strip()
+    with path.open(newline="", encoding="utf-8") as fh, _csv_errors(path, lambda: lines.line):
+        lines = _DataLines(fh)
+        rows = csv.reader(lines)
+        header = next(rows, None)
+        if header is None or [c.strip() for c in header] != _ROSTER_HEADER:
+            raise GameLogError(f"roster header must be 'season,team', got {header}",
+                               path=str(path), line=lines.start or 1)
+        for row in rows:
+            if not row:
+                continue  # csv reads a blank line as []
+            if len(row) != len(_ROSTER_HEADER):
+                raise GameLogError("expected 2 columns", path=str(path), line=lines.line)
+            season = _parse_int(row[0], path=str(path), line=lines.line, field="season")
+            team = row[1].strip()
             if not team:
-                raise GameLogError("empty team id", path=str(path), line=line, field="team")
+                raise GameLogError("empty team id", path=str(path), line=lines.line, field="team")
             rosters.setdefault(season, set()).add(team)
     return rosters
 
@@ -320,38 +331,33 @@ def parse_game_log(path: str | Path,
     seen: set[tuple[dt.date, str, str]] = set()
     dates: dict[str, dt.date] = {}
     dropped = 0
-    start = line = 0  # physical lines: the header's first, and the last csv read
 
-    def data_lines(fh):
-        nonlocal start, line
-        for number, text in enumerate(fh, 1):
-            if not text.startswith("#"):
-                start, line = start or number, number
-                yield text
-
-    with path.open(newline="", encoding="utf-8") as fh, _csv_errors(path, lambda: line):
+    with path.open(newline="", encoding="utf-8") as fh, _csv_errors(path, lambda: lines.line):
+        lines = _DataLines(fh)
         try:
-            rows = csv.reader(data_lines(fh))
+            rows = csv.reader(lines)
             header = next(rows, None)
             if header is None:
                 raise GameLogError("empty file, header required", path=where, line=1)
             if [c.strip() for c in header] != HEADER:
                 raise GameLogError(
-                    f"bad header: expected {','.join(HEADER)}", path=where, line=start)
+                    f"bad header: expected {','.join(HEADER)}", path=where, line=lines.start)
             for row in rows:
                 if not row:
                     continue  # csv reads a blank line as []
                 if len(row) != len(HEADER):
-                    raise GameLogError(f"expected {len(HEADER)} columns", path=where, line=line)
+                    raise GameLogError(f"expected {len(HEADER)} columns",
+                                       path=where, line=lines.line)
                 try:
                     record = _record(row, dates)
                 except GameLogError as e:
-                    raise GameLogError(e.detail, path=where, line=line, field=e.field) from None
+                    raise GameLogError(e.detail, path=where, line=lines.line,
+                                       field=e.field) from None
                 key = (record.date, record.team_a, record.team_b)
                 if key in seen:
                     raise GameLogError(
                         f"duplicate game {record.team_a} vs {record.team_b} on {record.date}",
-                        path=where, line=line, field="team_a")
+                        path=where, line=lines.line, field="team_a")
                 seen.add(key)
                 if rosters is not None:
                     pool = rosters.get(record.season, set())

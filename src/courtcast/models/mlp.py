@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from courtcast.features import SITE_ORDER, Label, MatchInstance
 from courtcast.models.base import (
     ModelError,
     ModelKind,
@@ -230,9 +229,10 @@ def p_win(p: MlpParams, X: np.ndarray, site: np.ndarray) -> np.ndarray:
         return np.array([_forward(g, (x,))[0] for x in rows])
 
 
-def gradient_check(model: TrainedModel, instance: MatchInstance,
+def gradient_check(model: TrainedModel, x: np.ndarray, site: int, label: int,
                    epsilon: float = 1e-5) -> float:
-    """Max per-weight discrepancy between backprop and central differences.
+    """Max per-weight discrepancy between backprop and central differences at
+    features ``x``, site code ``site`` (0-2) and ``label`` (1: a first-team win).
 
     Relative error |ga - gn| / max(|ga|, |gn|), falling back to the absolute
     difference when both gradients are smaller than 1e-8.
@@ -242,11 +242,13 @@ def gradient_check(model: TrainedModel, instance: MatchInstance,
     if model.kind is not ModelKind.MLP:
         raise ModelError("gradient_check applies to MLP models only")
     p: MlpParams = model.params
-    x = np.asarray(instance.features, dtype=float)
+    x = np.asarray(x, dtype=float)
     if x.shape != p.mins.shape or not np.all(np.isfinite(x)):
         raise ModelError(f"gradient_check needs {len(p.mins)} finite feature values")
-    xs = _inputs(x[None], np.array([SITE_ORDER.index(instance.location)]), p.mins, p.ranges)  # 1 row
-    target = 1.0 if instance.label is None else float(instance.label is Label.WIN)
+    if np.ndim(site) or site not in (0, 1, 2) or np.ndim(label) or label not in (0, 1):
+        raise ModelError(f"gradient_check needs site 0-2 and label 0 or 1, got {site!r}, {label!r}")
+    xs = _inputs(x[None], np.array([int(site)]), p.mins, p.ranges)  # 1 row
+    target = float(label)
     g, grad = _Group([p]), _Group([p])
 
     def loss() -> float:

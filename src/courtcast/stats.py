@@ -100,7 +100,7 @@ class GameStats:
 
     ``off_factors`` are the team's own four factors; ``def_factors`` are the
     opponent's factors from the same game, i.e. what the team allowed.  The
-    raw boxes are kept so counting-stat feature schemes can reach them.
+    raw boxes ride along; feature schemes read means from team rows instead.
     """
 
     team: str

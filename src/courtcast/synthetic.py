@@ -115,9 +115,9 @@ class SyntheticLeagueSpec:
                 f"{self.n_teams} teams cannot form them")
         if self.n_seasons < 1:
             raise SyntheticError("n_seasons must be >= 1")
-        for o, d in self.resolved_strengths().values():
-            if not (0 < o < math.inf and 0 < d < math.inf):
-                raise SyntheticError(f"strengths must be positive and finite, got ({o}, {d})")
+        if not abs(self.strength_spread) < 100.0:
+            raise SyntheticError(f"strength_spread must be in (-100, 100) so that strengths "
+                                 f"are positive and finite, got {self.strength_spread}")
 
     def resolved_strengths(self) -> dict[str, tuple[float, float]]:
         return dict(zip(team_names(self.n_teams),

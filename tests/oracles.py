@@ -9,6 +9,7 @@ calls: it computes the same expressions on arrays.  Matching the
 production run *exactly* (bitwise) is the strongest check that the
 incremental accumulators are right; both sides fold values in the same
 chronological order, so float results must coincide operation for operation.
+The no-leakage tests cut a store at a date with :func:`truncated`.
 
 The same goes for the references at the end: naive Bayes scored one row at
 a time, RPI recomputed from scratch for each team, and decision trees grown
@@ -288,6 +289,19 @@ def linear_scan_at(ref: dict, games, team: str, date: dt.date, ft_weight: float)
             or _seed_dict(naive_league_means(games, date, ft_weight)))
     return {**{key: seed[key] for key in _KEYS},
             "games_played": 0, "raw_means": (0.0,) * 12}
+
+
+def state_row(state: dict) -> list[float]:
+    """A :func:`naive_season` state's values in team-row order: the 18
+    averaged values, then the 12 raw means."""
+    return [state[key] for key in _KEYS] + list(state["raw_means"])
+
+
+def truncated(store: SeasonStore, season: int, last_date: dt.date) -> SeasonStore:
+    """``store`` without the games of ``season`` after ``last_date``; every
+    season keeps its roster.  The no-leakage tests run the engine on it."""
+    kept = [g for g in store.all_games() if g.season != season or g.date <= last_date]
+    return SeasonStore(kept, rosters={s: set(store.teams(s)) for s in store.seasons})
 
 
 def snapshot_as_dict(snap: TeamSnapshot) -> dict:

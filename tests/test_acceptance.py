@@ -21,6 +21,7 @@ from courtcast.adjust import (
     AveragingScheme,
     Seeding,
     run_seasons,
+    team_row,
 )
 from courtcast.baselines import (
     PythagParams,
@@ -32,7 +33,7 @@ from courtcast.baselines import (
 from courtcast.evaluate import glass_ceiling_experiment, walk_forward_evaluate
 from courtcast.features import FeatureScheme, Label, build_dataset
 from courtcast.ingest import GameRecord, Location
-from courtcast.models import ModelError, ModelKind, gradient_check, predict, train
+from courtcast.models import ModelError, ModelKind, predict, train
 from courtcast.stats import (
     FOUR_FACTOR_WEIGHTS,
     four_factors,
@@ -52,10 +53,11 @@ from tests.oracles import (
     explicit_weighted_average,
     naive_season,
     snapshot_as_dict,
+    truncated,
 )
 from tests.test_cli import run_cli
 from tests.test_features import make_snap
-from tests.test_models import make_instance, separable_instances
+from tests.test_models import check_gradients, make_instance, separable_instances
 
 
 @contextlib.contextmanager
@@ -174,7 +176,7 @@ def test_criterion_3_no_leakage_at_random_truncations(capsys):
         for draw in range(20):
             cut = games[int(rng.integers(len(games)))].date
             sch, sd = ALL_COMBOS[draw % len(ALL_COMBOS)]
-            part = run_seasons(store.truncated(season, cut), sch, sd,
+            part = run_seasons(truncated(store, season, cut), sch, sd,
                                through=season)[season]
             assert part.pre_match  # the cut never empties the season
             for key, snaps in part.pre_match.items():
@@ -191,7 +193,7 @@ def test_criterion_4_mlp_gradients_match_finite_differences(capsys):
             model = train(insts, ModelKind.MLP,
                           hyper={"epochs": seed % 4, "hidden": (2, 4, 7)[seed % 3]},
                           seed=seed)
-            err = gradient_check(model, insts[seed % len(insts)], epsilon=1e-5)
+            err = check_gradients(model, insts[seed % len(insts)], epsilon=1e-5)
             worst = max(worst, err)
         assert worst <= 1e-4
 
@@ -270,7 +272,8 @@ def test_criterion_8_rankings_cohere_with_their_ratings(capsys):
                 make_snap(f"team{i:02d}", 100.0),
                 adj_oe=float(rng.uniform(85.0, 120.0)),
                 adj_de=float(rng.uniform(85.0, 120.0))) for i in range(n)]
-            ranking = round_robin_rank(pythag_predictor(params), snaps)
+            ranking = round_robin_rank(pythag_predictor(params),
+                                       {s.team: team_row(s) for s in snaps})
             by_rating = sorted(snaps, key=lambda s: (-pythag_rating(s, params), s.team))
             assert [e.team for e in ranking.entries] == [s.team for s in by_rating]
 

@@ -7,16 +7,19 @@ import datetime as dt
 import gc
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from courtcast.adjust import (
     NEUTRAL_BASELINE,
+    STATE_KEYS,
     AdjustConfig,
     AdjustmentError,
     AveragingScheme,
     Seeding,
     run_seasons,
+    team_row,
 )
 from courtcast.ingest import GameRecord, Location, SeasonStore
 from courtcast.stats import DEFAULT_FT_WEIGHT
@@ -29,6 +32,8 @@ from tests.oracles import (
     naive_league_means,
     naive_season,
     snapshot_as_dict,
+    state_row,
+    truncated,
 )
 
 TOL = 1e-9
@@ -181,18 +186,19 @@ class TestRunSeasonBasics:
         run = season_run(two_season_store, 2011, AveragingScheme.EXPLICIT,
                          Seeding.FROM_SCRATCH)
         late = dt.date(2012, 3, 1)
-        ghost = run.snapshot_at("ghosts", late)
-        assert ghost.games_played == 0
-        # From-scratch seed = national average as of the queried morning.
+        (ghost,) = run.rows_at(["ghosts"], late)
+        # From-scratch seed = national average as of the queried morning,
+        # and no raw means: the team has played no game.
         oe, de = run.league_means[bisect.bisect_left(run.days, late), :2].tolist()
-        assert ghost.adj_oe == oe and ghost.adj_de == de
+        assert ghost[:2].tolist() == [oe, de]
+        assert ghost[len(STATE_KEYS):].tolist() == [0.0] * 12
 
-    def test_snapshot_at_matches_pre_match(self, two_season_store):
+    def test_rows_at_matches_pre_match(self, two_season_store):
         run = season_run(two_season_store, 2011, AveragingScheme.EXPLICIT,
                          Seeding.PRIOR_SEASON)
-        for (date, a, b), (snap_a, snap_b) in run.pre_match.items():
-            assert run.snapshot_at(a, date) == snap_a
-            assert run.snapshot_at(b, date) == snap_b
+        for (date, a, b), snaps in run.pre_match.items():
+            want = np.stack([team_row(snap) for snap in snaps])
+            assert run.rows_at([a, b], date).tobytes() == want.tobytes()
 
     def test_run_freed_without_cyclic_collector(self, two_season_store):
         # A run in a reference cycle lingers until the cyclic collector runs,
@@ -205,7 +211,7 @@ class TestRunSeasonBasics:
             for run in runs.values():
                 for key in run.pre_match:
                     run.pre_match[key]
-                run.series, run.final, run.snapshot_at("ghosts", dt.date(2012, 3, 1))
+                run.series, run.final, run.rows_at(["ghosts"], dt.date(2012, 3, 1))
             refs = [weakref.ref(run) for run in runs.values()]
             del runs, run
             assert [r() for r in refs] == [None] * len(refs)
@@ -279,7 +285,7 @@ class TestNoLeakage:
         full = season_run(two_season_store, season, scheme, seeding)
         dates = sorted({g.date for g in two_season_store.games(season)})
         for cut in dates:
-            trunc = season_run(two_season_store.truncated(season, cut),
+            trunc = season_run(truncated(two_season_store, season, cut),
                                season, scheme, seeding)
             for key, snaps in full.pre_match.items():
                 if key[0] > cut:
@@ -345,8 +351,8 @@ class TestSameDayRepeats:
         assert run.final["ants"].games_played == 4
 
 
-class TestSnapshotAt:
-    """``snapshot_at`` against a linear scan of the oracle's post-game states."""
+class TestRowsAt:
+    """``rows_at`` against a linear scan of the oracle's post-game states."""
 
     @pytest.mark.parametrize("make_store", [tiny_store, same_day_store])
     @pytest.mark.parametrize("scheme,seeding", ALL_COMBOS)
@@ -360,12 +366,12 @@ class TestSnapshotAt:
             probes = (set(dates) | {d + dt.timedelta(days=1) for d in dates}
                       | {dates[0] - dt.timedelta(days=10), dates[-1] + dt.timedelta(days=30)})
             teams = sorted({t for s in store.seasons for t in store.teams(s)}) + ["ghosts"]
-            for team in teams:
-                for date in sorted(probes):
-                    snap = run.snapshot_at(team, date)
-                    assert (snap.team, snap.season, snap.date) == (team, season, date)
-                    assert snapshot_as_dict(snap) == linear_scan_at(
-                        ref, games, team, date, DEFAULT_FT_WEIGHT), (team, date)
+            for date in sorted(probes):
+                rows = run.rows_at(teams, date)
+                assert rows.shape == (len(teams), 30)
+                for team, row in zip(teams, rows.tolist()):
+                    assert row == state_row(linear_scan_at(
+                        ref, games, team, date, DEFAULT_FT_WEIGHT)), (team, date)
 
 
 def _bad_possessions_store() -> SeasonStore:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from courtcast.adjust import AveragingScheme, Seeding, run_seasons
+from courtcast.adjust import AveragingScheme, Seeding, run_seasons, team_row
 from courtcast.baselines import (
     BaselineError,
     PythagParams,
@@ -31,6 +31,11 @@ from tests.test_features import make_snap
 
 def snap(team, oe, de):
     return dataclasses.replace(make_snap(team, 100.0), adj_oe=oe, adj_de=de)
+
+
+def rows_of(snaps) -> dict:
+    """Each snapshot's team row, keyed by its team: a ranking's input."""
+    return {s.team: team_row(s) for s in snaps}
 
 
 def neutral_game(a, b, a_wins, day, month=1):
@@ -157,7 +162,7 @@ class TestRpi:
 class TestRoundRobinRank:
     def test_two_teams(self):
         ranking = round_robin_rank(
-            pythag_predictor(), [snap("weak", 98.0, 104.0), snap("strong", 112.0, 95.0)])
+            pythag_predictor(), rows_of([snap("weak", 98.0, 104.0), snap("strong", 112.0, 95.0)]))
         assert [e.team for e in ranking.entries] == ["strong", "weak"]
         assert [e.score for e in ranking.entries] == [1.0, 0.0]
         assert [e.rank for e in ranking.entries] == [1, 2]
@@ -167,7 +172,7 @@ class TestRoundRobinRank:
         for trial in range(10):
             snaps = [snap(f"t{i:02d}", rng.uniform(85.0, 120.0), rng.uniform(85.0, 120.0))
                      for i in range(10)]
-            ranking = round_robin_rank(pythag_predictor(), snaps)
+            ranking = round_robin_rank(pythag_predictor(), rows_of(snaps))
             by_rating = sorted(snaps, key=lambda s: (-pythag_rating(s), s.team))
             assert [e.team for e in ranking.entries] == [s.team for s in by_rating]
             # a totally ordered field: k-th team wins exactly n-1-k pairings
@@ -175,31 +180,28 @@ class TestRoundRobinRank:
 
     def test_exact_tie_goes_to_first_team(self):
         snaps = [snap("a", 105.0, 95.0), snap("b", 105.0, 95.0), snap("c", 90.0, 110.0)]
-        ranking = round_robin_rank(pythag_predictor(), snaps)
+        ranking = round_robin_rank(pythag_predictor(), rows_of(snaps))
         assert [e.team for e in ranking.entries] == ["a", "b", "c"]
         assert [e.score for e in ranking.entries] == [2.0, 1.0, 0.0]
 
     def test_cycle_breaks_by_mean_probability(self):
         table = {("a", "b"): 0.9, ("b", "c"): 0.8, ("a", "c"): 0.1}
 
-        def predictor(snaps, first, second):
-            return [table[(snaps[i].team, snaps[j].team)] for i, j in zip(first, second)]
+        def predictor(teams, rows, first, second):
+            return [table[(teams[i], teams[j])] for i, j in zip(first, second)]
 
         snaps = [snap("a", 100.0, 100.0), snap("b", 100.0, 100.0), snap("c", 100.0, 100.0)]
-        ranking = round_robin_rank(predictor, snaps)
+        ranking = round_robin_rank(predictor, rows_of(snaps))
         # everyone 1-1; mean probabilities: c 0.55, a 0.50, b 0.45
         assert [e.team for e in ranking.entries] == ["c", "a", "b"]
         assert [e.mean_p for e in ranking.entries] == pytest.approx([0.55, 0.5, 0.45])
 
     def test_input_validation(self):
         with pytest.raises(BaselineError, match="at least two"):
-            round_robin_rank(pythag_predictor(), [snap("a", 100.0, 100.0)])
-        with pytest.raises(BaselineError, match="duplicate"):
-            round_robin_rank(pythag_predictor(),
-                             [snap("a", 100.0, 100.0), snap("a", 101.0, 99.0)])
+            round_robin_rank(pythag_predictor(), rows_of([snap("a", 100.0, 100.0)]))
         with pytest.raises(BaselineError, match="invalid probability"):
-            round_robin_rank(lambda snaps, first, second: np.full(len(first), 1.5),
-                             [snap("a", 100.0, 100.0), snap("b", 100.0, 100.0)])
+            round_robin_rank(lambda teams, rows, first, second: np.full(len(first), 1.5),
+                             rows_of([snap("a", 100.0, 100.0), snap("b", 100.0, 100.0)]))
 
     def test_model_predictor_ranks_by_strength(self):
         from tests.test_models import separable_instances
@@ -207,7 +209,7 @@ class TestRoundRobinRank:
         model = train(separable_instances(200, seed=3), ModelKind.NAIVE_BAYES_KDE)
         snaps = [snap("mid", 100.0, 100.0), snap("top", 114.0, 92.0),
                  snap("low", 90.0, 112.0)]
-        ranking = round_robin_rank(model_predictor(model), snaps)
+        ranking = round_robin_rank(model_predictor(model), rows_of(snaps))
         assert [e.team for e in ranking.entries] == ["top", "mid", "low"]
 
 
@@ -237,17 +239,22 @@ def league():
     from tests.test_models import generated_league
 
     run, train_set, _ = generated_league()
-    return [run.final[t] for t in sorted(run.final)], train_set
+    return run, train_set
+
+
+def final_rows(run) -> dict:
+    """Each team's final row, as ``cli rank`` reads it."""
+    return dict(zip(run.teams, run.final_rows))
 
 
 @pytest.mark.parametrize("kind", list(ModelKind))
 def test_batched_model_ranking_equals_per_pair_predictions(league, kind):
-    snaps, train_set = league
+    run, train_set = league
     hyper = {"epochs": 20} if kind is ModelKind.MLP else None
     model = train(train_set, kind, hyper=hyper, seed=2)
-    ranking = round_robin_rank(model_predictor(model), snaps)
+    ranking = round_robin_rank(model_predictor(model), final_rows(run))
     got = [(e.team, e.score, e.mean_p) for e in ranking.entries]
-    assert got == reference_rank(model, snaps)
+    assert got == reference_rank(model, run.final.values())
     assert len({e.mean_p for e in ranking.entries}) > 1
 
 
@@ -262,19 +269,14 @@ def season16():
     return store, runs, test_season
 
 
-def final_snaps(runs, season) -> list:
-    return [runs[season].final[t] for t in sorted(runs[season].final)]
-
-
 @pytest.mark.parametrize("scheme", list(FeatureScheme))
 def test_naive_bayes_ranking_equals_per_pair_predictions_on_every_scheme(season16, scheme):
     store, runs, test_season = season16
     train_set, _ = build_dataset(store, runs, scheme, test_season)
     model = train(train_set, ModelKind.NAIVE_BAYES_KDE)
-    snaps = final_snaps(runs, test_season)
-    ranking = round_robin_rank(model_predictor(model), snaps)
+    ranking = round_robin_rank(model_predictor(model), final_rows(runs[test_season]))
     got = [(e.team, e.score, e.mean_p) for e in ranking.entries]
-    assert got == reference_rank(model, snaps)
+    assert got == reference_rank(model, runs[test_season].final.values())
 
 
 def test_naive_bayes_ranking_scores_each_team_not_each_pairing(season16, monkeypatch):
@@ -283,8 +285,8 @@ def test_naive_bayes_ranking_scores_each_team_not_each_pairing(season16, monkeyp
     store, runs, test_season = season16
     train_set, _ = build_dataset(store, runs, FeatureScheme.ADJ_FOUR_FACTORS, test_season)
     model = train(train_set, ModelKind.NAIVE_BAYES_KDE)
-    snaps = final_snaps(runs, test_season)
-    assert len(snaps) == 16
+    rows = final_rows(runs[test_season])
+    assert len(rows) == 16
     calls = []
     densities = naive_bayes._log_densities
 
@@ -293,7 +295,7 @@ def test_naive_bayes_ranking_scores_each_team_not_each_pairing(season16, monkeyp
         return densities(*args)
 
     monkeypatch.setattr(naive_bayes, "_log_densities", counted)
-    round_robin_rank(model_predictor(model), snaps)
+    round_robin_rank(model_predictor(model), rows)
     assert 0 < len(calls) <= 2 * 16
 
 
@@ -308,11 +310,13 @@ def test_rpi_equals_the_per_team_reference(season16):
 
 class TestPythagPredictor:
     def test_equals_pair_probabilities(self, season16):
+        # the rows' probabilities against the snapshot adapter's, bit for bit
         _, runs, test_season = season16
-        snaps = final_snaps(runs, test_season)
+        run = runs[test_season]
+        snaps = [run.final[team] for team in run.teams]
         first, second = np.triu_indices(len(snaps), k=1)
         params = PythagParams(y=9.0)
-        got = pythag_predictor(params)(snaps, first, second)
+        got = pythag_predictor(params)(run.teams, run.final_rows, first, second)
         assert got == [pythag_pair_prob(snaps[i], snaps[j], params)
                        for i, j in zip(first, second)]
 
@@ -321,4 +325,4 @@ class TestPythagPredictor:
         snaps[2] = snap("t2", -1.0, 100.0)
         snaps[4] = snap("t4", 100.0, 0.0)
         with pytest.raises(BaselineError, match="^t2:"):
-            round_robin_rank(pythag_predictor(), snaps)
+            round_robin_rank(pythag_predictor(), rows_of(snaps))

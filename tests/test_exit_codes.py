@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,8 @@ class TestBadFiles:
     @pytest.mark.parametrize("text, where", [
         ("season,team\n2021\n", "roster.csv:2: expected 2 columns"),
         ("season,team\n\n2021,t00\n20x1,t01\n", "roster.csv:4: field 'season'"),
+        ("# note\nseason,team\n2021,t00\n# note\n20x1,t01\n", "roster.csv:5: field 'season'"),
+        ("# note\n# note\nseason\n", "roster.csv:3: roster header must be 'season,team'"),
     ])
     def test_bad_roster_row_names_its_line(self, league, tmp_path, text, where):
         roster = tmp_path / "roster.csv"
@@ -248,6 +251,8 @@ def test_model_file_that_is_not_json(league, tmp_path):
     (["simulate", "--home-advantage", "inf"], "home_advantage"),
     (["simulate", "--home-advantage", "-1e400"], "home_advantage must be finite, got -inf"),
     (["glass-ceiling", "--strength-spread", "nan"], "strengths"),
+    (["glass-ceiling", "--strength-spread", "1e308"], "strength_spread must be in (-100, 100)"),
+    (["simulate", "--strength-spread", "-1e308"], "got -1e+308"),
     (["glass-ceiling", "--kinds", " , "], "--kinds"),
     (["glass-ceiling", "--kinds", "mlp", "--hyper", "decision_tree.min_node_fraction=0.05"],
      "decision_tree"),
@@ -272,6 +277,9 @@ def test_model_file_that_is_not_json(league, tmp_path):
     (["glass-ceiling", "--kinds", "pythag", "--hyper", "pythag.y=3,pythag.y=4"],
      "hyper key 'pythag.y' is given twice"),
     (["glass-ceiling", "--kinds", "pythag", "--pythag-y", "0"], "'y'"),
+    (["predict", "--team-first", "t0\n1", "--team-second", "t02"],
+     "team_first must be one line, got 't0\\n1'"),
+    (["adjust", "--kinds", "pythag\u2028,mlp"], "kinds must be one line"),
 ])
 def test_bad_value_is_a_usage_error_before_any_data_is_read(tmp_path, argv, key):
     # the game log does not exist: a check after reading it would exit 2
@@ -294,6 +302,13 @@ def test_a_setting_that_draws_a_huge_score_is_named(tmp_path, argv, settings):
     assert code == 2, err
     assert f"{settings} draw a point total of " in err, err
     assert "over the box-score limit 1000000" in err, err
+
+
+def test_a_padded_value_is_echoed_as_its_config_file_reads_it(tmp_path):
+    # the config file strips each value, so the run strips it too
+    code, err = main("simulate", *LEAGUE, "--kinds", "  pythag ", "--out", tmp_path)
+    assert code == 0, err
+    assert "kinds = pythag\n" in (tmp_path / "run_config.cfg").read_text()
 
 
 @pytest.mark.parametrize("value", ["-1e3", "-2.5E+1", "-.5e-2", "-500"])
@@ -396,3 +411,97 @@ def test_fuzzed_game_log(league, command, edits):
     extra = {"train": tree, "evaluate": tree, "rank": model, "predict": [*model, *PAIRING]}
     code, err = main(command, "--data", path, "--out", league / "fuzz", *extra.get(command, ()))
     assert code in (0, 1, 2), err
+
+
+# ---------------------------------------------------------------------------
+# The whole CLI as a property: any command with any few settings exits 0, 1
+# or 2 without a traceback, and a run that succeeds replays from its
+# run_config.cfg byte for byte.
+
+#: Each drawn setting's values: valid ones, boundaries and junk.  League
+#: sizes stay small, and no drawn value trains a large model.
+SETTINGS = {
+    "roster": ["roster.csv", "missing.csv", ""],
+    "averaging": ["alpha", "explicit", "", "ALPHA"],
+    "seeding": ["prior_season", "from_scratch", "none"],
+    "alpha": ["0", "1", "0.5", "-1e-3", "1.5", "nan", "x"],
+    "ft_weight": ["0", "1", "0.475", "-1e3", "2", "inf"],
+    "navg_source": ["raw", "adjusted", "mean"],
+    "scheme": ["adj_eff", "four_factors", "adj_four_factors", "raw", "diff_off_vs_def",
+               "diff_like_vs_like", "", "elo"],
+    "kind": MODEL_KINDS + ["pythag", "home_wins", "rpi", "elo", ""],
+    "hyper": ["", "epochs=2", "epochs=0", "hidden=1,epochs=1", "y=9.5", "y=-1e-3",
+              "y=1e400", "n_trees=2", "min_node_fraction=1", "bandwidth=0.5", "bogus=1",
+              "epochs=-1e3", "=", "mlp.epochs=2", "pythag.y=3", "pythag.y=1e308",
+              "decision_tree.min_node_fraction=0.2"],
+    "pythag_y": ["11.5", "1", "1e-3", "0", "-2.5e1", "1e308", "nan", "x"],
+    "seed": ["0", "1", "7", "-1", "1e3", "x"],
+    "test_season": ["0", "2021", "2022", "1999", "-5", "x"],
+    "team_first": ["t00", "t05", "t99", " t02 ", ""],
+    "team_second": ["t01", "t00", "t99"],
+    "location": ["home", "away", "neutral", "HOME"],
+    "date": ["", "2022-01-15", "2000-01-01", "9999-12-31", "2022-13-01", "x"],
+    "n_teams": ["3", "0", "-2", "1e3"],
+    "games_per_team": ["0", "-3", "x"],
+    "n_seasons": ["1", "0", "-1e3"],
+    "noise": ["0", "6", "1e-3", "-1e3", "1e308", "nan"],
+    "home_advantage": ["0", "2.5", "-2.5e1", "-1e308", "inf"],
+    "imbalance": ["0", "0.5", "1", "-0.1", "2"],
+    "strength_spread": ["0", "10", "-1e1", "1e308", "nan"],
+    "bayes_target": ["0", "0.7", "0.5", "1", "-1e-1", "0.99"],
+    "kinds": ["elo", " , ", "pythag,pythag", "home_wins"],
+    "schemes": ["adj_eff", "raw,adj_eff", "", " , ", "elo", "adj_eff,adj_eff"],
+}
+#: A small valid league and grid that every simulate and glass-ceiling run
+#: draws first, so that none falls back to a default that takes long to run.
+LEAGUE_SETTINGS = {
+    "n_teams": ["2", "4", "6"],
+    "games_per_team": ["1", "2", "4"],
+    "n_seasons": ["2", "3"],
+    "kinds": ["pythag", "pythag,home_wins", "naive_bayes_kde,decision_tree",
+              "random_forest,pythag"],
+}
+
+
+@pytest.fixture(scope="module")
+def roster(league) -> Path:
+    """A roster with comment lines that leaves t05 out of 2022."""
+    path = league / "roster.csv"
+    teams = [f"t{i:02d}" for i in range(6)]
+    path.write_text("# run config\nseason,team\n" + "".join(f"2021,{t}\n" for t in teams)
+                    + "# the second season\n" + "".join(f"2022,{t}\n" for t in teams[:5]))
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_command_exits_cleanly_and_replays_its_config(league, roster, data):
+    command = data.draw(st.sampled_from(sorted(cli.COMMANDS)), label="command")
+    drawn = ({name: data.draw(st.sampled_from(values), label=name)
+              for name, values in LEAGUE_SETTINGS.items()}
+             if command in ("simulate", "glass-ceiling") else {})
+    names = data.draw(st.lists(st.sampled_from(sorted(SETTINGS)), max_size=4, unique=True),
+                      label="settings")
+    drawn.update({name: data.draw(st.sampled_from(SETTINGS[name]), label=name)
+                  for name in names})
+    if drawn.get("roster"):
+        drawn["roster"] = str(league / drawn["roster"])
+    argv = [command, "--data", str(league / "sim" / "games.csv")]
+    kind = drawn.get("kind", "naive_bayes_kde")
+    if command in ("predict", "rank") and kind in MODEL_KINDS:
+        argv += ["--model", str(league / kind / "model.json")]
+    if command == "predict":
+        argv += PAIRING
+    for name, value in drawn.items():
+        argv += ["--" + name.replace("_", "-"), value]
+
+    out = league / "property"
+    shutil.rmtree(out, ignore_errors=True)
+    code, err = main(*argv, "--out", out)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err, (argv, err)
+    if code == 0:
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        again, err = main(command, "--config", out / "run_config.cfg")
+        assert again == 0, (argv, err)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first, argv

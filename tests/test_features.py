@@ -22,6 +22,7 @@ from courtcast.features import (
     Label,
     build_dataset,
     encode_pairing,
+    encode_pairings,
     encode_season,
     feature_names,
     to_arrays,
@@ -30,6 +31,7 @@ from courtcast.ingest import GameLogError, GameRecord, Location, SeasonStore
 from courtcast.stats import FourFactors, Site
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
 from tests.conftest import BOX_A, BOX_B
+from tests.oracles import truncated
 
 DATE = dt.date(2011, 1, 15)
 
@@ -226,12 +228,16 @@ class TestEncoderMatchesSnapshots:
 
     @pytest.mark.parametrize("averaging,scheme", SCHEMES_BY_AVERAGING)
     def test_encode_pairing_is_the_one_row_encode(self, league, averaging, scheme):
+        # the rows at the game's date and the game's snapshots both encode
+        # to the season encoder's instance
         runs = run_seasons(league, averaging, Seeding.PRIOR_SEASON)
         for run in runs.values():
             for inst in encode_season(run, scheme):
-                one = encode_pairing(run.snapshot_at(inst.team_first, inst.date),
-                                     run.snapshot_at(inst.team_second, inst.date), scheme)
+                rows = run.rows_at([inst.team_first, inst.team_second], inst.date)
+                one = encode_pairings(rows, [0], [1], scheme)
                 assert one.tobytes() == inst.features.tobytes()
+                snaps = run.pre_match[(inst.date, inst.team_first, inst.team_second)]
+                assert encode_pairing(*snaps, scheme).tobytes() == inst.features.tobytes()
 
 
 class TestBuildDataset:
@@ -273,7 +279,7 @@ class TestBuildDataset:
 
     def test_run_of_another_store_is_rejected(self, two_season_store):
         cut = two_season_store.games(2011)[2].date
-        runs = run_seasons(two_season_store.truncated(2011, cut))
+        runs = run_seasons(truncated(two_season_store, 2011, cut))
         with pytest.raises(FeatureError, match="2011"):
             build_dataset(two_season_store, runs, FeatureScheme.ADJ_EFF, 2011)
 

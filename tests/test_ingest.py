@@ -21,7 +21,7 @@ from courtcast.ingest import (
 )
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
 from tests.conftest import BOX_A, BOX_B, make_box
-from tests.oracles import parse_rows
+from tests.oracles import parse_rows, truncated
 from tests.test_exit_codes import EDITS, corrupted
 
 
@@ -184,10 +184,20 @@ class TestStoreAndPartition:
         path.write_text(" season, team \n2010,b\n2011,c\n")
         assert parse_roster(path) == {2010: {"b"}, 2011: {"c"}}
 
+    def test_roster_comments_are_skipped(self, tmp_path):
+        # every CSV the program writes starts with "#" lines
+        plain = tmp_path / "plain.csv"
+        plain.write_text("season,team\n2010,b\n2010,a\n2011,c\n")
+        commented = tmp_path / "commented.csv"
+        commented.write_text("# seed = 0\n# out = x\nseason,team\n2010,b\n"
+                             "# a mid-file note, with a comma\n2010,a\n#\n2011,c\n")
+        assert parse_roster(commented) == parse_roster(plain) == {2010: {"a", "b"},
+                                                                  2011: {"c"}}
+
     def test_truncated_drops_later_games(self, two_season_store):
         games = two_season_store.games(2011)
         cut = games[2].date
-        shorter = two_season_store.truncated(2011, cut)
+        shorter = truncated(two_season_store, 2011, cut)
         assert all(g.date <= cut for g in shorter.games(2011))
         assert shorter.games(2010) == two_season_store.games(2010)
 

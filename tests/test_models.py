@@ -56,6 +56,12 @@ def make_instance(features, label=Label.WIN, location=Site.NEUTRAL,
                          team_first=team, team_second="zzz")
 
 
+def check_gradients(model, inst: MatchInstance, epsilon: float = 1e-5) -> float:
+    """``gradient_check`` at an instance's features, site and label."""
+    return gradient_check(model, inst.features, SITE_ORDER.index(inst.location),
+                          int(inst.label is Label.WIN), epsilon=epsilon)
+
+
 def separable_instances(n: int, seed: int, gap: float = 8.0) -> list[MatchInstance]:
     """Labels follow net adjusted efficiency with a hard margin: separable."""
     rng = np.random.default_rng(seed)
@@ -215,14 +221,14 @@ class TestMlp:
         insts = separable_instances(30, seed=2)
         for seed in range(5):
             model = train(insts, ModelKind.MLP, hyper={"epochs": 0}, seed=seed)
-            err = gradient_check(model, insts[seed], epsilon=1e-5)
+            err = check_gradients(model, insts[seed], epsilon=1e-5)
             assert err <= 1e-4
 
     def test_gradient_check_zero_network_exact(self):
         model = train(separable_instances(10, seed=3), ModelKind.MLP,
                       hyper={"epochs": 0})
         model.params.theta[:] = 0.0   # W1, b1, w2 and b2
-        err = gradient_check(model, make_instance([1, 2, 3, 4], Label.WIN))
+        err = check_gradients(model, make_instance([1, 2, 3, 4], Label.WIN))
         assert err <= 1e-9
 
     def test_gradient_check_catches_corruption(self, monkeypatch):
@@ -235,7 +241,7 @@ class TestMlp:
             grad.W1[:] = grad.W1 * 1.5 + 0.01
 
         monkeypatch.setattr(mlp_mod, "_gradients", corrupted)
-        assert gradient_check(model, insts[0]) > 1e-4
+        assert check_gradients(model, insts[0]) > 1e-4
 
     def test_training_runs_the_backprop_that_is_checked(self, monkeypatch):
         # fit and gradient_check share one _gradients: corrupting it changes
@@ -251,21 +257,28 @@ class TestMlp:
         monkeypatch.setattr(mlp_mod, "_gradients", corrupted)
         model = train(insts, ModelKind.MLP, hyper={"epochs": 2})
         assert model.params.theta.tobytes() != clean.tobytes()
-        assert gradient_check(model, insts[0]) > 1e-4
+        assert check_gradients(model, insts[0]) > 1e-4
 
     def test_gradient_check_rejects_bad_input(self):
         model = train(separable_instances(10, seed=5), ModelKind.MLP, hyper={"epochs": 0})
         for features in ([1.0, 2.0, float("nan"), 4.0], [1.0, 2.0, 3.0]):
-            inst = dataclasses.replace(make_instance([1, 2, 3, 4]), features=np.array(features))
             with pytest.raises(ModelError, match="4 finite feature values"):
-                gradient_check(model, inst)
+                gradient_check(model, np.array(features), 0, 1)
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        for site in (-1, 3, 0.5, None, "home", [0]):
+            with pytest.raises(ModelError, match="needs site 0-2 and label 0 or 1"):
+                gradient_check(model, x, site, 1)
+        for label in (-1, 2, 0.5, None, "win", [1]):
+            with pytest.raises(ModelError, match="needs site 0-2 and label 0 or 1"):
+                gradient_check(model, x, 2, label)
+        assert gradient_check(model, x, np.int64(2), np.int64(0)) <= 1e-4
 
     def test_epsilon_validation(self):
         model = train(separable_instances(10, seed=5), ModelKind.MLP,
                       hyper={"epochs": 0})
         for eps in (0.0, -1e-5, 1e-2):
             with pytest.raises(ModelError, match="epsilon"):
-                gradient_check(model, separable_instances(1, seed=0)[0], epsilon=eps)
+                check_gradients(model, separable_instances(1, seed=0)[0], epsilon=eps)
 
     def test_deterministic_given_seed(self):
         insts = separable_instances(60, seed=6)

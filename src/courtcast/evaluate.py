@@ -7,14 +7,19 @@ and the resolved configuration, and serialize byte-identically for fixed
 seeds.
 
 Both entry points run one grid core, a (model kind x feature scheme) grid
-on a store and a test season: one adjust pass, every scheme's dataset, one
-job per trained kind, the baselines in process, and each cell's report
-built from its win probabilities in game order.  A walk-forward evaluation
-is the grid of one cell.  The ceiling experiment runs the grid on a
-synthetic league whose best achievable accuracy is known, reporting each
-cell's gap to that bound.  Each model kind, and the bound's Monte-Carlo run,
-is one job; the jobs run on up to one forked process per usable core, in
-process when that is one, and every output is the same bit for bit.
+on a store and a test season: one adjust pass, every scheme's train and
+test sets encoded as arrays from its pre-match rows (after which only the
+test season's games are kept, with its rows while pythag needs them), one
+job per trained kind trained on those arrays, the baselines in process,
+and each cell's report built from the test games, their site codes and
+labels, and its win probabilities in game order.  A walk-forward
+evaluation is the grid of one cell; ``evaluate_predictor`` builds the same
+report from a predictor's picks on instances.  The ceiling experiment runs
+the grid on a synthetic league whose best achievable accuracy is known,
+reporting each cell's gap to that bound.  Each model kind, and the bound's
+Monte-Carlo run, is one job; the jobs run on up to one forked process per
+usable core, in process when that is one, and every output is the same bit
+for bit.
 """
 
 from __future__ import annotations
@@ -25,14 +30,23 @@ import math
 import os
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from courtcast.adjust import AdjustConfig, AveragingScheme, Seeding, run_seasons
 from courtcast.baselines import HOME_WINS_P, PythagParams, pythag_predictor
-from courtcast.features import FeatureScheme, Label, MatchInstance, build_dataset, to_arrays
+from courtcast.features import (
+    SITE_ORDER,
+    FeatureScheme,
+    Label,
+    MatchInstance,
+    encode_runs,
+    split_runs,
+)
 from courtcast.ingest import CourtcastError, SeasonStore
-from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, p_win, resolve_label, train_group
-from courtcast.models.base import POSITIVE, resolve_hyper
+from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, p_win, train_group
+from courtcast.models.base import POSITIVE, first_team_wins, resolve_hyper
 from courtcast.stats import Site
 from courtcast.synthetic import SyntheticLeagueSpec, league_games, league_truth
 
@@ -123,27 +137,37 @@ def evaluate_predictor(instances: Sequence[MatchInstance], predict_fn: PredictFn
     if any(inst.label is None for inst in instances):
         raise EvalError("evaluation instances must be labeled")
     ordered = sorted(instances, key=lambda i: (i.date, i.team_first, i.team_second))
-    return _report(ordered, map(predict_fn, ordered), config, test_season=test_season,
-                   kind=kind, scheme=scheme, averaging=averaging, seeding=seeding,
-                   seed=seed, n_train=n_train)
+    picks = [predict_fn(inst) for inst in ordered]
+    return _report([(i.date, i.team_first, i.team_second) for i in ordered],
+                   [SITE_ORDER.index(i.location) for i in ordered],
+                   [i.label is Label.WIN for i in ordered],
+                   [label is Label.WIN for label, _ in picks], [p for _, p in picks],
+                   config, test_season=test_season, kind=kind, scheme=scheme,
+                   averaging=averaging, seeding=seeding, seed=seed, n_train=n_train)
 
 
-def _report(ordered: Sequence[MatchInstance], picks: Iterable[tuple[Label, float]],
+def _report(keys: Sequence[tuple[dt.date, str, str]], site: Sequence[int],
+            won: Sequence[int], picked: Sequence[int], p_win: Sequence[float],
             config: Mapping[str, object], **meta) -> EvalReport:
-    """The report of ``picks``, one (label, p) pair per instance of
-    ``ordered``, which is in (date, team_first, team_second) order; ``meta``
-    holds the report's fields that do not come from the picks."""
-    if not ordered:
+    """The report of one predictor on test games in (date, team_first,
+    team_second) order: ``keys`` holds each game's (date, first team, second
+    team), ``site`` its ``SITE_ORDER`` code, ``won`` whether the first team
+    won, ``picked`` whether the predictor picked it, and ``p_win`` its
+    probability; ``meta`` holds the report's fields that do not come from
+    the games."""
+    if not keys:
         raise EvalError("nothing to evaluate")
     preds = []
     confusion = {"pred_win_actual_win": 0, "pred_win_actual_loss": 0,
                  "pred_loss_actual_win": 0, "pred_loss_actual_loss": 0}
-    for inst, (predicted, p) in zip(ordered, picks, strict=True):
-        confusion[f"pred_{predicted.value}_actual_{inst.label.value}"] += 1
+    for (date, first, second), code, actual, predicted, p in zip(
+            keys, site, won, picked, p_win, strict=True):
+        predicted = Label.WIN if predicted else Label.LOSS
+        actual = Label.WIN if actual else Label.LOSS
+        confusion[f"pred_{predicted.value}_actual_{actual.value}"] += 1
         preds.append(Prediction(
-            date=inst.date, team_first=inst.team_first, team_second=inst.team_second,
-            location=inst.location, predicted=predicted, actual=inst.label,
-            p_win=float(p)))
+            date=date, team_first=first, team_second=second, location=SITE_ORDER[code],
+            predicted=predicted, actual=actual, p_win=float(p)))
 
     n = len(preds)
     series, hits = [], 0
@@ -203,14 +227,15 @@ def _named(names: Sequence, enum: type, what: str, extra: Sequence[str] = ()) ->
     return out
 
 
-def _kind_probs(datasets: Sequence[tuple[list[MatchInstance], list[MatchInstance]]],
+def _kind_probs(train: tuple[dict, np.ndarray, np.ndarray],
+                test: tuple[dict, np.ndarray, np.ndarray],
                 kind: ModelKind, hyper: dict[str, object], seed: int) -> list[list[float]]:
-    """Each (train, test) pair's test-set win probabilities from ``kind``,
-    trained once over every train set with :func:`train_group`."""
-    models = train_group([train_set for train_set, _ in datasets], kind,
-                         hyper=hyper, seed=seed)
-    return [p_win(model, *to_arrays(test_set)[:2]).tolist()
-            for model, (_, test_set) in zip(models, datasets)]
+    """Each scheme's test-set win probabilities from ``kind``, trained once
+    over every scheme's matrix with :func:`train_group`; ``train`` and
+    ``test`` are :func:`encode_runs` arrays."""
+    Xs, site, _ = test
+    return [p_win(model, Xs[model.scheme], site).tolist()
+            for model in train_group(*train, kind, hyper=hyper, seed=seed)]
 
 
 def _usable_cores() -> int:
@@ -265,40 +290,47 @@ def _grid(store: SeasonStore, test_season: int, kinds: list, schemes: list,
     are built one at a time as they are read, so a caller that keeps a
     summary of each holds one report's predictions at once.
 
-    The adjust pass runs once and every scheme's dataset is built from it.
-    Each trained kind is one :func:`_kind_probs` job, which trains it once
-    over all schemes; :func:`_run_jobs` runs these and the ``extra`` jobs.
-    The baselines are scored in process.
+    The adjust pass runs once and every scheme's train and test sets are
+    encoded from it as arrays; then only the test season's games are kept,
+    with its rows if pythag scores them.  Each trained kind is one
+    :func:`_kind_probs` job, which trains it once over all schemes;
+    :func:`_run_jobs` runs these and the ``extra`` jobs.  The baselines are
+    scored in process.
     """
     runs = run_seasons(store, averaging, seeding, config, through=test_season)
-    datasets = [build_dataset(store, runs, scheme, test_season) for scheme in schemes]
+    past, run = split_runs(store, runs, test_season)
+    train, test = encode_runs(past, schemes), encode_runs([run], schemes)
+    games, pre_rows = run.games, run.pre_rows if "pythag" in kinds else None
+    # a run holds several times its season's arrays; free them before training
+    del runs, past, run
     trained = [kind for kind in kinds if isinstance(kind, ModelKind)]
-    results = _run_jobs([(_kind_probs, (datasets, kind, hyper[kind], seed))
+    results = _run_jobs([(_kind_probs, (train, test, kind, hyper[kind], seed))
                          for kind in trained] + list(extra))
     probs = dict(zip(trained, results))
-    # every scheme's test set is the test season's games in the run's game
-    # order, which is the report's (date, team_first, team_second) order
+    _, site, y = test
+    codes, won, n_train = site.tolist(), y.tolist(), len(train[2])
     if "home_wins" in kinds:
-        probs["home_wins"] = [[HOME_WINS_P[inst.location]
-                               for inst in datasets[0][1]]] * len(schemes)
+        probs["home_wins"] = [[HOME_WINS_P[SITE_ORDER[code]] for code in codes]] * len(schemes)
     if "pythag" in kinds:
         # each game's two sides are consecutive rows, team_a first
-        run = runs[test_season]
-        sides = range(2 * len(run.games))
+        sides = range(2 * len(games))
         probs["pythag"] = [pythag_predictor(PythagParams(**hyper["pythag"]))(
-            [team for g in run.games for team in (g.team_a, g.team_b)],
-            run.pre_rows.reshape(len(sides), -1), sides[::2], sides[1::2])] * len(schemes)
+            [team for g in games for team in (g.team_a, g.team_b)],
+            pre_rows.reshape(len(sides), -1), sides[::2], sides[1::2])] * len(schemes)
+    # the test games are in the run's game order, which is the report's
+    # (date, team_first, team_second) order
+    keys = [(g.date, g.team_a, g.team_b) for g in games]
 
     def reports() -> Iterator[EvalReport]:
-        for s, (scheme, (train_set, test_set)) in enumerate(zip(schemes, datasets)):
+        for s, scheme in enumerate(schemes):
             for kind in kinds:
-                picks = ((resolve_label(p, inst.location), p)
-                         for inst, p in zip(test_set, probs[kind][s]))
+                p = probs[kind][s]
                 yield _report(
-                    test_set, picks, {**asdict(config), "hyper": hyper[kind]},
+                    keys, codes, won, first_team_wins(np.asarray(p), site).tolist(), p,
+                    {**asdict(config), "hyper": hyper[kind]},
                     test_season=test_season, kind=getattr(kind, "value", kind),
                     scheme=scheme.value, averaging=averaging.value,
-                    seeding=seeding.value, seed=seed, n_train=len(train_set))
+                    seeding=seeding.value, seed=seed, n_train=n_train)
     return reports(), results[len(trained):]
 
 

@@ -7,6 +7,9 @@ label.  Everything is stated from the first team's perspective, and the
 first team is the lexicographically smaller id, so every matchup encodes
 one way only.  One table gives each scheme's feature names and the team-row
 column, or difference of two columns, that each name reads.
+``encode_runs`` is the one encoder of played games: one feature matrix per
+scheme, with site codes and labels, straight from the runs' pre-match rows.
+``encode_season`` and ``build_dataset`` wrap its rows as instances.
 
 Feature schemes:
 
@@ -32,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from courtcast.adjust import TEAM_ROW, RawMeans, SeasonRun, TeamSnapshot, team_row
-from courtcast.ingest import CourtcastError, GameLogError, SeasonStore
+from courtcast.ingest import CourtcastError, GameLogError, Location, SeasonStore
 from courtcast.stats import FourFactors, Site, site_for
 
 
@@ -148,15 +151,52 @@ class MatchInstance:
     team_second: str
 
 
+_SITE_CODE = {loc: SITE_ORDER.index(site_for(loc, is_team_a=True)) for loc in Location}
+
+
+def encode_runs(runs: Sequence[SeasonRun], schemes: Sequence[FeatureScheme]
+                ) -> tuple[dict[FeatureScheme, np.ndarray], np.ndarray, np.ndarray]:
+    """Every game of ``runs``, in order, team_a first, encoded from each
+    run's pre-match rows: ``(Xs, site, y)`` with one feature matrix per
+    scheme in ``Xs``, the games' ``SITE_ORDER`` codes in ``site``, and ``y``
+    1 where the first team won."""
+    Xs = {scheme: np.concatenate([
+        _encode(run.pre_rows.reshape(len(run.games), 2 * len(TEAM_ROW)), scheme)
+        for run in runs]) for scheme in schemes}
+    games = [g for run in runs for g in run.games]
+    site = np.array([_SITE_CODE[g.location] for g in games], dtype=int)
+    y = np.array([g.box_a.points > g.box_b.points for g in games], dtype=int)
+    return Xs, site, y
+
+
 def encode_season(run: SeasonRun, scheme: FeatureScheme) -> list[MatchInstance]:
-    """Every game of a season run as a labeled instance, team_a first, in the
-    run's game order, encoded from the run's pre-match rows."""
-    X = _encode(run.pre_rows.reshape(len(run.games), 2 * len(TEAM_ROW)), scheme)
+    """Every game of a season run as a labeled instance: :func:`encode_runs`
+    of the run, one instance per game."""
+    Xs, site, y = encode_runs([run], [scheme])
     return [MatchInstance(
-        scheme=scheme, location=site_for(g.location, is_team_a=True), features=x,
-        label=Label.WIN if g.winner() == g.team_a else Label.LOSS,
+        scheme=scheme, location=SITE_ORDER[s], features=x,
+        label=Label.WIN if won else Label.LOSS,
         date=g.date, season=g.season, team_first=g.team_a, team_second=g.team_b)
-        for g, x in zip(run.games, X)]
+        for g, x, s, won in zip(run.games, Xs[scheme], site.tolist(), y.tolist())]
+
+
+def split_runs(store: SeasonStore, runs: dict[int, SeasonRun],
+               test_season: int) -> tuple[list[SeasonRun], SeasonRun]:
+    """The runs of every season before ``test_season``, in order, and the
+    test season's run; each must be the run of this store's games."""
+    if test_season not in store.seasons:
+        raise GameLogError(f"season {test_season} not in store (have {store.seasons})")
+    if test_season == store.seasons[0]:
+        raise GameLogError(f"no training data: {test_season} is the earliest stored season")
+    out = []
+    for season in store.seasons[:store.seasons.index(test_season) + 1]:
+        run = runs.get(season)
+        if run is None:
+            raise FeatureError(f"no season run for {season}")
+        if run.games != store.games(season):
+            raise FeatureError(f"the season run for {season} is not of this store's games")
+        out.append(run)
+    return out[:-1], out[-1]
 
 
 def build_dataset(store: SeasonStore, runs: dict[int, SeasonRun],
@@ -168,21 +208,9 @@ def build_dataset(store: SeasonStore, runs: dict[int, SeasonRun],
     advancing the test season one year grows the training set by exactly the
     previous test set; counts match the game counts of each partition.
     """
-    if test_season not in store.seasons:
-        raise GameLogError(f"season {test_season} not in store (have {store.seasons})")
-    if test_season == store.seasons[0]:
-        raise GameLogError(f"no training data: {test_season} is the earliest stored season")
-    out: tuple[list[MatchInstance], list[MatchInstance]] = ([], [])
-    for season in store.seasons:
-        if season > test_season:
-            break
-        run = runs.get(season)
-        if run is None:
-            raise FeatureError(f"no season run for {season}")
-        if run.games != store.games(season):
-            raise FeatureError(f"the season run for {season} is not of this store's games")
-        out[season == test_season].extend(encode_season(run, scheme))
-    return out
+    train_runs, test_run = split_runs(store, runs, test_season)
+    return ([inst for run in train_runs for inst in encode_season(run, scheme)],
+            encode_season(test_run, scheme))
 
 
 def to_arrays(instances: list[MatchInstance]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

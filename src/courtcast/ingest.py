@@ -287,10 +287,11 @@ def _box(cells: list[str], columns: list[str]) -> BoxScore:
     return box
 
 
-def _record(row: list[str], dates: dict[str, dt.date]) -> GameRecord:
+def _record(row: list[str], dates: dict[str, dt.date], teams: dict[str, str]) -> GameRecord:
     """The game on one CSV row, checked in column order; the first fault
     raises a :class:`GameLogError` that names its field.  ``dates`` caches
-    each date string's conversion."""
+    each date string's conversion, and ``teams`` each team id, so a store
+    holds one object per distinct date and team."""
     date = dates.get(row[0])
     if date is None:
         try:
@@ -301,6 +302,7 @@ def _record(row: list[str], dates: dict[str, dt.date]) -> GameRecord:
     first, second = row[2].strip(), row[3].strip()
     if not first or not second:
         raise GameLogError("empty team id", field="team_a")
+    first, second = teams.setdefault(first, first), teams.setdefault(second, second)
     location = _LOCATIONS.get(row[4])
     if location is None:
         raise GameLogError(
@@ -330,6 +332,7 @@ def parse_game_log(path: str | Path,
     games: list[GameRecord] = []
     seen: set[tuple[dt.date, str, str]] = set()
     dates: dict[str, dt.date] = {}
+    teams: dict[str, str] = {}
     dropped = 0
 
     with path.open(newline="", encoding="utf-8") as fh, _csv_errors(path, lambda: lines.line):
@@ -349,7 +352,7 @@ def parse_game_log(path: str | Path,
                     raise GameLogError(f"expected {len(HEADER)} columns",
                                        path=where, line=lines.line)
                 try:
-                    record = _record(row, dates)
+                    record = _record(row, dates, teams)
                 except GameLogError as e:
                     raise GameLogError(e.detail, path=where, line=lines.line,
                                        field=e.field) from None

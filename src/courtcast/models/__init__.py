@@ -1,7 +1,8 @@
 """Uniform train/predict contract over the four classifier kinds.
 
     model = train(instances, ModelKind.MLP, hyper={"epochs": 100}, seed=7)
-    models = train_group([adj_eff_set, raw_set], ModelKind.MLP)  # one per set
+    models = train_group({FeatureScheme.ADJ_EFF: X_eff, FeatureScheme.RAW: X_raw},
+                         site, y, ModelKind.MLP)   # one model per scheme
     probs = p_win(model, X, site)          # one p(win) per row of X
     label, p = predict(model, instance)    # the same, for one instance
 
@@ -26,7 +27,7 @@ round-trip a model through a versioned JSON text file byte-identically.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -56,40 +57,55 @@ _IMPL = {
 HYPERPARAMETERS = {kind: impl.HYPER for kind, impl in _IMPL.items()}
 
 
-def train_group(datasets: list[list[MatchInstance]], kind: ModelKind,
-                hyper: dict[str, Any] | None = None, seed: int = 0) -> list[TrainedModel]:
+def train_group(Xs: Mapping[FeatureScheme, np.ndarray], site: np.ndarray, y: np.ndarray,
+                kind: ModelKind, hyper: dict[str, Any] | None = None,
+                seed: int = 0) -> list[TrainedModel]:
     """Fit one model kind on each of several encodings of one training set:
-    the same games, in the same order, under different feature schemes.
+    ``Xs`` maps each feature scheme to its matrix of the same games, in the
+    same order, at sites ``site`` (``SITE_ORDER`` codes) with labels ``y``
+    (1 where the first team won).
 
-    Each model equals :func:`train` of its own set; MLPs train in lockstep
-    (``mlp.fit_group``).  Sets whose sites or labels differ raise
-    :class:`ModelError`.
+    Each model is what a fit on its matrix alone gives; MLPs train in
+    lockstep (``mlp.fit_group``).  A matrix that does not fit its scheme or
+    ``y``, a non-finite value, or a single class raises :class:`ModelError`.
     """
     kind = ModelKind(kind)
     hp = resolve_hyper(HYPERPARAMETERS[kind], hyper, kind)
-    checked = [check_training_data(instances) for instances in datasets]
-    if not checked:
+    if not Xs:
         raise ModelError("no training sets")
-    _, site, y, _ = checked[0]
-    if any(not (np.array_equal(s, site) and np.array_equal(labels, y))
-           for _, s, labels, _ in checked):
-        raise ModelError("the training sets are not one set of games: "
-                         "their sites or labels differ")
-    Xs = [X for X, *_ in checked]
-    fitted = (mlp.fit_group(Xs, site, y, hp, seed) if kind is ModelKind.MLP
-              else [_IMPL[kind].fit(X, site, y, hp, seed) for X in Xs])
+    site, y = np.asarray(site), np.asarray(y)
+    if y.ndim != 1 or site.shape != y.shape:
+        raise ModelError(f"{site.shape} sites do not fit {y.shape} labels")
+    if not (np.all(np.isin(site, (0, 1, 2))) and np.all(np.isin(y, (0, 1)))):
+        raise ModelError("site codes must be 0, 1 or 2 and labels 0 or 1")
+    Xs = {scheme: np.asarray(X, dtype=float) for scheme, X in Xs.items()}
+    for scheme, X in Xs.items():
+        if X.shape != (len(y), len(feature_names(scheme))):
+            raise ModelError(f"{scheme.value} training matrix of shape {X.shape} does not "
+                             f"fit {len(y)} labels and {len(feature_names(scheme))} features")
+        if not np.all(np.isfinite(X)):
+            raise ModelError("non-finite feature value in training data")
+    classes = set(y.tolist())
+    if classes != {0, 1}:
+        raise ModelError(
+            f"training data must contain both classes, got only "
+            f"{'wins' if classes == {1} else 'losses'}")
+    fitted = (mlp.fit_group(list(Xs.values()), site, y, hp, seed) if kind is ModelKind.MLP
+              else [_IMPL[kind].fit(X, site, y, hp, seed) for X in Xs.values()])
     return [TrainedModel(
         kind=kind, scheme=scheme, feature_names=feature_names(scheme),
         class_counts={Label.LOSS.value: int(np.sum(y == 0)),
                       Label.WIN.value: int(np.sum(y == 1))},
         hyper=dict(hp), params=params)
-        for (*_, scheme), params in zip(checked, fitted)]
+        for scheme, params in zip(Xs, fitted)]
 
 
 def train(instances: list[MatchInstance], kind: ModelKind,
           hyper: dict[str, Any] | None = None, seed: int = 0) -> TrainedModel:
-    """Fit one model kind; deterministic given the seed."""
-    return train_group([instances], kind, hyper=hyper, seed=seed)[0]
+    """Fit one model kind on labeled instances of one scheme; deterministic
+    given the seed."""
+    X, site, y, scheme = check_training_data(instances)
+    return train_group({scheme: X}, site, y, kind, hyper=hyper, seed=seed)[0]
 
 
 def p_win(model: TrainedModel, X: np.ndarray, site: np.ndarray) -> np.ndarray:

@@ -68,7 +68,8 @@ def resolve_label(p_win: float, location: Site) -> Label:
 
 
 def check_training_data(instances: list[MatchInstance]) -> tuple[np.ndarray, np.ndarray, np.ndarray, FeatureScheme]:
-    """Validate and stack training instances; returns (X, site, y, scheme)."""
+    """Check that training instances are labeled and of one scheme, and
+    stack them; returns (X, site, y, scheme)."""
     if not instances:
         raise ModelError("no training instances")
     scheme = instances[0].scheme
@@ -76,15 +77,7 @@ def check_training_data(instances: list[MatchInstance]) -> tuple[np.ndarray, np.
         raise ModelError("mixed feature schemes in training data")
     if any(inst.label is None for inst in instances):
         raise ModelError("unlabeled instance in training data")
-    X, site, y = to_arrays(instances)
-    if not np.all(np.isfinite(X)):
-        raise ModelError("non-finite feature value in training data")
-    classes = set(y.tolist())
-    if classes != {0, 1}:
-        raise ModelError(
-            f"training data must contain both classes, got only "
-            f"{'wins' if classes == {1} else 'losses'}")
-    return X, site, y, scheme
+    return (*to_arrays(instances), scheme)
 
 
 class Range(NamedTuple):

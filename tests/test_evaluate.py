@@ -23,7 +23,7 @@ from courtcast.evaluate import (
 )
 from courtcast.features import FeatureScheme, Label, MatchInstance, build_dataset, feature_names
 from courtcast.ingest import GameLogError, parse_game_log, write_game_log
-from courtcast.models import ModelKind
+from courtcast.models import ModelError, ModelKind
 from courtcast.stats import Site
 from courtcast.synthetic import (
     SyntheticLeagueSpec,
@@ -444,6 +444,16 @@ def test_every_test_set_is_in_report_order(tmp_path):
         _, test_set = build_dataset(shuffled, runs, scheme, test_season)
         ordered = sorted(test_set, key=lambda i: (i.date, i.team_first, i.team_second))
         assert all(a is b for a, b in zip(test_set, ordered, strict=True)), scheme
+
+
+@pytest.mark.parametrize("kind", [ModelKind.DECISION_TREE, ModelKind.MLP])
+def test_training_seasons_of_one_class_are_refused(two_season_store, kind):
+    # the first team wins every game of the hand-built store
+    assert all(g.winner() == g.team_a for g in two_season_store.all_games())
+    with pytest.raises(ModelError, match="training data must contain both classes, "
+                                         "got only wins"):
+        walk_forward_evaluate(two_season_store, two_season_store.seasons[-1], kind,
+                              FeatureScheme.ADJ_EFF)
 
 
 def test_baseline_kind_registry():

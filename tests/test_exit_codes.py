@@ -18,8 +18,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from courtcast import cli
-from courtcast.ingest import HEADER
+from courtcast.ingest import HEADER, write_game_log
 from courtcast.models import HYPERPARAMETERS, ModelKind
+from tests.conftest import tiny_store
 
 LEAGUE = ["--n-teams", "6", "--games-per-team", "6", "--n-seasons", "2", "--seed", "1"]
 MODEL_KINDS = [k.value for k in ModelKind]
@@ -103,6 +104,16 @@ class TestBadFiles:
         adjust = main("adjust", "--data", log, "--out", tmp_path / "o")
         assert stats == adjust
         assert stats[0] == 2 and "aa vs bb on 2021-11-01" in stats[1]
+
+    @pytest.mark.parametrize("command, kind", [
+        ("evaluate", "decision_tree"), ("evaluate", "mlp"), ("train", "naive_bayes_kde")])
+    def test_training_seasons_of_one_class(self, tmp_path, command, kind):
+        # the first team wins every game of the hand-built log
+        write_game_log(tiny_store(), tmp_path / "wins.csv")
+        code, err = main(command, "--data", tmp_path / "wins.csv", "--kind", kind,
+                         "--out", tmp_path / "o")
+        assert code == 2, err
+        assert "training data must contain both classes, got only wins" in err
 
     def test_pythag_rating_that_overflows_names_the_team(self, league, tmp_path):
         code, err = main("evaluate", "--data", league / "sim" / "games.csv",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import gc
 import io
 import multiprocessing
 import os
@@ -19,7 +20,8 @@ from pathlib import Path
 import pytest
 
 import courtcast
-from courtcast import cli, evaluate
+from courtcast import cli, evaluate, features
+from courtcast.adjust import SeasonRun
 from courtcast.evaluate import (
     BASELINE_KINDS,
     EvalError,
@@ -128,3 +130,41 @@ def test_a_grid_of_one_never_forks(monkeypatch):
     cores(monkeypatch, 8)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert run().to_json() == alone.to_json()
+
+
+def test_the_grid_builds_no_instances_and_frees_the_training_runs(monkeypatch):
+    # the grid core encodes its sets as arrays straight from the runs, and
+    # no training season's run is alive while the kinds train
+    store, _ = league_games(SPEC)
+    test_season = store.seasons[-1]
+
+    def reports() -> list:
+        evaluations = [walk_forward_evaluate(store, test_season, kind, FeatureScheme.RAW,
+                                             seed=3).to_json()
+                       for kind in (ModelKind.DECISION_TREE, "pythag", "home_wins")]
+        return [*evaluations, glass_ceiling_experiment(
+            SPEC, [ModelKind.DECISION_TREE, "pythag", "home_wins"],
+            [FeatureScheme.ADJ_EFF, FeatureScheme.RAW], seed=3).as_dict()]
+
+    cores(monkeypatch, 1)
+    want = reports()
+
+    def no_instance(self, *args, **kwargs):
+        raise AssertionError("the grid built a MatchInstance")
+
+    run_jobs, checked = evaluate._run_jobs, []
+
+    def jobs_without_training_runs(jobs):
+        alive = [obj for obj in gc.get_objects() if isinstance(obj, SeasonRun)
+                 and obj.season < test_season and obj.games == store.games(obj.season)]
+        assert not alive, "a training season's run is alive while the kinds train"
+        checked.append(len(jobs))
+        return run_jobs(jobs)
+
+    monkeypatch.setattr(features.MatchInstance, "__init__", no_instance)
+    monkeypatch.setattr(evaluate, "_run_jobs", jobs_without_training_runs)
+    for n in (1, 2):
+        cores(monkeypatch, n)
+        assert reports() == want
+    assert checked == [1, 0, 0, 2] * 2
+    assert not multiprocessing.active_children()

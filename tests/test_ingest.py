@@ -279,13 +279,30 @@ def outcome(parse, path, rosters=None):
             [store.teams(s) for s in store.seasons], store.off_roster_dropped)
 
 
+SIMULATED = SyntheticLeagueSpec(n_teams=6, games_per_team=6, n_seasons=2, seed=1)
+
+
 @pytest.fixture(scope="module")
 def simulated_log(tmp_path_factory):
-    store, _ = generate_league(SyntheticLeagueSpec(
-        n_teams=6, games_per_team=6, n_seasons=2, seed=1), bayes_sims=1)
+    store, _ = generate_league(SIMULATED, bayes_sims=1)
     path = tmp_path_factory.mktemp("differential") / "games.csv"
     write_game_log(store, path)
     return path
+
+
+def test_a_parsed_store_holds_one_object_per_team_id(simulated_log, tmp_path):
+    store = parse_game_log(simulated_log)
+    assert store.all_games() == generate_league(SIMULATED, bayes_sims=1)[0].all_games()
+    # a padded id and a reversed row name the same teams as the clean rows
+    rows = [game_row(), game_row(date="2011-01-16", team_a=" bobcats", team_b="aardvarks "),
+            game_row(date="2011-01-17", team_a="cougars", team_b="aardvarks")]
+    hand = parse_game_log(write_log(tmp_path, rows))
+    for parsed, n_teams in ((store, SIMULATED.n_teams), (hand, 3)):
+        ids: dict[str, str] = {}
+        for g in parsed.all_games():
+            for team in (g.team_a, g.team_b):
+                assert ids.setdefault(team, team) is team, team
+        assert len(ids) == n_teams
 
 
 _COL = {c: k for k, c in enumerate(HEADER)}

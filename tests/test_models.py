@@ -18,7 +18,9 @@ from courtcast.features import (
     Label,
     MatchInstance,
     build_dataset,
+    encode_runs,
     feature_names,
+    split_runs,
     to_arrays,
 )
 from courtcast.models import (
@@ -368,13 +370,18 @@ class TestForest:
         assert all(predict(m1, p) == predict(m2, p) for p in probes)
 
 
-def generated_league():
-    """A generated league's test-season run and its (train, test) instances."""
+def league_runs():
+    """A generated league, its runs and its test season."""
     spec = SyntheticLeagueSpec(n_teams=10, games_per_team=12, n_seasons=2, seed=4)
     store, _ = generate_league(spec, bayes_sims=1_000)
     test_season = store.seasons[-1]
-    runs = run_seasons(store, AveragingScheme.ALPHA, Seeding.PRIOR_SEASON,
-                       through=test_season)
+    return store, run_seasons(store, AveragingScheme.ALPHA, Seeding.PRIOR_SEASON,
+                              through=test_season), test_season
+
+
+def generated_league():
+    """A generated league's test-season run and its (train, test) instances."""
+    store, runs, test_season = league_runs()
     train_set, test_set = build_dataset(store, runs, FeatureScheme.ADJ_FOUR_FACTORS,
                                         test_season)
     return runs[test_season], train_set, test_set
@@ -633,33 +640,47 @@ class TestMlpGroup:
             # fit, the group of one
             assert mlp_mod.fit(X, site, y, hp, seed=3).theta.tobytes() == p.theta.tobytes()
 
-    def test_train_group_equals_train_for_every_kind(self, league_instances, tmp_path):
-        train_set, _ = league_instances
-        sets = [[dataclasses.replace(inst, features=inst.features * k) for inst in train_set]
-                for k in (1.0, -2.0)]
+    def test_train_group_equals_train_for_every_kind(self, tmp_path):
+        # one matrix per scheme, one site and one y, against train on each
+        # scheme's instances, model.json byte for byte
+        store, runs, test_season = league_runs()
+        past, _ = split_runs(store, runs, test_season)
+        Xs, site, y = encode_runs(past, GRID_SCHEMES)
         hyper = {ModelKind.MLP: {"epochs": 3}, ModelKind.RANDOM_FOREST: {"n_trees": 3}}
         for kind in ModelKind:
-            group = train_group(sets, kind, hyper=hyper.get(kind), seed=2)
-            for instances, model in zip(sets, group):
-                alone = train(instances, kind, hyper=hyper.get(kind), seed=2)
+            group = train_group(Xs, site, y, kind, hyper=hyper.get(kind), seed=2)
+            assert [model.scheme for model in group] == list(GRID_SCHEMES)
+            for model in group:
+                train_set, _ = build_dataset(store, runs, model.scheme, test_season)
+                alone = train(train_set, kind, hyper=hyper.get(kind), seed=2)
                 save_model(model, tmp_path / "group.json")
                 save_model(alone, tmp_path / "alone.json")
                 assert (tmp_path / "group.json").read_bytes() == \
                     (tmp_path / "alone.json").read_bytes()
 
-    def test_sets_of_different_games_are_refused(self):
-        insts = separable_instances(20, seed=1)
-        first = insts[0]
-        flipped = [dataclasses.replace(first, label=Label.LOSS if first.label is Label.WIN
-                                       else Label.WIN), *insts[1:]]
-        moved = [dataclasses.replace(first, location=Site.AWAY if first.location is Site.HOME
-                                     else Site.HOME), *insts[1:]]
-        for other in (flipped, moved, insts[1:]):
+    def test_arrays_that_do_not_fit_are_refused(self):
+        X, site, y = to_arrays(separable_instances(20, seed=1))
+        nan = X.copy()
+        nan[3, 2] = float("nan")
+        scheme = FeatureScheme.ADJ_EFF
+        cases = [
+            ({scheme: X[1:]}, site, y, r"shape \(19, 4\) does not fit 20 labels"),
+            ({scheme: X[:, :3]}, site, y, r"shape \(20, 3\) does not fit 20 labels and 4 "),
+            ({scheme: X, FeatureScheme.RAW: X}, site, y, r"raw training matrix"),
+            ({scheme: nan}, site, y, "non-finite feature value in training data"),
+            ({scheme: X}, site, np.ones_like(y),
+             "training data must contain both classes, got only wins"),
+            ({scheme: X}, site, np.zeros_like(y),
+             "training data must contain both classes, got only losses"),
+            ({scheme: X}, site[1:], y, "sites do not fit"),
+            ({scheme: X}, np.full_like(site, 3), y, "site codes must be 0, 1 or 2"),
+            ({scheme: X}, site, 2 * y, "labels 0 or 1"),
+            ({}, site, y, "no training sets"),
+        ]
+        for Xs, sites, labels, message in cases:
             for kind in (ModelKind.MLP, ModelKind.NAIVE_BAYES_KDE):
-                with pytest.raises(ModelError, match="sites or labels differ"):
-                    train_group([insts, other], kind, hyper=None)
-        with pytest.raises(ModelError, match="no training sets"):
-            train_group([], ModelKind.MLP)
+                with pytest.raises(ModelError, match=message):
+                    train_group(Xs, sites, labels, kind)
 
 
 class TestAllKindsContract:

@@ -15,6 +15,7 @@ from courtcast.adjust import (
     Seeding,
     TeamSnapshot,
     run_seasons,
+    season_runs,
 )
 from courtcast.baselines import (
     PythagParams,
@@ -50,6 +51,7 @@ from courtcast.ingest import (
     GameLogError,
     GameRecord,
     Location,
+    SeasonColumns,
     SeasonStore,
     parse_game_log,
     parse_roster,

@@ -24,11 +24,17 @@ running team average:
 
 The seed is either the team's end-of-prior-season averages (``prior_season``)
 or the national average on the morning of the team's first game
-(``from_scratch``).  Scheme and seeding are arguments of :func:`run_seasons`,
-the engine's one entry point, which returns one :class:`SeasonRun` per season.
+(``from_scratch``).  Scheme and seeding are arguments of :func:`season_runs`,
+the engine's one entry point, which yields one :class:`SeasonRun` per season
+as each season ends; :func:`run_seasons` collects them in a dict.  Between
+seasons the engine keeps only the teams' final state values that seed the
+next, so a caller that drops each run once it has read it holds one run
+while the next is built.
 
-The engine works on arrays.  A season's per-game stats come from one
-vectorised pass (:func:`courtcast.stats.game_arrays`).  Team state is one
+The engine works on arrays.  It reads a season's games from the store's
+columns (:class:`~courtcast.ingest.SeasonColumns`), and their per-game stats
+come from one vectorised pass over the box column
+(:func:`courtcast.stats.game_arrays`).  Team state is one
 ``(teams, 18)`` float64 row per team — the 18 averaged values, or under
 ``explicit`` their weighted numerators with a ``den`` vector beside them —
 plus integer games-played and box-sum arrays.  Each day records both teams'
@@ -39,8 +45,9 @@ rows too: each morning's six values (oe, de, then the four factors) go into
 one ``(days + 1, 6)`` array, closed by the end of the season, and a
 from_scratch seed is such a row spread over the 18 state values.  A run
 keeps every team's final row beside the pre-match array (``final_rows``,
-``final_played``).  ``TeamSnapshot`` objects are views built from those rows
-when a caller reads one; ``final`` builds each team's on first read.
+``final_played``), and its season's columns.  ``TeamSnapshot`` objects and
+the run's ``games`` are views built from those when a caller reads them;
+``final`` builds each team's snapshot on first read.
 
 Floating-point note: every accumulator folds values in one canonical order
 (games by (date, team_a, team_b), side a before side b).  Elementwise numpy
@@ -55,7 +62,7 @@ from __future__ import annotations
 
 import bisect
 import datetime as dt
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -63,7 +70,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from courtcast.ingest import CourtcastError, GameRecord, SeasonStore
+from courtcast.ingest import CourtcastError, GameRecord, SeasonColumns, SeasonStore
 from courtcast.stats import DEFAULT_FT_WEIGHT, FourFactors, GameArrays, game_arrays
 
 
@@ -259,9 +266,9 @@ class _Series(Sequence):
 class SeasonRun:
     """One season's day-by-day results as arrays (its settings stay with the caller).
 
-    Teams are indexed in sorted order (``teams``) and ``games`` are the
-    store's games of the season in canonical order.  ``days`` are the
-    season's game dates; ``league_means[k]`` is the six-value league row
+    Teams are indexed in sorted order (``teams``), and ``columns`` are the
+    store's columns of the season, its games in canonical order.  ``days``
+    are the season's game dates; ``league_means[k]`` is the six-value league row
     (oe, de, then the four factors) on the morning of ``days[k]``, and its
     last row the league after the final day.  ``pre_rows[i, side]`` is the
     morning team row (``TEAM_ROW`` order) of game ``i``'s team_a (side 0)
@@ -270,9 +277,10 @@ class SeasonRun:
     its last game, and ``_prior`` the prior-season final state values used
     as seeds.  ``rows_at`` gives any teams' rows on the morning of a date.
 
-    The program reads those rows.  Snapshot views of them are built only
-    when read: ``pre_match`` maps each game's key to both teams' snapshots
-    and builds them on every read; ``final`` is a dict of each team's
+    The program reads those rows and columns.  Views of them are built only
+    when read: ``games`` holds the season's records, built on first read;
+    ``pre_match`` maps each game's key to both teams' snapshots and builds
+    them on every read; ``final`` is a dict of each team's
     snapshot after its last game, built on first read; ``series`` gives
     each team's pre-match snapshots in date order.
     """
@@ -280,7 +288,7 @@ class SeasonRun:
     season: int
     days: list[dt.date] = field(repr=False)
     league_means: np.ndarray = field(repr=False)
-    games: tuple[GameRecord, ...] = field(repr=False)
+    columns: SeasonColumns = field(repr=False)
     pre_rows: np.ndarray = field(repr=False)
     teams: list[str] = field(repr=False)
     _pre_played: np.ndarray = field(repr=False)
@@ -297,10 +305,15 @@ class SeasonRun:
 
     def _pre_snapshots(self, i: int) -> tuple[TeamSnapshot, TeamSnapshot]:
         """Both teams' morning snapshots for game ``i``."""
-        g = self.games[i]
+        date, team_a, team_b = self.columns.key(i)
         v, n = self.pre_rows[i].tolist(), self._pre_played[i].tolist()
-        return (self._snapshot(g.team_a, g.date, n[0], v[0]),
-                self._snapshot(g.team_b, g.date, n[1], v[1]))
+        return (self._snapshot(team_a, date, n[0], v[0]),
+                self._snapshot(team_b, date, n[1], v[1]))
+
+    @cached_property
+    def games(self) -> tuple[GameRecord, ...]:
+        """The season's games as records, in canonical order."""
+        return self.columns.records()
 
     @cached_property
     def final(self) -> dict[str, TeamSnapshot]:
@@ -316,16 +329,16 @@ class SeasonRun:
     @cached_property
     def _index(self) -> dict[tuple[dt.date, str, str], int]:
         """Each game's key -> its position in ``games``."""
-        return {(g.date, g.team_a, g.team_b): i for i, g in enumerate(self.games)}
+        return {key: i for i, key in enumerate(self.columns.keys())}
 
     @cached_property
     def _by_team(self) -> dict[str, tuple[list[dt.date], list[tuple[int, int]]]]:
         """Each team's game dates and (game, side) rows, in date order."""
         out: dict[str, tuple[list[dt.date], list[tuple[int, int]]]] = {
             team: ([], []) for team in self.teams}
-        for i, g in enumerate(self.games):
-            for side, team in enumerate((g.team_a, g.team_b)):
-                out[team][0].append(g.date)
+        for i, (date, *teams) in enumerate(self.columns.keys()):
+            for side, team in enumerate(teams):
+                out[team][0].append(date)
                 out[team][1].append((i, side))
         return out
 
@@ -356,32 +369,32 @@ class SeasonRun:
         return out
 
 
-def checked_game_arrays(games: Sequence[GameRecord],
+def checked_game_arrays(columns: SeasonColumns,
                         ft_weight: float = DEFAULT_FT_WEIGHT) -> GameArrays:
-    """:func:`game_arrays`, rejecting the first game whose statistics divide by zero."""
-    stats = game_arrays(games, ft_weight)
+    """:func:`game_arrays` of a season's box column, rejecting the first
+    game whose statistics divide by zero."""
+    stats = game_arrays(columns.box, ft_weight)
     finite = np.isfinite(np.concatenate([stats.oe[..., None], stats.de[..., None],
                                          stats.off_factors], axis=-1))
     broken = ~finite.all(axis=(1, 2))
     if broken.any():
-        g = games[int(np.argmax(broken))]
+        date, team_a, team_b = columns.key(int(np.argmax(broken)))
         raise AdjustmentError(
-            f"{g.team_a} vs {g.team_b} on {g.date}: a per-game statistic divides by "
+            f"{team_a} vs {team_b} on {date}: a per-game statistic divides by "
             "zero (no possessions, no field-goal attempts or no rebounds)")
     return stats
 
 
-def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
-                config: AdjustConfig, prior: SeasonRun | None) -> SeasonRun:
-    """One season's day-by-day pass; ``prior`` is the run that seeds it."""
-    games = store.games(season)
-    teams = sorted({t for g in games for t in (g.team_a, g.team_b)})
-    index = {t: i for i, t in enumerate(teams)}
-    n, n_teams = len(games), len(teams)
-    sides = np.array([(index[g.team_a], index[g.team_b]) for g in games],
-                     dtype=np.intp).reshape(n, 2)
+def _run_season(columns: SeasonColumns, scheme: AveragingScheme, config: AdjustConfig,
+                prior_rows: dict[str, np.ndarray]) -> SeasonRun:
+    """One season's day-by-day pass; ``prior_rows`` holds the final state
+    values of the prior season's teams, which seed them."""
+    ids = np.union1d(columns.team_a, columns.team_b)     # sorted, as the names are
+    teams = [columns.names[t] for t in ids.tolist()]
+    n, n_teams = len(columns), len(teams)
+    sides = np.searchsorted(ids, np.stack([columns.team_a, columns.team_b], axis=1))
 
-    stats = checked_game_arrays(games, config.ft_weight)
+    stats = checked_game_arrays(columns, config.ft_weight)
     raw = np.concatenate([stats.oe[..., None], stats.de[..., None],
                           stats.off_factors, stats.def_factors,
                           stats.off_factors, stats.def_factors], axis=-1)
@@ -392,8 +405,6 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
     # over ``den`` (explicit), games played, and integer box sums.  Teams
     # with a prior-season final start from it; the rest are seeded on the
     # morning of their first game.
-    prior_rows = ({t: prior.final_rows[i, :len(STATE_KEYS)] for i, t in enumerate(prior.teams)}
-                  if prior is not None else {})
     seeded = np.array([t in prior_rows for t in teams], dtype=bool)
     acc = np.array([prior_rows.get(t, np.zeros(len(STATE_KEYS))) for t in teams]
                    ).reshape(n_teams, len(STATE_KEYS))
@@ -430,8 +441,7 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
 
     pre = np.empty((n, 2, len(TEAM_ROW)))
     pre_played = np.empty((n, 2), dtype=np.int64)
-    ordinals = np.array([g.date.toordinal() for g in games], dtype=np.int64)
-    starts = np.flatnonzero(np.diff(ordinals, prepend=-1)).tolist()
+    starts = np.flatnonzero(np.diff(columns.dates, prepend=-1)).tolist()
     league_means = np.empty((len(starts) + 1, len(NEUTRAL_BASELINE)))
     for k, (s, e) in enumerate(zip(starts, starts[1:] + [n])):
         league_means[k] = morning(s)
@@ -454,11 +464,11 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
         bad = np.argwhere(counter <= 0.0)
         if len(bad):
             i, side, k = bad[0]
-            g = games[s + i]
-            team, opp = ((g.team_a, g.team_b), (g.team_b, g.team_a))[side]
+            date, *pair = columns.key(s + i)
+            team, opp = pair[side], pair[1 - side]
             raise AdjustmentError(
                 f"opponent counter-statistic must be positive, got {counter[i, side, k]} "
-                f"({opp}'s {STATE_KEYS[_COUNTER[k]]} against {team} on {g.date})")
+                f"({opp}'s {STATE_KEYS[_COUNTER[k]]} against {team} on {date})")
         game_values = raw[s:e].copy()
         game_values[..., :_N_ADJ] = raw[s:e, :, :_N_ADJ] * scale / counter
 
@@ -475,10 +485,31 @@ def _run_season(store: SeasonStore, season: int, scheme: AveragingScheme,
 
     league_means[-1] = morning(n)
     return SeasonRun(
-        season=season, days=[games[s].date for s in starts], league_means=league_means,
-        games=games, pre_rows=pre, teams=teams, _pre_played=pre_played,
-        final_rows=_team_rows(values(np.arange(n_teams)), played, sums), final_played=played,
-        _prior=prior_rows)
+        season=columns.season,
+        days=[dt.date.fromordinal(o) for o in columns.dates[starts].tolist()],
+        league_means=league_means, columns=columns, pre_rows=pre, teams=teams,
+        _pre_played=pre_played, final_played=played,
+        final_rows=_team_rows(values(np.arange(n_teams)), played, sums), _prior=prior_rows)
+
+
+def season_runs(store: SeasonStore,
+                scheme: AveragingScheme = AveragingScheme.EXPLICIT,
+                seeding: Seeding = Seeding.PRIOR_SEASON,
+                config: AdjustConfig = AdjustConfig(),
+                through: int | None = None) -> Iterator[SeasonRun]:
+    """Run every stored season in order, through ``through``, yielding each
+    run as its season ends: under prior_season seeding each seeds the next,
+    and a team new to the league starts from scratch.  Between seasons only
+    the final state values that seed the next season are kept."""
+    seeds: dict[str, np.ndarray] = {}
+    for season in store.seasons:
+        if through is not None and season > through:
+            return
+        run = _run_season(store.columns(season), scheme, config, seeds)
+        if seeding is Seeding.PRIOR_SEASON:
+            seeds = {t: run.final_rows[i, :len(STATE_KEYS)] for i, t in enumerate(run.teams)}
+        yield run
+        del run     # the next season is built without this one's arrays
 
 
 def run_seasons(store: SeasonStore,
@@ -486,14 +517,5 @@ def run_seasons(store: SeasonStore,
                 seeding: Seeding = Seeding.PRIOR_SEASON,
                 config: AdjustConfig = AdjustConfig(),
                 through: int | None = None) -> dict[int, SeasonRun]:
-    """Run every stored season in order, through ``through``: under prior_season
-    seeding each seeds the next, and a team new to the league starts from scratch."""
-    runs: dict[int, SeasonRun] = {}
-    prior = None
-    for season in store.seasons:
-        if through is not None and season > through:
-            break
-        runs[season] = _run_season(store, season, scheme, config,
-                                   prior if seeding is Seeding.PRIOR_SEASON else None)
-        prior = runs[season]
-    return runs
+    """Every run of :func:`season_runs`, by season."""
+    return {run.season: run for run in season_runs(store, scheme, seeding, config, through)}

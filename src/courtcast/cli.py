@@ -64,6 +64,7 @@ from courtcast.features import (
 )
 from courtcast.ingest import (
     BOX_FIELDS,
+    LOCATIONS,
     CourtcastError,
     GameLogError,
     SeasonStore,
@@ -338,19 +339,20 @@ def cmd_stats(cfg: RunConfig) -> None:
     header = (["date", "season", "team", "opponent", "site", "won",
                "points", "poss", "oe", "de"]
               + [f"off_{c}" for c in factor_cols] + [f"def_{c}" for c in factor_cols])
-    games = store.all_games()
-    stats = checked_game_arrays(games, cfg.ft_weight)
-    points = stats.box[:, :, BOX_FIELDS.index("points")]
-    won = points > points[:, ::-1]    # a parsed game log has no ties
-    columns = (points, won, stats.poss, stats.oe, stats.de,
-               stats.off_factors, stats.def_factors)
     rows = []
-    for g, *sides in zip(games, *(c.tolist() for c in columns)):
-        teams = (g.team_a, g.team_b)
-        for k, (pts, w, poss, oe, de, off, allowed) in enumerate(zip(*sides)):
-            rows.append([g.date.isoformat(), g.season, teams[k], teams[1 - k],
-                         site_for(g.location, k == 0).value, int(w), pts, poss, oe, de]
-                        + off + allowed)
+    for season in store.seasons:
+        games = store.columns(season)
+        stats = checked_game_arrays(games, cfg.ft_weight)
+        points = stats.box[:, :, BOX_FIELDS.index("points")]
+        won = points > points[:, ::-1]    # a parsed game log has no ties
+        columns = (points, won, stats.poss, stats.oe, stats.de,
+                   stats.off_factors, stats.def_factors)
+        for (date, *teams), code, *sides in zip(games.keys(), games.location.tolist(),
+                                                *(c.tolist() for c in columns)):
+            for k, (pts, w, poss, oe, de, off, allowed) in enumerate(zip(*sides)):
+                rows.append([date.isoformat(), season, teams[k], teams[1 - k],
+                             site_for(LOCATIONS[code], k == 0).value, int(w), pts, poss, oe, de]
+                            + off + allowed)
     path = out / "game_stats.csv"
     write_csv(path, header, rows, echo)
     _say(path, f"{len(rows)} team-game rows")
@@ -416,7 +418,7 @@ def cmd_predict(cfg: RunConfig) -> None:
             raise GameLogError(
                 f"team {team!r} not in season {test_season} of {cfg.data}")
     run = _runs(cfg, store, through=test_season)[test_season]
-    last = max(g.date for g in store.games(test_season))
+    last = dt.date.fromordinal(int(store.columns(test_season).dates[-1]))    # games are by date
     if not cfg.date and last == dt.date.max:
         raise GameLogError(f"season {test_season} of {cfg.data} ends on {last}, "
                            "the last date there is; give --date")

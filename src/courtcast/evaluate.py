@@ -7,12 +7,14 @@ and the resolved configuration, and serialize byte-identically for fixed
 seeds.
 
 Both entry points run one grid core, a (model kind x feature scheme) grid
-on a store and a test season: one adjust pass, every scheme's train and
-test sets encoded as arrays from its pre-match rows (after which only the
-test season's games are kept, with its rows while pythag needs them), one
-job per trained kind trained on those arrays, the baselines in process,
-and each cell's report built from the test games, their site codes and
-labels, and its win probabilities in game order.  A walk-forward
+on a store and a test season: one adjust pass, streamed season by season,
+in which each training season is encoded for every scheme as its run ends
+and is dropped before the next season runs; the test season's sets are
+encoded from its run, after which only its games' keys are kept, with its
+rows while pythag needs them.  Then one job per trained kind is trained on
+those arrays, the baselines are scored in process, and each cell's report
+is built from the test games, their site codes and labels, and its win
+probabilities in game order.  A walk-forward
 evaluation is the grid of one cell; ``evaluate_predictor`` builds the same
 report from a predictor's picks on instances.  The ceiling experiment runs
 the grid on a synthetic league whose best achievable accuracy is known,
@@ -34,7 +36,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from courtcast.adjust import AdjustConfig, AveragingScheme, Seeding, run_seasons
+from courtcast.adjust import AdjustConfig, AveragingScheme, Seeding, season_runs
 from courtcast.baselines import HOME_WINS_P, PythagParams, pythag_predictor
 from courtcast.features import (
     SITE_ORDER,
@@ -42,7 +44,7 @@ from courtcast.features import (
     Label,
     MatchInstance,
     encode_runs,
-    split_runs,
+    training_seasons,
 )
 from courtcast.ingest import CourtcastError, SeasonStore
 from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, p_win, train_group
@@ -290,19 +292,29 @@ def _grid(store: SeasonStore, test_season: int, kinds: list, schemes: list,
     are built one at a time as they are read, so a caller that keeps a
     summary of each holds one report's predictions at once.
 
-    The adjust pass runs once and every scheme's train and test sets are
-    encoded from it as arrays; then only the test season's games are kept,
-    with its rows if pythag scores them.  Each trained kind is one
-    :func:`_kind_probs` job, which trains it once over all schemes;
+    The adjust pass runs once, a season at a time: each training season is
+    encoded for every scheme as soon as its run ends, and the run is then
+    dropped.  Of the test season's run only its games' keys are kept once
+    it is encoded, with its rows if pythag scores them.  Each trained kind
+    is one :func:`_kind_probs` job, which trains it once over all schemes;
     :func:`_run_jobs` runs these and the ``extra`` jobs.  The baselines are
     scored in process.
     """
-    runs = run_seasons(store, averaging, seeding, config, through=test_season)
-    past, run = split_runs(store, runs, test_season)
-    train, test = encode_runs(past, schemes), encode_runs([run], schemes)
-    games, pre_rows = run.games, run.pre_rows if "pythag" in kinds else None
-    # a run holds several times its season's arrays; free them before training
-    del runs, past, run
+    n_past = len(training_seasons(store, test_season))
+    past = []
+    for run in season_runs(store, averaging, seeding, config, through=test_season):
+        if len(past) == n_past:
+            break
+        past.append(encode_runs([run], schemes))
+        del run     # a run holds several times its season's arrays
+    Xs, sites, ys = zip(*past)
+    train = ({scheme: np.concatenate([X[scheme] for X in Xs]) for scheme in schemes},
+             np.concatenate(sites), np.concatenate(ys))
+    test = encode_runs([run], schemes)
+    # the test games are in the run's game order, which is the report's
+    # (date, team_first, team_second) order
+    keys, pre_rows = run.columns.keys(), run.pre_rows if "pythag" in kinds else None
+    del past, Xs, sites, ys, run
     trained = [kind for kind in kinds if isinstance(kind, ModelKind)]
     results = _run_jobs([(_kind_probs, (train, test, kind, hyper[kind], seed))
                          for kind in trained] + list(extra))
@@ -313,13 +325,10 @@ def _grid(store: SeasonStore, test_season: int, kinds: list, schemes: list,
         probs["home_wins"] = [[HOME_WINS_P[SITE_ORDER[code]] for code in codes]] * len(schemes)
     if "pythag" in kinds:
         # each game's two sides are consecutive rows, team_a first
-        sides = range(2 * len(games))
+        sides = range(2 * len(keys))
         probs["pythag"] = [pythag_predictor(PythagParams(**hyper["pythag"]))(
-            [team for g in games for team in (g.team_a, g.team_b)],
+            [team for _, *pair in keys for team in pair],
             pre_rows.reshape(len(sides), -1), sides[::2], sides[1::2])] * len(schemes)
-    # the test games are in the run's game order, which is the report's
-    # (date, team_first, team_second) order
-    keys = [(g.date, g.team_a, g.team_b) for g in games]
 
     def reports() -> Iterator[EvalReport]:
         for s, scheme in enumerate(schemes):

@@ -8,8 +8,9 @@ first team is the lexicographically smaller id, so every matchup encodes
 one way only.  One table gives each scheme's feature names and the team-row
 column, or difference of two columns, that each name reads.
 ``encode_runs`` is the one encoder of played games: one feature matrix per
-scheme, with site codes and labels, straight from the runs' pre-match rows.
-``encode_season`` and ``build_dataset`` wrap its rows as instances.
+scheme, from the runs' pre-match rows, with site codes and labels from their
+game columns.  ``encode_season`` and ``build_dataset`` wrap its rows as
+instances.
 
 Feature schemes:
 
@@ -35,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from courtcast.adjust import TEAM_ROW, RawMeans, SeasonRun, TeamSnapshot, team_row
-from courtcast.ingest import CourtcastError, GameLogError, Location, SeasonStore
+from courtcast.ingest import BOX_FIELDS, LOCATIONS, CourtcastError, GameLogError, SeasonStore
 from courtcast.stats import FourFactors, Site, site_for
 
 
@@ -151,7 +152,10 @@ class MatchInstance:
     team_second: str
 
 
-_SITE_CODE = {loc: SITE_ORDER.index(site_for(loc, is_team_a=True)) for loc in Location}
+# Each location code's SITE_ORDER code for team_a, and the box column of
+# each side's points.
+_SITE_CODES = np.array([SITE_ORDER.index(site_for(loc, is_team_a=True)) for loc in LOCATIONS])
+_POINTS = BOX_FIELDS.index("points"), len(BOX_FIELDS) + BOX_FIELDS.index("points")
 
 
 def encode_runs(runs: Sequence[SeasonRun], schemes: Sequence[FeatureScheme]
@@ -161,11 +165,11 @@ def encode_runs(runs: Sequence[SeasonRun], schemes: Sequence[FeatureScheme]
     scheme in ``Xs``, the games' ``SITE_ORDER`` codes in ``site``, and ``y``
     1 where the first team won."""
     Xs = {scheme: np.concatenate([
-        _encode(run.pre_rows.reshape(len(run.games), 2 * len(TEAM_ROW)), scheme)
+        _encode(run.pre_rows.reshape(len(run.pre_rows), 2 * len(TEAM_ROW)), scheme)
         for run in runs]) for scheme in schemes}
-    games = [g for run in runs for g in run.games]
-    site = np.array([_SITE_CODE[g.location] for g in games], dtype=int)
-    y = np.array([g.box_a.points > g.box_b.points for g in games], dtype=int)
+    site = np.concatenate([_SITE_CODES[run.columns.location] for run in runs])
+    y = np.concatenate([run.columns.box[:, _POINTS[0]] > run.columns.box[:, _POINTS[1]]
+                        for run in runs]).astype(int)
     return Xs, site, y
 
 
@@ -176,24 +180,31 @@ def encode_season(run: SeasonRun, scheme: FeatureScheme) -> list[MatchInstance]:
     return [MatchInstance(
         scheme=scheme, location=SITE_ORDER[s], features=x,
         label=Label.WIN if won else Label.LOSS,
-        date=g.date, season=g.season, team_first=g.team_a, team_second=g.team_b)
-        for g, x, s, won in zip(run.games, Xs[scheme], site.tolist(), y.tolist())]
+        date=date, season=run.season, team_first=first, team_second=second)
+        for (date, first, second), x, s, won in zip(
+            run.columns.keys(), Xs[scheme], site.tolist(), y.tolist())]
+
+
+def training_seasons(store: SeasonStore, test_season: int) -> list[int]:
+    """The stored seasons before ``test_season``, which must be stored and
+    must not be the earliest."""
+    if test_season not in store.seasons:
+        raise GameLogError(f"season {test_season} not in store (have {store.seasons})")
+    if test_season == store.seasons[0]:
+        raise GameLogError(f"no training data: {test_season} is the earliest stored season")
+    return store.seasons[:store.seasons.index(test_season)]
 
 
 def split_runs(store: SeasonStore, runs: dict[int, SeasonRun],
                test_season: int) -> tuple[list[SeasonRun], SeasonRun]:
     """The runs of every season before ``test_season``, in order, and the
     test season's run; each must be the run of this store's games."""
-    if test_season not in store.seasons:
-        raise GameLogError(f"season {test_season} not in store (have {store.seasons})")
-    if test_season == store.seasons[0]:
-        raise GameLogError(f"no training data: {test_season} is the earliest stored season")
     out = []
-    for season in store.seasons[:store.seasons.index(test_season) + 1]:
+    for season in training_seasons(store, test_season) + [test_season]:
         run = runs.get(season)
         if run is None:
             raise FeatureError(f"no season run for {season}")
-        if run.games != store.games(season):
+        if run.columns != store.columns(season):
             raise FeatureError(f"the season run for {season} is not of this store's games")
         out.append(run)
     return out[:-1], out[-1]

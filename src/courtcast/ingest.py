@@ -1,4 +1,4 @@
-"""Game-log ingestion: parsing, validation, and season partitioning.
+"""Game-log ingestion: parsing, validation, and the columnar game store.
 
 The data layer works from a flat CSV game log, one row per completed game
 with both teams' box scores on the row:
@@ -17,22 +17,33 @@ An optional roster file (CSV ``season,team``) restricts each season to a
 known pool of teams; games involving an off-roster side are dropped so that
 exhibition-style matches cannot distort the averages downstream.
 
+A :class:`SeasonStore` keeps each season's games as columns
+(:class:`SeasonColumns`): date ordinals, both teams as indices into one
+sorted tuple of team ids, location codes, and one ``(games, 22)`` int64 box
+array, side a's ``BOX_FIELDS`` then side b's.  A :class:`GameRecord` is a
+view of one row, built only when a caller reads the store's games.
+
 :func:`parse_game_log` reads the file once, as a stream: ``csv.reader``
-splits each line, and one pass over each row converts its cells, builds the
-record and validates it, field by field in column order.  The first fault
+splits each line, and one pass over each row converts its cells to Python
+ints and validates them, field by field in column order.  The first fault
 raises the error naming the field, to which the loop adds the file and the
 physical line.  Before any error is raised the rest of the file is read, so
-an undecodable byte anywhere outranks every other fault.
+an undecodable byte anywhere outranks every other fault.  A valid row's
+values go straight into the columns; no per-game object is built.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+from array import array
 from contextlib import contextmanager
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 
 class CourtcastError(ValueError):
@@ -76,6 +87,11 @@ class Location(str, Enum):
         return Location.NEUTRAL
 
 
+#: Every location in code order: a store's location column indexes this.
+LOCATIONS = tuple(Location)
+_LOCATION_CODES = {loc.value: code for code, loc in enumerate(LOCATIONS)}
+_SWAPPED = tuple(LOCATIONS.index(loc.swapped()) for loc in LOCATIONS)
+
 # Column order for one side's box score in the CSV schema.
 BOX_FIELDS = ("fgm", "fga", "fgm3", "ft", "fta", "or_", "dr", "to", "stl", "blk", "points")
 _BOX_SUFFIX = {"or_": "or", "points": "pts"}
@@ -104,22 +120,30 @@ class BoxScore(NamedTuple):
 
     def validate(self) -> None:
         """Check internal consistency; raise :class:`GameLogError` if violated."""
-        for name, count in zip(BOX_FIELDS, self):
+        _check_box(self)
+
+
+def _check_box(counts: Sequence[int]) -> None:
+    """Check one side's counts, in ``BOX_FIELDS`` order; the first
+    inconsistency raises a :class:`GameLogError` that names its field."""
+    if min(counts) < 0 or max(counts) > MAX_COUNT:
+        for name, count in zip(BOX_FIELDS, counts):
             if not 0 <= count <= MAX_COUNT:
                 raise GameLogError(f"count {count} outside [0, {MAX_COUNT}]", field=name)
-        if self.fgm > self.fga:
-            raise GameLogError(f"fgm={self.fgm} exceeds fga={self.fga}", field="fgm")
-        if self.fgm3 > self.fgm:
-            raise GameLogError(f"fgm3={self.fgm3} exceeds fgm={self.fgm}", field="fgm3")
-        if self.ft > self.fta:
-            raise GameLogError(f"ft={self.ft} exceeds fta={self.fta}", field="ft")
-        computed = 2 * (self.fgm - self.fgm3) + 3 * self.fgm3 + self.ft
-        if computed != self.points:
-            raise GameLogError(
-                f"stated points {self.points} do not match the box "
-                f"(2*(fgm-fgm3) + 3*fgm3 + ft = {computed})",
-                field="points",
-            )
+    fgm, fga, fgm3, ft, fta, *_, points = counts
+    if fgm > fga:
+        raise GameLogError(f"fgm={fgm} exceeds fga={fga}", field="fgm")
+    if fgm3 > fgm:
+        raise GameLogError(f"fgm3={fgm3} exceeds fgm={fgm}", field="fgm3")
+    if ft > fta:
+        raise GameLogError(f"ft={ft} exceeds fta={fta}", field="ft")
+    computed = 2 * (fgm - fgm3) + 3 * fgm3 + ft
+    if computed != points:
+        raise GameLogError(
+            f"stated points {points} do not match the box "
+            f"(2*(fgm-fgm3) + 3*fgm3 + ft = {computed})",
+            field="points",
+        )
 
 
 class _GameFields(NamedTuple):
@@ -162,52 +186,145 @@ class GameRecord(_GameFields):
         return self.team_a if self.box_a.points > self.box_b.points else self.team_b
 
 
-def _sort_key(g: GameRecord):
-    return (g.date, g.team_a, g.team_b)
+@dataclass(frozen=True, eq=False)
+class SeasonColumns:
+    """One season's games in canonical order, one array per column.
+
+    ``dates`` holds date ordinals; ``team_a`` and ``team_b`` index
+    ``names``, the store's sorted team ids; ``location`` indexes
+    :data:`LOCATIONS`; and row ``i`` of ``box`` is game ``i``'s side a
+    counts, then its side b counts, each in ``BOX_FIELDS`` order.  Two
+    column sets are equal when they hold the same games.
+    """
+
+    season: int
+    names: tuple[str, ...]
+    dates: np.ndarray       # (games,) int64
+    team_a: np.ndarray      # (games,) intp
+    team_b: np.ndarray      # (games,) intp
+    location: np.ndarray    # (games,) int8
+    box: np.ndarray         # (games, 22) int64
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SeasonColumns):
+            return NotImplemented
+        return (self.season == other.season and len(self) == len(other)
+                and all(np.array_equal(getattr(self, c), getattr(other, c))
+                        for c in ("dates", "location", "box"))
+                and self._teams() == other._teams())
+
+    def _teams(self) -> list[tuple[str, str]]:
+        """Each game's ``(team_a, team_b)`` ids."""
+        return [(self.names[a], self.names[b])
+                for a, b in zip(self.team_a.tolist(), self.team_b.tolist())]
+
+    def keys(self) -> list[tuple[dt.date, str, str]]:
+        """Each game's ``(date, team_a, team_b)``, one date object per day."""
+        ordinals = self.dates.tolist()
+        days = {o: dt.date.fromordinal(o) for o in set(ordinals)}
+        return [(days[o], a, b) for o, (a, b) in zip(ordinals, self._teams())]
+
+    def key(self, i: int) -> tuple[dt.date, str, str]:
+        """Game ``i``'s ``(date, team_a, team_b)``."""
+        return (dt.date.fromordinal(int(self.dates[i])),
+                self.names[self.team_a[i]], self.names[self.team_b[i]])
+
+    def records(self) -> tuple[GameRecord, ...]:
+        """The games as records of Python values, built on each call."""
+        n = len(BOX_FIELDS)
+        return tuple(GameRecord(date, self.season, a, b, LOCATIONS[loc],
+                                BoxScore._make(box[:n]), BoxScore._make(box[n:]))
+                     for (date, a, b), loc, box in zip(
+                         self.keys(), self.location.tolist(), self.box.tolist()))
 
 
 class SeasonStore:
-    """Immutable-after-construction container of game records by season.
+    """Immutable-after-construction store of games by season, as columns.
 
     Games within a season are sorted by date, with ties ordered by the
     (team_a, team_b) pair so day-by-day processing is deterministic.
-    ``off_roster_dropped`` counts the games a roster filter left out.
+    ``columns`` gives a season's :class:`SeasonColumns`; ``games`` and
+    ``all_games`` build :class:`GameRecord` views of them on each call.
+    ``off_roster_dropped`` counts the games a roster filter left out.  A
+    store is built from records, or column by column (:meth:`from_columns`).
     """
 
     def __init__(self, games: Iterable[GameRecord],
                  rosters: dict[int, set[str]] | None = None,
                  off_roster_dropped: int = 0):
-        self.off_roster_dropped = off_roster_dropped
-        by_season: dict[int, list[GameRecord]] = {}
-        for g in games:
-            by_season.setdefault(g.season, []).append(g)
-        for season, rows in by_season.items():
-            rows.sort(key=_sort_key)
-        self._by_season = {s: tuple(by_season[s]) for s in sorted(by_season)}
+        games = list(games)
+        self._fill([g.season for g in games], [g.date.toordinal() for g in games],
+                   [g.team_a for g in games], [g.team_b for g in games],
+                   [_LOCATION_CODES[g.location.value] for g in games],
+                   [g.box_a + g.box_b for g in games], rosters, off_roster_dropped)
+
+    @classmethod
+    def from_columns(cls, seasons: Sequence[int], dates, team_a: Sequence[str],
+                     team_b: Sequence[str], location, box,
+                     rosters: dict[int, set[str]] | None = None,
+                     off_roster_dropped: int = 0) -> "SeasonStore":
+        """A store of canonically oriented games, given in any order, one
+        sequence per column: each game's season, date ordinal, team ids
+        (``team_a < team_b``), location code and 22 box counts."""
+        store = cls.__new__(cls)
+        store._fill(seasons, dates, team_a, team_b, location, box,
+                    rosters, off_roster_dropped)
+        return store
+
+    def _fill(self, seasons, dates, team_a, team_b, location, box, rosters, dropped) -> None:
+        self.off_roster_dropped = dropped
+        names = tuple(sorted(set(team_a).union(team_b)))
+        index = {team: i for i, team in enumerate(names)}
+        labels = sorted(set(seasons))   # Python ints: a season label has no size limit
+        code = {season: k for k, season in enumerate(labels)}
+        columns = [np.array([code[s] for s in seasons], dtype=np.intp),
+                   np.asarray(dates, dtype=np.int64),
+                   np.array([index[t] for t in team_a], dtype=np.intp),
+                   np.array([index[t] for t in team_b], dtype=np.intp),
+                   np.asarray(location, dtype=np.int8),
+                   np.asarray(box, dtype=np.int64).reshape(-1, 2 * len(BOX_FIELDS))]
+        order = np.lexsort(columns[3::-1])     # by season, date, team_a, team_b
+        if (np.diff(order) != 1).any():        # a log this program wrote is in order
+            columns = [c[order] for c in columns]
+        for c in columns:
+            c.flags.writeable = False
+        season_of = columns[0]
+        starts = np.flatnonzero(np.diff(season_of, prepend=-1)).tolist()
+        self._columns = {
+            labels[season_of[lo]]: SeasonColumns(labels[season_of[lo]], names,
+                                                 *(c[lo:hi] for c in columns[1:]))
+            for lo, hi in zip(starts, starts[1:] + [len(order)])}
         if rosters is not None:
             self._rosters = {s: frozenset(t) for s, t in rosters.items()}
         else:
             self._rosters = {
-                s: frozenset(t for g in rows for t in (g.team_a, g.team_b))
-                for s, rows in self._by_season.items()
-            }
+                s: frozenset(names[t] for t in np.union1d(c.team_a, c.team_b).tolist())
+                for s, c in self._columns.items()}
 
     @property
     def seasons(self) -> list[int]:
-        return list(self._by_season)
+        return list(self._columns)
+
+    def columns(self, season: int) -> SeasonColumns:
+        """A stored season's columns."""
+        return self._columns[season]
 
     def games(self, season: int) -> tuple[GameRecord, ...]:
-        return self._by_season.get(season, ())
+        cols = self._columns.get(season)
+        return cols.records() if cols is not None else ()
 
     def all_games(self) -> list[GameRecord]:
-        return [g for s in self._by_season for g in self._by_season[s]]
+        return [g for cols in self._columns.values() for g in cols.records()]
 
     def teams(self, season: int) -> frozenset[str]:
         return self._rosters.get(season, frozenset())
 
     @property
     def n_games(self) -> int:
-        return sum(len(v) for v in self._by_season.values())
+        return sum(len(cols) for cols in self._columns.values())
 
 
 @contextmanager
@@ -274,28 +391,27 @@ def parse_roster(path: str | Path) -> dict[int, set[str]]:
     return rosters
 
 
-_LOCATIONS = {loc.value: loc for loc in Location}
-
-
-def _box(cells: list[str], columns: list[str]) -> BoxScore:
-    """One side's validated box from its cells; ``columns`` name them."""
+def _counts(cells: list[str], columns: list[str]) -> list[int]:
+    """One side's validated counts from its cells; ``columns`` name them."""
     try:
-        box = BoxScore._make(map(int, cells))
+        counts = list(map(int, cells))
     except ValueError:  # name the first cell that is not an integer
-        box = BoxScore._make([_parse_int(raw, field=col) for raw, col in zip(cells, columns)])
-    box.validate()
-    return box
+        counts = [_parse_int(raw, field=col) for raw, col in zip(cells, columns)]
+    _check_box(counts)
+    return counts
 
 
-def _record(row: list[str], dates: dict[str, dt.date], teams: dict[str, str]) -> GameRecord:
-    """The game on one CSV row, checked in column order; the first fault
-    raises a :class:`GameLogError` that names its field.  ``dates`` caches
-    each date string's conversion, and ``teams`` each team id, so a store
-    holds one object per distinct date and team."""
-    date = dates.get(row[0])
-    if date is None:
+def _game(row: list[str], ordinals: dict[str, int], teams: dict[str, str]):
+    """The game on one CSV row, canonically oriented: ``(date ordinal,
+    season, team_a, team_b, location code, 22 box counts)``.  The row is
+    checked in column order; the first fault raises a :class:`GameLogError`
+    that names its field.  ``ordinals`` caches each date string's
+    conversion, and ``teams`` each team id, so a store holds one object per
+    team id."""
+    day = ordinals.get(row[0])
+    if day is None:
         try:
-            date = dates[row[0]] = dt.date.fromisoformat(row[0])
+            day = ordinals[row[0]] = dt.date.fromisoformat(row[0]).toordinal()
         except ValueError:
             raise GameLogError(f"bad ISO date {row[0]!r}", field="date") from None
     season = _parse_int(row[1], field="season")
@@ -303,15 +419,19 @@ def _record(row: list[str], dates: dict[str, dt.date], teams: dict[str, str]) ->
     if not first or not second:
         raise GameLogError("empty team id", field="team_a")
     first, second = teams.setdefault(first, first), teams.setdefault(second, second)
-    location = _LOCATIONS.get(row[4])
+    location = _LOCATION_CODES.get(row[4])
     if location is None:
         raise GameLogError(
             f"location must be one of home_a/home_b/neutral, got {row[4]!r}", field="location")
-    box_a, box_b = _box(row[5:16], _BOX_COLUMNS[0]), _box(row[16:], _BOX_COLUMNS[1])
-    if box_a.points == box_b.points:
+    box_a, box_b = _counts(row[5:16], _BOX_COLUMNS[0]), _counts(row[16:], _BOX_COLUMNS[1])
+    if box_a[-1] == box_b[-1]:
         raise GameLogError(
-            f"tied score {box_a.points}-{box_b.points}; games cannot end tied", field="ptsb")
-    return GameRecord.oriented(date, season, first, second, location, box_a, box_b)
+            f"tied score {box_a[-1]}-{box_b[-1]}; games cannot end tied", field="ptsb")
+    if first == second:
+        raise GameLogError(f"team plays itself: {first}", field="team_b")
+    if first > second:
+        return day, season, second, first, _SWAPPED[location], box_b + box_a
+    return day, season, first, second, location, box_a + box_b
 
 
 def parse_game_log(path: str | Path,
@@ -329,9 +449,12 @@ def parse_game_log(path: str | Path,
     if not path.exists():
         raise GameLogError("file not found", path=str(path))
     where = str(path)
-    games: list[GameRecord] = []
-    seen: set[tuple[dt.date, str, str]] = set()
-    dates: dict[str, dt.date] = {}
+    seasons: list[int] = []
+    dates, locations, boxes = array("q"), array("b"), array("q")
+    firsts: list[str] = []
+    seconds: list[str] = []
+    seen: set[tuple[int, str, str]] = set()
+    ordinals: dict[str, int] = {}
     teams: dict[str, str] = {}
     dropped = 0
 
@@ -352,27 +475,33 @@ def parse_game_log(path: str | Path,
                     raise GameLogError(f"expected {len(HEADER)} columns",
                                        path=where, line=lines.line)
                 try:
-                    record = _record(row, dates, teams)
+                    day, season, first, second, location, counts = _game(row, ordinals, teams)
                 except GameLogError as e:
                     raise GameLogError(e.detail, path=where, line=lines.line,
                                        field=e.field) from None
-                key = (record.date, record.team_a, record.team_b)
+                key = (day, first, second)
                 if key in seen:
                     raise GameLogError(
-                        f"duplicate game {record.team_a} vs {record.team_b} on {record.date}",
+                        f"duplicate game {first} vs {second} on {dt.date.fromordinal(day)}",
                         path=where, line=lines.line, field="team_a")
                 seen.add(key)
                 if rosters is not None:
-                    pool = rosters.get(record.season, set())
-                    if record.team_a not in pool or record.team_b not in pool:
+                    pool = rosters.get(season, set())
+                    if first not in pool or second not in pool:
                         dropped += 1
                         continue
-                games.append(record)
+                seasons.append(season)
+                dates.append(day)
+                firsts.append(first)
+                seconds.append(second)
+                locations.append(location)
+                boxes.extend(counts)
         except (GameLogError, csv.Error):
             for _ in fh:  # an undecodable byte anywhere outranks every other fault
                 pass
             raise
-    return SeasonStore(games, rosters=rosters, off_roster_dropped=dropped)
+    return SeasonStore.from_columns(seasons, dates, firsts, seconds, locations, boxes,
+                                    rosters=rosters, off_roster_dropped=dropped)
 
 
 def write_csv(path: str | Path, header: Sequence[str],
@@ -389,6 +518,10 @@ def write_csv(path: str | Path, header: Sequence[str],
 def write_game_log(store: SeasonStore, path: str | Path,
                    comments: Sequence[str] = ()) -> None:
     """Serialize a store back to the game-log CSV schema (round-trip safe)."""
-    write_csv(path, HEADER, ([g.date.isoformat(), g.season, g.team_a, g.team_b,
-                              g.location.value, *g.box_a, *g.box_b]
-                             for g in store.all_games()), comments)
+    def rows() -> Iterator[list]:
+        for season in store.seasons:
+            cols = store.columns(season)
+            for (date, a, b), location, box in zip(cols.keys(), cols.location.tolist(),
+                                                   cols.box.tolist()):
+                yield [date.isoformat(), season, a, b, LOCATIONS[location].value, *box]
+    write_csv(path, HEADER, rows(), comments)

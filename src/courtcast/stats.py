@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 import datetime as dt
 
 import numpy as np
@@ -163,16 +163,16 @@ class GameArrays(NamedTuple):
     box: np.ndarray           # (games, 2, len(BOX_FIELDS)), int64
 
 
-def game_arrays(games: Sequence[GameRecord],
-                ft_weight: float = DEFAULT_FT_WEIGHT) -> GameArrays:
+def game_arrays(box: np.ndarray, ft_weight: float = DEFAULT_FT_WEIGHT) -> GameArrays:
     """:func:`game_stats` for many games at once, equal to it bit for bit.
 
-    The box-score columns stand in for the scalar counts of one box, so the
-    same functions evaluate the same expressions elementwise, and numpy
-    rounds each operation exactly as Python does.
+    ``box`` holds one row per game, side a's counts then side b's, each in
+    ``BOX_FIELDS`` order: a store's box column, which is read as ``(games,
+    2, 11)`` without a copy.  The box-score columns stand in for the scalar
+    counts of one box, so the same functions evaluate the same expressions
+    elementwise, and numpy rounds each operation exactly as Python does.
     """
-    box = np.array([g.box_a + g.box_b for g in games],
-                   dtype=np.int64).reshape(len(games), 2, len(BOX_FIELDS))
+    box = np.asarray(box, dtype=np.int64).reshape(len(box), 2, len(BOX_FIELDS))
     own = SimpleNamespace(**{f: box[:, :, k] for k, f in enumerate(BOX_FIELDS)})
     opp = SimpleNamespace(**{f: box[:, ::-1, k] for k, f in enumerate(BOX_FIELDS)})
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -17,10 +17,11 @@ sampling error.
 Generation works on tables, not one game at a time.  All games' realized
 efficiencies come from one ``standard_normal((games, 2))`` draw, and their
 points from one elementwise pass of the tie rule.  A box pair is built once
-per distinct ``(points_a, points_b)`` and shared by every game with that
-score (``BoxScore`` is immutable).  The Monte-Carlo bound simulates its
-matchups a block at a time, one ``standard_normal((k, 2, sims))`` draw per
-block of at most ``_BLOCK`` doubles (or of one matchup that needs more).  A
+per distinct ``(points_a, points_b)``, and the store's box column is that
+table's rows taken in game order; no per-game object is built.  The
+Monte-Carlo bound simulates its matchups a block at a time, one
+``standard_normal((k, 2, sims))`` draw per block of at most ``_BLOCK``
+doubles (or of one matchup that needs more).  A
 numpy ``Generator`` fills an array in order, so each game and each matchup
 sees exactly the draws that a call of its own would give, and the league is
 the same, bit for bit.
@@ -35,7 +36,15 @@ from statistics import NormalDist
 
 import numpy as np
 
-from courtcast.ingest import MAX_COUNT, BoxScore, CourtcastError, GameRecord, Location, SeasonStore
+from courtcast.ingest import (
+    BOX_FIELDS,
+    LOCATIONS,
+    MAX_COUNT,
+    BoxScore,
+    CourtcastError,
+    Location,
+    SeasonStore,
+)
 from courtcast.stats import PACE_FACTOR
 
 
@@ -312,20 +321,22 @@ def league_games(spec: SyntheticLeagueSpec) -> tuple[SeasonStore, Matchups]:
 
     # Expected efficiencies depend only on (matchup, site), not the season:
     # collect the distinct classes first so simulation effort is shared.
+    # Every game of a class shares its key.
     classes: dict[tuple[str, str, Location], tuple[float, float]] = {}
-    schedule: list[tuple[int, dt.date, tuple[str, str, Location]]] = []
+    shared: dict[tuple[str, str, Location], tuple[str, str, Location]] = {}
+    keys: list[tuple[str, str, Location]] = []
+    seasons, days = [], []
     for season_idx in range(spec.n_seasons):
         season = spec.first_season + season_idx
-        start = dt.date(season, 11, 1)
+        start = dt.date(season, 11, 1).toordinal()
         for r, games in enumerate(rounds):
-            date = start + dt.timedelta(days=2 * r)
             for i, j, home_is_i in games:
                 first, second = names[i], names[j]
                 loc = Location.HOME_A if home_is_i else Location.HOME_B
                 if first > second:
                     first, second = second, first
                     loc = loc.swapped()
-                key = (first, second, loc)
+                key = shared.setdefault((first, second, loc), (first, second, loc))
                 if key not in classes:
                     off_a, def_a = strengths[first]
                     off_b, def_b = strengths[second]
@@ -333,10 +344,12 @@ def league_games(spec: SyntheticLeagueSpec) -> tuple[SeasonStore, Matchups]:
                     edge_b = spec.home_advantage if loc is Location.HOME_B else 0.0
                     classes[key] = (expected_efficiency(off_a, def_b, edge_a),
                                     expected_efficiency(off_b, def_a, edge_b))
-                schedule.append((season, date, key))
+                keys.append(key)
+                seasons.append(season)
+                days.append(start + 2 * r)
 
     # one draw for all games, then one box pair per distinct score
-    game_mus = np.array([classes[key] for _, _, key in schedule])
+    game_mus = np.array([classes[key] for key in keys])
     effs = game_mus.copy()
     with np.errstate(over="ignore"):  # a total that overflows to inf is refused below
         if spec.noise != 0.0:
@@ -347,14 +360,23 @@ def league_games(spec: SyntheticLeagueSpec) -> tuple[SeasonStore, Matchups]:
         raise SyntheticError(
             f"noise {spec.noise} and home_advantage {spec.home_advantage} draw a point "
             f"total of {top:.7g}, over the box-score limit {MAX_COUNT}")
-    points = points.astype(int).T.tolist()
-    boxes: dict[tuple[int, int], tuple[BoxScore, BoxScore]] = {}
-    records = []
-    for (season, date, (first, second, loc)), pa, pb in zip(schedule, *points):
-        if (pa, pb) not in boxes:
-            boxes[(pa, pb)] = _boxes(pa, pb)
-        records.append(GameRecord(date, season, first, second, loc, *boxes[(pa, pb)]))
-    return SeasonStore(records), (classes, [key for _, _, key in schedule])
+    scores, which = np.unique(points.astype(np.int64), axis=0, return_inverse=True)
+    table = np.array([sum(_boxes(pa, pb), ()) for pa, pb in scores.tolist()],
+                     dtype=np.int64).reshape(len(scores), 2 * len(BOX_FIELDS))
+
+    # the columns in the store's order (season, date, team_a, team_b), so
+    # that the box column is built once, from the table
+    ids = np.array(sorted(names), dtype=object)
+    rank = {team: k for k, team in enumerate(ids)}
+    team_a, team_b = (np.array([rank[key[side]] for key in keys], dtype=np.intp)
+                      for side in (0, 1))
+    order = np.lexsort((team_b, team_a, days, seasons))
+    store = SeasonStore.from_columns(
+        [seasons[k] for k in order.tolist()], np.array(days, dtype=np.int64)[order],
+        ids[team_a[order]], ids[team_b[order]],
+        np.array([LOCATIONS.index(loc) for _, _, loc in keys], dtype=np.int8)[order],
+        table[which.reshape(-1)[order]])
+    return store, (classes, keys)
 
 
 def league_truth(spec: SyntheticLeagueSpec, matchups: Matchups,

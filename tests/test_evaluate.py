@@ -226,9 +226,9 @@ class TestWalkForward:
     def test_bad_names_fail_before_the_adjust_pass(
             self, noise_free_league, monkeypatch, kind, scheme, hyper, match):
         def reached(*args, **kwargs):
-            raise AssertionError("run_seasons ran before the names were checked")
+            raise AssertionError("the adjust pass ran before the names were checked")
 
-        monkeypatch.setattr(evaluate, "run_seasons", reached)
+        monkeypatch.setattr(evaluate, "season_runs", reached)
         with pytest.raises(EvalError, match=match):
             walk_forward_evaluate(noise_free_league, 2022, kind, scheme, hyper=hyper)
 
@@ -241,9 +241,9 @@ class TestWalkForward:
     def test_bad_adjust_schemes_fail_before_the_adjust_pass(
             self, noise_free_league, monkeypatch, averaging, seeding, match):
         def reached(*args, **kwargs):
-            raise AssertionError("run_seasons ran before the names were checked")
+            raise AssertionError("the adjust pass ran before the names were checked")
 
-        monkeypatch.setattr(evaluate, "run_seasons", reached)
+        monkeypatch.setattr(evaluate, "season_runs", reached)
         with pytest.raises(EvalError, match=match):
             walk_forward_evaluate(noise_free_league, 2022, ModelKind.MLP,
                                   FeatureScheme.ADJ_EFF, averaging, seeding)
@@ -368,7 +368,7 @@ class TestGlassCeiling:
 
         monkeypatch.setattr(evaluate, "league_games", reached)
         monkeypatch.setattr(evaluate, "league_truth", reached)
-        monkeypatch.setattr(evaluate, "run_seasons", reached)
+        monkeypatch.setattr(evaluate, "season_runs", reached)
         spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=2)
         with pytest.raises(EvalError, match=match):
             glass_ceiling_experiment(spec, [ModelKind.NAIVE_BAYES_KDE],
@@ -403,6 +403,21 @@ class TestGlassCeiling:
             assert (cell.kind, cell.scheme) == (alone.kind, alone.scheme)
             assert (cell.accuracy, cell.n_test) == (alone.accuracy, alone.n_test), cell
             assert cell.n_test == report.n_test
+
+
+def test_both_entry_points_reach_the_adjust_pass_the_name_checks_patch(
+        noise_free_league, monkeypatch):
+    # the name-check tests patch evaluate.season_runs: with good names both
+    # entry points must call it, or those tests would check nothing
+    def reached(*args, **kwargs):
+        raise AssertionError("the adjust pass ran")
+
+    monkeypatch.setattr(evaluate, "season_runs", reached)
+    with pytest.raises(AssertionError, match="the adjust pass ran"):
+        walk_forward_evaluate(noise_free_league, 2022, "home_wins", FeatureScheme.ADJ_EFF)
+    with pytest.raises(AssertionError, match="the adjust pass ran"):
+        glass_ceiling_experiment(SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=2),
+                                 ["home_wins"], [FeatureScheme.ADJ_EFF])
 
 
 @pytest.mark.parametrize("hyper", [None, {"y": 3.0}])

@@ -133,6 +133,20 @@ class TestBadFiles:
         assert "9999-12-31" in err and "--date" in err
         assert main("predict", *matchup, "--date", "9999-12-31")[0] == 0
 
+    def test_predict_defaults_to_the_day_after_the_test_seasons_last_game(self, tmp_path):
+        # rows out of date order, with a later season's game first
+        log = tmp_path / "shuffled.csv"
+        boxes = "20,50,5,10,15,10,20,8,5,3,55,18,48,4,8,12,9,21,10,4,2,48"
+        log.write_text(",".join(HEADER) + "\n" + "".join(
+            f"{date},{date[:4]},aa,bb,neutral,{boxes}\n"
+            for date in ("2022-12-01", "2021-12-05", "2021-11-01", "2021-11-20")))
+        code, err = main("predict", "--kind", "pythag", "--team-first", "aa",
+                         "--team-second", "bb", "--test-season", "2021",
+                         "--data", log, "--out", tmp_path / "o")
+        assert code == 0, err
+        assert (tmp_path / "o" / "prediction.csv").read_text().splitlines()[-1].startswith(
+            "2021-12-06,aa,bb,")
+
 
 def first_split(tree: dict) -> int:
     """The index of the first numeric split in a tree's node table."""
@@ -329,6 +343,24 @@ def test_a_negative_number_in_exponent_form_is_a_value(tmp_path, value):
     assert code == 0, err
     echoed = (tmp_path / "run_config.cfg").read_text()
     assert f"home_advantage = {float(value)}\n" in echoed
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("ingest", "games.csv"), ("stats", "game_stats.csv"),
+    ("adjust", "snapshots.csv"), ("features", "features.csv")])
+def test_a_header_only_log_gives_artifacts_of_no_rows(league, tmp_path, command, artifact):
+    # a log of no games is not an error: the artifact is the run's
+    # configuration and the header the command writes for any log
+    empty = tmp_path / "empty.csv"
+    empty.write_text(",".join(HEADER) + "\n")
+    for data, out in ((empty, "empty"), (league / "sim" / "games.csv", "full")):
+        code, err = main(command, "--data", data, "--out", tmp_path / out)
+        assert code == 0, err
+    echo = (tmp_path / "empty" / "run_config.cfg").read_text().splitlines()
+    full = (tmp_path / "full" / artifact).read_bytes().decode().splitlines(keepends=True)
+    header = next(line for line in full if not line.startswith("#"))
+    assert (tmp_path / "empty" / artifact).read_bytes().decode() == "".join(
+        f"# {line}\n" for line in echo) + header
 
 
 def test_a_stray_value_error_is_an_internal_fault(league, tmp_path, monkeypatch):

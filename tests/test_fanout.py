@@ -20,8 +20,8 @@ from pathlib import Path
 import pytest
 
 import courtcast
-from courtcast import cli, evaluate, features
-from courtcast.adjust import SeasonRun
+from courtcast import adjust, cli, evaluate, features
+from courtcast.adjust import AveragingScheme, SeasonRun
 from courtcast.evaluate import (
     BASELINE_KINDS,
     EvalError,
@@ -29,6 +29,7 @@ from courtcast.evaluate import (
     walk_forward_evaluate,
 )
 from courtcast.features import FeatureScheme
+from courtcast.ingest import GameRecord, parse_game_log, write_game_log
 from courtcast.models import ModelError, ModelKind
 from courtcast.synthetic import SyntheticLeagueSpec, league_games
 
@@ -167,4 +168,49 @@ def test_the_grid_builds_no_instances_and_frees_the_training_runs(monkeypatch):
         cores(monkeypatch, n)
         assert reports() == want
     assert checked == [1, 0, 0, 2] * 2
+    assert not multiprocessing.active_children()
+
+
+def test_the_grid_path_builds_no_records_and_holds_two_runs_at_most(monkeypatch, tmp_path):
+    # the parser and the league generator fill the store's columns, the
+    # adjust pass and the grid read them, and the grid drops each training
+    # season's run once it is encoded
+    spec = SyntheticLeagueSpec(n_teams=12, games_per_team=10, n_seasons=3, noise=6.0, seed=7)
+    log = tmp_path / "games.csv"
+    write_game_log(league_games(spec)[0], log)
+    test_season = spec.first_season + spec.n_seasons - 1
+    d1_evals = [(ModelKind.DECISION_TREE, FeatureScheme.ADJ_FOUR_FACTORS, AveragingScheme.ALPHA),
+                ("pythag", FeatureScheme.ADJ_EFF, AveragingScheme.EXPLICIT)]
+
+    def reports() -> list:
+        store = parse_game_log(log)
+        evaluations = [walk_forward_evaluate(store, test_season, kind, scheme, averaging,
+                                             seed=3).to_json()
+                       for kind, scheme, averaging in d1_evals]
+        return [store.seasons, store.n_games, *evaluations, glass_ceiling_experiment(
+            spec, [ModelKind.DECISION_TREE, "pythag", "home_wins"],
+            [FeatureScheme.ADJ_EFF, FeatureScheme.RAW], seed=3).as_dict()]
+
+    cores(monkeypatch, 1)
+    want = reports()
+
+    def no_record(cls, *args, **kwargs):
+        raise AssertionError("the grid path built a GameRecord")
+
+    run_season, alive = adjust._run_season, []
+
+    def counted(columns, *args):
+        run = run_season(columns, *args)
+        if columns.season == test_season:
+            gc.collect()
+            alive.append(sum(isinstance(obj, SeasonRun) and obj.columns.names is columns.names
+                             for obj in gc.get_objects()))
+        return run
+
+    monkeypatch.setattr(GameRecord, "__new__", no_record)
+    monkeypatch.setattr(adjust, "_run_season", counted)
+    for n in (1, 2):
+        cores(monkeypatch, n)
+        assert reports() == want
+    assert len(alive) == 6 and max(alive) <= 2, alive
     assert not multiprocessing.active_children()

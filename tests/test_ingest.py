@@ -7,6 +7,7 @@ import datetime as dt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from courtcast import ingest
 from courtcast.ingest import (
     HEADER,
     MAX_COUNT,
@@ -112,9 +113,9 @@ class TestValidation:
         rows = [game_row(date=f"2011-01-1{d}") for d in range(5)]
         path = write_log(tmp_path, rows + [game_row(date="2011-01-15", ptsb="99")])
         validated = []
-        validate = BoxScore.validate
-        monkeypatch.setattr(BoxScore, "validate",
-                            lambda box: validated.append(box) or validate(box))
+        check = ingest._check_box
+        monkeypatch.setattr(ingest, "_check_box",
+                            lambda counts: validated.append(counts) or check(counts))
         with pytest.raises(GameLogError) as err:
             parse_game_log(path)
         assert err.value.line == 7 and err.value.field == "points"
@@ -303,6 +304,48 @@ def test_a_parsed_store_holds_one_object_per_team_id(simulated_log, tmp_path):
             for team in (g.team_a, g.team_b):
                 assert ids.setdefault(team, team) is team, team
         assert len(ids) == n_teams
+
+
+ROUND_TRIP_ROWS = [  # a padded id, reversed rows, and a neutral site
+    game_row(), game_row(date="2011-01-16", team_a=" bobcats", team_b="aardvarks "),
+    game_row(date="2011-01-15", team_a="cougars", team_b="aardvarks", location="home_b"),
+    game_row(date="2011-01-14", team_a="cougars", team_b="bobcats", location="neutral",
+             season="2010")]
+
+
+@pytest.mark.parametrize("case", ["simulated", "hand", "roster"])
+def test_the_columns_round_trip(simulated_log, tmp_path, case):
+    rosters = None
+    if case == "simulated":
+        path = simulated_log
+    elif case == "hand":
+        path = write_log(tmp_path, ROUND_TRIP_ROWS)
+    else:
+        path = simulated_log
+        rosters = {2021: {"t00", "t01", "t02", "t03"}, 2022: {"t01", "t02", "t04", "t05"}}
+    store = parse_game_log(path, rosters)
+    games = store.all_games()
+    assert games and games == parse_rows(path, rosters).all_games()
+    for g in games:   # Python values, as a record built by hand holds them
+        assert [type(v) for v in g[:5]] == [dt.date, int, str, str, Location]
+        assert {type(v) for v in g.box_a + g.box_b} == {int}
+
+    # a store built from the records holds the same columns
+    again = SeasonStore(games, rosters=rosters)
+    assert again.seasons == store.seasons
+    for season in store.seasons:
+        a, b = again.columns(season), store.columns(season)
+        assert a == b and a.names == b.names
+        for name in ("dates", "team_a", "team_b", "location", "box"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+    once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+    write_game_log(store, once)
+    write_game_log(parse_game_log(once), twice)
+    assert once.read_bytes() == twice.read_bytes()
+    if case == "simulated":    # the log was written from the generated store
+        assert once.read_bytes() == path.read_bytes()
 
 
 _COL = {c: k for k, c in enumerate(HEADER)}

@@ -131,8 +131,10 @@ class TestGameArrays:
     @pytest.mark.parametrize("ft_weight", [DEFAULT_FT_WEIGHT, OLIVER_FT_WEIGHT])
     def test_every_game_of_a_league_matches_bitwise(self, ft_weight):
         spec = SyntheticLeagueSpec(n_teams=24, games_per_team=20, n_seasons=2, seed=5)
-        games = generate_league(spec, bayes_sims=1)[0].all_games()
-        got = game_arrays(games, ft_weight)
+        store = generate_league(spec, bayes_sims=1)[0]
+        games = store.all_games()
+        got = game_arrays(np.concatenate([store.columns(s).box for s in store.seasons]),
+                          ft_weight)
         sides = [game_stats(g, ft_weight) for g in games]
         want = {
             "poss": [[s.poss for s in pair] for pair in sides],
@@ -151,5 +153,5 @@ class TestGameArrays:
         assert got.box.tolist() == boxes
 
     def test_no_games(self):
-        got = game_arrays([])
+        got = game_arrays(np.zeros((0, 2 * len(BOX_FIELDS)), dtype=np.int64))
         assert got.oe.shape == (0, 2) and got.off_factors.shape == (0, 2, 4)

@@ -42,7 +42,6 @@ from courtcast.features import (
     MatchInstance,
     build_dataset,
     encode_pairing,
-    encode_season,
     feature_names,
 )
 from courtcast.ingest import (

@@ -45,9 +45,8 @@ rows too: each morning's six values (oe, de, then the four factors) go into
 one ``(days + 1, 6)`` array, closed by the end of the season, and a
 from_scratch seed is such a row spread over the 18 state values.  A run
 keeps every team's final row beside the pre-match array (``final_rows``,
-``final_played``), and its season's columns.  ``TeamSnapshot`` objects and
-the run's ``games`` are views built from those when a caller reads them;
-``final`` builds each team's snapshot on first read.
+``final_played``), and its season's columns; ``TeamSnapshot`` views of them
+are built on read, for the benchmark and the tests.
 
 Floating-point note: every accumulator folds values in one canonical order
 (games by (date, team_a, team_b), side a before side b).  Elementwise numpy
@@ -70,7 +69,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from courtcast.ingest import CourtcastError, GameRecord, SeasonColumns, SeasonStore
+from courtcast.ingest import CourtcastError, SeasonColumns, SeasonStore
 from courtcast.stats import DEFAULT_FT_WEIGHT, FourFactors, GameArrays, game_arrays
 
 
@@ -277,12 +276,11 @@ class SeasonRun:
     its last game, and ``_prior`` the prior-season final state values used
     as seeds.  ``rows_at`` gives any teams' rows on the morning of a date.
 
-    The program reads those rows and columns.  Views of them are built only
-    when read: ``games`` holds the season's records, built on first read;
-    ``pre_match`` maps each game's key to both teams' snapshots and builds
-    them on every read; ``final`` is a dict of each team's
-    snapshot after its last game, built on first read; ``series`` gives
-    each team's pre-match snapshots in date order.
+    The program reads those rows and columns.  The benchmark and the tests
+    read snapshot views of them, built when read: ``pre_match`` maps each
+    game's key to both teams' snapshots, built on every read; ``final`` holds
+    each team's snapshot after its last game, built on first read; ``series``
+    gives each team's pre-match snapshots in date order.
     """
 
     season: int
@@ -311,11 +309,6 @@ class SeasonRun:
                 self._snapshot(team_b, date, n[1], v[1]))
 
     @cached_property
-    def games(self) -> tuple[GameRecord, ...]:
-        """The season's games as records, in canonical order."""
-        return self.columns.records()
-
-    @cached_property
     def final(self) -> dict[str, TeamSnapshot]:
         """Each team's snapshot after its last game, dated that game's date."""
         return {team: self._snapshot(team, self._by_team[team][0][-1],
@@ -328,7 +321,7 @@ class SeasonRun:
 
     @cached_property
     def _index(self) -> dict[tuple[dt.date, str, str], int]:
-        """Each game's key -> its position in ``games``."""
+        """Each game's key -> its row in ``columns``."""
         return {key: i for i, key in enumerate(self.columns.keys())}
 
     @cached_property

@@ -5,10 +5,11 @@ probability:  oe^y / (oe^y + de^y)  with exponent y = 11.5 by default.
 Every scorer reads team rows (``adjust.TEAM_ROW``): walk-forward evaluation
 each game's two pre-match rows, ``predict`` two teams' rows at a date, and a
 ranking every team's final row; the snapshot functions are views of that code.
-RPI blends a team's winning percentage with its opponents' and its
-opponents' opponents' (0.25/0.50/0.25), excluding games against the rated
-team from each opponent's record.  Rankings come from predicting every
-hypothetical pairing once, at a neutral site, and counting predicted wins.
+RPI, read from a season's game columns, blends a team's winning percentage
+with its opponents' and its opponents' opponents' (0.25/0.50/0.25), excluding
+games against the rated team from each opponent's record.  Rankings count
+predicted wins over every hypothetical pairing, each predicted once at a
+neutral site.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from courtcast.adjust import TEAM_ROW, TeamSnapshot
 from courtcast.features import SITE_ORDER, encode_pairings
-from courtcast.ingest import CourtcastError, GameRecord
+from courtcast.ingest import CourtcastError, SeasonColumns
 from courtcast.models import p_win
 from courtcast.models.base import first_team_wins
 from courtcast.stats import Site
@@ -93,15 +94,6 @@ HOME_WINS_P = {Site.HOME: 1.0, Site.AWAY: 0.0, Site.NEUTRAL: 0.5}
 # ---------------------------------------------------------------------------
 # RPI
 
-def _records(games: Sequence[GameRecord]) -> dict[str, list[tuple[str, bool]]]:
-    rec: dict[str, list[tuple[str, bool]]] = {}
-    for g in games:
-        winner = g.winner()
-        rec.setdefault(g.team_a, []).append((g.team_b, winner == g.team_a))
-        rec.setdefault(g.team_b, []).append((g.team_a, winner == g.team_b))
-    return rec
-
-
 def _wp(rec: dict[str, list[tuple[str, bool]]], team: str,
         exclude: str | None = None) -> float:
     games = [(opp, won) for opp, won in rec.get(team, []) if opp != exclude]
@@ -110,14 +102,17 @@ def _wp(rec: dict[str, list[tuple[str, bool]]], team: str,
     return sum(won for _, won in games) / len(games)
 
 
-def rpi(games: Sequence[GameRecord]) -> dict[str, float]:
-    """Each team's 0.25*WP + 0.50*OWP + 0.25*OOWP over one season's results.
+def rpi(games: SeasonColumns) -> dict[str, float]:
+    """Each team's 0.25*WP + 0.50*OWP + 0.25*OOWP over one season's games.
 
     Opponents' winning percentages exclude their games against the rated
     team; each opponent counts once per game played (multiplicity matters).
     Every team's OWP is computed once and serves its opponents' OOWP.
     """
-    rec = _records(games)
+    rec: dict[str, list[tuple[str, bool]]] = {}   # each team's (opponent, won) results
+    for (_, team_a, team_b), a_won in zip(games.keys(), games.first_won().tolist()):
+        rec.setdefault(team_a, []).append((team_b, a_won))
+        rec.setdefault(team_b, []).append((team_a, not a_won))
     if not rec:
         raise BaselineError("no games to rate")
     owp = {team: sum(_wp(rec, opp, exclude=team) for opp, _ in own) / len(own)

@@ -54,12 +54,13 @@ from courtcast.evaluate import (
     walk_forward_evaluate,
 )
 from courtcast.features import (
+    SITE_ORDER,
     FeatureScheme,
     Label,
     MatchInstance,
     build_dataset,
     encode_pairings,
-    encode_season,
+    encode_runs,
     feature_names,
 )
 from courtcast.ingest import (
@@ -381,11 +382,12 @@ def cmd_features(cfg: RunConfig) -> None:
     header = (["date", "season", "team_first", "team_second", "location", "label"]
               + list(feature_names(scheme)))
     rows = []
-    for season in store.seasons:
-        for inst in encode_season(runs[season], scheme):
-            rows.append([inst.date.isoformat(), inst.season, inst.team_first,
-                         inst.team_second, inst.location.value, inst.label.value]
-                        + list(inst.features))
+    for run in runs.values():
+        Xs, site, y = encode_runs([run], [scheme])
+        for (date, first, second), x, s, won in zip(run.columns.keys(), Xs[scheme].tolist(),
+                                                    site.tolist(), y.tolist()):
+            rows.append([date.isoformat(), run.season, first, second, SITE_ORDER[s].value,
+                         (Label.LOSS, Label.WIN)[won].value] + x)
     path = out / "features.csv"
     write_csv(path, header, rows, echo)
     _say(path, f"{len(rows)} instances, scheme {scheme.value}")
@@ -462,7 +464,7 @@ def cmd_rank(cfg: RunConfig) -> None:
     path = out / "rankings.csv"
 
     if kind == "rpi":
-        ratings = rpi(list(store.games(test_season)))
+        ratings = rpi(store.columns(test_season))
         scores = sorted(((team, ratings[team]) for team in run.teams),
                         key=lambda kv: (-kv[1], kv[0]))
         rows = [[n, team, score] for n, (team, score) in enumerate(scores, start=1)]

@@ -9,8 +9,8 @@ one way only.  One table gives each scheme's feature names and the team-row
 column, or difference of two columns, that each name reads.
 ``encode_runs`` is the one encoder of played games: one feature matrix per
 scheme, from the runs' pre-match rows, with site codes and labels from their
-game columns.  ``encode_season`` and ``build_dataset`` wrap its rows as
-instances.
+game columns.  Only ``build_dataset``, for ``cli train`` and the benchmark,
+wraps its rows as :class:`MatchInstance` objects.
 
 Feature schemes:
 
@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from courtcast.adjust import TEAM_ROW, RawMeans, SeasonRun, TeamSnapshot, team_row
-from courtcast.ingest import BOX_FIELDS, LOCATIONS, CourtcastError, GameLogError, SeasonStore
+from courtcast.ingest import LOCATIONS, CourtcastError, GameLogError, SeasonStore
 from courtcast.stats import FourFactors, Site, site_for
 
 
@@ -152,10 +152,8 @@ class MatchInstance:
     team_second: str
 
 
-# Each location code's SITE_ORDER code for team_a, and the box column of
-# each side's points.
+# Each location code's SITE_ORDER code for team_a.
 _SITE_CODES = np.array([SITE_ORDER.index(site_for(loc, is_team_a=True)) for loc in LOCATIONS])
-_POINTS = BOX_FIELDS.index("points"), len(BOX_FIELDS) + BOX_FIELDS.index("points")
 
 
 def encode_runs(runs: Sequence[SeasonRun], schemes: Sequence[FeatureScheme]
@@ -168,21 +166,8 @@ def encode_runs(runs: Sequence[SeasonRun], schemes: Sequence[FeatureScheme]
         _encode(run.pre_rows.reshape(len(run.pre_rows), 2 * len(TEAM_ROW)), scheme)
         for run in runs]) for scheme in schemes}
     site = np.concatenate([_SITE_CODES[run.columns.location] for run in runs])
-    y = np.concatenate([run.columns.box[:, _POINTS[0]] > run.columns.box[:, _POINTS[1]]
-                        for run in runs]).astype(int)
+    y = np.concatenate([run.columns.first_won() for run in runs]).astype(int)
     return Xs, site, y
-
-
-def encode_season(run: SeasonRun, scheme: FeatureScheme) -> list[MatchInstance]:
-    """Every game of a season run as a labeled instance: :func:`encode_runs`
-    of the run, one instance per game."""
-    Xs, site, y = encode_runs([run], [scheme])
-    return [MatchInstance(
-        scheme=scheme, location=SITE_ORDER[s], features=x,
-        label=Label.WIN if won else Label.LOSS,
-        date=date, season=run.season, team_first=first, team_second=second)
-        for (date, first, second), x, s, won in zip(
-            run.columns.keys(), Xs[scheme], site.tolist(), y.tolist())]
 
 
 def training_seasons(store: SeasonStore, test_season: int) -> list[int]:
@@ -220,20 +205,14 @@ def build_dataset(store: SeasonStore, runs: dict[int, SeasonRun],
     previous test set; counts match the game counts of each partition.
     """
     train_runs, test_run = split_runs(store, runs, test_season)
-    return ([inst for run in train_runs for inst in encode_season(run, scheme)],
-            encode_season(test_run, scheme))
 
+    def instances(run: SeasonRun) -> list[MatchInstance]:
+        Xs, site, y = encode_runs([run], [scheme])
+        return [MatchInstance(
+            scheme=scheme, location=SITE_ORDER[s], features=x,
+            label=Label.WIN if won else Label.LOSS,
+            date=date, season=run.season, team_first=first, team_second=second)
+            for (date, first, second), x, s, won in zip(
+                run.columns.keys(), Xs[scheme], site.tolist(), y.tolist())]
 
-def to_arrays(instances: list[MatchInstance]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack instances into (X, site_codes, y) for model consumption.
-
-    ``site_codes`` index into SITE_ORDER; ``y`` is 1 for a first-team win.
-    Unlabeled instances get y = -1.
-    """
-    if not instances:
-        raise FeatureError("empty instance list")
-    X = np.stack([inst.features for inst in instances])
-    site = np.array([SITE_ORDER.index(inst.location) for inst in instances], dtype=int)
-    y = np.array([-1 if inst.label is None else int(inst.label is Label.WIN)
-                  for inst in instances], dtype=int)
-    return X, site, y
+    return [inst for run in train_runs for inst in instances(run)], instances(test_run)

@@ -21,7 +21,7 @@ A :class:`SeasonStore` keeps each season's games as columns
 (:class:`SeasonColumns`): date ordinals, both teams as indices into one
 sorted tuple of team ids, location codes, and one ``(games, 22)`` int64 box
 array, side a's ``BOX_FIELDS`` then side b's.  A :class:`GameRecord` is a
-view of one row, built only when a caller reads the store's games.
+view of one row, built only for the benchmark and the tests.
 
 :func:`parse_game_log` reads the file once, as a stream: ``csv.reader``
 splits each line, and one pass over each row converts its cells to Python
@@ -96,6 +96,7 @@ _SWAPPED = tuple(LOCATIONS.index(loc.swapped()) for loc in LOCATIONS)
 BOX_FIELDS = ("fgm", "fga", "fgm3", "ft", "fta", "or_", "dr", "to", "stl", "blk", "points")
 _BOX_SUFFIX = {"or_": "or", "points": "pts"}
 MAX_COUNT = 10**6  # no box count comes near; larger ones would overflow int64 sums
+_POINTS = BOX_FIELDS.index("points")
 
 
 # Each side's box-score column names, in BOX_FIELDS order: side a, then b.
@@ -172,16 +173,6 @@ class GameRecord(_GameFields):
                 f"not canonically oriented: {team_a!r} > {team_b!r}", field="team_a")
         return super().__new__(cls, date, season, team_a, team_b, location, box_a, box_b)
 
-    @staticmethod
-    def oriented(date: dt.date, season: int, first: str, second: str,
-                 location: Location, box_first: BoxScore, box_second: BoxScore) -> "GameRecord":
-        """Build a record from either team order, canonicalizing as needed."""
-        if first > second:
-            first, second = second, first
-            box_first, box_second = box_second, box_first
-            location = location.swapped()
-        return GameRecord(date, season, first, second, location, box_first, box_second)
-
     def winner(self) -> str:
         return self.team_a if self.box_a.points > self.box_b.points else self.team_b
 
@@ -232,6 +223,10 @@ class SeasonColumns:
         return (dt.date.fromordinal(int(self.dates[i])),
                 self.names[self.team_a[i]], self.names[self.team_b[i]])
 
+    def first_won(self) -> np.ndarray:
+        """``(games,)`` bools: whether team_a outscored team_b."""
+        return self.box[:, _POINTS] > self.box[:, len(BOX_FIELDS) + _POINTS]
+
     def records(self) -> tuple[GameRecord, ...]:
         """The games as records of Python values, built on each call."""
         n = len(BOX_FIELDS)
@@ -247,7 +242,7 @@ class SeasonStore:
     Games within a season are sorted by date, with ties ordered by the
     (team_a, team_b) pair so day-by-day processing is deterministic.
     ``columns`` gives a season's :class:`SeasonColumns`; ``games`` and
-    ``all_games`` build :class:`GameRecord` views of them on each call.
+    ``all_games``, for the benchmark and the tests, build records on each call.
     ``off_roster_dropped`` counts the games a roster filter left out.  A
     store is built from records, or column by column (:meth:`from_columns`).
     """

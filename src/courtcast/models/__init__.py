@@ -37,7 +37,6 @@ from courtcast.models.base import (
     ModelError,
     ModelKind,
     TrainedModel,
-    check_training_data,
     load_model_doc,
     resolve_hyper,
     resolve_label,
@@ -102,9 +101,17 @@ def train_group(Xs: Mapping[FeatureScheme, np.ndarray], site: np.ndarray, y: np.
 
 def train(instances: list[MatchInstance], kind: ModelKind,
           hyper: dict[str, Any] | None = None, seed: int = 0) -> TrainedModel:
-    """Fit one model kind on labeled instances of one scheme; deterministic
-    given the seed."""
-    X, site, y, scheme = check_training_data(instances)
+    """Fit one model kind on labeled instances of one scheme; deterministic given the seed."""
+    if not instances:
+        raise ModelError("no training instances")
+    scheme = instances[0].scheme
+    if any(inst.scheme is not scheme for inst in instances):
+        raise ModelError("mixed feature schemes in training data")
+    if any(inst.label is None for inst in instances):
+        raise ModelError("unlabeled instance in training data")
+    X = np.stack([inst.features for inst in instances])
+    site = np.array([SITE_ORDER.index(inst.location) for inst in instances], dtype=int)
+    y = np.array([inst.label is Label.WIN for inst in instances], dtype=int)
     return train_group({scheme: X}, site, y, kind, hyper=hyper, seed=seed)[0]
 
 

@@ -19,7 +19,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from courtcast.features import SITE_ORDER, FeatureScheme, Label, MatchInstance, to_arrays
+from courtcast.features import SITE_ORDER, FeatureScheme, Label
 from courtcast.ingest import CourtcastError
 from courtcast.stats import Site
 
@@ -65,19 +65,6 @@ def first_team_wins(p_win: np.ndarray | float, site: np.ndarray | int) -> np.nda
 def resolve_label(p_win: float, location: Site) -> Label:
     """Decision threshold 0.5 with the home-team tie rule at exactly 0.5."""
     return Label.WIN if first_team_wins(p_win, SITE_ORDER.index(location)) else Label.LOSS
-
-
-def check_training_data(instances: list[MatchInstance]) -> tuple[np.ndarray, np.ndarray, np.ndarray, FeatureScheme]:
-    """Check that training instances are labeled and of one scheme, and
-    stack them; returns (X, site, y, scheme)."""
-    if not instances:
-        raise ModelError("no training instances")
-    scheme = instances[0].scheme
-    if any(inst.scheme is not scheme for inst in instances):
-        raise ModelError("mixed feature schemes in training data")
-    if any(inst.label is None for inst in instances):
-        raise ModelError("unlabeled instance in training data")
-    return (*to_arrays(instances), scheme)
 
 
 class Range(NamedTuple):

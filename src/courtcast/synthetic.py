@@ -440,6 +440,11 @@ def calibrate_noise(spec: SyntheticLeagueSpec, target: float) -> float:
         return float(np.mean(scores[per_game]))
 
     lo, hi = 1e-6, 1.0
+    try:    # the widest gap overflows first, at the smallest noise probed
+        with np.errstate(over="raise"):
+            _favorite_prob(distinct[-1], lo)
+    except FloatingPointError:
+        raise SyntheticError(f"home_advantage {spec.home_advantage} is too far from 0") from None
     if mean_acc(lo) < target:
         raise SyntheticError("strength gaps too small to reach the target accuracy")
     while mean_acc(hi) > target:
@@ -458,10 +463,13 @@ def calibrate_noise(spec: SyntheticLeagueSpec, target: float) -> float:
 def calibrate_home_advantage(noise: float, target_home_rate: float) -> float:
     """Home-efficiency offset giving the target home-win rate when all
     teams are equally strong (point-margin ties go to the home side)."""
-    if noise <= 0:
+    if not noise > 0:
         raise SyntheticError("home-rate calibration needs noise > 0")
     if not 0.5 <= target_home_rate < 1.0:
         raise SyntheticError(f"target rate must be in [0.5, 1), got {target_home_rate}")
     margin_sd = noise * POINTS_PER_EFF * math.sqrt(2.0)
     z = NormalDist().inv_cdf(target_home_rate)
-    return (z * margin_sd - 0.5) / POINTS_PER_EFF
+    edge = (z * margin_sd - 0.5) / POINTS_PER_EFF
+    if not math.isfinite(edge):
+        raise SyntheticError(f"noise {noise} is too large to calibrate a home advantage")
+    return edge

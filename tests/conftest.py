@@ -7,6 +7,7 @@ import datetime as dt
 import pytest
 
 from courtcast.ingest import BoxScore, GameRecord, Location, SeasonStore
+from tests.oracles import oriented
 
 
 def make_box(fgm=20, fga=50, fgm3=5, ft=10, fta=15, or_=10, dr=20,
@@ -56,9 +57,8 @@ def tiny_store() -> SeasonStore:
         for i in range(len(teams)):
             for j in range(i + 1, len(teams)):
                 box_h, box_v = rng_boxes[k % len(rng_boxes)]
-                games.append(GameRecord.oriented(
-                    day, season, teams[i], teams[j],
-                    Location.HOME_A, box_h, box_v))
+                games.append(oriented(day, season, teams[i], teams[j],
+                                      Location.HOME_A, box_h, box_v))
                 day += dt.timedelta(days=3)
                 k += 1
         day = dt.date(season + 1, 11, 20)

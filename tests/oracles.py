@@ -592,6 +592,16 @@ def mlp_encode(p: FourArrayMlp) -> dict:
     }
 
 
+def oriented(date: dt.date, season: int, first: str, second: str, location: Location,
+             box_first: BoxScore, box_second: BoxScore) -> GameRecord:
+    """A record from either team order, canonicalized as the parser does."""
+    if first > second:
+        first, second = second, first
+        box_first, box_second = box_second, box_first
+        location = location.swapped()
+    return GameRecord(date, season, first, second, location, box_first, box_second)
+
+
 def _parse_row(row: dict[str, str], path: str, line: int) -> GameRecord:
     try:
         date = dt.date.fromisoformat(row["date"])
@@ -619,7 +629,7 @@ def _parse_row(row: dict[str, str], path: str, line: int) -> GameRecord:
             raise GameLogError(
                 f"tied score {boxes[0].points}-{boxes[1].points}; games cannot end tied",
                 field="ptsb")
-        return GameRecord.oriented(date, season, first, second, location, *boxes)
+        return oriented(date, season, first, second, location, *boxes)
     except GameLogError as e:
         raise GameLogError(e.detail, path=path, line=line, field=e.field) from None
 

@@ -32,7 +32,7 @@ from courtcast.baselines import (
 )
 from courtcast.evaluate import glass_ceiling_experiment, walk_forward_evaluate
 from courtcast.features import FeatureScheme, Label, build_dataset
-from courtcast.ingest import GameRecord, Location
+from courtcast.ingest import Location, SeasonStore
 from courtcast.models import ModelError, ModelKind, predict, train
 from courtcast.stats import (
     FOUR_FACTOR_WEIGHTS,
@@ -52,6 +52,7 @@ from tests.oracles import (
     alpha_update,
     explicit_weighted_average,
     naive_season,
+    oriented,
     snapshot_as_dict,
     truncated,
 )
@@ -281,11 +282,10 @@ def test_criterion_8_rankings_cohere_with_their_ratings(capsys):
         teams = ["ants", "bees", "cats", "dogs"]
         cycle = []
         for i, (winner, loser) in enumerate(zip(teams, teams[1:] + teams[:1])):
-            cycle.append(GameRecord.oriented(
-                dt.date(2011, 1, 5 + i), 2011, winner, loser,
-                Location.NEUTRAL, BOX_A, BOX_B))
+            cycle.append(oriented(dt.date(2011, 1, 5 + i), 2011, winner, loser,
+                                  Location.NEUTRAL, BOX_A, BOX_B))
         assert {g.winner() for g in cycle} == set(teams)
-        ratings = rpi(cycle)
+        ratings = rpi(SeasonStore(cycle).columns(2011))
         for team in teams:
             assert ratings[team] == pytest.approx(0.5, abs=1e-12)
 

@@ -31,6 +31,7 @@ from tests.oracles import (
     linear_scan_at,
     naive_league_means,
     naive_season,
+    oriented,
     snapshot_as_dict,
     state_row,
     truncated,
@@ -64,8 +65,8 @@ def store_from(days: dict[dt.date, list[tuple[str, str]]]) -> SeasonStore:
             box_a, box_b = _BOXES[k % len(_BOXES)], _BOXES[(k + 2) % len(_BOXES)]
             if box_a.points == box_b.points:
                 box_b = _BOXES[(k + 1) % len(_BOXES)]
-            games.append(GameRecord.oriented(date, date.year, first, second,
-                                             Location.HOME_A, box_a, box_b))
+            games.append(oriented(date, date.year, first, second,
+                                  Location.HOME_A, box_a, box_b))
             k += 1
     return SeasonStore(games)
 

@@ -20,7 +20,7 @@ from courtcast.baselines import (
     rpi,
 )
 from courtcast.features import FeatureScheme, MatchInstance, build_dataset, encode_pairing
-from courtcast.ingest import GameRecord, Location
+from courtcast.ingest import GameRecord, Location, SeasonStore
 from courtcast.models import ModelKind, naive_bayes, predict, train
 from courtcast.stats import Site
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
@@ -44,6 +44,11 @@ def neutral_game(a, b, a_wins, day, month=1):
         location=Location.NEUTRAL,
         box_a=BOX_A if a_wins else BOX_B,
         box_b=BOX_B if a_wins else BOX_A)
+
+
+def season_of(games):
+    """The 2011 columns of a store of ``games``: what ``rpi`` reads."""
+    return SeasonStore(games).columns(2011)
 
 
 class TestPythagRating:
@@ -124,7 +129,7 @@ class TestRpi:
 
     def test_hand_computed_triangle(self, triangle):
         # x: WP 1.0, OWP (1.0 + 0.0)/2, OOWP 0.5 -> 0.625
-        ratings = rpi(triangle)
+        ratings = rpi(season_of(triangle))
         assert ratings["x"] == pytest.approx(0.625, abs=1e-12)
         assert ratings["y"] == pytest.approx(0.500, abs=1e-12)
         assert ratings["z"] == pytest.approx(0.375, abs=1e-12)
@@ -134,7 +139,7 @@ class TestRpi:
                  neutral_game("x", "y", True, 2),
                  neutral_game("y", "z", True, 3)]
         # y's record vs everyone-but-x is 1-0, and it appears twice in x's OWP
-        ratings = rpi(games)
+        ratings = rpi(season_of(games))
         assert ratings["x"] == pytest.approx(0.875, abs=1e-12)
         assert ratings["y"] == pytest.approx(0.500, abs=1e-12)
         assert ratings["z"] == pytest.approx(0.125, abs=1e-12)
@@ -148,15 +153,18 @@ class TestRpi:
                 games.append(neutral_game(teams[i], teams[j], True, day))
                 games.append(neutral_game(teams[i], teams[j], False, day + 1))
                 day += 2
-        ratings = rpi(games)
+        ratings = rpi(season_of(games))
         for t in teams:
             assert abs(ratings[t] - 0.5) <= 1e-12
 
     def test_unknown_team_is_not_rated(self, triangle):
-        assert "w" not in rpi(triangle)
-        assert sorted(rpi(triangle)) == ["x", "y", "z"]
+        season = season_of(triangle)
+        assert "w" not in rpi(season)
+        assert sorted(rpi(season)) == ["x", "y", "z"]
+        no_games = dataclasses.replace(season, **{
+            c: getattr(season, c)[:0] for c in ("dates", "team_a", "team_b", "location", "box")})
         with pytest.raises(BaselineError):
-            rpi([])
+            rpi(no_games)
 
 
 class TestRoundRobinRank:
@@ -302,7 +310,7 @@ def test_naive_bayes_ranking_scores_each_team_not_each_pairing(season16, monkeyp
 def test_rpi_equals_the_per_team_reference(season16):
     store, _, test_season = season16
     games = list(store.games(test_season))
-    ratings = rpi(games)
+    ratings = rpi(store.columns(test_season))
     assert sorted(ratings) == sorted(store.teams(test_season))
     for team, value in ratings.items():
         assert value == naive_rpi(team, games)  # bit for bit

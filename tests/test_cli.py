@@ -3,8 +3,8 @@
 Each test runs ``python -m courtcast`` in a subprocess from a temp directory,
 against the same package the test process imported, so argument parsing,
 exit codes, config layering, and artifact bytes are all exercised exactly as
-a user would hit them.  One test calls ``cli.main`` in process instead, to
-record every file ``train`` opens.
+a user would hit them.  A few tests call ``cli.main`` in process instead, to
+record every file ``train`` opens or to patch the library.
 """
 
 from __future__ import annotations
@@ -22,7 +22,10 @@ import pytest
 
 import courtcast
 from courtcast import cli
-from courtcast.ingest import parse_game_log
+from courtcast.adjust import run_seasons
+from courtcast.features import FeatureScheme, MatchInstance, build_dataset
+from courtcast.ingest import GameRecord, parse_game_log
+from courtcast.models import ModelKind, save_model, train
 from courtcast.stats import FourFactors, game_stats
 
 # The directory the test process imported courtcast from: ``src`` in a
@@ -254,6 +257,39 @@ class TestArtifacts:
         doc = json.loads((out / "model.json").read_text(encoding="utf-8"))
         assert doc["run_config"]["kind"] == "decision_tree"
         assert doc["run_config"]["out"] == str(out)
+
+    def test_features_rpi_and_stacking_build_no_record_or_instance(self, league_dir,
+                                                                   tmp_path, monkeypatch):
+        # features and rank --kind rpi read columns and arrays, and train
+        # stacks the instances it is given: with both constructors refusing,
+        # each writes the bytes it writes without the patch
+        data = str(league_dir / "sim" / "games.csv")
+        commands = [["features", "--scheme", scheme.value] for scheme in FeatureScheme]
+        commands.append(["rank", "--kind", "rpi"])
+        store = parse_game_log(data)
+        train_set, _ = build_dataset(store, run_seasons(store), FeatureScheme.RAW,
+                                     store.seasons[-1])
+
+        def artifacts() -> dict[Path, bytes]:
+            for k, argv in enumerate(commands):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.main([*argv, "--data", data, "--out", str(tmp_path / str(k))]) == 0
+            for kind in ModelKind:
+                hyper = {"epochs": 5} if kind is ModelKind.MLP else None
+                save_model(train(train_set, kind, hyper=hyper, seed=1),
+                           tmp_path / f"{kind.value}.json")
+            return {path: path.read_bytes() for path in sorted(tmp_path.rglob("*"))
+                    if path.is_file()}
+
+        want = artifacts()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a GameRecord or MatchInstance was built")
+
+        monkeypatch.setattr(GameRecord, "__new__", refuse)
+        monkeypatch.setattr(MatchInstance, "__init__", refuse)
+        assert artifacts() == want
+        assert len(want) == 2 * len(commands) + len(ModelKind)
 
     def test_hyper_y_is_the_exponent_of_a_pythag_prediction(self, league_dir, tmp_path):
         # in process; --hyper y= overrides --pythag-y, as it does for evaluate

@@ -432,7 +432,7 @@ def test_pythag_rows_match_the_snapshot_path(two_season_store, averaging, seedin
     run = run_seasons(two_season_store, averaging, seeding,
                       through=test_season)[test_season]
     params = PythagParams(**(hyper or {}))
-    assert report.n_test == len(run.games)
+    assert report.n_test == len(run.columns)
     for p in report.predictions:
         snaps = run.pre_match[(p.date, p.team_first, p.team_second)]
         assert p.p_win == pythag_pair_prob(*snaps, params)

@@ -305,6 +305,10 @@ def test_model_file_that_is_not_json(league, tmp_path):
     (["predict", "--team-first", "t0\n1", "--team-second", "t02"],
      "team_first must be one line, got 't0\\n1'"),
     (["adjust", "--kinds", "pythag\u2028,mlp"], "kinds must be one line"),
+    *[([command, "--n-teams", "2", "--games-per-team", "1", "--n-seasons", "2",
+        "--kinds", "pythag", "--bayes-target", "0.7", "--home-advantage", value],
+       f"home_advantage {float(value)} is too far from 0")
+      for command in ("glass-ceiling", "simulate") for value in ("1e308", "-1e308")],
 ])
 def test_bad_value_is_a_usage_error_before_any_data_is_read(tmp_path, argv, key):
     # the game log does not exist: a check after reading it would exit 2

@@ -23,15 +23,14 @@ from courtcast.features import (
     build_dataset,
     encode_pairing,
     encode_pairings,
-    encode_season,
+    encode_runs,
     feature_names,
-    to_arrays,
 )
 from courtcast.ingest import GameLogError, GameRecord, Location, SeasonStore
 from courtcast.stats import FourFactors, Site
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
 from tests.conftest import BOX_A, BOX_B
-from tests.oracles import truncated
+from tests.oracles import oriented, truncated
 
 DATE = dt.date(2011, 1, 15)
 
@@ -118,8 +117,8 @@ class TestEncodeMatch:
             assert np.array_equal(swapped, np.concatenate([canonical[half:],
                                                            canonical[:half]]))
         # bobcats at home beat aardvarks: the first team is still aardvarks
-        (inst,) = instances(GameRecord.oriented(DATE, 2011, "bobcats", "aardvarks",
-                                                Location.HOME_A, BOX_A, BOX_B))
+        (inst,) = instances(oriented(DATE, 2011, "bobcats", "aardvarks",
+                                     Location.HOME_A, BOX_A, BOX_B))
         assert (inst.team_first, inst.label, inst.location) == (
             "aardvarks", Label.LOSS, Site.AWAY)
 
@@ -197,8 +196,7 @@ def league() -> SeasonStore:
     store, _ = generate_league(SyntheticLeagueSpec(n_teams=6, games_per_team=4,
                                                    n_seasons=2, seed=5), bayes_sims=1)
     g = store.games(store.seasons[-1])[0]
-    newcomer = GameRecord.oriented(g.date, g.season, g.team_a, "zz", Location.HOME_A,
-                                   g.box_b, g.box_a)
+    newcomer = oriented(g.date, g.season, g.team_a, "zz", Location.HOME_A, g.box_b, g.box_a)
     return SeasonStore(store.all_games() + [newcomer])
 
 
@@ -229,15 +227,15 @@ class TestEncoderMatchesSnapshots:
     @pytest.mark.parametrize("averaging,scheme", SCHEMES_BY_AVERAGING)
     def test_encode_pairing_is_the_one_row_encode(self, league, averaging, scheme):
         # the rows at the game's date and the game's snapshots both encode
-        # to the season encoder's instance
+        # to the season encoder's row
         runs = run_seasons(league, averaging, Seeding.PRIOR_SEASON)
         for run in runs.values():
-            for inst in encode_season(run, scheme):
-                rows = run.rows_at([inst.team_first, inst.team_second], inst.date)
-                one = encode_pairings(rows, [0], [1], scheme)
-                assert one.tobytes() == inst.features.tobytes()
-                snaps = run.pre_match[(inst.date, inst.team_first, inst.team_second)]
-                assert encode_pairing(*snaps, scheme).tobytes() == inst.features.tobytes()
+            Xs, _, _ = encode_runs([run], [scheme])
+            for (date, first, second), x in zip(run.columns.keys(), Xs[scheme]):
+                one = encode_pairings(run.rows_at([first, second], date), [0], [1], scheme)
+                assert one.tobytes() == x.tobytes()
+                snaps = run.pre_match[(date, first, second)]
+                assert encode_pairing(*snaps, scheme).tobytes() == x.tobytes()
 
 
 class TestBuildDataset:
@@ -295,11 +293,10 @@ class TestBuildDataset:
         assert [fields(split) for split in one] == [fields(split) for split in two]
 
 
-class TestArraysAndSerialization:
-    def test_to_arrays(self, game):
-        X, site, y = to_arrays(instances(game))
-        assert X.shape == (1, 4) and site.tolist() == [0] and y.tolist() == [1]
-
-    def test_to_arrays_empty_rejected(self):
-        with pytest.raises(FeatureError):
-            to_arrays([])
+class TestEncodeRuns:
+    def test_one_game(self, game):
+        # aardvarks, the first team, won 67-61 at home
+        runs = list(run_seasons(SeasonStore([game])).values())
+        Xs, site, y = encode_runs(runs, [FeatureScheme.ADJ_EFF])
+        assert Xs[FeatureScheme.ADJ_EFF].shape == (1, 4)
+        assert site.tolist() == [0] and y.tolist() == [1]

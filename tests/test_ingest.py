@@ -22,7 +22,7 @@ from courtcast.ingest import (
 )
 from courtcast.synthetic import SyntheticLeagueSpec, generate_league
 from tests.conftest import BOX_A, BOX_B, make_box
-from tests.oracles import parse_rows, truncated
+from tests.oracles import oriented, parse_rows, truncated
 from tests.test_exit_codes import EDITS, corrupted
 
 
@@ -140,8 +140,7 @@ class TestOrientation:
         assert g.box_b == BOX_A and g.box_a == BOX_B
 
     def test_neutral_site_survives_swap(self):
-        g = GameRecord.oriented(dt.date(2011, 1, 1), 2011, "z", "a",
-                                Location.NEUTRAL, BOX_A, BOX_B)
+        g = oriented(dt.date(2011, 1, 1), 2011, "z", "a", Location.NEUTRAL, BOX_A, BOX_B)
         assert g.location is Location.NEUTRAL
 
     def test_direct_construction_enforces_order(self):
@@ -265,8 +264,8 @@ def test_consistent_boxes_always_validate(box):
 @given(box_scores(), box_scores(), st.sampled_from(list(Location)))
 def test_orientation_is_involution_free(box1, box2, loc):
     # Building from either listing order yields the identical record.
-    g1 = GameRecord.oriented(dt.date(2011, 1, 1), 2011, "m", "q", loc, box1, box2)
-    g2 = GameRecord.oriented(dt.date(2011, 1, 1), 2011, "q", "m", loc.swapped(), box2, box1)
+    g1 = oriented(dt.date(2011, 1, 1), 2011, "m", "q", loc, box1, box2)
+    g2 = oriented(dt.date(2011, 1, 1), 2011, "q", "m", loc.swapped(), box2, box1)
     assert g1 == g2
 
 

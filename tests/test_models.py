@@ -21,7 +21,6 @@ from courtcast.features import (
     encode_runs,
     feature_names,
     split_runs,
-    to_arrays,
 )
 from courtcast.models import (
     ModelError,
@@ -64,22 +63,29 @@ def check_gradients(model, inst: MatchInstance, epsilon: float = 1e-5) -> float:
                           int(inst.label is Label.WIN), epsilon=epsilon)
 
 
-def separable_instances(n: int, seed: int, gap: float = 8.0) -> list[MatchInstance]:
-    """Labels follow net adjusted efficiency with a hard margin: separable."""
+def separable_arrays(n: int, seed: int,
+                     gap: float = 8.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X, site, y)`` of ``n`` adj_eff rows whose labels follow net
+    adjusted efficiency with a hard margin: separable."""
     rng = np.random.default_rng(seed)
-    out = []
-    sites = list(Site)
-    while len(out) < n:
+    rows, sites, labels = [], [], []
+    while len(rows) < n:
         a_oe, b_oe = rng.uniform(90, 120, size=2)
         a_de, b_de = rng.uniform(90, 120, size=2)
         margin = (a_oe - a_de) - (b_oe - b_de)
         if abs(margin) < gap:
             continue
-        out.append(make_instance(
-            [a_oe, a_de, b_oe, b_de],
-            label=Label.WIN if margin > 0 else Label.LOSS,
-            location=sites[int(rng.integers(0, 3))]))
-    return out
+        rows.append([a_oe, a_de, b_oe, b_de])
+        labels.append(int(margin > 0))
+        sites.append(int(rng.integers(0, 3)))
+    return np.array(rows), np.array(sites), np.array(labels)
+
+
+def separable_instances(n: int, seed: int, gap: float = 8.0) -> list[MatchInstance]:
+    """The rows of :func:`separable_arrays` as instances."""
+    X, site, y = separable_arrays(n, seed, gap)
+    return [make_instance(x, label=Label.WIN if won else Label.LOSS, location=SITE_ORDER[s])
+            for x, s, won in zip(X, site.tolist(), y.tolist())]
 
 
 def internal_node_sizes(tree: tree_mod.Tree) -> list[int]:
@@ -125,6 +131,11 @@ class TestTrainingValidation:
         b = make_instance([0.0] * 8, Label.LOSS, scheme=FeatureScheme.DIFF_LIKE_VS_LIKE)
         with pytest.raises(ModelError, match="mixed"):
             train([a, b], ModelKind.DECISION_TREE)
+
+    def test_unlabeled_rejected(self):
+        insts = separable_instances(10, seed=0) + [make_instance([1, 2, 3, 4], None)]
+        with pytest.raises(ModelError, match="unlabeled instance in training data"):
+            train(insts, ModelKind.DECISION_TREE)
 
     def test_unknown_hyper_rejected(self):
         insts = separable_instances(10, seed=0)
@@ -205,7 +216,7 @@ class TestMlp:
         insts = separable_instances(40, seed=4)
         model = train(insts, ModelKind.MLP,
                       hyper={"epochs": 5, "learning_rate": 1e10}, seed=1)
-        X, site, _ = to_arrays(insts)
+        X, site, _ = separable_arrays(40, seed=4)
         probs = p_win(model, X, site)
         assert np.all((0.0 <= probs) & (probs <= 1.0))
 
@@ -389,12 +400,15 @@ def generated_league():
 
 @pytest.fixture(scope="module")
 def league_instances():
-    """(train, test) instances of a generated league; every third test game
-    is moved to a neutral site, so the test rows hold all three sites."""
-    _, train_set, test_set = generated_league()
+    """(train, test) instances of a generated league, and the test games'
+    features and site codes from ``encode_runs``; every third test game is
+    moved to a neutral site, so the test rows hold all three sites."""
+    run, train_set, test_set = generated_league()
     test_set = [dataclasses.replace(inst, location=Site.NEUTRAL) if k % 3 == 0 else inst
                 for k, inst in enumerate(test_set)]
-    return train_set, test_set
+    Xs, site, _ = encode_runs([run], [FeatureScheme.ADJ_FOUR_FACTORS])
+    site[::3] = SITE_ORDER.index(Site.NEUTRAL)
+    return train_set, test_set, Xs[FeatureScheme.ADJ_FOUR_FACTORS], site
 
 
 def walk(tree: tree_mod.Tree, x: np.ndarray, site_code: int) -> float:
@@ -410,19 +424,17 @@ def walk(tree: tree_mod.Tree, x: np.ndarray, site_code: int) -> float:
 class TestBatchPrediction:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_batch_equals_one_instance_at_a_time(self, league_instances, kind):
-        train_set, test_set = league_instances
+        train_set, test_set, X, site = league_instances
         hyper = {"epochs": 20} if kind is ModelKind.MLP else None
         model = train(train_set, kind, hyper=hyper, seed=3)
-        X, site, _ = to_arrays(test_set)
         assert set(site.tolist()) == {0, 1, 2}
         batch = p_win(model, X, site)
         one = np.array([predict(model, inst)[1] for inst in test_set])
         assert batch.tobytes() == one.tobytes()
 
     def test_tree_walk_matches_a_scalar_reference(self, league_instances):
-        train_set, test_set = league_instances
+        train_set, _, X, site = league_instances
         model = train(train_set, ModelKind.DECISION_TREE, hyper={"min_node_fraction": 0.0})
-        X, site, _ = to_arrays(test_set)
         want = [walk(model.params, x, code) for x, code in zip(X, site)]
         assert tree_mod.p_win(model.params, X, site).tolist() == want
 
@@ -472,9 +484,8 @@ class TestNaiveBayesBatch:
         assert got.tobytes() == naive_bayes_p_win(params, X, site).tobytes()
 
     def test_a_row_scores_the_same_in_any_batch(self, league_instances):
-        train_set, test_set = league_instances
+        train_set, _, X, site = league_instances
         model = train(train_set, ModelKind.NAIVE_BAYES_KDE)
-        X, site, _ = to_arrays(test_set)
         full = nb_mod.p_win(model.params, X, site)
         rng = np.random.default_rng(11)
         perm = rng.permutation(len(X))
@@ -500,9 +511,10 @@ def scheme_arrays():
         test_season = store.seasons[-1]
         runs = run_seasons(store, AveragingScheme.ALPHA, Seeding.PRIOR_SEASON,
                            through=test_season)
+        train_runs, _ = split_runs(store, runs, test_season)
+        Xs, site, y = encode_runs(train_runs, list(FeatureScheme))
         for scheme in FeatureScheme:
-            train_set, _ = build_dataset(store, runs, scheme, test_season)
-            out[seed, scheme] = to_arrays(train_set)
+            out[seed, scheme] = Xs[scheme], site, y
     return out
 
 
@@ -659,7 +671,7 @@ class TestMlpGroup:
                     (tmp_path / "alone.json").read_bytes()
 
     def test_arrays_that_do_not_fit_are_refused(self):
-        X, site, y = to_arrays(separable_instances(20, seed=1))
+        X, site, y = separable_arrays(20, seed=1)
         nan = X.copy()
         nan[3, 2] = float("nan")
         scheme = FeatureScheme.ADJ_EFF

@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from collections import Counter
 from statistics import NormalDist
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from courtcast.ingest import Location, parse_game_log, write_game_log
+from courtcast.ingest import MAX_COUNT, CourtcastError, Location, parse_game_log, write_game_log
 from courtcast.stats import possessions
 from courtcast.synthetic import (
     POINTS_PER_EFF,
@@ -20,6 +22,7 @@ from courtcast.synthetic import (
     calibrate_home_advantage,
     calibrate_noise,
     generate_league,
+    league_games,
     spread_strengths,
     team_names,
 )
@@ -336,3 +339,59 @@ class TestCalibration:
             (g.winner() == g.team_a) == (g.location is Location.HOME_A)
             for g in store.all_games())
         assert home_wins / store.n_games == pytest.approx(0.63, abs=0.05)
+
+
+# Floats near the limits, each with both signs (zero, subnormal, tiny, huge
+# and non-finite), or any float.
+LIMITS = st.one_of(
+    st.sampled_from([0.0, 5e-324, sys.float_info.min, 1e-300, 1e-6, 99.99999999999999,
+                     100.0, 2.5e302, 1e307, 1e308, sys.float_info.max, math.inf, math.nan]
+                    ).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats())
+
+
+def near_limits(low: float, high: float):
+    """A float near the limits, or one inside a setting's range (low, high)."""
+    return st.one_of(LIMITS, st.floats(low, high, exclude_min=True, exclude_max=True))
+
+
+def _finite_or_refused(call, *args):
+    """``call(*args)`` with warnings as errors: its value, or None when it
+    raises a CourtcastError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call(*args)
+        except CourtcastError:
+            return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_teams=st.sampled_from([2, 4]), games=st.integers(1, 3), seasons=st.integers(1, 2),
+       at_limit=st.sampled_from(["strength_spread", "noise", "home_advantage", "imbalance"]),
+       value=LIMITS, spread=st.floats(-99.0, 99.0), noise=st.floats(0.0, 20.0),
+       home=st.floats(-10.0, 10.0), imbalance=st.sampled_from([0.0, 0.5, 1.0]),
+       target=near_limits(0.5, 1.0), rate=near_limits(0.5, 1.0))
+@example(n_teams=2, games=1, seasons=2, at_limit="home_advantage", value=-1e308,
+         spread=10.0, noise=6.0, home=0.0, imbalance=0.0, target=0.7, rate=0.63)
+def test_a_float_at_the_limits_gives_finite_values_or_is_refused(
+        n_teams, games, seasons, at_limit, value, spread, noise, home, imbalance, target, rate):
+    # one league setting at the limits, the others in range; the home-rate
+    # calibration takes the value at the limits as its noise
+    edge = _finite_or_refused(calibrate_home_advantage, value, rate)
+    assert edge is None or math.isfinite(edge)
+    floats = {"strength_spread": spread, "noise": noise, "home_advantage": home,
+              "imbalance": imbalance, at_limit: value}
+    spec = _finite_or_refused(lambda: SyntheticLeagueSpec(
+        n_teams=n_teams, games_per_team=games, n_seasons=seasons, **floats))
+    if spec is None:
+        return
+    calibrated = _finite_or_refused(calibrate_noise, spec, target)
+    assert calibrated is None or math.isfinite(calibrated)
+    made = _finite_or_refused(league_games, spec)
+    if made is not None:
+        store, (classes, _) = made
+        assert np.isfinite(list(classes.values())).all()
+        for season in store.seasons:
+            box = store.columns(season).box
+            assert ((0 <= box) & (box <= MAX_COUNT)).all()

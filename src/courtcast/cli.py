@@ -345,7 +345,7 @@ def cmd_stats(cfg: RunConfig) -> None:
         games = store.columns(season)
         stats = checked_game_arrays(games, cfg.ft_weight)
         points = stats.box[:, :, BOX_FIELDS.index("points")]
-        won = points > points[:, ::-1]    # a parsed game log has no ties
+        won = games.first_won()[:, None] == [True, False]   # side b won where a lost
         columns = (points, won, stats.poss, stats.oe, stats.de,
                    stats.off_factors, stats.def_factors)
         for (date, *teams), code, *sides in zip(games.keys(), games.location.tolist(),

@@ -427,12 +427,12 @@ def glass_ceiling_experiment(
     kinds, schemes, resolved = resolve_grid(kinds, hyper_overrides, schemes)
     (averaging,) = _named([averaging], AveragingScheme, "averaging")
     (seeding,) = _named([seeding], Seeding, "seeding")
-    store, matchups = league_games(spec)
+    store = league_games(spec)
     test_season = spec.first_season + spec.n_seasons - 1
     config = config or AdjustConfig()
 
     reports, (truth,) = _grid(store, test_season, kinds, schemes, resolved, averaging,
-                              seeding, config, seed, [(league_truth, (spec, matchups))])
+                              seeding, config, seed, [(league_truth, (spec,))])
     cells = tuple(CeilingCell(kind=r.kind, scheme=r.scheme, accuracy=r.accuracy,
                               gap=r.accuracy - truth.bayes_accuracy, n_test=r.n_test)
                   for r in reports)

@@ -14,14 +14,16 @@ from those the best accuracy any predictor could reach on the schedule.
 No model evaluated on the league should beat that number by more than
 sampling error.
 
-Generation works on tables, not one game at a time.  All games' realized
+Generation works on tables, not one game at a time.  Both halves read one
+schedule table built from the spec: a season's games as arrays of rounds,
+team indices, location codes and expected efficiencies, with no per-game
+Python value.  The log repeats it over the seasons; all games' realized
 efficiencies come from one ``standard_normal((games, 2))`` draw, and their
 points from one elementwise pass of the tie rule.  A box pair is built once
 per distinct ``(points_a, points_b)``, and the store's box column is that
-table's rows taken in game order; no per-game object is built.  The
-Monte-Carlo bound simulates its matchups a block at a time, one
-``standard_normal((k, 2, sims))`` draw per block of at most ``_BLOCK``
-doubles (or of one matchup that needs more).  A
+table's rows taken in game order.  The bound simulates the table's distinct
+matchups a block at a time, one ``standard_normal((k, 2, sims))`` draw per
+block of at most ``_BLOCK`` doubles (or of one matchup that needs more).  A
 numpy ``Generator`` fills an array in order, so each game and each matchup
 sees exactly the draws that a call of its own would give, and the league is
 the same, bit for bit.
@@ -71,13 +73,9 @@ def spread_strengths(n: int, spread: float = 10.0) -> tuple[tuple[float, float],
     systematically the weaker side, or labels would be single-class).
     """
     deltas = np.linspace(-spread, spread, n)
-    lo, hi, zigzag = 0, n - 1, []
-    while lo <= hi:
-        zigzag.append(deltas[lo])
-        lo += 1
-        if lo <= hi:
-            zigzag.append(deltas[hi])
-            hi -= 1
+    zigzag = np.empty(n)
+    zigzag[::2] = deltas[:(n + 1) // 2]          # the low deltas in order
+    zigzag[1::2] = deltas[(n + 1) // 2:][::-1]   # the high ones in reverse
     return tuple((100.0 + d, 100.0 - d) for d in zigzag)
 
 
@@ -275,19 +273,14 @@ def _win_probs(mus: np.ndarray, noise: float, rng: np.random.Generator,
             pts = block.copy()
         else:
             pts = rng.standard_normal((len(block), 2, sims))
-            pts *= noise
-            pts += block
+            with np.errstate(over="ignore"):  # a draw past the float range scores +-inf
+                pts *= noise
+                pts += block
         _points(pts)
         pa, pb = pts[:, 0], pts[:, 1]
         won = np.where(block[:, 0] >= block[:, 1], pa >= pb, pa > pb)
         probs[lo:lo + len(block)] = np.count_nonzero(won, axis=1) / won.shape[1]
     return probs
-
-
-#: A league's distinct matchups, each ``(first, second, location)`` key with
-#: its two expected efficiencies, and every scheduled game's key in order.
-Matchups = tuple[dict[tuple[str, str, Location], tuple[float, float]],
-                 list[tuple[str, str, Location]]]
 
 
 def generate_league(spec: SyntheticLeagueSpec,
@@ -299,11 +292,11 @@ def generate_league(spec: SyntheticLeagueSpec,
     probability of every scheduled matchup, and the schedule-weighted best
     achievable accuracy (``bayes_sims`` Monte-Carlo outcomes per distinct
     matchup; at least 1e5 for a trustworthy third digit).  The two halves,
-    :func:`league_games` and :func:`league_truth`, draw from separate
-    streams, so either may run first, or elsewhere.
+    :func:`league_games` and :func:`league_truth`, each build the schedule
+    table from ``spec`` and draw from separate streams, so either may run
+    first, or elsewhere.
     """
-    store, matchups = league_games(spec)
-    return store, league_truth(spec, matchups, bayes_sims)
+    return league_games(spec), league_truth(spec, bayes_sims)
 
 
 def _streams(spec: SyntheticLeagueSpec) -> list[np.random.Generator]:
@@ -311,45 +304,35 @@ def _streams(spec: SyntheticLeagueSpec) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(2)]
 
 
-def league_games(spec: SyntheticLeagueSpec) -> tuple[SeasonStore, Matchups]:
-    """The game log of :func:`generate_league`, and the league's matchups
-    that :func:`league_truth` grades."""
-    names = team_names(spec.n_teams)
-    strengths = spec.resolved_strengths()
-    rounds = _schedule(spec)
-    rng_games, _ = _streams(spec)
+def _season(spec: SyntheticLeagueSpec) -> tuple[np.ndarray, ...]:
+    """One season's games in schedule order, as arrays: each game's round,
+    its teams' indices ``a < b`` (names sort as their indices), its location
+    code, and its ``(mu_a, mu_b)`` row of expected efficiencies."""
+    table = np.array(_schedule(spec))    # (rounds, games, (i, j, home_is_i))
+    rounds = np.repeat(np.arange(len(table)), table.shape[1])
+    i, j, home_is_i = table.reshape(-1, 3).T
+    a, b = np.minimum(i, j), np.maximum(i, j)
+    home_a = (home_is_i == 1) == (i < j)   # whether the home side is the lower index
+    off, dfn = np.array(list(spec.resolved_strengths().values())).T
+    mus = np.column_stack([
+        expected_efficiency(off[a], dfn[b], np.where(home_a, spec.home_advantage, 0.0)),
+        expected_efficiency(off[b], dfn[a], np.where(home_a, 0.0, spec.home_advantage))])
+    loc = np.where(home_a, LOCATIONS.index(Location.HOME_A), LOCATIONS.index(Location.HOME_B))
+    return rounds, a, b, loc, mus
 
-    # Expected efficiencies depend only on (matchup, site), not the season:
-    # collect the distinct classes first so simulation effort is shared.
-    # Every game of a class shares its key.
-    classes: dict[tuple[str, str, Location], tuple[float, float]] = {}
-    shared: dict[tuple[str, str, Location], tuple[str, str, Location]] = {}
-    keys: list[tuple[str, str, Location]] = []
-    seasons, days = [], []
-    for season_idx in range(spec.n_seasons):
-        season = spec.first_season + season_idx
-        start = dt.date(season, 11, 1).toordinal()
-        for r, games in enumerate(rounds):
-            for i, j, home_is_i in games:
-                first, second = names[i], names[j]
-                loc = Location.HOME_A if home_is_i else Location.HOME_B
-                if first > second:
-                    first, second = second, first
-                    loc = loc.swapped()
-                key = shared.setdefault((first, second, loc), (first, second, loc))
-                if key not in classes:
-                    off_a, def_a = strengths[first]
-                    off_b, def_b = strengths[second]
-                    edge_a = spec.home_advantage if loc is Location.HOME_A else 0.0
-                    edge_b = spec.home_advantage if loc is Location.HOME_B else 0.0
-                    classes[key] = (expected_efficiency(off_a, def_b, edge_a),
-                                    expected_efficiency(off_b, def_a, edge_b))
-                keys.append(key)
-                seasons.append(season)
-                days.append(start + 2 * r)
+
+def league_games(spec: SyntheticLeagueSpec) -> SeasonStore:
+    """The game log of :func:`generate_league`: the season table repeated
+    over the seasons, a season's rounds two days apart from November 1."""
+    rounds, a, b, loc, mus = _season(spec)
+    rng_games, _ = _streams(spec)
+    n = spec.n_seasons
+    starts = np.array([dt.date(spec.first_season + k, 11, 1).toordinal() for k in range(n)])
+    seasons = np.repeat(spec.first_season + np.arange(n), len(rounds))
+    days = (starts[:, None] + 2 * rounds).reshape(-1)
 
     # one draw for all games, then one box pair per distinct score
-    game_mus = np.array([classes[key] for key in keys])
+    game_mus = np.tile(mus, (n, 1))
     effs = game_mus.copy()
     with np.errstate(over="ignore"):  # a total that overflows to inf is refused below
         if spec.noise != 0.0:
@@ -366,31 +349,28 @@ def league_games(spec: SyntheticLeagueSpec) -> tuple[SeasonStore, Matchups]:
 
     # the columns in the store's order (season, date, team_a, team_b), so
     # that the box column is built once, from the table
-    ids = np.array(sorted(names), dtype=object)
-    rank = {team: k for k, team in enumerate(ids)}
-    team_a, team_b = (np.array([rank[key[side]] for key in keys], dtype=np.intp)
-                      for side in (0, 1))
-    order = np.lexsort((team_b, team_a, days, seasons))
-    store = SeasonStore.from_columns(
-        [seasons[k] for k in order.tolist()], np.array(days, dtype=np.int64)[order],
-        ids[team_a[order]], ids[team_b[order]],
-        np.array([LOCATIONS.index(loc) for _, _, loc in keys], dtype=np.int8)[order],
-        table[which.reshape(-1)[order]])
-    return store, (classes, keys)
+    a, b = np.tile(a, n), np.tile(b, n)
+    order = np.lexsort((b, a, days, seasons))
+    names = np.array(team_names(spec.n_teams), dtype=object)
+    return SeasonStore.from_columns(
+        seasons[order].tolist(), days[order], names[a[order]], names[b[order]],
+        np.tile(loc, n)[order], table[which.reshape(-1)[order]])
 
 
-def league_truth(spec: SyntheticLeagueSpec, matchups: Matchups,
-                 bayes_sims: int = 100_000) -> LeagueTruth:
-    """The ground truth of :func:`generate_league`, from the ``matchups``
-    that :func:`league_games` returns for ``spec``."""
+def league_truth(spec: SyntheticLeagueSpec, bayes_sims: int = 100_000) -> LeagueTruth:
+    """The ground truth of :func:`generate_league`: each distinct matchup of
+    the season table, simulated once, graded over every scheduled game."""
     if bayes_sims < 1:
         raise SyntheticError("bayes_sims must be >= 1")
-    classes, games = matchups
+    _, a, b, loc, mus = _season(spec)
+    keys, first, matchup = np.unique(np.column_stack([a, b, loc]), axis=0,
+                                     return_index=True, return_inverse=True)
+    pairs = list(map(tuple, mus[first].tolist()))
     # distinct matchups often share an expected-efficiency pair (equal-strength
     # leagues collapse to a handful), so simulate once per (mu_a, mu_b); a pair
     # whose mirror came first in key order takes the mirror's complement
     simulated, mirrored, seen = [], [], set()
-    for mu_a, mu_b in dict.fromkeys(mus for _, mus in sorted(classes.items())):
+    for mu_a, mu_b in dict.fromkeys(pairs):
         (mirrored if (mu_b, mu_a) in seen else simulated).append((mu_a, mu_b))
         seen.add((mu_a, mu_b))
     _, rng_bayes = _streams(spec)
@@ -398,13 +378,16 @@ def league_truth(spec: SyntheticLeagueSpec, matchups: Matchups,
     by_mu = dict(zip(simulated, wins.tolist()))
     for mu_a, mu_b in mirrored:
         by_mu[(mu_a, mu_b)] = 1.0 - by_mu[(mu_b, mu_a)]
-    probs = {key: by_mu[mus] for key, mus in sorted(classes.items())}
-    per_game = [max(probs[key], 1.0 - probs[key]) for key in games]
+    probs = np.array([by_mu[pair] for pair in pairs])
+    per_game = np.maximum(probs, 1.0 - probs)[matchup.reshape(-1)]
+    names = team_names(spec.n_teams)
     return LeagueTruth(
         strengths=spec.resolved_strengths(), noise=spec.noise,
         home_advantage=spec.home_advantage,
-        bayes_accuracy=float(np.mean(per_game)), bayes_sims=bayes_sims,
-        matchup_probs=probs)
+        bayes_accuracy=float(np.mean(np.tile(per_game, spec.n_seasons))),
+        bayes_sims=bayes_sims,
+        matchup_probs={(names[i], names[j], LOCATIONS[code]): p
+                       for (i, j, code), p in zip(keys.tolist(), probs.tolist())})
 
 
 # ---------------------------------------------------------------------------
@@ -425,12 +408,8 @@ def calibrate_noise(spec: SyntheticLeagueSpec, target: float) -> float:
     """
     if not 0.5 < target < 1.0:
         raise SyntheticError(f"target accuracy must be in (0.5, 1), got {target}")
-    off, dfn = np.array(list(spec.resolved_strengths().values())).T
-    i, j, home_is_i = np.array([game for games in _schedule(spec) for game in games]).T
-    home_i = np.where(home_is_i, spec.home_advantage, 0.0)
-    home_j = np.where(home_is_i, 0.0, spec.home_advantage)
-    gaps = np.abs(expected_efficiency(off[i], dfn[j], home_i)
-                  - expected_efficiency(off[j], dfn[i], home_j))
+    *_, mus = _season(spec)
+    gaps = np.abs(mus[:, 0] - mus[:, 1])
     # Schedules repeat gaps (71 distinct in 480 games at 32 teams), so each step
     # scores a gap once and averages the same per-game array, in game order.
     distinct, per_game = np.unique(gaps, return_inverse=True)

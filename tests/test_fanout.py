@@ -116,7 +116,7 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch, tmp_path, error, c
 def test_a_grid_of_one_never_forks(monkeypatch):
     # a walk-forward evaluation is a grid of one job, which runs in process
     # however many cores there are
-    store, _ = league_games(SPEC)
+    store = league_games(SPEC)
 
     def run() -> evaluate.EvalReport:
         return walk_forward_evaluate(store, store.seasons[-1], ModelKind.DECISION_TREE,
@@ -136,7 +136,7 @@ def test_a_grid_of_one_never_forks(monkeypatch):
 def test_the_grid_builds_no_instances_and_frees_the_training_runs(monkeypatch):
     # the grid core encodes its sets as arrays straight from the runs, and
     # no training season's run is alive while the kinds train
-    store, _ = league_games(SPEC)
+    store = league_games(SPEC)
     test_season = store.seasons[-1]
 
     def reports() -> list:
@@ -178,7 +178,7 @@ def test_the_grid_path_builds_no_records_and_holds_two_runs_at_most(monkeypatch,
     # season's run once it is encoded
     spec = SyntheticLeagueSpec(n_teams=12, games_per_team=10, n_seasons=3, noise=6.0, seed=7)
     log = tmp_path / "games.csv"
-    write_game_log(league_games(spec)[0], log)
+    write_game_log(league_games(spec), log)
     test_season = spec.first_season + spec.n_seasons - 1
     d1_evals = [(ModelKind.DECISION_TREE, FeatureScheme.ADJ_FOUR_FACTORS, AveragingScheme.ALPHA),
                 ("pythag", FeatureScheme.ADJ_EFF, AveragingScheme.EXPLICIT)]

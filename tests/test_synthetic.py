@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from courtcast import synthetic
 from courtcast.ingest import MAX_COUNT, CourtcastError, Location, parse_game_log, write_game_log
 from courtcast.stats import possessions
 from courtcast.synthetic import (
@@ -23,6 +24,7 @@ from courtcast.synthetic import (
     calibrate_noise,
     generate_league,
     league_games,
+    league_truth,
     spread_strengths,
     team_names,
 )
@@ -233,6 +235,43 @@ class TestPerGameOracle:
         assert truth == oracle_truth
 
 
+def test_the_bound_at_the_largest_noise_is_finite_without_warnings():
+    # draws past the float range overflow to +-inf points, which the outcome
+    # function still orders
+    spec = SyntheticLeagueSpec(n_teams=2, games_per_team=1, noise=sys.float_info.max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        truth = league_truth(spec, bayes_sims=100)
+    assert 0.5 <= truth.bayes_accuracy <= 1.0
+    assert all(0.0 <= p <= 1.0 for p in truth.matchup_probs.values())
+
+
+class TestHalvesAreIndependent:
+    """Each half builds the schedule table from the spec alone."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(noise=0.0),
+        dict(noise=5.0, home_advantage=3.0),
+        dict(noise=6.0, imbalance=0.75),
+    ], ids=repr)
+    def test_each_half_alone_equals_generate_league(self, monkeypatch, kw):
+        spec = SyntheticLeagueSpec(n_teams=8, games_per_team=10, n_seasons=2, seed=3, **kw)
+
+        def not_run(*args, **kwargs):
+            raise AssertionError("league_truth ran league_games")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(synthetic, "league_games", not_run)
+            truth = league_truth(spec, bayes_sims=2_000)
+        store = league_games(spec)
+        want_store, want_truth = generate_league(spec, bayes_sims=2_000)
+        assert _hexed(truth) == _hexed(want_truth)
+        assert truth == want_truth
+        assert store.seasons == want_store.seasons
+        for season in store.seasons:
+            assert store.columns(season) == want_store.columns(season)
+
+
 class TestGeneratorFillsInOrder:
     """The single draws rest on this: one ``Generator`` call for an array
     gives the values, and leaves the state, of the smaller calls in order."""
@@ -388,10 +427,12 @@ def test_a_float_at_the_limits_gives_finite_values_or_is_refused(
         return
     calibrated = _finite_or_refused(calibrate_noise, spec, target)
     assert calibrated is None or math.isfinite(calibrated)
-    made = _finite_or_refused(league_games, spec)
-    if made is not None:
-        store, (classes, _) = made
-        assert np.isfinite(list(classes.values())).all()
+    store = _finite_or_refused(league_games, spec)
+    if store is not None:
         for season in store.seasons:
             box = store.columns(season).box
             assert ((0 <= box) & (box <= MAX_COUNT)).all()
+        truth = _finite_or_refused(league_truth, spec, 1)
+        if truth is not None:
+            assert 0.5 <= truth.bayes_accuracy <= 1.0
+            assert all(0.0 <= p <= 1.0 for p in truth.matchup_probs.values())

@@ -25,9 +25,10 @@ print(f"testing on season {season}; the generator's own best possible "
 # Four classifier kinds share one train/predict contract, and every one can
 # be fed any feature scheme.  Adjusted efficiencies are only four numbers
 # per matchup, yet they carry most of the signal.
-for kind in (ModelKind.NAIVE_BAYES_KDE, ModelKind.MLP,
-             ModelKind.DECISION_TREE, ModelKind.RANDOM_FOREST):
-    report = walk_forward_evaluate(store, season, kind, FeatureScheme.ADJ_EFF)
+reports = {kind: walk_forward_evaluate(store, season, kind, FeatureScheme.ADJ_EFF)
+           for kind in (ModelKind.NAIVE_BAYES_KDE, ModelKind.MLP,
+                        ModelKind.DECISION_TREE, ModelKind.RANDOM_FOREST)}
+for kind, report in reports.items():
     print(f"{kind.value:18s} accuracy {report.accuracy:.3f} "
           f"on {report.n_test} games")
 
@@ -39,8 +40,7 @@ for baseline in ("home_wins", "pythag"):
 
 # The report also tracks accuracy as the season unfolds; early-season
 # predictions lean on thin snapshots and tend to be the roughest.
-report = walk_forward_evaluate(store, season, ModelKind.NAIVE_BAYES_KDE,
-                               FeatureScheme.ADJ_EFF)
+report = reports[ModelKind.NAIVE_BAYES_KDE]
 dates = [report.series[k] for k in (4, len(report.series) // 2, -1)]
 print("\ncumulative accuracy through the season:")
 for date, acc in dates:

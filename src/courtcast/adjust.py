@@ -493,7 +493,13 @@ def season_runs(store: SeasonStore,
     """Run every stored season in order, through ``through``, yielding each
     run as its season ends: under prior_season seeding each seeds the next,
     and a team new to the league starts from scratch.  Between seasons only
-    the final state values that seed the next season are kept."""
+    the final state values that seed the next season are kept.  An unknown
+    ``scheme`` or ``seeding`` value raises :class:`AdjustmentError`."""
+    try:
+        scheme, seeding = AveragingScheme(scheme), Seeding(seeding)
+    except ValueError as err:
+        raise AdjustmentError(f"{err}; averaging is one of {[m.value for m in AveragingScheme]}, "
+                              f"seeding one of {[m.value for m in Seeding]}") from None
     seeds: dict[str, np.ndarray] = {}
     for season in store.seasons:
         if through is not None and season > through:

@@ -4,8 +4,8 @@ Configuration is resolved in three layers — built-in defaults, then a flat
 ``key = value`` config file (``--config``), then command-line flags — and
 the fully resolved configuration is echoed into every artifact as
 ``#``-prefixed header lines (or a ``run_config`` object inside JSON
-artifacts).  Every command also writes ``run_config.cfg`` next to its
-artifacts; feeding that file back through ``--config`` reproduces the run.
+artifacts).  Every command writes ``run_config.cfg`` next to its artifacts,
+all after its work succeeds; ``--config`` on that file reproduces the run.
 Nothing written depends on wall-clock time or unordered iteration, so two
 runs with the same configuration produce byte-identical artifacts.
 
@@ -245,6 +245,15 @@ def _say(path: Path, detail: str = "") -> None:
     print(f"wrote {path}" + (f" ({detail})" if detail else ""))
 
 
+def _write(cfg: RunConfig, name: str, header: Sequence[str], rows: list,
+           detail: str = "", extra: Sequence[str] = ()) -> None:
+    """Write the CSV artifact ``name``, the configuration and ``extra`` as
+    its comment lines, and ``run_config.cfg`` beside it; then say so."""
+    out, echo = _out_dir(cfg)
+    write_csv(out / name, header, rows, [*echo, *extra])
+    _say(out / name, detail)
+
+
 # ---------------------------------------------------------------------------
 # Shared loading steps
 
@@ -271,8 +280,7 @@ def _resolve_test_season(cfg: RunConfig, store: SeasonStore) -> int:
 
 def _runs(cfg: RunConfig, store: SeasonStore,
           through: int | None = None) -> dict[int, SeasonRun]:
-    return run_seasons(store, AveragingScheme(cfg.averaging), Seeding(cfg.seeding),
-                       _adjust_config(cfg), through=through)
+    return run_seasons(store, cfg.averaging, cfg.seeding, _adjust_config(cfg), through=through)
 
 
 def _league_spec(cfg: RunConfig) -> SyntheticLeagueSpec:
@@ -335,7 +343,6 @@ def cmd_ingest(cfg: RunConfig) -> None:
 
 def cmd_stats(cfg: RunConfig) -> None:
     store = _load_store(cfg)
-    out, echo = _out_dir(cfg)
     factor_cols = list(FourFactors.field_names())
     header = (["date", "season", "team", "opponent", "site", "won",
                "points", "poss", "oe", "de"]
@@ -354,31 +361,25 @@ def cmd_stats(cfg: RunConfig) -> None:
                 rows.append([date.isoformat(), season, teams[k], teams[1 - k],
                              site_for(LOCATIONS[code], k == 0).value, int(w), pts, poss, oe, de]
                             + off + allowed)
-    path = out / "game_stats.csv"
-    write_csv(path, header, rows, echo)
-    _say(path, f"{len(rows)} team-game rows")
+    _write(cfg, "game_stats.csv", header, rows, f"{len(rows)} team-game rows")
 
 
 def cmd_adjust(cfg: RunConfig) -> None:
     store = _load_store(cfg)
     runs = _runs(cfg, store)
-    out, echo = _out_dir(cfg)
     header = ["season", "team", "games_played"] + list(STATE_KEYS)
     rows = []
     for season, run in sorted(runs.items()):
         for team, played, values in zip(run.teams, run.final_played.tolist(),
                                         run.final_rows[:, :len(STATE_KEYS)].tolist()):
             rows.append([season, team, played] + values)
-    path = out / "snapshots.csv"
-    write_csv(path, header, rows, echo)
-    _say(path, f"{len(rows)} team-season snapshots")
+    _write(cfg, "snapshots.csv", header, rows, f"{len(rows)} team-season snapshots")
 
 
 def cmd_features(cfg: RunConfig) -> None:
     store = _load_store(cfg)
     runs = _runs(cfg, store)
     scheme = FeatureScheme(cfg.scheme)
-    out, echo = _out_dir(cfg)
     header = (["date", "season", "team_first", "team_second", "location", "label"]
               + list(feature_names(scheme)))
     rows = []
@@ -388,9 +389,7 @@ def cmd_features(cfg: RunConfig) -> None:
                                                     site.tolist(), y.tolist()):
             rows.append([date.isoformat(), run.season, first, second, SITE_ORDER[s].value,
                          (Label.LOSS, Label.WIN)[won].value] + x)
-    path = out / "features.csv"
-    write_csv(path, header, rows, echo)
-    _say(path, f"{len(rows)} instances, scheme {scheme.value}")
+    _write(cfg, "features.csv", header, rows, f"{len(rows)} instances, scheme {scheme.value}")
 
 
 def cmd_train(cfg: RunConfig) -> None:
@@ -443,14 +442,10 @@ def cmd_predict(cfg: RunConfig) -> None:
         _, p = predict(model, inst)
     label = resolve_label(p, location)
     winner = cfg.team_first if label is Label.WIN else cfg.team_second
-
-    out, echo = _out_dir(cfg)
-    path = out / "prediction.csv"
-    write_csv(path, ["date", "team_first", "team_second", "location", "predictor",
-                     "predicted_winner", "p_first_wins"],
-              [[date.isoformat(), cfg.team_first, cfg.team_second,
-                location.value, cfg.kind, winner, p]], echo)
-    _say(path, f"{winner} (p_first={p:.3f})")
+    _write(cfg, "prediction.csv", ["date", "team_first", "team_second", "location",
+                                   "predictor", "predicted_winner", "p_first_wins"],
+           [[date.isoformat(), cfg.team_first, cfg.team_second,
+             location.value, cfg.kind, winner, p]], f"{winner} (p_first={p:.3f})")
 
 
 def cmd_rank(cfg: RunConfig) -> None:
@@ -459,16 +454,12 @@ def cmd_rank(cfg: RunConfig) -> None:
     kind, hyper = _kind_and_hyper(cfg, baselines=("pythag", "rpi"))
     store = _load_store(cfg)
     test_season = _resolve_test_season(cfg, store)
-    run = _runs(cfg, store, through=test_season)[test_season]
-    out, echo = _out_dir(cfg)
-    path = out / "rankings.csv"
-
     if kind == "rpi":
-        ratings = rpi(store.columns(test_season))
-        scores = sorted(((team, ratings[team]) for team in run.teams),
+        scores = sorted(rpi(store.columns(test_season)).items(),
                         key=lambda kv: (-kv[1], kv[0]))
         rows = [[n, team, score] for n, (team, score) in enumerate(scores, start=1)]
     else:
+        run = _runs(cfg, store, through=test_season)[test_season]
         if kind == "pythag":
             predictor = pythag_predictor(PythagParams(**hyper))
         else:
@@ -476,9 +467,9 @@ def cmd_rank(cfg: RunConfig) -> None:
         ranking = round_robin_rank(predictor, dict(zip(run.teams, run.final_rows)))
         rows = [[e.rank, e.team, e.score] for e in ranking.entries]
 
-    write_csv(path, ["rank", "team", "score"], rows,
-              echo + [f"season = {test_season}", f"rater = {cfg.kind}"])
-    _say(path, f"{len(rows)} teams, season {test_season}, rater {cfg.kind}")
+    _write(cfg, "rankings.csv", ["rank", "team", "score"], rows,
+           f"{len(rows)} teams, season {test_season}, rater {cfg.kind}",
+           [f"season = {test_season}", f"rater = {cfg.kind}"])
 
 
 def cmd_evaluate(cfg: RunConfig) -> None:
@@ -486,39 +477,31 @@ def cmd_evaluate(cfg: RunConfig) -> None:
     store = _load_store(cfg)
     test_season = _resolve_test_season(cfg, store)
     report = walk_forward_evaluate(
-        store, test_season, kind, FeatureScheme(cfg.scheme),
-        AveragingScheme(cfg.averaging), Seeding(cfg.seeding),
+        store, test_season, kind, cfg.scheme, cfg.averaging, cfg.seeding,
         seed=cfg.seed, config=_adjust_config(cfg), hyper=hyper)
-
-    out, echo = _out_dir(cfg)
     doc = report.as_dict()
     summary = [f"{key} = {doc[key]}" for key in
                ("kind", "scheme", "test_season", "n_train", "n_test", "accuracy")]
     summary += [f"confusion {k} = {v}" for k, v in sorted(doc["confusion"].items())]
-    report_path = out / "eval_report.csv"
-    write_csv(report_path, ["date", "team_first", "team_second", "location",
-                            "predicted", "actual", "p_win"],
-              doc["predictions"], echo + summary)
-    curve_path = out / "eval_curve.csv"
-    write_csv(curve_path, ["date", "cumulative_accuracy"], doc["series"], echo)
-    _say(report_path, f"accuracy {report.accuracy:.4f} on {report.n_test} games")
-    _say(curve_path)
+    _write(cfg, "eval_report.csv", ["date", "team_first", "team_second", "location",
+                                    "predicted", "actual", "p_win"], doc["predictions"],
+           f"accuracy {report.accuracy:.4f} on {report.n_test} games", summary)
+    _write(cfg, "eval_curve.csv", ["date", "cumulative_accuracy"], doc["series"])
 
 
 def cmd_simulate(cfg: RunConfig) -> None:
     spec = _league_spec(cfg)
     store, truth = generate_league(spec)
     out, echo = _out_dir(cfg)
-    games_path = out / "games.csv"
-    write_game_log(store, games_path, echo)
-    truth_path = out / "league_truth.csv"
+    path = out / "games.csv"
+    write_game_log(store, path, echo)
+    _say(path, f"{store.n_games} games, seasons {store.seasons}")
     rows = [[team, off, deff, off - deff]
             for team, (off, deff) in sorted(truth.strengths.items())]
-    write_csv(truth_path, ["team", "off_strength", "def_strength", "net"], rows,
-              echo + [f"noise = {truth.noise}", f"bayes_accuracy = {truth.bayes_accuracy}",
-                      f"bayes_sims = {truth.bayes_sims}"])
-    _say(games_path, f"{store.n_games} games, seasons {store.seasons}")
-    _say(truth_path, f"best achievable accuracy {truth.bayes_accuracy:.4f}")
+    _write(cfg, "league_truth.csv", ["team", "off_strength", "def_strength", "net"], rows,
+           f"best achievable accuracy {truth.bayes_accuracy:.4f}",
+           [f"noise = {truth.noise}", f"bayes_accuracy = {truth.bayes_accuracy}",
+            f"bayes_sims = {truth.bayes_sims}"])
 
 
 def _ceiling_grid(cfg: RunConfig):
@@ -550,19 +533,16 @@ def cmd_glass_ceiling(cfg: RunConfig) -> None:
     spec = _league_spec(cfg)
     kinds, schemes, hyper = _ceiling_grid(cfg)
     report = glass_ceiling_experiment(
-        spec, kinds, schemes, AveragingScheme(cfg.averaging), Seeding(cfg.seeding),
+        spec, kinds, schemes, cfg.averaging, cfg.seeding,
         seed=cfg.seed, config=_adjust_config(cfg), hyper_overrides=hyper)
-    out, echo = _out_dir(cfg)
-    path = out / "ceiling.csv"
-    doc = report.as_dict()
-    write_csv(path, ["kind", "scheme", "accuracy", "gap", "n_test"], doc["cells"],
-              echo + [f"{key} = {doc[key]}"
-                      for key in ("bound", "halfwidth", "n_test", "test_season")])
     print(f"bound {report.bound:.4f} (99% halfwidth {report.halfwidth:.4f}, "
           f"n_test {report.n_test})")
     for c in report.cells:
         print(f"  {c.kind:18s} {c.scheme:18s} {c.accuracy:.4f} ({c.gap:+.4f})")
-    _say(path)
+    doc = report.as_dict()
+    _write(cfg, "ceiling.csv", ["kind", "scheme", "accuracy", "gap", "n_test"], doc["cells"],
+           extra=[f"{key} = {doc[key]}"
+                  for key in ("bound", "halfwidth", "n_test", "test_season")])
 
 
 #: Every subcommand: name -> (the function that runs it, its one-line help).

@@ -66,9 +66,14 @@ def train_group(Xs: Mapping[FeatureScheme, np.ndarray], site: np.ndarray, y: np.
 
     Each model is what a fit on its matrix alone gives; MLPs train in
     lockstep (``mlp.fit_group``).  A matrix that does not fit its scheme or
-    ``y``, a non-finite value, or a single class raises :class:`ModelError`.
+    ``y``, a non-finite value, a single class or an unknown ``kind`` raises
+    :class:`ModelError`.
     """
-    kind = ModelKind(kind)
+    try:
+        kind = ModelKind(kind)
+    except ValueError:
+        raise ModelError(f"kind must be one of {[k.value for k in ModelKind]}, "
+                         f"got {kind!r}") from None
     hp = resolve_hyper(HYPERPARAMETERS[kind], hyper, kind)
     if not Xs:
         raise ModelError("no training sets")

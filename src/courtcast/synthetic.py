@@ -122,6 +122,13 @@ class SyntheticLeagueSpec:
                 f"{self.n_teams} teams cannot form them")
         if self.n_seasons < 1:
             raise SyntheticError("n_seasons must be >= 1")
+        last = self.first_season + self.n_seasons - 1    # rounds 2 days apart from Nov 1
+        if not (dt.MINYEAR <= self.first_season and last <= dt.MAXYEAR and
+                dt.date(last, 11, 1).toordinal() + 2 * (self.games_per_team - 1)
+                <= dt.date.max.toordinal()):
+            raise SyntheticError(
+                f"first_season {self.first_season}, n_seasons {self.n_seasons} and games_per_team "
+                f"{self.games_per_team} schedule games outside {dt.date.min}..{dt.date.max}")
         if not abs(self.strength_spread) < 100.0:
             raise SyntheticError(f"strength_spread must be in (-100, 100) so that strengths "
                                  f"are positive and finite, got {self.strength_spread}")

@@ -19,6 +19,7 @@ from courtcast.adjust import (
     AveragingScheme,
     Seeding,
     run_seasons,
+    season_runs,
     team_row,
 )
 from courtcast.ingest import GameRecord, Location, SeasonStore
@@ -240,6 +241,28 @@ class TestRunSeasonBasics:
             AdjustConfig(alpha=1.5)
         with pytest.raises(AdjustmentError):
             AdjustConfig(navg_source="wrong")
+
+    @pytest.mark.parametrize("scheme,seeding", ALL_COMBOS)
+    def test_names_run_as_their_members(self, two_season_store, scheme, seeding):
+        by_name = run_seasons(two_season_store, scheme.value, seeding.value)
+        by_member = run_seasons(two_season_store, scheme, seeding)
+        assert by_name.keys() == by_member.keys()
+        for season, run in by_member.items():
+            for rows in ("final_rows", "pre_rows"):
+                got, want = getattr(by_name[season], rows), getattr(run, rows)
+                assert got.tobytes() == want.tobytes(), (season, rows)
+
+    @pytest.mark.parametrize("scheme,seeding,named", [
+        ("bogus", Seeding.PRIOR_SEASON, "'bogus' is not a valid AveragingScheme"),
+        (AveragingScheme.ALPHA, "bogus", "'bogus' is not a valid Seeding"),
+        ("ALPHA", "prior_season", "'ALPHA' is not a valid AveragingScheme"),
+    ])
+    def test_unknown_names_are_refused(self, two_season_store, scheme, seeding, named):
+        valid = "['alpha', 'explicit'], seeding one of ['prior_season', 'from_scratch']"
+        for run in (run_seasons, lambda *args: next(season_runs(*args))):
+            with pytest.raises(AdjustmentError) as refused:
+                run(two_season_store, scheme, seeding)
+            assert named in str(refused.value) and valid in str(refused.value)
 
 
 class TestOracleEquivalence:

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -332,6 +333,26 @@ class TestArtifacts:
                     if ln and not ln.startswith("#")][1:]
             assert [r.split(",")[0] for r in rows] == [str(n) for n in range(1, 9)]
             assert sorted(r.split(",")[1] for r in rows) == [f"t0{i}" for i in range(8)]
+
+    def test_rank_rpi_runs_no_adjust_pass(self, league_dir, tmp_path, monkeypatch):
+        # in process: rpi reads the test season's games, and no team ratings
+        out = tmp_path / "rpi"
+
+        def rank() -> tuple[str, dict[str, bytes]]:
+            shutil.rmtree(out, ignore_errors=True)
+            with contextlib.redirect_stdout(io.StringIO()) as said:
+                code = cli.main(["rank", "--kind", "rpi", "--out", str(out),
+                                 "--data", str(league_dir / "sim" / "games.csv")])
+            assert code == 0
+            return said.getvalue(), {p.name: p.read_bytes() for p in out.iterdir()}
+
+        want = rank()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rank --kind rpi ran an adjust pass")
+
+        monkeypatch.setattr(cli, "run_seasons", refuse)
+        assert rank() == want
 
     def test_rank_rejects_the_home_wins_baseline(self, league_dir):
         proc = run_cli(["rank", *DATA, "--out", "x", "--kind", "home_wins"],

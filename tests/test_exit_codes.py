@@ -105,6 +105,31 @@ class TestBadFiles:
         assert stats == adjust
         assert stats[0] == 2 and "aa vs bb on 2021-11-01" in stats[1]
 
+    def test_a_failed_command_writes_nothing(self, league, tmp_path):
+        # each fails after its config is resolved: a fresh --out stays absent,
+        # and a shared one keeps the run_config.cfg that train wrote there
+        zero = tmp_path / "zero.csv"
+        zero.write_text(",".join(HEADER) + "\n2021-11-01,2021,aa,bb,neutral,"
+                        "0,0,0,5,10,3,4,2,1,1,5,10,20,2,3,4,5,6,7,1,1,25\n")
+        data = ["--data", league / "sim" / "games.csv"]
+        failing = [
+            ["stats", "--data", zero],
+            ["rank", *data, "--kind", "decision_tree"],     # no model.json in --out
+            ["rank", *data, "--kind", "decision_tree",
+             "--model", league / "naive_bayes_kde" / "model.json"],
+        ]
+        for k, argv in enumerate(failing):
+            code, err = main(*argv, "--out", tmp_path / str(k))
+            assert code == 2, (argv, err)
+            assert not (tmp_path / str(k)).exists(), argv
+        shared = tmp_path / "shared"
+        assert main("train", *data, "--kind", "naive_bayes_kde", "--out", shared)[0] == 0
+        before = {path.name: path.read_bytes() for path in shared.iterdir()}
+        for argv in failing:     # the second now finds a naive Bayes model.json
+            code, err = main(*argv, "--out", shared)
+            assert code == 2, (argv, err)
+        assert {path.name: path.read_bytes() for path in shared.iterdir()} == before
+
     @pytest.mark.parametrize("command, kind", [
         ("evaluate", "decision_tree"), ("evaluate", "mlp"), ("train", "naive_bayes_kde")])
     def test_training_seasons_of_one_class(self, tmp_path, command, kind):

@@ -142,6 +142,14 @@ class TestTrainingValidation:
         with pytest.raises(ModelError, match="unknown hyper"):
             train(insts, ModelKind.MLP, hyper={"learning_rte": 0.3})
 
+    def test_unknown_kind_is_a_model_error(self):
+        X, site, y = separable_arrays(10, seed=0)
+        valid = "'naive_bayes_kde', 'mlp', 'decision_tree', 'random_forest'"
+        with pytest.raises(ModelError, match=f"kind must be one of \\[{valid}\\], got 'bogus'"):
+            train_group({FeatureScheme.ADJ_EFF: X}, site, y, "bogus")
+        with pytest.raises(ModelError, match=valid):
+            train(separable_instances(10, seed=0), "bogus")
+
     def test_predict_scheme_mismatch_rejected(self):
         model = train(separable_instances(10, seed=0), ModelKind.NAIVE_BAYES_KDE)
         probe = make_instance([0.0] * 8, None, scheme=FeatureScheme.DIFF_LIKE_VS_LIKE)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 import sys
 import warnings
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from courtcast import synthetic
+from courtcast.adjust import run_seasons
 from courtcast.ingest import MAX_COUNT, CourtcastError, Location, parse_game_log, write_game_log
 from courtcast.stats import possessions
 from courtcast.synthetic import (
@@ -70,6 +72,23 @@ class TestSpecValidation:
     def test_rejects_nonpositive_seasons(self):
         with pytest.raises(SyntheticError, match="n_seasons"):
             SyntheticLeagueSpec(n_teams=4, games_per_team=4, n_seasons=0)
+
+    @pytest.mark.parametrize("first_season, games, seasons", [
+        (0, 1, 1), (-3, 1, 1), (10000, 1, 1), (9999, 40, 1), (9999, 32, 1), (9998, 1, 3)])
+    def test_rejects_a_schedule_past_the_calendar(self, first_season, games, seasons):
+        with pytest.raises(SyntheticError, match=f"first_season {first_season}, "):
+            SyntheticLeagueSpec(n_teams=2, games_per_team=games, n_seasons=seasons,
+                                first_season=first_season)
+
+    @pytest.mark.parametrize("first_season, games, seasons, last", [
+        (1, 3, 2, dt.date(2, 11, 5)), (9999, 31, 1, dt.date.max),
+        (9998, 31, 2, dt.date.max)])
+    def test_a_schedule_at_the_calendar_edges_runs(self, first_season, games, seasons, last):
+        store = league_games(SyntheticLeagueSpec(
+            n_teams=2, games_per_team=games, n_seasons=seasons, first_season=first_season))
+        runs = run_seasons(store)
+        assert list(runs) == list(range(first_season, first_season + seasons))
+        assert runs[store.seasons[-1]].days[-1] == last
 
     def test_resolved_strengths_keys_are_team_names(self):
         spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4)
@@ -410,19 +429,27 @@ def _finite_or_refused(call, *args):
        at_limit=st.sampled_from(["strength_spread", "noise", "home_advantage", "imbalance"]),
        value=LIMITS, spread=st.floats(-99.0, 99.0), noise=st.floats(0.0, 20.0),
        home=st.floats(-10.0, 10.0), imbalance=st.sampled_from([0.0, 0.5, 1.0]),
-       target=near_limits(0.5, 1.0), rate=near_limits(0.5, 1.0))
+       target=near_limits(0.5, 1.0), rate=near_limits(0.5, 1.0),
+       seed=st.integers(0, 2**32 - 1), first_season=st.sampled_from([0, 1, 2021, 9999, 10000]))
 @example(n_teams=2, games=1, seasons=2, at_limit="home_advantage", value=-1e308,
-         spread=10.0, noise=6.0, home=0.0, imbalance=0.0, target=0.7, rate=0.63)
+         spread=10.0, noise=6.0, home=0.0, imbalance=0.0, target=0.7, rate=0.63,
+         seed=0, first_season=2021)
+@example(n_teams=2, games=1, seasons=1, at_limit="noise", value=1e308,
+         spread=10.0, noise=6.0, home=0.0, imbalance=0.0, target=0.7, rate=0.63,
+         seed=59, first_season=2021)
 def test_a_float_at_the_limits_gives_finite_values_or_is_refused(
-        n_teams, games, seasons, at_limit, value, spread, noise, home, imbalance, target, rate):
+        n_teams, games, seasons, at_limit, value, spread, noise, home, imbalance, target, rate,
+        seed, first_season):
     # one league setting at the limits, the others in range; the home-rate
-    # calibration takes the value at the limits as its noise
+    # calibration takes the value at the limits as its noise.  At seed 59 a
+    # draw times noise 1e308 leaves the float range in the bound's simulation.
     edge = _finite_or_refused(calibrate_home_advantage, value, rate)
     assert edge is None or math.isfinite(edge)
     floats = {"strength_spread": spread, "noise": noise, "home_advantage": home,
               "imbalance": imbalance, at_limit: value}
     spec = _finite_or_refused(lambda: SyntheticLeagueSpec(
-        n_teams=n_teams, games_per_team=games, n_seasons=seasons, **floats))
+        n_teams=n_teams, games_per_team=games, n_seasons=seasons, seed=seed,
+        first_season=first_season, **floats))
     if spec is None:
         return
     calibrated = _finite_or_refused(calibrate_noise, spec, target)

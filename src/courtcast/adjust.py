@@ -69,7 +69,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from courtcast.ingest import CourtcastError, SeasonColumns, SeasonStore
+from courtcast.ingest import CourtcastError, SeasonColumns, SeasonStore, named
 from courtcast.stats import DEFAULT_FT_WEIGHT, FourFactors, GameArrays, game_arrays
 
 
@@ -495,11 +495,8 @@ def season_runs(store: SeasonStore,
     and a team new to the league starts from scratch.  Between seasons only
     the final state values that seed the next season are kept.  An unknown
     ``scheme`` or ``seeding`` value raises :class:`AdjustmentError`."""
-    try:
-        scheme, seeding = AveragingScheme(scheme), Seeding(seeding)
-    except ValueError as err:
-        raise AdjustmentError(f"{err}; averaging is one of {[m.value for m in AveragingScheme]}, "
-                              f"seeding one of {[m.value for m in Seeding]}") from None
+    (scheme,) = named([scheme], AveragingScheme, "averaging", AdjustmentError)
+    (seeding,) = named([seeding], Seeding, "seeding", AdjustmentError)
     seeds: dict[str, np.ndarray] = {}
     for season in store.seasons:
         if through is not None and season > through:

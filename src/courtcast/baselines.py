@@ -49,15 +49,18 @@ def _rating(team: str, oe: float, de: float, params: PythagParams) -> float:
 
     Computed so that swapping offense and defense yields the exact
     complement: the weaker side's share is divided once and the stronger
-    side is literally 1.0 minus it.
+    side is literally 1.0 minus it.  Powers whose sum under- or overflows
+    raise :class:`BaselineError` naming the exponent.
     """
     if oe <= 0 or de <= 0:
         raise BaselineError(f"{team}: efficiencies must be positive (adj_oe={oe}, adj_de={de})")
     try:
-        x = oe ** params.y
-        z = de ** params.y
+        x, z = oe ** params.y, de ** params.y
     except OverflowError:
-        raise BaselineError(f"{team}: rating overflows at exponent {params.y}") from None
+        x = z = math.inf
+    if not 0.0 < x + z < math.inf:
+        raise BaselineError(f"{team}: rating {'overflows' if x + z else 'underflows'} "
+                            f"at exponent {params.y}")
     if x <= z:
         return x / (x + z)
     return 1.0 - z / (z + x)

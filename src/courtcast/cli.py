@@ -69,6 +69,7 @@ from courtcast.ingest import (
     CourtcastError,
     GameLogError,
     SeasonStore,
+    named,
     parse_game_log,
     parse_roster,
     write_csv,
@@ -187,12 +188,7 @@ def resolve_config(file_values: dict[str, object],
         cfg = dataclasses.replace(cfg, data=os.path.join(root, "games.csv"))
     for field, enum in (("scheme", FeatureScheme), ("averaging", AveragingScheme),
                         ("seeding", Seeding), ("location", Site)):
-        try:
-            enum(getattr(cfg, field))
-        except ValueError:
-            raise UsageError(
-                f"{field} must be one of {[e.value for e in enum]}, "
-                f"got {getattr(cfg, field)!r}") from None
+        named([getattr(cfg, field)], enum, field, UsageError)
     try:
         _adjust_config(cfg)
     except AdjustmentError as err:

@@ -46,7 +46,7 @@ from courtcast.features import (
     encode_runs,
     training_seasons,
 )
-from courtcast.ingest import CourtcastError, SeasonStore
+from courtcast.ingest import CourtcastError, SeasonStore, named
 from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, p_win, train_group
 from courtcast.models.base import POSITIVE, first_team_wins, resolve_hyper
 from courtcast.stats import Site
@@ -196,8 +196,8 @@ def resolve_grid(kinds: Sequence[ModelKind | str],
     defaults overridden, a baseline's read as floats.  An unknown or repeated
     name, or an override for a kind not run, raises :class:`EvalError`.
     """
-    kinds = _named(kinds, ModelKind, "kind", baselines)
-    schemes = _named(schemes, FeatureScheme, "scheme")
+    kinds = named(kinds, ModelKind, "kind", EvalError, baselines)
+    schemes = named(schemes, FeatureScheme, "scheme", EvalError)
     overrides = {str(getattr(k, "value", k)): v for k, v in (hyper or {}).items()}
     unrun = sorted(set(overrides).difference(kinds))    # a ModelKind is its name
     if unrun:
@@ -212,21 +212,6 @@ def resolve_grid(kinds: Sequence[ModelKind | str],
         resolved[kind] = values if isinstance(kind, ModelKind) else {
             key: float(value) for key, value in values.items()}
     return kinds, schemes, resolved
-
-
-def _named(names: Sequence, enum: type, what: str, extra: Sequence[str] = ()) -> list:
-    """Each of ``names`` as a member of ``enum`` or one of ``extra``, none twice."""
-    out = []
-    for name in names:
-        try:
-            member = name if name in extra else enum(name)
-        except ValueError:
-            valid = [m.value for m in enum] + list(extra)
-            raise EvalError(f"{what} must be one of {valid}, got {name!r}") from None
-        if member in out:
-            raise EvalError(f"{what} {getattr(member, 'value', member)!r} is named twice")
-        out.append(member)
-    return out
 
 
 def _kind_probs(train: tuple[dict, np.ndarray, np.ndarray],
@@ -357,8 +342,8 @@ def walk_forward_evaluate(store: SeasonStore, test_season: int,
     ceiling grid of one cell, in process, with the same bits.
     """
     (kind,), (scheme,), resolved = resolve_grid([kind], {kind: hyper or {}}, [scheme])
-    (averaging,) = _named([averaging], AveragingScheme, "averaging")
-    (seeding,) = _named([seeding], Seeding, "seeding")
+    (averaging,) = named([averaging], AveragingScheme, "averaging", EvalError)
+    (seeding,) = named([seeding], Seeding, "seeding", EvalError)
     [report], _ = _grid(store, test_season, [kind], [scheme], resolved, averaging,
                         seeding, config or AdjustConfig(), seed)
     return report
@@ -425,8 +410,8 @@ def glass_ceiling_experiment(
     if spec.n_seasons < 2:
         raise EvalError("the experiment needs at least one season before the test season")
     kinds, schemes, resolved = resolve_grid(kinds, hyper_overrides, schemes)
-    (averaging,) = _named([averaging], AveragingScheme, "averaging")
-    (seeding,) = _named([seeding], Seeding, "seeding")
+    (averaging,) = named([averaging], AveragingScheme, "averaging", EvalError)
+    (seeding,) = named([seeding], Seeding, "seeding", EvalError)
     store = league_games(spec)
     test_season = spec.first_season + spec.n_seasons - 1
     config = config or AdjustConfig()

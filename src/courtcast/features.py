@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from courtcast.adjust import TEAM_ROW, RawMeans, SeasonRun, TeamSnapshot, team_row
-from courtcast.ingest import LOCATIONS, CourtcastError, GameLogError, SeasonStore
+from courtcast.ingest import LOCATIONS, CourtcastError, GameLogError, SeasonStore, named
 from courtcast.stats import FourFactors, Site, site_for
 
 
@@ -105,35 +105,34 @@ def _compile(feats: list[tuple[str, ...]]) -> _Layout:
 _SCHEMES = {scheme: _compile(feats) for scheme, feats in _TABLE.items()}
 
 
-def _scheme(scheme: FeatureScheme) -> _Layout:
-    if not isinstance(scheme, FeatureScheme):
-        raise FeatureError(f"unknown scheme {scheme!r}")
-    return _SCHEMES[scheme]
+def _scheme(scheme: FeatureScheme | str) -> FeatureScheme:
+    """The member ``scheme`` names: each entry point takes a member or its name."""
+    return named([scheme], FeatureScheme, "scheme", FeatureError)[0]
 
 
-def feature_names(scheme: FeatureScheme) -> tuple[str, ...]:
+def feature_names(scheme: FeatureScheme | str) -> tuple[str, ...]:
     """The exact ordered feature-name list for a scheme."""
-    return _scheme(scheme)[0]
+    return _SCHEMES[_scheme(scheme)][0]
 
 
 def _encode(pairs: np.ndarray, scheme: FeatureScheme) -> np.ndarray:
     """``(m, d)`` features of ``m`` pairings.  Row ``i`` of ``pairs`` is the
     first team's ``TEAM_ROW`` values followed by the second team's."""
-    _, reads, minus = _scheme(scheme)
+    _, reads, minus = _SCHEMES[scheme]
     X = pairs.take(reads, axis=1)
     return X if minus is None else X - pairs.take(minus, axis=1)
 
 
 def encode_pairings(rows: np.ndarray, first: Sequence[int], second: Sequence[int],
-                    scheme: FeatureScheme) -> np.ndarray:
+                    scheme: FeatureScheme | str) -> np.ndarray:
     """``(m, d)`` features of ``m`` pairings: row ``k`` is team row
     ``rows[first[k]]`` against ``rows[second[k]]`` (``TEAM_ROW`` order).
     Site is not part of the features; it travels as a separate categorical."""
-    return _encode(np.concatenate([rows[first], rows[second]], axis=1), scheme)
+    return _encode(np.concatenate([rows[first], rows[second]], axis=1), _scheme(scheme))
 
 
 def encode_pairing(first: TeamSnapshot, second: TeamSnapshot,
-                   scheme: FeatureScheme) -> np.ndarray:
+                   scheme: FeatureScheme | str) -> np.ndarray:
     """The feature vector of one pairing of two snapshots."""
     return encode_pairings(np.stack([team_row(first), team_row(second)]), [0], [1], scheme)[0]
 
@@ -156,7 +155,7 @@ class MatchInstance:
 _SITE_CODES = np.array([SITE_ORDER.index(site_for(loc, is_team_a=True)) for loc in LOCATIONS])
 
 
-def encode_runs(runs: Sequence[SeasonRun], schemes: Sequence[FeatureScheme]
+def encode_runs(runs: Sequence[SeasonRun], schemes: Sequence[FeatureScheme | str]
                 ) -> tuple[dict[FeatureScheme, np.ndarray], np.ndarray, np.ndarray]:
     """Every game of ``runs``, in order, team_a first, encoded from each
     run's pre-match rows: ``(Xs, site, y)`` with one feature matrix per
@@ -164,7 +163,7 @@ def encode_runs(runs: Sequence[SeasonRun], schemes: Sequence[FeatureScheme]
     1 where the first team won."""
     Xs = {scheme: np.concatenate([
         _encode(run.pre_rows.reshape(len(run.pre_rows), 2 * len(TEAM_ROW)), scheme)
-        for run in runs]) for scheme in schemes}
+        for run in runs]) for scheme in map(_scheme, schemes)}
     site = np.concatenate([_SITE_CODES[run.columns.location] for run in runs])
     y = np.concatenate([run.columns.first_won() for run in runs]).astype(int)
     return Xs, site, y
@@ -196,7 +195,7 @@ def split_runs(store: SeasonStore, runs: dict[int, SeasonRun],
 
 
 def build_dataset(store: SeasonStore, runs: dict[int, SeasonRun],
-                  scheme: FeatureScheme,
+                  scheme: FeatureScheme | str,
                   test_season: int) -> tuple[list[MatchInstance], list[MatchInstance]]:
     """Encode every game, split into (train, test) around ``test_season``.
 
@@ -204,6 +203,7 @@ def build_dataset(store: SeasonStore, runs: dict[int, SeasonRun],
     advancing the test season one year grows the training set by exactly the
     previous test set; counts match the game counts of each partition.
     """
+    scheme = _scheme(scheme)
     train_runs, test_run = split_runs(store, runs, test_season)
 
     def instances(run: SeasonRun) -> list[MatchInstance]:

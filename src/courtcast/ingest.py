@@ -51,6 +51,24 @@ class CourtcastError(ValueError):
     the CLI reports as a data error (exit 2)."""
 
 
+def named(names: Sequence, enum: type, what: str, error: type[CourtcastError],
+          extra: Sequence[str] = ()) -> list:
+    """Each of ``names`` (a member or its value) as a member of ``enum``, or
+    one of ``extra``: the one resolver of closed-choice names.  Anything else,
+    or a name given twice, raises ``error``."""
+    out = []
+    for name in names:
+        try:
+            member = name if name in extra else enum(name)
+        except ValueError:
+            valid = [m.value for m in enum] + list(extra)
+            raise error(f"{what} must be one of {valid}, got {name!r}") from None
+        if member in out:
+            raise error(f"{what} {getattr(member, 'value', member)!r} is named twice")
+        out.append(member)
+    return out
+
+
 class GameLogError(CourtcastError):
     """Raised for malformed or inconsistent game-log input.
 

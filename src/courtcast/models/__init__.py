@@ -32,6 +32,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from courtcast.features import SITE_ORDER, FeatureScheme, Label, MatchInstance, feature_names
+from courtcast.ingest import named
 from courtcast.models import forest, mlp, naive_bayes, tree
 from courtcast.models.base import (
     ModelError,
@@ -56,8 +57,8 @@ _IMPL = {
 HYPERPARAMETERS = {kind: impl.HYPER for kind, impl in _IMPL.items()}
 
 
-def train_group(Xs: Mapping[FeatureScheme, np.ndarray], site: np.ndarray, y: np.ndarray,
-                kind: ModelKind, hyper: dict[str, Any] | None = None,
+def train_group(Xs: Mapping[FeatureScheme | str, np.ndarray], site: np.ndarray,
+                y: np.ndarray, kind: ModelKind | str, hyper: dict[str, Any] | None = None,
                 seed: int = 0) -> list[TrainedModel]:
     """Fit one model kind on each of several encodings of one training set:
     ``Xs`` maps each feature scheme to its matrix of the same games, in the
@@ -66,14 +67,10 @@ def train_group(Xs: Mapping[FeatureScheme, np.ndarray], site: np.ndarray, y: np.
 
     Each model is what a fit on its matrix alone gives; MLPs train in
     lockstep (``mlp.fit_group``).  A matrix that does not fit its scheme or
-    ``y``, a non-finite value, a single class or an unknown ``kind`` raises
-    :class:`ModelError`.
+    ``y``, a non-finite value, a single class, or an unknown ``kind`` or
+    scheme name raises :class:`ModelError`.
     """
-    try:
-        kind = ModelKind(kind)
-    except ValueError:
-        raise ModelError(f"kind must be one of {[k.value for k in ModelKind]}, "
-                         f"got {kind!r}") from None
+    (kind,) = named([kind], ModelKind, "kind", ModelError)
     hp = resolve_hyper(HYPERPARAMETERS[kind], hyper, kind)
     if not Xs:
         raise ModelError("no training sets")
@@ -82,8 +79,9 @@ def train_group(Xs: Mapping[FeatureScheme, np.ndarray], site: np.ndarray, y: np.
         raise ModelError(f"{site.shape} sites do not fit {y.shape} labels")
     if not (np.all(np.isin(site, (0, 1, 2))) and np.all(np.isin(y, (0, 1)))):
         raise ModelError("site codes must be 0, 1 or 2 and labels 0 or 1")
-    Xs = {scheme: np.asarray(X, dtype=float) for scheme, X in Xs.items()}
-    for scheme, X in Xs.items():
+    schemes = named(Xs, FeatureScheme, "scheme", ModelError)
+    Xs = [np.asarray(X, dtype=float) for X in Xs.values()]
+    for scheme, X in zip(schemes, Xs):
         if X.shape != (len(y), len(feature_names(scheme))):
             raise ModelError(f"{scheme.value} training matrix of shape {X.shape} does not "
                              f"fit {len(y)} labels and {len(feature_names(scheme))} features")
@@ -94,14 +92,14 @@ def train_group(Xs: Mapping[FeatureScheme, np.ndarray], site: np.ndarray, y: np.
         raise ModelError(
             f"training data must contain both classes, got only "
             f"{'wins' if classes == {1} else 'losses'}")
-    fitted = (mlp.fit_group(list(Xs.values()), site, y, hp, seed) if kind is ModelKind.MLP
-              else [_IMPL[kind].fit(X, site, y, hp, seed) for X in Xs.values()])
+    fitted = (mlp.fit_group(Xs, site, y, hp, seed) if kind is ModelKind.MLP
+              else [_IMPL[kind].fit(X, site, y, hp, seed) for X in Xs])
     return [TrainedModel(
         kind=kind, scheme=scheme, feature_names=feature_names(scheme),
         class_counts={Label.LOSS.value: int(np.sum(y == 0)),
                       Label.WIN.value: int(np.sum(y == 1))},
         hyper=dict(hp), params=params)
-        for scheme, params in zip(Xs, fitted)]
+        for scheme, params in zip(schemes, fitted)]
 
 
 def train(instances: list[MatchInstance], kind: ModelKind,
@@ -158,11 +156,11 @@ def load_model(path: str | Path) -> TrainedModel:
     """Read a model file; a malformed one raises :class:`ModelError` naming it."""
     doc = load_model_doc(path)
     try:
-        kind = ModelKind(doc["kind"])
+        (kind,) = named([doc["kind"]], ModelKind, "kind", ModelError)
         names = tuple(doc["feature_names"])
         return TrainedModel(
             kind=kind,
-            scheme=FeatureScheme(doc["scheme"]),
+            scheme=named([doc["scheme"]], FeatureScheme, "scheme", ModelError)[0],
             feature_names=names,
             class_counts=doc["class_counts"],
             hyper=doc["hyper"],

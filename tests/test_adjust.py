@@ -22,6 +22,7 @@ from courtcast.adjust import (
     season_runs,
     team_row,
 )
+from courtcast.features import FeatureError, FeatureScheme, encode_runs, feature_names
 from courtcast.ingest import GameRecord, Location, SeasonStore
 from courtcast.stats import DEFAULT_FT_WEIGHT
 from tests.conftest import make_box, tiny_store
@@ -40,6 +41,14 @@ from tests.oracles import (
 
 TOL = 1e-9
 ALL_COMBOS = [(sch, sd) for sch in AveragingScheme for sd in Seeding]
+
+
+def both_runs(scheme, seeding) -> list:
+    """``run_seasons`` and the first step of ``season_runs`` on one store,
+    under averaging ``scheme`` and ``seeding``."""
+    return [lambda store: run_seasons(store, scheme, seeding),
+            lambda store: next(season_runs(store, scheme, seeding))]
+
 
 _BOXES = [
     make_box(fgm=24, fga=52, fgm3=4, ft=8, fta=12, or_=9, dr=21, to=8),
@@ -251,18 +260,30 @@ class TestRunSeasonBasics:
             for rows in ("final_rows", "pre_rows"):
                 got, want = getattr(by_name[season], rows), getattr(run, rows)
                 assert got.tobytes() == want.tobytes(), (season, rows)
+        # and the feature layer reads a scheme's name as its member
+        runs = list(by_member.values())
+        named_Xs, _, _ = encode_runs(runs, [s.value for s in FeatureScheme])
+        member_Xs, _, _ = encode_runs(runs, list(FeatureScheme))
+        for s in FeatureScheme:
+            assert feature_names(s.value) == feature_names(s)
+            assert named_Xs[s].tobytes() == member_Xs[s].tobytes(), s
 
-    @pytest.mark.parametrize("scheme,seeding,named", [
-        ("bogus", Seeding.PRIOR_SEASON, "'bogus' is not a valid AveragingScheme"),
-        (AveragingScheme.ALPHA, "bogus", "'bogus' is not a valid Seeding"),
-        ("ALPHA", "prior_season", "'ALPHA' is not a valid AveragingScheme"),
-    ])
-    def test_unknown_names_are_refused(self, two_season_store, scheme, seeding, named):
-        valid = "['alpha', 'explicit'], seeding one of ['prior_season', 'from_scratch']"
-        for run in (run_seasons, lambda *args: next(season_runs(*args))):
-            with pytest.raises(AdjustmentError) as refused:
-                run(two_season_store, scheme, seeding)
-            assert named in str(refused.value) and valid in str(refused.value)
+    @pytest.mark.parametrize("calls,error,message", [
+        (both_runs("bogus", Seeding.PRIOR_SEASON), AdjustmentError,
+         "averaging must be one of ['alpha', 'explicit'], got 'bogus'"),
+        (both_runs(AveragingScheme.ALPHA, "bogus"), AdjustmentError,
+         "seeding must be one of ['prior_season', 'from_scratch'], got 'bogus'"),
+        (both_runs("ALPHA", "prior_season"), AdjustmentError,
+         "averaging must be one of ['alpha', 'explicit'], got 'ALPHA'"),
+        ([lambda store: feature_names("elo"),
+          lambda store: encode_runs(list(run_seasons(store).values()), ["adj_eff", "elo"])],
+         FeatureError, f"scheme must be one of {[s.value for s in FeatureScheme]}, got 'elo'"),
+    ], ids=["averaging", "seeding", "averaging_case", "scheme"])
+    def test_unknown_names_are_refused(self, two_season_store, calls, error, message):
+        for call in calls:
+            with pytest.raises(error) as refused:
+                call(two_season_store)
+            assert str(refused.value) == message
 
 
 class TestOracleEquivalence:

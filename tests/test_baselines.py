@@ -87,6 +87,24 @@ class TestPythagRating:
             scaled = pythag_rating(snap("t", 108.0 * c, 97.0 * c), params)
             assert math.isclose(scaled, base, rel_tol=1e-9)
 
+    @pytest.mark.parametrize("oe, de, y, way", [
+        (100.0, 100.0, 154.0, "overflows"),     # each power is finite, their sum is not
+        (100.0, 100.0, 1e308, "overflows"),     # the powers themselves overflow
+        (0.25, 0.3, 10000.0, "underflows"),     # both powers are 0.0
+    ])
+    def test_a_rating_outside_the_float_range_is_refused(self, oe, de, y, way):
+        with pytest.raises(BaselineError) as refused:
+            pythag_rating(snap("t", oe, de), PythagParams(y=y))
+        assert str(refused.value) == f"t: rating {way} at exponent {y}"
+
+    @pytest.mark.parametrize("oe, de, y, rating", [
+        (100.0, 100.0, 153.0, 0.5),             # the sum is 2e306
+        (1e-3, 1.0, 150.0, 0.0),                # one power underflows, the other is 1
+        (1.0, 1e-3, 150.0, 1.0),
+    ])
+    def test_a_rating_at_the_float_range_edges(self, oe, de, y, rating):
+        assert pythag_rating(snap("t", oe, de), PythagParams(y=y)) == rating
+
     def test_higher_exponent_more_decisive(self):
         mild = pythag_rating(snap("t", 110.0, 100.0), PythagParams(y=1.0))
         sharp = pythag_rating(snap("t", 110.0, 100.0), PythagParams(y=50.0))

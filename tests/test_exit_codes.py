@@ -8,6 +8,7 @@ the same entry point through ``python -m courtcast``.
 from __future__ import annotations
 
 import contextlib
+import datetime as dt
 import io
 import json
 import re
@@ -19,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from courtcast import cli
 from courtcast.ingest import HEADER, write_game_log
-from courtcast.models import HYPERPARAMETERS, ModelKind
+from courtcast.features import FeatureScheme
+from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, load_model
 from tests.conftest import tiny_store
 
 LEAGUE = ["--n-teams", "6", "--games-per-team", "6", "--n-seasons", "2", "--seed", "1"]
@@ -46,6 +48,24 @@ def league(tmp_path_factory) -> Path:
                          "--out", root / kind, "--kind", kind, *hyper)
         assert code == 0, err
     return root
+
+
+def tiny_efficiency_log(path: Path) -> Path:
+    """Four teams over two seasons of 40 rounds, every game won 3-2 on 1000
+    field-goal attempts a side: adjusted efficiencies of about 0.3."""
+    boxes = {2: "0,1000,0,2,2,1,1,1,0,0,2", 3: "1,1000,0,1,2,1,1,1,0,0,3"}
+    teams = ["aa", "bb", "cc", "dd"]
+    rounds = [((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+    lines = [",".join(HEADER)]
+    for season in (2020, 2021):
+        for r in range(40):
+            day = dt.date(season, 11, 1) + dt.timedelta(days=r)
+            for k, (i, j) in enumerate(rounds[r % 3]):
+                a, b = (3, 2) if (r + k) % 2 == 0 else (2, 3)
+                lines.append(f"{day},{season},{teams[i]},{teams[j]},neutral,"
+                             f"{boxes[a]},{boxes[b]}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def log_lines(league: Path) -> list[str]:
@@ -146,6 +166,18 @@ class TestBadFiles:
         assert code == 2, err
         assert re.search(r"t\d\d: rating overflows at exponent 1e\+308", err), err
 
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--hyper", "y=10000"],
+        ["predict", "--pythag-y", "10000", "--team-first", "aa", "--team-second", "bb"],
+        ["evaluate", "--hyper", "y=10000"],
+    ], ids=["rank", "predict", "evaluate"])
+    def test_pythag_rating_that_underflows_names_the_exponent(self, tmp_path, argv):
+        # adjusted efficiencies near 0.3, whose 10000th powers are both 0.0
+        log = tiny_efficiency_log(tmp_path / "tiny.csv")
+        code, err = main(*argv, "--kind", "pythag", "--data", log, "--out", tmp_path / "o")
+        assert code == 2, err
+        assert re.search(r"(aa|bb|cc|dd): rating underflows at exponent 10000\.0", err), err
+
     def test_predict_after_a_season_that_ends_on_the_last_date(self, tmp_path):
         log = tmp_path / "late.csv"
         boxes = "20,50,5,10,15,10,20,8,5,3,55,18,48,4,8,12,9,21,10,4,2,48"
@@ -222,7 +254,8 @@ def edited(edit):
     ("decision_tree", "no_hyper", edited(lambda doc: doc.pop("hyper")), "missing key 'hyper'"),
     ("decision_tree", "a_list", lambda doc: [], "not a courtcast-model file"),
     ("decision_tree", "bad_scheme", edited(lambda doc: doc.update(scheme="elo")), "elo"),
-    ("decision_tree", "bad_kind", edited(lambda doc: doc.update(kind=3)), "ModelKind"),
+    ("decision_tree", "bad_kind", edited(lambda doc: doc.update(kind=3)),
+     f"kind must be one of {MODEL_KINDS}, got 3"),
     ("mlp", "short_bias", edited(lambda doc: doc["params"]["b1"].pop()), "shapes"),
     ("mlp", "nan_weight",
      edited(lambda doc: doc["params"]["W1"][0].__setitem__(0, float("nan"))),
@@ -271,6 +304,22 @@ def test_malformed_model_file_is_a_data_error(league, tmp_path, kind, name, corr
                      "--kind", kind, "--out", tmp_path / "o", *PAIRING)
     assert code == 2, err
     assert f"{name}.json" in err and detail in err
+
+
+@pytest.mark.parametrize("field, value, valid", [
+    ("kind", "bogus", MODEL_KINDS), ("scheme", "elo", [s.value for s in FeatureScheme])])
+def test_model_file_with_an_unknown_name(league, tmp_path, field, value, valid):
+    doc = json.loads((league / "decision_tree" / "model.json").read_text())
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({**doc, field: value}))
+    message = f"{path}: malformed model file: {field} must be one of {valid}, got {value!r}"
+    with pytest.raises(ModelError) as refused:
+        load_model(path)
+    assert str(refused.value) == message
+    for command, pairing in (("predict", PAIRING), ("rank", [])):
+        code, err = main(command, "--data", league / "sim" / "games.csv", "--model", path,
+                         "--kind", "decision_tree", "--out", tmp_path / "o", *pairing)
+        assert code == 2 and message in err, (command, err)
 
 
 def test_model_file_that_is_not_json(league, tmp_path):

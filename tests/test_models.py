@@ -149,6 +149,10 @@ class TestTrainingValidation:
             train_group({FeatureScheme.ADJ_EFF: X}, site, y, "bogus")
         with pytest.raises(ModelError, match=valid):
             train(separable_instances(10, seed=0), "bogus")
+        schemes = [s.value for s in FeatureScheme]
+        with pytest.raises(ModelError) as refused:
+            train_group({"adj_eff": X, "elo": X}, site, y, ModelKind.DECISION_TREE)
+        assert str(refused.value) == f"scheme must be one of {schemes}, got 'elo'"
 
     def test_predict_scheme_mismatch_rejected(self):
         model = train(separable_instances(10, seed=0), ModelKind.NAIVE_BAYES_KDE)
@@ -662,21 +666,28 @@ class TestMlpGroup:
 
     def test_train_group_equals_train_for_every_kind(self, tmp_path):
         # one matrix per scheme, one site and one y, against train on each
-        # scheme's instances, model.json byte for byte
+        # scheme's instances, model.json byte for byte; a group keyed by the
+        # schemes' names, and a dataset of a scheme's name, give the same bytes
         store, runs, test_season = league_runs()
         past, _ = split_runs(store, runs, test_season)
         Xs, site, y = encode_runs(past, GRID_SCHEMES)
+        by_name = {scheme.value: X for scheme, X in Xs.items()}
         hyper = {ModelKind.MLP: {"epochs": 3}, ModelKind.RANDOM_FOREST: {"n_trees": 3}}
         for kind in ModelKind:
             group = train_group(Xs, site, y, kind, hyper=hyper.get(kind), seed=2)
+            named = train_group(by_name, site, y, kind.value, hyper=hyper.get(kind), seed=2)
             assert [model.scheme for model in group] == list(GRID_SCHEMES)
-            for model in group:
-                train_set, _ = build_dataset(store, runs, model.scheme, test_season)
+            assert [model.scheme for model in named] == list(GRID_SCHEMES)
+            for model, model_by_name in zip(group, named):
+                train_set, _ = build_dataset(store, runs, model.scheme.value, test_season)
+                assert train_set[0].scheme is model.scheme
                 alone = train(train_set, kind, hyper=hyper.get(kind), seed=2)
-                save_model(model, tmp_path / "group.json")
-                save_model(alone, tmp_path / "alone.json")
-                assert (tmp_path / "group.json").read_bytes() == \
-                    (tmp_path / "alone.json").read_bytes()
+                for name, trained in (("group", model), ("named", model_by_name),
+                                      ("alone", alone)):
+                    save_model(trained, tmp_path / f"{name}.json")
+                want = (tmp_path / "group.json").read_bytes()
+                assert (tmp_path / "named.json").read_bytes() == want
+                assert (tmp_path / "alone.json").read_bytes() == want
 
     def test_arrays_that_do_not_fit_are_refused(self):
         X, site, y = separable_arrays(20, seed=1)

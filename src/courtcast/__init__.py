@@ -78,7 +78,6 @@ from courtcast.stats import (
 from courtcast.synthetic import (
     LeagueTruth,
     SyntheticLeagueSpec,
-    calibrate_home_advantage,
     calibrate_noise,
     generate_league,
 )

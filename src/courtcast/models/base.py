@@ -134,7 +134,7 @@ def save_model(model: TrainedModel, path: str | Path,
     }
     if model.run_config is not None:
         doc["run_config"] = model.run_config
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n",
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n",
                           encoding="utf-8")
 
 

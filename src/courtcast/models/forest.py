@@ -9,7 +9,10 @@ depend on how many others grow.
 
 Trees grow ``_GROUP`` at a time, in lockstep (see :mod:`tree`): each group
 draws its bootstrap samples, one row-index array per tree, and grows them
-together, so a forest of any size holds at most one group's samples.
+together.  Each tree presorts its sample into one row list per feature, so
+a group holds ``_GROUP * features`` lists of ``len(y)`` row ids (duplicates
+included) while it grows, and a forest of any size holds at most one
+group's.
 
 The forest's win probability is simply the fraction of trees voting win,
 which makes the majority-vote label and the probability consistent by

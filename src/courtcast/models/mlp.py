@@ -38,7 +38,10 @@ run the same forward pass and backprop on a group of one.
 logistic to 0.0 as it should.  ``fit_group``, ``p_win`` and
 ``gradient_check`` each enter ``np.errstate(over="ignore")`` once around
 their loops: entered per logistic call, it would cost as much as the
-arithmetic it guards.
+arithmetic it guards.  A learning rate and momentum large enough can also
+drive the weights themselves to inf and then NaN, so ``fit_group`` ignores
+invalid values in its loop too, and checks once, after it, that every
+weight is finite: a network that diverged is refused, never returned.
 """
 
 from __future__ import annotations
@@ -201,7 +204,7 @@ def fit_group(Xs: list[np.ndarray], site: np.ndarray, y: np.ndarray, hp: dict,
     vel, step = np.zeros_like(g.theta), np.empty_like(g.theta)
     lr, mom = np.array(float(hp["learning_rate"])), np.array(float(hp["momentum"]))
     targets = y.astype(float)[:, None]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(hp["epochs"]):
             # each game's input row of every network, and its label
             for xs, target in zip(zip(*inputs), targets):
@@ -210,6 +213,10 @@ def fit_group(Xs: list[np.ndarray], site: np.ndarray, y: np.ndarray, hp: dict,
                 vel *= mom
                 vel -= step
                 g.theta += vel
+    if not np.isfinite(g.theta).all():
+        raise ModelError(f"MLP training diverged: its weights left the float range at "
+                         f"learning_rate {hp['learning_rate']} and momentum "
+                         f"{hp['momentum']}; lower either")
 
     for k, p in enumerate(nets):
         p.W1[:], p.b1[:], p.w2[:] = g.W1s[k], g.b1s[k], g.w2s[k]

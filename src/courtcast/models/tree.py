@@ -12,19 +12,29 @@ Pre-pruning follows the classic per-branch rule: a split is admissible
 only if at least two of its branches receive ``min_node_fraction`` of the
 training rows (1% by default, never fewer than 2), and a node too small to
 split that way becomes a leaf.  No internal node can therefore sit below
-the threshold, and no split can shave off a handful of noisy rows.
+the threshold, and no split can shave off a handful of noisy rows.  A node
+of fewer than twice that many rows admits no split, so it becomes a leaf
+before any search.
 
 One grower serves both kinds: it grows a group of trees in lockstep, and a
 decision tree is a group of one.  The random forest grows its trees in
 groups, disables pruning (``min_branch=1``) and restricts each node to a
 random subset of candidate features, drawn from the tree's own stream.
+
+Each node carries its rows as a ``(features, rows)`` array of row ids,
+whose list ``f`` is sorted by column ``f``.  A tree presorts its sample once
+per column with a stable sort, so ties keep sample order; a split only
+filters the parent's lists by each row's side (or site code), which keeps
+them sorted.  The lists use the narrowest signed integer type that holds
+``len(X)``: int16, two bytes per feature and row, below 32,768 rows.
+
 Every tree grows in preorder from its own stack.  A step takes from each
 tree the next node to split, resolving the leaves on the way, and searches
-all (node, feature) pairs of the step at once: their rows are gathered into
-one array, sorted by value within each pair, and one cumulative win count
-gives the class counts at every cut.  A batch holds at most ``_BATCH`` rows,
-so its temporaries stay small; a pair with more rows is searched alone.
-Each (node, feature) pair is scored with the arithmetic of a search of its
+all (node, feature) pairs of the step at once: their sorted lists are
+gathered into one array, and one cumulative win count gives the class
+counts at every cut.  A batch holds at most ``_BATCH`` rows, so its
+temporaries stay small; a pair with more rows is searched alone.  Each
+(node, feature) pair is scored with the arithmetic of a search of its
 column alone (the same elementwise entropies, the scalar parent entropy,
 ``math.log2`` for the split info, the first maximum winning ties), so a
 tree does not depend on what it grows beside.
@@ -89,54 +99,28 @@ def _entropy(wins: float, n: float) -> float:
 
 def _ent(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Binary entropy of ``w`` wins in ``m`` rows, elementwise; 0 where pure."""
-    out = np.zeros_like(m)
-    ok = (m > 0) & (w > 0) & (w < m)
-    p = np.divide(w, m, out=np.zeros_like(m), where=m > 0)
-    pc = 1.0 - p
-    out[ok] = -(p[ok] * np.log2(p[ok]) + pc[ok] * np.log2(pc[ok]))
-    return out
-
-
-def _order_within(x: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """The stable sort of ``x`` within each segment (``seg`` ascending).
-
-    A quicksort of a unique integer key (segment, then the value's dense rank
-    in the batch, then position) gives that order faster than a stable sort
-    of two keys.  The key is below n**2 for one segment of n rows and below
-    n**3 for a batch of several, which holds at most ``_BATCH`` rows, so it
-    fits in 64 bits.
-    """
-    n = len(x)
-    by_value = np.argsort(x)
-    xs = x[by_value]
-    rank = np.empty(n, dtype=np.intp)
-    rank[by_value] = np.cumsum(np.concatenate(([0], xs[1:] != xs[:-1])))
-    return np.argsort((seg * n + rank) * n + np.arange(n))
-
-
-def _sort_segments(X: np.ndarray, y: np.ndarray, segments: list[tuple[np.ndarray, int]],
-                   sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The segments' values, concatenated and sorted within each segment, and
-    the cumulative win count along them.  What only the sort needs is freed
-    on return, before the search allocates its per-cut arrays."""
-    seg = np.repeat(np.arange(len(segments)), sizes)
-    rows = np.concatenate([rows for rows, _ in segments])
-    x = X[rows, np.repeat([f for _, f in segments], sizes)]
-    order = _order_within(x, seg)
-    return x[order], np.cumsum(y[rows[order]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = w / m
+        pc = 1.0 - p
+        out = -(p * np.log2(p) + pc * np.log2(pc))
+    return np.where((w > 0) & (w < m), out, 0.0)
 
 
 def _numeric_splits(X: np.ndarray, y: np.ndarray, segments: list[tuple[np.ndarray, int]],
                     min_branch: int) -> list[_Candidate | None]:
     """Best-gain threshold of each (rows, feature) segment, scored by gain ratio.
 
-    All segments are searched in one pass over their concatenation: each is
-    sorted by value within itself, and one cumulative win count serves them
-    all.
+    Each segment's rows come sorted by its feature's value.  All segments
+    are searched in one pass over their concatenation, and one cumulative
+    win count serves them all.
     """
     sizes = np.array([len(rows) for rows, _ in segments])
     ends = np.cumsum(sizes)
-    xs, cum_wins = _sort_segments(X, y, segments, sizes)
+    # one gather from the flat array: a (rows, features) index pair into X
+    # costs about three times as much per value
+    rows = np.concatenate([r for r, _ in segments]).astype(np.intp)
+    xs = X.ravel()[rows * X.shape[1] + np.repeat([f for _, f in segments], sizes)]
+    cum_wins = np.cumsum(y[rows])
     # candidate cuts after position i: between consecutive distinct values of
     # one segment, leaving at least min_branch rows on each side
     i = np.flatnonzero(xs[1:] != xs[:-1])
@@ -214,14 +198,23 @@ def _select_split(cands: list[_Candidate]) -> _Candidate | None:
     return max(eligible, key=lambda c: c.ratio)  # stable: first max wins ties
 
 
+def _presort(X: np.ndarray, sample: np.ndarray, dtype: type) -> np.ndarray:
+    """The sample's row lists, ``(features, rows)``: row ``f`` holds the
+    sample's rows sorted stably by column ``f``, so ties keep sample order."""
+    lists = np.empty((X.shape[1], len(sample)), dtype=dtype)
+    for f in range(X.shape[1]):
+        lists[f] = sample[np.argsort(X[sample, f], kind="stable")]
+    return lists
+
+
 class _Growth:
     """One tree growing in preorder: its node table so far, and a stack of
-    (rows, parent, slot) still to visit, where ``rows`` is None for an empty
-    site branch."""
+    (lists, parent, slot) still to visit, where ``lists`` are the node's row
+    lists (see :func:`_presort`), or None for an empty site branch."""
 
-    def __init__(self, rows: np.ndarray, rng: np.random.Generator | None):
+    def __init__(self, lists: np.ndarray, rng: np.random.Generator | None):
         self.rng = rng
-        self.stack: list[tuple[np.ndarray | None, int, int]] = [(rows, -1, 0)]
+        self.stack: list[tuple[np.ndarray | None, int, int]] = [(lists, -1, 0)]
         self.feature, self.children = array("q"), array("q")
         self.threshold, self.n, self.wins = array("d"), array("q"), array("q")
 
@@ -244,10 +237,10 @@ class _Growth:
 
 
 class _Visit(NamedTuple):
-    """A node about to be scored: its tree, its rows, and where it hangs."""
+    """A node about to be scored: its tree, its row lists, and where it hangs."""
 
     growth: _Growth
-    rows: np.ndarray
+    lists: np.ndarray
     n: int
     wins: int
     parent: int
@@ -263,8 +256,8 @@ def _score(X: np.ndarray, site: np.ndarray, y: np.ndarray, visits: list[_Visit],
     in batches of at most ``_BATCH`` rows; a larger segment is searched alone.
     One count of rows and wins by (node, site code) serves all site splits.
     """
-    segments = [(v.rows, f) for v in visits for f in v.features if f != SITE_FEATURE]
-    at_site = [v.rows for v in visits if SITE_FEATURE in v.features]
+    segments = [(v.lists[f], f) for v in visits for f in v.features if f != SITE_FEATURE]
+    at_site = [v.lists[0] for v in visits if SITE_FEATURE in v.features]
     numeric: list[_Candidate | None] = []
     lo = size = 0
     for hi, (rows, _) in enumerate(segments):
@@ -303,27 +296,34 @@ def grow_trees(X: np.ndarray, site: np.ndarray, y: np.ndarray, samples: list[np.
     node that may split, ``min_branch`` the per-branch admissibility
     minimum; 1 grows unrestricted forest-style trees.
     """
-    everything = list(range(X.shape[1])) + [SITE_FEATURE]
-    growing = [_Growth(rows, rng) for rows, rng in zip(samples, rngs or [None] * len(samples))]
+    X = np.ascontiguousarray(X)     # so that the search's X.ravel() is a view
+    d = X.shape[1]
+    everything = list(range(d)) + [SITE_FEATURE]
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if len(X) <= np.iinfo(t).max)
+    side = np.empty(len(X), dtype=bool)     # reused: each row's side of a split
+    growing = [_Growth(_presort(X, sample, dtype), rng)
+               for sample, rng in zip(samples, rngs or [None] * len(samples))]
     active = growing
     while active:
         visits = []
         for g in active:
             while g.stack:
-                rows, parent, slot = g.stack.pop()
-                if rows is None:    # an empty branch falls back to the parent's stats
+                lists, parent, slot = g.stack.pop()
+                if lists is None:   # an empty branch falls back to the parent's stats
                     g.add(LEAF, 0.0, g.n[parent], g.wins[parent], parent, slot)
                     continue
-                n = len(rows)
-                wins = int(y[rows].sum())
-                if wins == 0 or wins == n or n < max(2, min_rows):
+                n = lists.shape[1]
+                wins = int(y[lists[0]].sum())
+                # below 2 * min_branch rows no split is admissible
+                if wins == 0 or wins == n or n < max(2, min_rows, 2 * min_branch):
                     g.add(LEAF, 0.0, n, wins, parent, slot)
                     continue
                 features = everything
                 if n_candidates is not None and n_candidates < len(everything):
                     pick = g.rng.choice(len(everything), size=n_candidates, replace=False)
                     features = [everything[i] for i in sorted(pick)]
-                visits.append(_Visit(g, rows, n, wins, parent, slot, features))
+                visits.append(_Visit(g, lists, n, wins, parent, slot, features))
                 break
         for v, cands in zip(visits, _score(X, site, y, visits, min_branch)):
             best = _select_split(cands)
@@ -331,14 +331,18 @@ def grow_trees(X: np.ndarray, site: np.ndarray, y: np.ndarray, samples: list[np.
                 v.growth.add(LEAF, 0.0, v.n, v.wins, v.parent, v.slot)
                 continue
             node = v.growth.add(best.feature, best.threshold, v.n, v.wins, v.parent, v.slot)
+            # each child's lists are the parent's, filtered: still sorted
             if best.feature == SITE_FEATURE:
-                codes = site[v.rows]
+                codes = site[v.lists]
                 for code in (2, 1, 0):      # popped in slot order
-                    sub = v.rows[codes == code]
-                    v.growth.stack.append((sub if len(sub) else None, node, code))
+                    sub = v.lists[codes == code].reshape(d, -1)
+                    v.growth.stack.append((sub if sub.size else None, node, code))
             else:
-                left = X[v.rows, best.feature] <= best.threshold
-                v.growth.stack += [(v.rows[~left], node, 1), (v.rows[left], node, 0)]
+                rows = v.lists[best.feature]
+                side[rows] = X[rows, best.feature] <= best.threshold
+                left = side[v.lists]
+                v.growth.stack += [(v.lists[~left].reshape(d, -1), node, 1),
+                                   (v.lists[left].reshape(d, -1), node, 0)]
         active = [v.growth for v in visits]
     return [g.tree() for g in growing]
 

@@ -444,18 +444,3 @@ def calibrate_noise(spec: SyntheticLeagueSpec, target: float) -> float:
             break   # a step depends only on (lo, hi), so every later one repeats this
         lo, hi = bracket
     return 0.5 * (lo + hi)
-
-
-def calibrate_home_advantage(noise: float, target_home_rate: float) -> float:
-    """Home-efficiency offset giving the target home-win rate when all
-    teams are equally strong (point-margin ties go to the home side)."""
-    if not noise > 0:
-        raise SyntheticError("home-rate calibration needs noise > 0")
-    if not 0.5 <= target_home_rate < 1.0:
-        raise SyntheticError(f"target rate must be in [0.5, 1), got {target_home_rate}")
-    margin_sd = noise * POINTS_PER_EFF * math.sqrt(2.0)
-    z = NormalDist().inv_cdf(target_home_rate)
-    edge = (z * margin_sd - 0.5) / POINTS_PER_EFF
-    if not math.isfinite(edge):
-        raise SyntheticError(f"noise {noise} is too large to calibrate a home advantage")
-    return edge

@@ -24,9 +24,12 @@ then checks one ``csv.DictReader`` row at a time, and the streaming parser
 must build the same store or raise the same error.  Then comes the noise
 calibration that scores every game at every bisection step, for all 200
 steps; scoring each distinct gap once and stopping at the bisection's fixed
-point must return the same noise exactly.  Last comes the league generator
-that draws, scores and boxes one game at a time and simulates one matchup
-per ``standard_normal((2, sims))`` call: the box table, the single draw for
+point must return the same noise exactly.  Beside it sits the inverse of the
+margin model, the home offset that gives a target home-win rate between
+equal teams: no program code needs it, and the tests use it to set up
+leagues.  Last comes the league generator that draws, scores and boxes one
+game at a time and simulates one matchup per ``standard_normal((2, sims))``
+call: the box table, the single draw for
 all games and the blocked Monte-Carlo bound must give the same store and
 the same truth, bit for bit.
 """
@@ -38,6 +41,7 @@ import datetime as dt
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 
@@ -709,6 +713,21 @@ def calibrate_noise_per_game(spec: SyntheticLeagueSpec, target: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def calibrate_home_advantage(noise: float, target_home_rate: float) -> float:
+    """Home-efficiency offset giving the target home-win rate when all
+    teams are equally strong (point-margin ties go to the home side)."""
+    if not noise > 0:
+        raise SyntheticError("home-rate calibration needs noise > 0")
+    if not 0.5 <= target_home_rate < 1.0:
+        raise SyntheticError(f"target rate must be in [0.5, 1), got {target_home_rate}")
+    margin_sd = noise * POINTS_PER_EFF * math.sqrt(2.0)
+    z = NormalDist().inv_cdf(target_home_rate)
+    edge = (z * margin_sd - 0.5) / POINTS_PER_EFF
+    if not math.isfinite(edge):
+        raise SyntheticError(f"noise {noise} is too large to calibrate a home advantage")
+    return edge
 
 
 def _points_from_effs_scalar(eff_a: float, eff_b: float, mu_a: float, mu_b: float):

@@ -42,7 +42,6 @@ from courtcast.stats import (
 )
 from courtcast.synthetic import (
     SyntheticLeagueSpec,
-    calibrate_home_advantage,
     calibrate_noise,
     generate_league,
 )
@@ -50,6 +49,7 @@ from tests.conftest import BOX_A, BOX_B, make_box
 from tests.oracles import (
     adjust_value,
     alpha_update,
+    calibrate_home_advantage,
     explicit_weighted_average,
     naive_season,
     oriented,

@@ -25,11 +25,8 @@ from courtcast.features import FeatureScheme, Label, MatchInstance, build_datase
 from courtcast.ingest import GameLogError, parse_game_log, write_game_log
 from courtcast.models import ModelError, ModelKind
 from courtcast.stats import Site
-from courtcast.synthetic import (
-    SyntheticLeagueSpec,
-    calibrate_home_advantage,
-    generate_league,
-)
+from courtcast.synthetic import SyntheticLeagueSpec, generate_league
+from tests.oracles import calibrate_home_advantage
 
 
 def make_instances(labels_by_date: list[tuple[str, list[Label]]]) -> list[MatchInstance]:

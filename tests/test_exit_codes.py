@@ -407,6 +407,23 @@ def test_a_setting_that_draws_a_huge_score_is_named(tmp_path, argv, settings):
     assert "over the box-score limit 1000000" in err, err
 
 
+DIVERGING = "learning_rate=1e308,momentum=1.0,epochs=200"
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--kind", "mlp", "--hyper", DIVERGING],
+    ["evaluate", "--kind", "mlp", "--hyper", DIVERGING],
+    ["glass-ceiling", *LEAGUE, "--kinds", "mlp", "--schemes", "adj_eff",
+     "--hyper", ",".join(f"mlp.{pair}" for pair in DIVERGING.split(","))],
+], ids=["train", "evaluate", "glass-ceiling"])
+def test_a_diverging_mlp_is_refused(league, tmp_path, argv):
+    # the weights overflow to inf, then turn NaN; no model may hold them
+    code, err = main(*argv, "--data", league / "sim" / "games.csv", "--out", tmp_path / "o")
+    assert code == 2, err
+    assert "diverged" in err and "learning_rate 1e+308 and momentum 1.0" in err, err
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_padded_value_is_echoed_as_its_config_file_reads_it(tmp_path):
     # the config file strips each value, so the run strips it too
     code, err = main("simulate", *LEAGUE, "--kinds", "  pythag ", "--out", tmp_path)

@@ -232,6 +232,20 @@ class TestMlp:
         probs = p_win(model, X, site)
         assert np.all((0.0 <= probs) & (probs <= 1.0))
 
+    def test_diverging_weights_are_refused(self):
+        # the weights overflow to inf and then turn NaN, with no warning
+        X, site, y = separable_arrays(40, seed=4)
+        hyper = {"learning_rate": 1e308, "momentum": 1.0, "epochs": 200}
+        with pytest.raises(ModelError, match=r"learning_rate 1e\+308 and momentum 1\.0"):
+            train_group({FeatureScheme.ADJ_EFF: X}, site, y, ModelKind.MLP, hyper)
+
+    def test_a_non_finite_weight_is_never_written(self, tmp_path):
+        model = train(separable_instances(20, seed=1), ModelKind.MLP, hyper={"epochs": 0})
+        model.params.theta[0] = np.nan
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_model(model, tmp_path / "model.json")
+        assert not (tmp_path / "model.json").exists()
+
     def test_hidden_width_default(self):
         # 4 numeric features + 1 site attribute + 2 classes -> ceil(7/2) = 4
         model = train(separable_instances(20, seed=1), ModelKind.MLP,
@@ -588,6 +602,88 @@ class TestGrowerMatchesOracle:
         seed = data.draw(st.integers(0, 2**16))
         got = forest_mod.fit(X, site, y, {"n_trees": n_trees, "candidate_features": k}, seed)
         assert_same_trees(got, grow_forest(X, site, y, n_trees, k, seed))
+
+    @pytest.mark.parametrize("seed", ORACLE_SEEDS)
+    @pytest.mark.parametrize("min_rows, min_branch", [(0, 3), (2, 10), (5, 25), (30, 30)])
+    def test_nodes_too_small_for_an_admissible_split(self, scheme_arrays, seed,
+                                                     min_rows, min_branch):
+        """Nodes of ``min_rows`` to ``2 * min_branch`` rows leave the grower
+        as leaves before any search; the oracle searches them and finds no
+        admissible split."""
+        X, site, y = scheme_arrays[seed, FeatureScheme.ADJ_FOUR_FACTORS]
+        got = tree_mod.grow_trees(X, site, y, [np.arange(len(y))], min_rows=min_rows,
+                                  min_branch=min_branch)
+        assert_same_trees(got, [grow_tree(X, site, y, min_rows=min_rows,
+                                          min_branch=min_branch)])
+        t = got[0]
+        impure = (t.feature == tree_mod.LEAF) & (t.wins > 0) & (t.wins < t.n)
+        assert np.any(impure & (t.n >= max(2, min_rows)) & (t.n < 2 * min_branch))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_all_feature_forest_on_duplicated_signed_zeros(self, data):
+        """Every feature at every node, on bootstrap samples that repeat rows
+        whose values are signed zeros and their neighbouring doubles."""
+        d = data.draw(st.integers(1, 3))
+        tiny = np.nextafter(0.0, 1.0)
+        values = st.sampled_from([-0.0, 0.0, tiny, -tiny, 1.0])
+        n = data.draw(st.integers(2, 24))
+        X = np.array(data.draw(st.lists(st.lists(values, min_size=d, max_size=d),
+                                        min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+        site = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        seed = data.draw(st.integers(0, 2**16))
+        got = forest_mod.fit(X, site, y, {"n_trees": 3, "candidate_features": d + 1}, seed)
+        assert_same_trees(got, grow_forest(X, site, y, 3, d + 1, seed))
+
+    @pytest.mark.parametrize("kind", ["tree", "forest"])
+    def test_each_nodes_lists_are_sorted_and_hold_its_rows(self, scheme_arrays,
+                                                           monkeypatch, kind):
+        X, site, y = scheme_arrays[9, FeatureScheme.ADJ_EFF]
+        seen = []
+        score = tree_mod._score
+
+        def recording(X, site, y, visits, min_branch):
+            seen.extend((v.growth, v.lists.copy(), v.parent, v.slot) for v in visits)
+            return score(X, site, y, visits, min_branch)
+
+        monkeypatch.setattr(tree_mod, "_score", recording)
+        if kind == "tree":
+            tree_mod.fit(X, site, y, {"min_node_fraction": 0.0}, 0)
+        else:
+            forest_mod.fit(X, site, y, {"n_trees": 3, "candidate_features": None}, 5)
+        assert len(X) < 128
+        roots = {id(g): lists[0] for g, lists, parent, _ in seen if parent < 0}
+        assert len(roots) == (1 if kind == "tree" else 3)
+        for growth, lists, parent, slot in seen:
+            assert lists.shape[0] == X.shape[1]
+            assert lists.dtype == np.int8      # the narrowest that holds len(X) < 128
+            for f, rows in enumerate(lists):
+                values = X[rows, f]
+                assert np.all(values[1:] >= values[:-1]), f
+                if kind == "tree":      # ties keep sample order, here row order
+                    assert np.all((values[1:] > values[:-1]) | (rows[1:] > rows[:-1])), f
+            node = growth.children[3 * parent + slot] if parent >= 0 else 0
+            reach = rows_reaching(growth.tree(), X, site, roots[id(growth)])[node]
+            for rows in lists:
+                assert np.array_equal(np.sort(rows), reach)
+
+
+def rows_reaching(t: tree_mod.Tree, X: np.ndarray, site: np.ndarray,
+                  sample: np.ndarray) -> dict[int, np.ndarray]:
+    """Each node's rows of ``sample`` (repeats kept), sorted, walked one row
+    at a time down ``t``."""
+    out: dict[int, list[int]] = {}
+    for row in sample.tolist():
+        node = 0
+        while True:
+            out.setdefault(node, []).append(row)
+            f = t.feature[node]
+            if f == tree_mod.LEAF:
+                break
+            right = not X[row, f] <= t.threshold[node]
+            node = t.children[node, site[row] if f == tree_mod.SITE_FEATURE else int(right)]
+    return {node: np.sort(rows) for node, rows in out.items()}
 
 
 class TestForestStreams:

@@ -22,7 +22,6 @@ from courtcast.synthetic import (
     RAW_POSS,
     SyntheticError,
     SyntheticLeagueSpec,
-    calibrate_home_advantage,
     calibrate_noise,
     generate_league,
     league_games,
@@ -30,7 +29,11 @@ from courtcast.synthetic import (
     spread_strengths,
     team_names,
 )
-from tests.oracles import calibrate_noise_per_game, generate_league_per_game
+from tests.oracles import (
+    calibrate_home_advantage,
+    calibrate_noise_per_game,
+    generate_league_per_game,
+)
 
 
 def net(strengths: dict[str, tuple[float, float]]) -> dict[str, float]:

@@ -48,6 +48,12 @@ for kind in naive_bayes_kde mlp decision_tree random_forest; do
     run "rank-$kind" rank $data --kind "$kind" $model
     run "evaluate-$kind" evaluate $data --kind "$kind" $hyper
 done
+# unpruned growth, and a forest that searches every feature at every node
+run train-tree-unpruned train $data --kind decision_tree --hyper min_node_fraction=0
+run evaluate-tree-unpruned evaluate $data --kind decision_tree --hyper min_node_fraction=0
+forest="--kind random_forest --hyper n_trees=3,candidate_features=17"
+run train-forest-all-features train $data $forest
+run evaluate-forest-all-features evaluate $data $forest
 for kind in pythag home_wins; do
     run "predict-$kind" predict $data --kind "$kind" $pair
     run "evaluate-$kind" evaluate $data --kind "$kind"
@@ -77,6 +83,8 @@ refuse refuse-kinds glass-ceiling --kinds naive_bayes_kde,bogus
 refuse refuse-schemes glass-ceiling --schemes adj_eff,elo
 refuse refuse-model-kind rank $data --kind decision_tree \
     --model train-naive_bayes_kde/model.json
+refuse refuse-mlp-diverges train $data --kind mlp \
+    --hyper learning_rate=1e308,momentum=1.0,epochs=200
 # four teams, two seasons of 40 rounds won 3-2 on 1000 field-goal attempts a
 # side: adjusted efficiencies near 0.3, whose 10000th powers are 0.0
 python3 - > tiny.csv <<'LOG'

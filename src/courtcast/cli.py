@@ -496,8 +496,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
             for team, (off, deff) in sorted(truth.strengths.items())]
     _write(cfg, "league_truth.csv", ["team", "off_strength", "def_strength", "net"], rows,
            f"best achievable accuracy {truth.bayes_accuracy:.4f}",
-           [f"noise = {truth.noise}", f"bayes_accuracy = {truth.bayes_accuracy}",
-            f"bayes_sims = {truth.bayes_sims}"])
+           [f"noise = {truth.noise}", f"bayes_accuracy = {truth.bayes_accuracy}"])
 
 
 def _ceiling_grid(cfg: RunConfig):

@@ -18,10 +18,9 @@ probabilities in game order.  A walk-forward
 evaluation is the grid of one cell; ``evaluate_predictor`` builds the same
 report from a predictor's picks on instances.  The ceiling experiment runs
 the grid on a synthetic league whose best achievable accuracy is known,
-reporting each cell's gap to that bound.  Each model kind, and the bound's
-Monte-Carlo run, is one job; the jobs run on up to one forked process per
-usable core, in process when that is one, and every output is the same bit
-for bit.
+reporting each cell's gap to that bound.  Each model kind is one job; the
+jobs run on up to one forked process per usable core, in process when that
+is one, and every output is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -269,21 +268,19 @@ def _run_jobs(jobs: list[tuple[Callable, tuple]]) -> list:
 
 def _grid(store: SeasonStore, test_season: int, kinds: list, schemes: list,
           hyper: dict, averaging: AveragingScheme, seeding: Seeding,
-          config: AdjustConfig, seed: int,
-          extra: Sequence[tuple[Callable, tuple]] = ()) -> tuple[Iterator[EvalReport], list]:
-    """Every (scheme, kind) cell's report on ``test_season``, in that order,
-    and the results of the ``extra`` jobs; ``kinds``, ``schemes`` and each
-    kind's ``hyper`` are as :func:`resolve_grid` returns them.  The reports
-    are built one at a time as they are read, so a caller that keeps a
-    summary of each holds one report's predictions at once.
+          config: AdjustConfig, seed: int) -> Iterator[EvalReport]:
+    """Every (scheme, kind) cell's report on ``test_season``, in that order;
+    ``kinds``, ``schemes`` and each kind's ``hyper`` are as
+    :func:`resolve_grid` returns them.  The reports are built one at a time
+    as they are read, so a caller that keeps a summary of each holds one
+    report's predictions at once.
 
     The adjust pass runs once, a season at a time: each training season is
     encoded for every scheme as soon as its run ends, and the run is then
     dropped.  Of the test season's run only its games' keys are kept once
     it is encoded, with its rows if pythag scores them.  Each trained kind
     is one :func:`_kind_probs` job, which trains it once over all schemes;
-    :func:`_run_jobs` runs these and the ``extra`` jobs.  The baselines are
-    scored in process.
+    :func:`_run_jobs` runs these.  The baselines are scored in process.
     """
     n_past = len(training_seasons(store, test_season))
     past = []
@@ -301,9 +298,8 @@ def _grid(store: SeasonStore, test_season: int, kinds: list, schemes: list,
     keys, pre_rows = run.columns.keys(), run.pre_rows if "pythag" in kinds else None
     del past, Xs, sites, ys, run
     trained = [kind for kind in kinds if isinstance(kind, ModelKind)]
-    results = _run_jobs([(_kind_probs, (train, test, kind, hyper[kind], seed))
-                         for kind in trained] + list(extra))
-    probs = dict(zip(trained, results))
+    probs = dict(zip(trained, _run_jobs([(_kind_probs, (train, test, kind, hyper[kind], seed))
+                                         for kind in trained])))
     _, site, y = test
     codes, won, n_train = site.tolist(), y.tolist(), len(train[2])
     if "home_wins" in kinds:
@@ -325,7 +321,7 @@ def _grid(store: SeasonStore, test_season: int, kinds: list, schemes: list,
                     test_season=test_season, kind=getattr(kind, "value", kind),
                     scheme=scheme.value, averaging=averaging.value,
                     seeding=seeding.value, seed=seed, n_train=n_train)
-    return reports(), results[len(trained):]
+    return reports()
 
 
 def walk_forward_evaluate(store: SeasonStore, test_season: int,
@@ -344,8 +340,8 @@ def walk_forward_evaluate(store: SeasonStore, test_season: int,
     (kind,), (scheme,), resolved = resolve_grid([kind], {kind: hyper or {}}, [scheme])
     (averaging,) = named([averaging], AveragingScheme, "averaging", EvalError)
     (seeding,) = named([seeding], Seeding, "seeding", EvalError)
-    [report], _ = _grid(store, test_season, [kind], [scheme], resolved, averaging,
-                        seeding, config or AdjustConfig(), seed)
+    [report] = _grid(store, test_season, [kind], [scheme], resolved, averaging,
+                     seeding, config or AdjustConfig(), seed)
     return report
 
 
@@ -392,12 +388,12 @@ def glass_ceiling_experiment(
         hyper_overrides: Mapping[str, Mapping[str, object]] | None = None) -> CeilingReport:
     """Run every (kind, scheme) cell against a known accuracy bound.
 
-    The league's games are generated from ``spec`` (its last season is the
-    test season) and run through the grid core, where each cell scores as
-    its own walk-forward evaluation does.  Each model kind trains once over
-    all schemes (an MLP's networks in lockstep) and scores its test sets, as
-    one job, and the bound, the best achievable accuracy every cell is
-    compared to, is one more job handed to the grid; the jobs run on up to
+    The league's games and its bound, the best achievable accuracy every
+    cell is compared to, are generated from ``spec`` (its last season is the
+    test season) before any model trains.  The games run through the grid
+    core, where each cell scores as its own walk-forward evaluation does.
+    Each model kind trains once over all schemes (an MLP's networks in
+    lockstep) and scores its test sets, as one job; the jobs run on up to
     one forked process per usable core, with the same bits as in process.
     The report lists the cells in (scheme, kind) order.
     ``hyper_overrides`` maps a kind to hyperparameter overrides for that
@@ -413,11 +409,12 @@ def glass_ceiling_experiment(
     (averaging,) = named([averaging], AveragingScheme, "averaging", EvalError)
     (seeding,) = named([seeding], Seeding, "seeding", EvalError)
     store = league_games(spec)
+    truth = league_truth(spec)
     test_season = spec.first_season + spec.n_seasons - 1
     config = config or AdjustConfig()
 
-    reports, (truth,) = _grid(store, test_season, kinds, schemes, resolved, averaging,
-                              seeding, config, seed, [(league_truth, (spec,))])
+    reports = _grid(store, test_season, kinds, schemes, resolved, averaging,
+                    seeding, config, seed)
     cells = tuple(CeilingCell(kind=r.kind, scheme=r.scheme, accuracy=r.accuracy,
                               gap=r.accuracy - truth.bayes_accuracy, n_test=r.n_test)
                   for r in reports)
@@ -427,7 +424,6 @@ def glass_ceiling_experiment(
             "averaging": averaging.value, "seeding": seeding.value,
             "hyper_overrides": {str(getattr(k, "value", k)): dict(v)
                                 for k, v in (hyper_overrides or {}).items()},
-            "bayes_sims": truth.bayes_sims,
             "spec": asdict(spec)}
     return CeilingReport(
         bound=truth.bayes_accuracy,

@@ -9,24 +9,21 @@ formulas applied to the generated data recover the latent structure.
 
 Because the winner is a deterministic function of the two point totals, the
 generator can also grade itself: for every distinct matchup it records the
-exact win probability (by Monte Carlo over the same outcome function) and
-from those the best accuracy any predictor could reach on the schedule.
-No model evaluated on the league should beat that number by more than
-sampling error.
+exact win probability, summed over the two sides' point-total
+distributions, and from those the best accuracy any predictor could reach
+on the schedule.  No model evaluated on the league should beat that number
+by more than sampling error.
 
 Generation works on tables, not one game at a time.  Both halves read one
 schedule table built from the spec: a season's games as arrays of rounds,
 team indices, location codes and expected efficiencies, with no per-game
 Python value.  The log repeats it over the seasons; all games' realized
 efficiencies come from one ``standard_normal((games, 2))`` draw, and their
-points from one elementwise pass of the tie rule.  A box pair is built once
-per distinct ``(points_a, points_b)``, and the store's box column is that
-table's rows taken in game order.  The bound simulates the table's distinct
-matchups a block at a time, one ``standard_normal((k, 2, sims))`` draw per
-block of at most ``_BLOCK`` doubles (or of one matchup that needs more).  A
-numpy ``Generator`` fills an array in order, so each game and each matchup
-sees exactly the draws that a call of its own would give, and the league is
-the same, bit for bit.
+points from one elementwise pass of the tie rule.  A numpy ``Generator``
+fills an array in order, so each game sees exactly the draws that a call of
+its own would give, and the league is the same, bit for bit.  A box pair is
+built once per distinct ``(points_a, points_b)``, and the store's box column
+is that table's rows taken in game order.
 """
 
 from __future__ import annotations
@@ -146,7 +143,6 @@ class LeagueTruth:
     noise: float
     home_advantage: float
     bayes_accuracy: float     # mean over scheduled games of max(p, 1-p)
-    bayes_sims: int
     matchup_probs: dict[tuple[str, str, Location], float]  # p(team_a wins)
 
     def net_order(self) -> list[str]:
@@ -258,57 +254,74 @@ def _boxes(points_a: int, points_b: int) -> tuple[BoxScore, BoxScore]:
     return box_a, box_b
 
 
-# doubles of one Monte-Carlo block; a matchup needing more is simulated alone
-_BLOCK = 1 << 15
+# the most noise the bound is summed for: its window of point totals grows
+# with the noise, and at 1,000 the points' SD is about ten times the mean score
+MAX_NOISE = 1_000.0
+_REACH = 9.0            # SDs of the underdog's points summed over on each side
+_BLOCK = 1 << 14        # offsets passed to erfc at a time
 
 
-def _win_probs(mus: np.ndarray, noise: float, rng: np.random.Generator,
-               sims: int) -> np.ndarray:
-    """P(side a wins) for each ``(mu_a, mu_b)`` row of ``mus``, under the
-    exact outcome function, by Monte Carlo over ``sims`` games (one game
-    without draws when ``noise`` is 0, which decides the matchup).
+def _win_probs(mus: np.ndarray, noise: float) -> np.ndarray:
+    """P(side a wins) for each ``(mu_a, mu_b)`` row of ``mus``, exactly.  A
+    side scores ``max(rint(N(mu, noise) * POINTS_PER_EFF), 4)`` points and
+    wins by outscoring the other, or on a tie when its expectation is the
+    higher (side a's when equal); at noise 0 the expectations decide.
 
-    Rows are simulated in order, a block of rows per draw, so each sees the
-    draws of its own ``standard_normal((2, sims))`` call.  Side a wins a game
-    by outscoring side b, or on a tie when ``mu_a >= mu_b``.
+    Each distinct (favorite, underdog) pair is summed once, for a matchup
+    and its mirror: the favorite wins with ``sum_k P(U = k) P(F >= k)`` over
+    the underdog's totals within ``_REACH`` SDs of its mean (the first and
+    last take the tails), where ``P(X <= k) = Phi((k + 0.5 - mean) / sd)``
+    for ``k >= 4``.  Totals are offsets from a side's mean, exact at any
+    magnitude, clipped where the normal tail is below any double.
     """
-    per_block = max(1, _BLOCK // (2 * sims))
-    probs = np.empty(len(mus))
-    for lo in range(0, len(mus), per_block):
-        block = mus[lo:lo + per_block, :, None]
-        if noise == 0.0:
-            pts = block.copy()
-        else:
-            pts = rng.standard_normal((len(block), 2, sims))
-            with np.errstate(over="ignore"):  # a draw past the float range scores +-inf
-                pts *= noise
-                pts += block
-        _points(pts)
-        pa, pb = pts[:, 0], pts[:, 1]
-        won = np.where(block[:, 0] >= block[:, 1], pa >= pb, pa > pb)
-        probs[lo:lo + len(block)] = np.count_nonzero(won, axis=1) / won.shape[1]
-    return probs
+    a_favored = mus[:, 0] >= mus[:, 1]
+    pairs, which = np.unique(np.where(a_favored[:, None], mus, mus[:, ::-1]), axis=0,
+                             return_inverse=True)
+    if noise == 0.0:
+        pts = _points(pairs.copy())
+        favorite = (pts[:, 0] >= pts[:, 1]).astype(float)
+    else:
+        sd = noise * POINTS_PER_EFF
+        width = math.ceil(2.0 * _REACH * sd) + 2
+        steps = np.arange(float(width))     # k - start, over the underdog's totals k
+        scale = max(sd * math.sqrt(2.0), math.ulp(0.0))   # 0 at the least noise
+
+        def half_erfc(offsets: np.ndarray) -> np.ndarray:   # P(N(0, sd) > offset)
+            np.clip(offsets, -40.0 * scale, 40.0 * scale, out=offsets)
+            offsets /= scale
+            values = np.fromiter(map(math.erfc, offsets.ravel().tolist()), float, offsets.size)
+            return np.multiply(values.reshape(offsets.shape), 0.5, out=offsets)
+
+        favorite = np.empty(len(pairs))
+        per_block = max(1, _BLOCK // width)
+        for lo in range(0, len(pairs), per_block):
+            fav, dog = (pairs[lo:lo + per_block, :, None] * POINTS_PER_EFF).transpose(1, 0, 2)
+            start = np.maximum(np.floor(dog - _REACH * sd), 4.0)  # the underdog's first total
+            below = half_erfc(dog - start - 0.5 - steps)          # P(U <= k)
+            below[:, -1] = 1.0
+            above = half_erfc(start - fav - 0.5 + steps)          # P(F >= k)
+            above[start[:, 0] == 4.0, 0] = 1.0                    # F >= 4 always
+            favorite[lo:lo + len(fav)] = np.einsum(
+                "ij,ij->i", np.diff(below, axis=1, prepend=0.0), above)
+    p = favorite[which.reshape(-1)]
+    return np.where(a_favored, p, 1.0 - p)
 
 
 def generate_league(spec: SyntheticLeagueSpec,
-                    bayes_sims: int = 100_000) -> tuple[SeasonStore, LeagueTruth]:
+                    bayes_sims: int | None = None) -> tuple[SeasonStore, LeagueTruth]:
     """Simulate a league and record its generative ground truth.
 
     Returns the game log as a :class:`SeasonStore` plus a
     :class:`LeagueTruth` carrying the latent strengths, the exact win
     probability of every scheduled matchup, and the schedule-weighted best
-    achievable accuracy (``bayes_sims`` Monte-Carlo outcomes per distinct
-    matchup; at least 1e5 for a trustworthy third digit).  The two halves,
-    :func:`league_games` and :func:`league_truth`, each build the schedule
-    table from ``spec`` and draw from separate streams, so either may run
-    first, or elsewhere.
+    achievable accuracy.  The two halves, :func:`league_games` and
+    :func:`league_truth`, each build the schedule table from ``spec``, so
+    either may run first, or elsewhere.
+
+    ``bayes_sims`` is ignored: the bound's Monte-Carlo draws per matchup
+    before it was summed exactly, kept while the benchmark passes it.
     """
-    return league_games(spec), league_truth(spec, bayes_sims)
-
-
-def _streams(spec: SyntheticLeagueSpec) -> list[np.random.Generator]:
-    """The games' and the bound's random streams, in that order."""
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(spec.seed).spawn(2)]
+    return league_games(spec), league_truth(spec)
 
 
 def _season(spec: SyntheticLeagueSpec) -> tuple[np.ndarray, ...]:
@@ -332,7 +345,8 @@ def league_games(spec: SyntheticLeagueSpec) -> SeasonStore:
     """The game log of :func:`generate_league`: the season table repeated
     over the seasons, a season's rounds two days apart from November 1."""
     rounds, a, b, loc, mus = _season(spec)
-    rng_games, _ = _streams(spec)
+    # the first stream spawned from the seed, so that a seed keeps its league
+    rng_games = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
     n = spec.n_seasons
     starts = np.array([dt.date(spec.first_season + k, 11, 1).toordinal() for k in range(n)])
     seasons = np.repeat(spec.first_season + np.arange(n), len(rounds))
@@ -364,35 +378,23 @@ def league_games(spec: SyntheticLeagueSpec) -> SeasonStore:
         np.tile(loc, n)[order], table[which.reshape(-1)[order]])
 
 
-def league_truth(spec: SyntheticLeagueSpec, bayes_sims: int = 100_000) -> LeagueTruth:
+def league_truth(spec: SyntheticLeagueSpec) -> LeagueTruth:
     """The ground truth of :func:`generate_league`: each distinct matchup of
-    the season table, simulated once, graded over every scheduled game."""
-    if bayes_sims < 1:
-        raise SyntheticError("bayes_sims must be >= 1")
+    the season table, summed once, graded over every scheduled game.  Noise
+    over :data:`MAX_NOISE` is refused."""
+    if spec.noise > MAX_NOISE:
+        raise SyntheticError(f"noise {spec.noise} is over {MAX_NOISE}, the most noise "
+                             f"the accuracy bound is summed for")
     _, a, b, loc, mus = _season(spec)
     keys, first, matchup = np.unique(np.column_stack([a, b, loc]), axis=0,
                                      return_index=True, return_inverse=True)
-    pairs = list(map(tuple, mus[first].tolist()))
-    # distinct matchups often share an expected-efficiency pair (equal-strength
-    # leagues collapse to a handful), so simulate once per (mu_a, mu_b); a pair
-    # whose mirror came first in key order takes the mirror's complement
-    simulated, mirrored, seen = [], [], set()
-    for mu_a, mu_b in dict.fromkeys(pairs):
-        (mirrored if (mu_b, mu_a) in seen else simulated).append((mu_a, mu_b))
-        seen.add((mu_a, mu_b))
-    _, rng_bayes = _streams(spec)
-    wins = _win_probs(np.array(simulated), spec.noise, rng_bayes, bayes_sims)
-    by_mu = dict(zip(simulated, wins.tolist()))
-    for mu_a, mu_b in mirrored:
-        by_mu[(mu_a, mu_b)] = 1.0 - by_mu[(mu_b, mu_a)]
-    probs = np.array([by_mu[pair] for pair in pairs])
+    probs = _win_probs(mus[first], spec.noise)
     per_game = np.maximum(probs, 1.0 - probs)[matchup.reshape(-1)]
     names = team_names(spec.n_teams)
     return LeagueTruth(
         strengths=spec.resolved_strengths(), noise=spec.noise,
         home_advantage=spec.home_advantage,
         bayes_accuracy=float(np.mean(np.tile(per_game, spec.n_seasons))),
-        bayes_sims=bayes_sims,
         matchup_probs={(names[i], names[j], LOCATIONS[code]): p
                        for (i, j, code), p in zip(keys.tolist(), probs.tolist())})
 
@@ -410,8 +412,9 @@ def _favorite_prob(abs_mu_gap: float, noise: float) -> float:
 def calibrate_noise(spec: SyntheticLeagueSpec, target: float) -> float:
     """Noise level at which the schedule's best achievable accuracy ~= target.
 
-    Uses the Gaussian form of the integer point margin; the Monte-Carlo
-    number recorded at generation time lands within a few thousandths.
+    Uses the Gaussian form of the integer point margin, which leaves out
+    the 4-point floor; the exact bound recorded at generation time lands
+    within a few thousandths.
     """
     if not 0.5 < target < 1.0:
         raise SyntheticError(f"target accuracy must be in (0.5, 1), got {target}")

@@ -28,10 +28,10 @@ point must return the same noise exactly.  Beside it sits the inverse of the
 margin model, the home offset that gives a target home-win rate between
 equal teams: no program code needs it, and the tests use it to set up
 leagues.  Last comes the league generator that draws, scores and boxes one
-game at a time and simulates one matchup per ``standard_normal((2, sims))``
-call: the box table, the single draw for
-all games and the blocked Monte-Carlo bound must give the same store and
-the same truth, bit for bit.
+game at a time: the box table and the single draw for all games must give
+the same store, bit for bit.  Beside it, a matchup's win probability by
+Monte Carlo over its games, which the exact bound must match within
+sampling error.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from courtcast.models.tree import (
 from courtcast.stats import FourFactors, game_stats
 from courtcast.synthetic import (
     POINTS_PER_EFF,
-    LeagueTruth,
     SyntheticError,
     SyntheticLeagueSpec,
     _boxes,
@@ -743,8 +742,10 @@ def _points_from_effs_scalar(eff_a: float, eff_b: float, mu_a: float, mu_b: floa
     return pa, pb
 
 
-def _matchup_prob(mu_a: float, mu_b: float, noise: float,
-                  rng: np.random.Generator, sims: int) -> float:
+def simulated_win_prob(mu_a: float, mu_b: float, noise: float,
+                       rng: np.random.Generator, sims: int) -> float:
+    """P(side a wins) by Monte Carlo over ``sims`` games of the outcome
+    function (one game without draws when ``noise`` is 0)."""
     if noise == 0.0:
         pa, pb = _points_from_effs_scalar(mu_a, mu_b, mu_a, mu_b)
         return 1.0 if pa > pb else 0.0
@@ -754,21 +755,16 @@ def _matchup_prob(mu_a: float, mu_b: float, noise: float,
     return float(np.mean(pa > pb))
 
 
-def generate_league_per_game(spec: SyntheticLeagueSpec,
-                             bayes_sims: int = 100_000) -> tuple[SeasonStore, LeagueTruth]:
-    """``synthetic.generate_league`` one game and one matchup at a time: a
-    ``standard_normal(2)`` draw and a fresh pair of boxes per game, and a
-    ``standard_normal((2, sims))`` draw per simulated matchup."""
-    if bayes_sims < 1:
-        raise SyntheticError("bayes_sims must be >= 1")
+def league_games_per_game(spec: SyntheticLeagueSpec) -> SeasonStore:
+    """``synthetic.league_games`` one game at a time: a ``standard_normal(2)``
+    draw and a fresh pair of boxes per game, from the seed's first child
+    stream."""
     names = team_names(spec.n_teams)
     strengths = spec.resolved_strengths()
     rounds = _schedule(spec)
-    ss = np.random.SeedSequence(spec.seed)
-    rng_games, rng_bayes = (np.random.default_rng(s) for s in ss.spawn(2))
+    rng_games = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(1)[0])
 
-    classes: dict[tuple[str, str, Location], tuple[float, float]] = {}
-    schedule: list[tuple[int, dt.date, str, str, Location]] = []
+    records = []
     for season_idx in range(spec.n_seasons):
         season = spec.first_season + season_idx
         start = dt.date(season, 11, 1)
@@ -780,41 +776,18 @@ def generate_league_per_game(spec: SyntheticLeagueSpec,
                 if first > second:
                     first, second = second, first
                     loc = loc.swapped()
-                key = (first, second, loc)
-                if key not in classes:
-                    off_a, def_a = strengths[first]
-                    off_b, def_b = strengths[second]
-                    edge_a = spec.home_advantage if loc is Location.HOME_A else 0.0
-                    edge_b = spec.home_advantage if loc is Location.HOME_B else 0.0
-                    classes[key] = (expected_efficiency(off_a, def_b, edge_a),
-                                    expected_efficiency(off_b, def_a, edge_b))
-                schedule.append((season, date, first, second, loc))
-
-    records = []
-    for season, date, first, second, loc in schedule:
-        mu_a, mu_b = classes[(first, second, loc)]
-        if spec.noise == 0.0:
-            eff_a, eff_b = mu_a, mu_b
-        else:
-            z = rng_games.standard_normal(2)
-            eff_a, eff_b = mu_a + spec.noise * z[0], mu_b + spec.noise * z[1]
-        pa, pb = _points_from_effs_scalar(eff_a, eff_b, mu_a, mu_b)
-        box_a, box_b = _boxes(int(pa), int(pb))
-        records.append(GameRecord(date, season, first, second, loc, box_a, box_b))
-
-    by_mu: dict[tuple[float, float], float] = {}
-    for key, (mu_a, mu_b) in sorted(classes.items()):
-        if (mu_a, mu_b) not in by_mu:
-            if (mu_b, mu_a) in by_mu and mu_a != mu_b:
-                by_mu[(mu_a, mu_b)] = 1.0 - by_mu[(mu_b, mu_a)]
-            else:
-                by_mu[(mu_a, mu_b)] = _matchup_prob(
-                    mu_a, mu_b, spec.noise, rng_bayes, bayes_sims)
-    probs = {key: by_mu[mus] for key, mus in sorted(classes.items())}
-    per_game = [max(probs[(a, b, loc)], 1.0 - probs[(a, b, loc)])
-                for _, _, a, b, loc in schedule]
-    truth = LeagueTruth(
-        strengths=strengths, noise=spec.noise, home_advantage=spec.home_advantage,
-        bayes_accuracy=float(np.mean(per_game)), bayes_sims=bayes_sims,
-        matchup_probs=probs)
-    return SeasonStore(records), truth
+                off_a, def_a = strengths[first]
+                off_b, def_b = strengths[second]
+                mu_a = expected_efficiency(
+                    off_a, def_b, spec.home_advantage if loc is Location.HOME_A else 0.0)
+                mu_b = expected_efficiency(
+                    off_b, def_a, spec.home_advantage if loc is Location.HOME_B else 0.0)
+                if spec.noise == 0.0:
+                    eff_a, eff_b = mu_a, mu_b
+                else:
+                    z = rng_games.standard_normal(2)
+                    eff_a, eff_b = mu_a + spec.noise * z[0], mu_b + spec.noise * z[1]
+                pa, pb = _points_from_effs_scalar(eff_a, eff_b, mu_a, mu_b)
+                box_a, box_b = _boxes(int(pa), int(pb))
+                records.append(GameRecord(date, season, first, second, loc, box_a, box_b))
+    return SeasonStore(records)

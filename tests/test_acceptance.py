@@ -144,10 +144,10 @@ def test_criterion_2_adjustment_matches_naive_reference(capsys):
         start = time.perf_counter()
         spec = SyntheticLeagueSpec(n_teams=4, games_per_team=6, n_seasons=1,
                                    noise=4.0, seed=11)
-        store, _ = generate_league(spec, bayes_sims=1)
+        store, _ = generate_league(spec)
         assert store.n_games == 12
         two_spec = dataclasses.replace(spec, n_seasons=2)
-        two_store, _ = generate_league(two_spec, bayes_sims=1)
+        two_store, _ = generate_league(two_spec)
 
         for st in (store, two_store):
             for scheme, seeding in ALL_COMBOS:
@@ -168,7 +168,7 @@ def test_criterion_3_no_leakage_at_random_truncations(capsys):
                               "bitwise unchanged"):
         spec = SyntheticLeagueSpec(n_teams=12, games_per_team=16, n_seasons=1,
                                    noise=5.0, seed=21)
-        store, _ = generate_league(spec, bayes_sims=1)
+        store, _ = generate_league(spec)
         season = store.seasons[0]
         full = {(sch, sd): run_seasons(store, sch, sd, through=season)[season]
                 for sch, sd in ALL_COMBOS}
@@ -204,7 +204,7 @@ def test_criterion_5_all_kinds_learn_a_separable_league(capsys):
                               "kind >= 0.95; constant labels error out"):
         spec = SyntheticLeagueSpec(n_teams=20, games_per_team=25, n_seasons=3,
                                    noise=0.0, seed=17)
-        store, _ = generate_league(spec, bayes_sims=1)
+        store, _ = generate_league(spec)
         runs = run_seasons(store, AveragingScheme.ALPHA, Seeding.PRIOR_SEASON,
                            AdjustConfig())
         train_set, test_set = build_dataset(store, runs, FeatureScheme.ADJ_EFF,
@@ -230,7 +230,7 @@ def test_criterion_6_home_baseline_hits_the_observed_band(capsys):
         spec = SyntheticLeagueSpec(n_teams=40, games_per_team=100, n_seasons=2,
                                    noise=8.0, home_advantage=offset,
                                    strength_spread=0.0, seed=29)
-        store, _ = generate_league(spec, bayes_sims=1)
+        store, _ = generate_league(spec)
         report = walk_forward_evaluate(store, store.seasons[-1], "home_wins",
                                        FeatureScheme.ADJ_EFF)
         assert report.n_test >= 2000

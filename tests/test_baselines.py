@@ -288,7 +288,7 @@ def test_batched_model_ranking_equals_per_pair_predictions(league, kind):
 def season16():
     """A generated 16-team league: its store, adjusted runs and test season."""
     spec = SyntheticLeagueSpec(n_teams=16, games_per_team=12, n_seasons=2, seed=6)
-    store, _ = generate_league(spec, bayes_sims=1_000)
+    store, _ = generate_league(spec)
     test_season = store.seasons[-1]
     runs = run_seasons(store, AveragingScheme.ALPHA, Seeding.PRIOR_SEASON,
                        through=test_season)

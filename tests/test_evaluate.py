@@ -56,7 +56,7 @@ REPORT_KW = dict(test_season=2021, kind="probe", scheme="adj_eff",
 def noise_free_league():
     spec = SyntheticLeagueSpec(n_teams=8, games_per_team=14, n_seasons=2,
                                noise=0.0, seed=5)
-    store, _ = generate_league(spec, bayes_sims=100)
+    store, _ = generate_league(spec)
     return store
 
 
@@ -197,7 +197,7 @@ class TestWalkForward:
         spec = SyntheticLeagueSpec(n_teams=20, games_per_team=40, n_seasons=2,
                                    noise=8.0, home_advantage=edge,
                                    strength_spread=0.0, seed=13)
-        store, _ = generate_league(spec, bayes_sims=1_000)
+        store, _ = generate_league(spec)
         report = walk_forward_evaluate(store, 2022, "home_wins", FeatureScheme.RAW)
         assert report.accuracy == pytest.approx(0.63, abs=0.05)
         assert report.n_test == 400
@@ -441,7 +441,7 @@ def test_every_test_set_is_in_report_order(tmp_path):
     # report's (date, team_first, team_second) order, whatever the log's
     spec = SyntheticLeagueSpec(n_teams=8, games_per_team=14, n_seasons=2,
                                noise=6.0, seed=9)
-    store, _ = generate_league(spec, bayes_sims=100)
+    store, _ = generate_league(spec)
     write_game_log(store, tmp_path / "games.csv")
     header, *rows = (tmp_path / "games.csv").read_text().splitlines()
     random.Random(3).shuffle(rows)

@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from courtcast import cli
+from courtcast import cli, evaluate
 from courtcast.ingest import HEADER, write_game_log
 from courtcast.features import FeatureScheme
 from courtcast.models import HYPERPARAMETERS, ModelError, ModelKind, load_model
@@ -405,6 +405,21 @@ def test_a_setting_that_draws_a_huge_score_is_named(tmp_path, argv, settings):
     assert code == 2, err
     assert f"{settings} draw a point total of " in err, err
     assert "over the box-score limit 1000000" in err, err
+
+
+@pytest.mark.parametrize("command", ["simulate", "glass-ceiling"])
+def test_noise_over_the_bounds_limit_is_named_before_any_model_trains(
+        tmp_path, monkeypatch, command):
+    # the games are drawn (no point total is huge), then the bound refuses
+    def grid_ran(*args, **kwargs):
+        raise AssertionError("the grid ran before the bound was refused")
+
+    monkeypatch.setattr(evaluate, "_grid", grid_ran)
+    code, err = main(command, *LEAGUE, "--noise", "1e5", "--out", tmp_path / "o")
+    assert code == 2, err
+    assert "noise 100000.0 is over 1000.0, the most noise the accuracy bound is summed for" \
+        in err, err
+    assert not (tmp_path / "o").exists()
 
 
 DIVERGING = "learning_rate=1e308,momentum=1.0,epochs=200"

@@ -1,5 +1,5 @@
-"""The ceiling grid's fan-out: its model kinds and its bound run on forked
-workers, one per usable core, and give what one process gives, bit for bit.
+"""The ceiling grid's fan-out: its model kinds run on forked workers, one per
+usable core, and give what one process gives, bit for bit.
 
 ``evaluate._usable_cores`` is patched to pick the path: 1 runs every job in
 process, 2 forks two workers whatever the host has.
@@ -168,7 +168,7 @@ def test_the_grid_builds_no_instances_and_frees_the_training_runs(monkeypatch):
     for n in (1, 2):
         cores(monkeypatch, n)
         assert reports() == want
-    assert checked == [1, 0, 0, 2] * 2
+    assert checked == [1, 0, 0, 1] * 2
     assert not multiprocessing.active_children()
 
 

@@ -194,7 +194,7 @@ def league() -> SeasonStore:
     """A generated two-season league, plus a newcomer in the second season
     whose opener falls on a date its opponent also plays another game."""
     store, _ = generate_league(SyntheticLeagueSpec(n_teams=6, games_per_team=4,
-                                                   n_seasons=2, seed=5), bayes_sims=1)
+                                                   n_seasons=2, seed=5))
     g = store.games(store.seasons[-1])[0]
     newcomer = oriented(g.date, g.season, g.team_a, "zz", Location.HOME_A, g.box_b, g.box_a)
     return SeasonStore(store.all_games() + [newcomer])
@@ -251,7 +251,7 @@ class TestBuildDataset:
 
     def test_training_seasons_accumulate(self):
         store, _ = generate_league(SyntheticLeagueSpec(n_teams=4, games_per_team=3,
-                                                       n_seasons=3, seed=2), bayes_sims=1)
+                                                       n_seasons=3, seed=2))
         runs = run_seasons(store)
         train_2022, test_2022 = build_dataset(store, runs, FeatureScheme.ADJ_EFF, 2022)
         train_2023, test_2023 = build_dataset(store, runs, FeatureScheme.ADJ_EFF, 2023)

@@ -410,7 +410,7 @@ class TestForest:
 def league_runs():
     """A generated league, its runs and its test season."""
     spec = SyntheticLeagueSpec(n_teams=10, games_per_team=12, n_seasons=2, seed=4)
-    store, _ = generate_league(spec, bayes_sims=1_000)
+    store, _ = generate_league(spec)
     test_season = store.seasons[-1]
     return store, run_seasons(store, AveragingScheme.ALPHA, Seeding.PRIOR_SEASON,
                               through=test_season), test_season
@@ -533,7 +533,7 @@ def scheme_arrays():
     out = {}
     for seed in ORACLE_SEEDS:
         spec = SyntheticLeagueSpec(n_teams=12, games_per_team=14, n_seasons=2, seed=seed)
-        store, _ = generate_league(spec, bayes_sims=100)
+        store, _ = generate_league(spec)
         test_season = store.seasons[-1]
         runs = run_seasons(store, AveragingScheme.ALPHA, Seeding.PRIOR_SEASON,
                            through=test_season)

@@ -131,7 +131,7 @@ class TestGameArrays:
     @pytest.mark.parametrize("ft_weight", [DEFAULT_FT_WEIGHT, OLIVER_FT_WEIGHT])
     def test_every_game_of_a_league_matches_bitwise(self, ft_weight):
         spec = SyntheticLeagueSpec(n_teams=24, games_per_team=20, n_seasons=2, seed=5)
-        store = generate_league(spec, bayes_sims=1)[0]
+        store = generate_league(spec)[0]
         games = store.all_games()
         got = game_arrays(np.concatenate([store.columns(s).box for s in store.seasons]),
                           ft_weight)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 import math
+import re
 import sys
 import warnings
 from collections import Counter
@@ -32,7 +33,8 @@ from courtcast.synthetic import (
 from tests.oracles import (
     calibrate_home_advantage,
     calibrate_noise_per_game,
-    generate_league_per_game,
+    league_games_per_game,
+    simulated_win_prob,
 )
 
 
@@ -214,56 +216,90 @@ class TestGroundTruth:
 
     def test_net_order_sorts_by_net_strength(self):
         spec = SyntheticLeagueSpec(n_teams=6, games_per_team=5, n_seasons=1, seed=1)
-        _, truth = generate_league(spec, bayes_sims=1_000)
+        _, truth = generate_league(spec)
         nets = net(truth.strengths)
         order = truth.net_order()
         assert sorted(order, key=lambda t: (-nets[t], t)) == order
 
-    def test_bayes_sims_must_be_positive(self):
-        spec = SyntheticLeagueSpec(n_teams=4, games_per_team=4)
-        with pytest.raises(SyntheticError, match="bayes_sims"):
-            generate_league(spec, bayes_sims=0)
+    def test_the_ignored_bayes_sims_keyword_changes_nothing(self):
+        # the benchmark still passes it
+        spec = SyntheticLeagueSpec(n_teams=8, games_per_team=10, n_seasons=2, seed=3)
+        store, truth = generate_league(spec, bayes_sims=2_000)
+        want_store, want_truth = generate_league(spec)
+        assert store.all_games() == want_store.all_games()
+        assert truth == want_truth
 
 
 def _hexed(truth) -> tuple:
     return ([(key, p.hex()) for key, p in truth.matchup_probs.items()],
-            truth.bayes_accuracy.hex(), truth.bayes_sims)
+            truth.bayes_accuracy.hex())
 
 
 class TestPerGameOracle:
     """The table-driven generator must build the per-game generator's league."""
 
-    @pytest.mark.parametrize("sims", [1, 2_000, 100_000])
     @pytest.mark.parametrize("kw", [
         dict(noise=6.0),
         dict(noise=0.0),
         dict(noise=6.0, imbalance=0.75),
         dict(noise=5.0, home_advantage=3.0),
         dict(noise=0.0, imbalance=0.75, home_advantage=3.0),
-        # every matchup ties; with a home edge, each pair's mirror follows it
+        # equal strengths: without a home edge every game's expectations tie
         dict(noise=6.0, strength_spread=0.0),
         dict(noise=6.0, strength_spread=0.0, home_advantage=3.0),
         dict(noise=0.0, strength_spread=0.0, home_advantage=3.0),
     ], ids=repr)
-    def test_same_store_and_truth_bit_for_bit(self, kw, sims):
-        # a block holds every matchup at 1 draw and 8 at 2,000; at 100,000 one
-        # matchup fills more than a block; 4 teams keep that case cheap
-        spec = SyntheticLeagueSpec(n_teams=4 if sims > 2_000 else 8, games_per_team=10,
-                                   n_seasons=2, seed=3, **kw)
-        store, truth = generate_league(spec, bayes_sims=sims)
-        oracle_store, oracle_truth = generate_league_per_game(spec, bayes_sims=sims)
-        assert store.all_games() == oracle_store.all_games()
-        assert _hexed(truth) == _hexed(oracle_truth)
-        assert truth == oracle_truth
+    def test_same_store_bit_for_bit(self, kw):
+        spec = SyntheticLeagueSpec(n_teams=8, games_per_team=10, n_seasons=2, seed=3, **kw)
+        assert league_games(spec).all_games() == league_games_per_game(spec).all_games()
 
 
-def test_the_bound_at_the_largest_noise_is_finite_without_warnings():
-    # draws past the float range overflow to +-inf points, which the outcome
-    # function still orders
-    spec = SyntheticLeagueSpec(n_teams=2, games_per_team=1, noise=sys.float_info.max)
+def _win_prob(mu_a: float, mu_b: float, noise: float) -> float:
+    return float(synthetic._win_probs(np.array([[mu_a, mu_b]]), noise)[0])
+
+
+class TestExactBound:
+    """The bound's win probabilities are summed over point totals; each must
+    be a matchup's Monte-Carlo win rate up to sampling error."""
+
+    @pytest.mark.parametrize("noise", [2.0, 6.0, 200.0])
+    @pytest.mark.parametrize("mu_a, mu_b", [
+        (12.5, 11.0),     # both sides near the 4-point floor
+        (100.0, 100.0),   # equal expectations: side a wins the ties
+        (10.0, 10.0),     # equal, on the floor
+        (118.0, 84.0),    # lopsided
+        (84.0, 118.0),
+    ])
+    def test_equals_the_monte_carlo_rate_within_3_standard_errors(self, mu_a, mu_b, noise):
+        sims = 400_000
+        p = _win_prob(mu_a, mu_b, noise)
+        rate = simulated_win_prob(mu_a, mu_b, noise, np.random.default_rng(0), sims)
+        assert abs(rate - p) <= 3.0 * math.sqrt(p * (1.0 - p) / sims) + 1e-12
+
+    @pytest.mark.parametrize("noise", [5e-324, 1e-300, 0.3, 6.0, 200.0, synthetic.MAX_NOISE])
+    @pytest.mark.parametrize("mu_a, mu_b", [(12.5, 11.0), (101.3, 99.2), (118.0, 84.0)])
+    def test_a_matchup_and_its_mirror_sum_to_one(self, mu_a, mu_b, noise):
+        assert abs(_win_prob(mu_a, mu_b, noise) + _win_prob(mu_b, mu_a, noise) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("noise", [0.0, 0.3, 6.0])
+    def test_on_the_floor_the_favorite_wins_every_tie(self, noise):
+        # expectations far below the floor score 4 points a side
+        assert _win_prob(-60.0, -80.0, noise) == 1.0
+        assert _win_prob(-80.0, -60.0, noise) == 0.0
+        assert _win_prob(-70.0, -70.0, noise) == 1.0
+
+
+def test_the_bound_refuses_noise_over_its_limit_by_name_without_warnings():
+    # the sum's window of point totals grows with the noise, so noise over
+    # MAX_NOISE is refused; at the limit the bound is summed
+    limit = synthetic.MAX_NOISE
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        truth = league_truth(spec, bayes_sims=100)
+        for noise in (math.nextafter(limit, math.inf), 1e5, sys.float_info.max):
+            spec = SyntheticLeagueSpec(n_teams=2, games_per_team=1, noise=noise)
+            with pytest.raises(SyntheticError, match=re.escape(f"noise {noise} is over {limit}")):
+                league_truth(spec)
+        truth = league_truth(SyntheticLeagueSpec(n_teams=2, games_per_team=1, noise=limit))
     assert 0.5 <= truth.bayes_accuracy <= 1.0
     assert all(0.0 <= p <= 1.0 for p in truth.matchup_probs.values())
 
@@ -284,9 +320,9 @@ class TestHalvesAreIndependent:
 
         with monkeypatch.context() as patched:
             patched.setattr(synthetic, "league_games", not_run)
-            truth = league_truth(spec, bayes_sims=2_000)
+            truth = league_truth(spec)
         store = league_games(spec)
-        want_store, want_truth = generate_league(spec, bayes_sims=2_000)
+        want_store, want_truth = generate_league(spec)
         assert _hexed(truth) == _hexed(want_truth)
         assert truth == want_truth
         assert store.seasons == want_store.seasons
@@ -320,22 +356,22 @@ class TestDeterminism:
     def test_same_seed_regenerates_identical_league(self):
         spec = SyntheticLeagueSpec(n_teams=8, games_per_team=14, n_seasons=2,
                                    noise=6.0, seed=5)
-        store1, truth1 = generate_league(spec, bayes_sims=10_000)
-        store2, truth2 = generate_league(spec, bayes_sims=10_000)
+        store1, truth1 = generate_league(spec)
+        store2, truth2 = generate_league(spec)
         assert store1.all_games() == store2.all_games()
         assert truth1.bayes_accuracy == truth2.bayes_accuracy
         assert truth1.matchup_probs == truth2.matchup_probs
 
     def test_different_seeds_differ(self):
         kw = dict(n_teams=8, games_per_team=14, n_seasons=1, noise=6.0)
-        store1, _ = generate_league(SyntheticLeagueSpec(seed=5, **kw), bayes_sims=100)
-        store2, _ = generate_league(SyntheticLeagueSpec(seed=6, **kw), bayes_sims=100)
+        store1, _ = generate_league(SyntheticLeagueSpec(seed=5, **kw))
+        store2, _ = generate_league(SyntheticLeagueSpec(seed=6, **kw))
         assert store1.all_games() != store2.all_games()
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         spec = SyntheticLeagueSpec(n_teams=8, games_per_team=14, n_seasons=2,
                                    noise=6.0, seed=5)
-        store, _ = generate_league(spec, bayes_sims=100)
+        store, _ = generate_league(spec)
         path = tmp_path / "league.csv"
         write_game_log(store, path)
         assert parse_game_log(path).all_games() == store.all_games()
@@ -395,7 +431,7 @@ class TestCalibration:
         spec = SyntheticLeagueSpec(n_teams=20, games_per_team=40, n_seasons=1,
                                    noise=8.0, home_advantage=ha,
                                    strength_spread=0.0, seed=13)
-        store, _ = generate_league(spec, bayes_sims=1_000)
+        store, _ = generate_league(spec)
         home_wins = sum(
             (g.winner() == g.team_a) == (g.location is Location.HOME_A)
             for g in store.all_games())
@@ -444,8 +480,9 @@ def test_a_float_at_the_limits_gives_finite_values_or_is_refused(
         n_teams, games, seasons, at_limit, value, spread, noise, home, imbalance, target, rate,
         seed, first_season):
     # one league setting at the limits, the others in range; the home-rate
-    # calibration takes the value at the limits as its noise.  At seed 59 a
-    # draw times noise 1e308 leaves the float range in the bound's simulation.
+    # calibration takes the value at the limits as its noise.  At seed 59 both
+    # draws at noise 1e308 score on the 4-point floor, so the games are made
+    # and the bound refuses the noise.
     edge = _finite_or_refused(calibrate_home_advantage, value, rate)
     assert edge is None or math.isfinite(edge)
     floats = {"strength_spread": spread, "noise": noise, "home_advantage": home,
@@ -462,7 +499,7 @@ def test_a_float_at_the_limits_gives_finite_values_or_is_refused(
         for season in store.seasons:
             box = store.columns(season).box
             assert ((0 <= box) & (box <= MAX_COUNT)).all()
-        truth = _finite_or_refused(league_truth, spec, 1)
+        truth = _finite_or_refused(league_truth, spec)
         if truth is not None:
             assert 0.5 <= truth.bayes_accuracy <= 1.0
             assert all(0.0 <= p <= 1.0 for p in truth.matchup_probs.values())
